@@ -1,4 +1,4 @@
-"""Petz transpose-channel recovery and the blanket scan built on it.
+"""Petz transpose-channel recovery and the blanket scan.
 
 ``petz_recover`` rebuilds the ``rebuild`` subsystems through the ``blanket``
 from the state with ``rebuild`` traced out: exact whenever the blanket
@@ -6,8 +6,12 @@ mediates all correlations (products, classical Markov chains), lossy when
 coherence bypasses it.
 
 ``blanket_scan`` scores each candidate blanket Z by the divergence between
-the state and (recovered conditional on the complement) tensor (blanket
-marginal) — the reconstruction achievable from Z alone.
+the state and (recovered conditional on the complement Y) tensor (blanket
+marginal). Because Y is the whole complement of Z, nothing is left over for
+the recovery to act on: the Petz sandwich returns the state on its support,
+the recovered conditional is just rho_Y, and the score is
+qjsd(rho, rho_Y (x) rho_Z), the marginal-mode divergence of the cut Z|Y.
+The scan therefore reads phi's per-cut table and runs no recovery.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .divergence import qjsd
 from .errors import (
     BadParameter,
     BadSize,
@@ -27,9 +30,9 @@ from .errors import (
 )
 from .phi import phi as phi_fn
 from .states import (
+    Bipartition,
     DensityMatrix,
     SubsystemLayout,
-    assemble_on_subsets,
     partial_trace,
     validate_state,
 )
@@ -121,19 +124,6 @@ def petz_recover(
     return validate_state(out, lay)
 
 
-def recovered_conditional(rho: DensityMatrix, blanket: Iterable[int]) -> DensityMatrix:
-    """The state on the blanket's complement as recovered from the blanket alone.
-
-    Runs the recovery sandwich on the blanket marginal and traces the blanket
-    back out; correlations that do not pass through the blanket are lost.
-    """
-    n = rho.n
-    z = sorted(set(int(i) for i in blanket))
-    y = [i for i in range(n) if i not in z]
-    full = petz_recover(rho, z, y)
-    return partial_trace(full, y)
-
-
 @dataclass(frozen=True)
 class BlanketResult:
     target_size: int
@@ -146,8 +136,10 @@ class BlanketResult:
 def blanket_scan(rho: DensityMatrix, target_size: int, mode: str = "marginal") -> BlanketResult:
     """Score every size-``target_size`` subset Z as a candidate blanket.
 
-    score(Z) = qjsd(rho, recovered_conditional (x) blanket marginal); zero
-    exactly when Z shields the rest, i.e. the state factorizes across Z.
+    score(Z) = qjsd(rho, recovered conditional (x) blanket marginal). With the
+    whole complement Y rebuilt the recovered conditional is rho_Y, so the score
+    is the marginal per-cut divergence of the cut Z|Y and is read from the
+    ``per_cut`` table of phi; zero exactly when the state factorizes across Z.
     The argmin subset is compared against the smaller side of the phi-optimal
     cut (reported, not asserted).
     """
@@ -158,21 +150,15 @@ def blanket_scan(rho: DensityMatrix, target_size: int, mode: str = "marginal") -
     a_side, b_side = res.optimal_cut.as_lists()
     smaller = tuple(a_side) if len(a_side) <= len(b_side) else tuple(b_side)
 
-    scores: list[tuple[tuple[int, ...], float]] = []
-    for zc in combinations(range(n), target_size):
-        z = list(zc)
-        y = [i for i in range(n) if i not in zc]
-        cond = recovered_conditional(rho, z)
-        rho_z = partial_trace(rho, z)
-        sigma = assemble_on_subsets(
-            [np.asarray(cond.mat), np.asarray(rho_z.mat)], [y, z], rho.layout
-        )
-        scores.append((zc, qjsd(rho, sigma)))
+    per_cut = dict(res.per_cut)
+    scores = tuple(
+        (zc, per_cut[Bipartition.of(zc, n)]) for zc in combinations(range(n), target_size)
+    )
     vmin = min(v for _, v in scores)
     argmin = next(zc for zc, v in scores if v <= vmin + 1e-12)
     return BlanketResult(
         target_size=int(target_size),
-        scores=tuple(scores),
+        scores=scores,
         argmin=argmin,
         optimal_cut_side=smaller,
         matches_optimal_cut_side=(set(argmin) == set(smaller)),

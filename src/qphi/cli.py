@@ -291,7 +291,7 @@ def _cmd_verify(args) -> int:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise BadParameter(f"invalid config JSON: {exc}") from exc
-        if args.seed is not None:
+        if args.seed is not None and isinstance(obj, dict):
             obj["seed"] = args.seed
         cfg = VerifyConfig.from_dict(obj)
     else:
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--fixed", default=None, help="pinned axes, e.g. 2=0.5")
     o.set_defaults(fn=_cmd_observe)
 
-    b = sub.add_parser("blanket", help="recovery-based blanket scan")
+    b = sub.add_parser("blanket", help="blanket scan: each subset's per-cut divergence")
     add_state_arg(b)
     b.add_argument("--size", type=int, required=True)
     b.add_argument("--mode", choices=["marginal", "optimized"], default="marginal")

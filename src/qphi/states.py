@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -361,8 +360,3 @@ def random_product(layout, cut: Bipartition, seed: SeedLike) -> DensityMatrix:
     ma = np.asarray(ginibre_mixed((da,), da, rng).mat)
     mb = np.asarray(ginibre_mixed((db,), db, rng).mat)
     return assemble_on_subsets([ma, mb], [a_idx, b_idx], lay)
-
-
-def random_subset_pairs(n: int, size: int) -> list[tuple[int, ...]]:
-    """All sorted index subsets of the given size (canonical enumeration order)."""
-    return [tuple(c) for c in combinations(range(n), size)]

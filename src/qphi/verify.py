@@ -7,36 +7,34 @@ thread-count hint a caller passes along.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .blanket import blanket_scan, petz_recover, recovered_conditional
+from .blanket import blanket_scan, petz_recover
 from .channels import apply_channel, apply_local, random_channel, random_local_channel
-from .divergence import LN2, negative_type_check, qjsd, von_neumann_entropy
+from .divergence import LN2, negative_type_check, qjsd, qjsd_gram
 from .errors import ConfigInvalid
 from .phi import (
-    as_partition,
     convexity_check,
     divergence_for_partition,
     enumerate_partitions,
     lipschitz_check,
     merge_blocks,
+    min_over_partitions,
     phi,
 )
 from .states import (
-    Bipartition,
     DensityMatrix,
     SubsystemLayout,
-    assemble_on_subsets,
     enumerate_bipartitions,
     ginibre_mixed,
     haar_pure,
-    partial_trace,
+    product_of_marginals,
     random_product,
     substream,
-    validate_state,
 )
 from .witness import build_witness, expectation
 
@@ -84,6 +82,19 @@ REPORT_ONLY = (
 )
 
 
+def _integer(what: str, v) -> int:
+    """``v`` as an int; bools, floats and strings are rejected, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ConfigInvalid(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _mapping(what: str, v) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigInvalid(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 0
@@ -92,13 +103,17 @@ class VerifyConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        seed = _integer("seed", self.seed)
+        if seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         if not self.layouts:
             raise ConfigInvalid("at least one layout is required")
         try:
-            layouts = tuple(tuple(int(d) for d in lay) for lay in self.layouts)
-        except (TypeError, ValueError) as exc:
+            layouts = tuple(
+                tuple(_integer("layout dimension", d) for d in lay) for lay in self.layouts
+            )
+        except TypeError as exc:
             raise ConfigInvalid(f"malformed layouts: {exc}") from exc
         for lay in layouts:
             SubsystemLayout(lay)  # raises on bad dims
@@ -106,15 +121,15 @@ class VerifyConfig:
                 raise ConfigInvalid("every layout needs at least two subsystems")
         object.__setattr__(self, "layouts", layouts)
         counts = dict(DEFAULT_COUNTS)
-        for k, v in (self.counts or {}).items():
+        for k, v in _mapping("counts", self.counts or {}).items():
             if k not in DEFAULT_COUNTS:
                 raise ConfigInvalid(f"unknown count key {k!r}")
             counts[k] = v
         tri = counts["triangle_inequality"]
-        if isinstance(tri, int):
-            tri = tuple(tri for _ in layouts)
+        if isinstance(tri, (list, tuple)):
+            tri = tuple(_integer("triangle_inequality count", t) for t in tri)
         else:
-            tri = tuple(int(t) for t in tri)
+            tri = tuple(_integer("triangle_inequality count", tri) for _ in layouts)
         if len(tri) != len(layouts):
             raise ConfigInvalid("triangle_inequality counts must match the layouts list")
         counts["triangle_inequality"] = tri
@@ -122,13 +137,15 @@ class VerifyConfig:
             if k == "triangle_inequality":
                 if any(t < 0 for t in v):
                     raise ConfigInvalid("counts must be non-negative")
-            elif int(v) < 0:
+            elif _integer(f"count {k!r}", v) < 0:
                 raise ConfigInvalid(f"count {k!r} must be non-negative")
         object.__setattr__(self, "counts", counts)
         tols = dict(DEFAULT_TOLERANCES)
-        for k, v in (self.tolerances or {}).items():
+        for k, v in _mapping("tolerances", self.tolerances or {}).items():
             if k not in DEFAULT_TOLERANCES:
                 raise ConfigInvalid(f"unknown tolerance key {k!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigInvalid(f"tolerance {k!r} must be a number, got {v!r}")
             tols[k] = float(v)
         object.__setattr__(self, "tolerances", tols)
 
@@ -141,8 +158,8 @@ class VerifyConfig:
         if extra:
             raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
         return cls(
-            seed=int(obj.get("seed", 0)),
-            layouts=tuple(tuple(lay) for lay in obj.get("layouts", DEFAULT_LAYOUTS)),
+            seed=obj.get("seed", 0),
+            layouts=obj.get("layouts", DEFAULT_LAYOUTS),
             counts=obj.get("counts", {}),
             tolerances=obj.get("tolerances", {}),
         )
@@ -219,22 +236,16 @@ def _check_metric_axioms(cfg: VerifyConfig, rng):
     return worst, total, {}
 
 
-def _triple_qjsd(mats, ents, i, j):
-    mid = (mats[i] + mats[j]) / 2.0
-    return von_neumann_entropy(mid) - 0.5 * ents[i] - 0.5 * ents[j]
-
-
 def _check_triangle(cfg: VerifyConfig, rng):
     worst = -np.inf
     total = 0
     for lay, count in zip(cfg.layouts, cfg.counts["triangle_inequality"]):
         for t in range(int(count)):
             states = [_rand_state(lay, rng, t + k) for k in range(3)]
-            mats = [np.asarray(s.mat) for s in states]
-            ents = [von_neumann_entropy(s) for s in states]
-            dab = np.sqrt(max(_triple_qjsd(mats, ents, 0, 1), 0.0))
-            dbc = np.sqrt(max(_triple_qjsd(mats, ents, 1, 2), 0.0))
-            dac = np.sqrt(max(_triple_qjsd(mats, ents, 0, 2), 0.0))
+            gram = qjsd_gram(states)
+            dab = np.sqrt(max(gram[0, 1], 0.0))
+            dbc = np.sqrt(max(gram[1, 2], 0.0))
+            dac = np.sqrt(max(gram[0, 2], 0.0))
             worst = max(
                 worst, dac - dab - dbc, dab - dac - dbc, dbc - dab - dac
             )
@@ -296,7 +307,7 @@ def _check_kblock(cfg: VerifyConfig, rng):
         n = 3 if t % 2 == 0 else 4
         rho = ginibre_mixed((2,) * n, 2**n, rng)
         bimin = phi(rho).phi
-        kmin = min(divergence_for_partition(rho, p) for p in enumerate_partitions(n))
+        kmin = min_over_partitions(rho)[0]
         worst = max(worst, abs(bimin - kmin))
     return worst, count, {}
 
@@ -348,15 +359,6 @@ def _random_markov_chain(rng) -> DensityMatrix:
     return DensityMatrix(SubsystemLayout((2, 2, 2)), np.diag(diag).astype(complex))
 
 
-def _blanket_score(rho: DensityMatrix, z: list[int]) -> float:
-    y = [i for i in range(rho.n) if i not in z]
-    cond = recovered_conditional(rho, z)
-    sigma = assemble_on_subsets(
-        [np.asarray(cond.mat), np.asarray(partial_trace(rho, z).mat)], [y, z], rho.layout
-    )
-    return qjsd(rho, sigma)
-
-
 def _check_petz(cfg: VerifyConfig, rng):
     count = int(cfg.counts["petz_product_exactness"])
     chains = int(cfg.counts["petz_markov_chains"])
@@ -367,9 +369,8 @@ def _check_petz(cfg: VerifyConfig, rng):
         cuts = enumerate_bipartitions(n)
         cut = cuts[int(rng.integers(0, len(cuts)))]
         rho = random_product(lay, cut, rng)
-        a_side, b_side = cut.as_lists()
-        z = a_side if len(a_side) <= len(b_side) else b_side
-        worst = max(worst, _blanket_score(rho, z))
+        # the blanket score of either side of the cut; zero on a product state
+        worst = max(worst, qjsd(rho, product_of_marginals(rho, cut)))
     chain_worst = -np.inf
     for _ in range(chains):
         mc = _random_markov_chain(rng)

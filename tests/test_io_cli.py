@@ -142,6 +142,17 @@ def test_exit_code_validation():
     assert res2.returncode == 2
 
 
+def test_malformed_verify_config_exits_2(tmp_path):
+    # the config is refused before any check runs, so each case is fast
+    for doc, extra in (('{"seed": "abc"}', []), ('{"layouts": 5}', []), ("[1]", ["--seed", "1"])):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        res = run_cli(["verify", "--config", str(cfg), *extra])
+        assert res.returncode == 2, doc
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:")
+
+
 def test_exit_code_budget():
     state = run_cli(["gen", "ghz", "3"]).stdout
     res = run_cli(["phi", "-", "--n-cap", "2"], stdin_text=state)

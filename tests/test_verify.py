@@ -102,6 +102,20 @@ def test_config_validation():
         VerifyConfig(tolerances={"no_such_check": 1e-9})
     with pytest.raises(ConfigInvalid):
         VerifyConfig(layouts=((2,),))
+    # wrong types are refused up front rather than coerced or left to crash
+    for bad in (True, 1.0, 2.7, "3", None):
+        with pytest.raises(ConfigInvalid):
+            VerifyConfig(seed=bad)
+    with pytest.raises(ConfigInvalid):
+        VerifyConfig(counts={"metric_axioms": "x"})
+    with pytest.raises(ConfigInvalid):
+        VerifyConfig(counts={"triangle_inequality": "ab"})
+    with pytest.raises(ConfigInvalid):
+        VerifyConfig(tolerances={"metric_axioms": "x"})
+    with pytest.raises(ConfigInvalid):
+        VerifyConfig(layouts=5)
+    with pytest.raises(ConfigInvalid):
+        VerifyConfig(layouts=((2, 2.7), (2, 2, 2)))
 
 
 def test_from_dict_round_trip_and_unknown_keys():
@@ -114,3 +128,21 @@ def test_from_dict_round_trip_and_unknown_keys():
     assert cfg.counts["data_processing"] == DEFAULT_COUNTS["data_processing"]
     with pytest.raises(ConfigInvalid):
         VerifyConfig.from_dict({"seed": 1, "bogus": True})
+    for bad in (
+        {"seed": "abc"},
+        {"seed": True},
+        {"seed": 2.5},
+        {"counts": {"metric_axioms": "x"}},
+        {"counts": {"triangle_inequality": "ab"}},
+        {"counts": 5},
+        {"tolerances": {"metric_axioms": "x"}},
+        {"layouts": 5},
+    ):
+        with pytest.raises(ConfigInvalid):
+            VerifyConfig.from_dict(bad)
+    # JSON lists are accepted wherever tuples are
+    cfg = VerifyConfig.from_dict(
+        {"layouts": [[2, 2], [2, 3]], "counts": {"triangle_inequality": [3, 4]}}
+    )
+    assert cfg.layouts == ((2, 2), (2, 3))
+    assert cfg.counts["triangle_inequality"] == (3, 4)
