@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import qmc
 
 from .channels import (
     KrausChannel,
@@ -184,6 +183,10 @@ def maximize_phi(
         v = _phi_of_output(rho, family, p, mode)
         log.append((tuple(float(x) for x in p), v))
         return v
+
+    # imported here: scipy.stats takes over a second to import, and only this
+    # search needs it
+    from scipy.stats import qmc
 
     # Sobol points; draw a power-of-two block and slice to avoid balance warnings
     sob = qmc.Sobol(d=family.n_params, scramble=True, seed=substream(seed, "observer-starts"))

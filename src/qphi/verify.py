@@ -7,6 +7,7 @@ thread-count hint a caller passes along.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -144,8 +145,8 @@ class VerifyConfig:
         for k, v in _mapping("tolerances", self.tolerances or {}).items():
             if k not in DEFAULT_TOLERANCES:
                 raise ConfigInvalid(f"unknown tolerance key {k!r}")
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigInvalid(f"tolerance {k!r} must be a number, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigInvalid(f"tolerance {k!r} must be a finite number, got {v!r}")
             tols[k] = float(v)
         object.__setattr__(self, "tolerances", tols)
 

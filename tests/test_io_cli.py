@@ -144,7 +144,12 @@ def test_exit_code_validation():
 
 def test_malformed_verify_config_exits_2(tmp_path):
     # the config is refused before any check runs, so each case is fast
-    for doc, extra in (('{"seed": "abc"}', []), ('{"layouts": 5}', []), ("[1]", ["--seed", "1"])):
+    for doc, extra in (
+        ('{"seed": "abc"}', []),
+        ('{"layouts": 5}', []),
+        ("[1]", ["--seed", "1"]),
+        ('{"tolerances": {"metric_axioms": NaN}}', []),
+    ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc)
         res = run_cli(["verify", "--config", str(cfg), *extra])

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import qphi
 
 
@@ -6,3 +9,10 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(qphi, n)]
     assert missing == []
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes over a second to import; only the observer search uses it
+    code = "import sys, qphi, qphi.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

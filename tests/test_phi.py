@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qphi.errors import (
     SingleSubsystem,
 )
 from qphi.phi import (
+    TIE_TOL,
     as_partition,
     convexity_check,
     divergence_for_partition,
@@ -26,9 +29,14 @@ from qphi.states import (
     enumerate_bipartitions,
     ghz,
     ginibre_mixed,
+    haar_pure,
     maximally_mixed,
+    product_of_marginals,
+    pure_state,
     random_product,
     substream,
+    tensor,
+    w_state,
 )
 
 # Frozen reference values, each recomputed independently from the midpoint
@@ -176,3 +184,79 @@ def test_lipschitz_check_reports():
     assert rep.rhs >= 0.0
     zero = lipschitz_check(a, a)
     assert zero.lhs == 0.0 and zero.rhs == pytest.approx(0.0, abs=1e-9)
+
+
+# States for the per-cut oracle, chosen so that every branch of the spectral
+# per-cut computation runs: label -> (state, branches its cuts take).
+def _oracle_states():
+    def seed(name):
+        return substream(0, "phi-oracle-" + name)
+
+    return {
+        "full-222": (ginibre_mixed((2, 2, 2), 8, seed("f222")), {"dense"}),
+        "full-232": (ginibre_mixed((2, 3, 2), 12, seed("f232")), {"dense"}),
+        "full-2^6": (ginibre_mixed((2,) * 6, 64, seed("f2^6")), {"dense"}),
+        "rank2-222": (ginibre_mixed((2, 2, 2), 2, seed("r222")), {"dense"}),
+        "rank3-2222": (ginibre_mixed((2, 2, 2, 2), 3, seed("r2222")), {"gram", "dense"}),
+        # full rank, but 13 eigenvalues near 6e-11: they must not be dropped as noise
+        "near-rank3-2222": (
+            DensityMatrix(
+                (2,) * 4,
+                (1 - 1e-9) * np.asarray(ginibre_mixed((2,) * 4, 3, seed("r2222")).mat)
+                + 1e-9 * np.eye(16) / 16,
+            ),
+            {"dense"},
+        ),
+        "haar-2^5": (haar_pure((2,) * 5, seed("h2^5")), {"schmidt"}),
+        "haar-322": (haar_pure((3, 2, 2), seed("h322")), {"schmidt"}),
+        "bell": (bell(), {"schmidt"}),
+        "ghz4": (ghz(4), {"schmidt"}),
+        "maxent-33": (pure_state(np.eye(3).reshape(-1), (3, 3)), {"schmidt"}),
+        "w4": (w_state(4), {"schmidt"}),
+        "product": (
+            random_product((2, 2, 2), Bipartition.of([0, 2], 3), seed("prod")), {"dense"}
+        ),
+        # a pure pair times a mixed qubit: rank 2 of 8, zero on the cut {0,1}|{2}
+        "pure-pair-x-mixed": (
+            tensor(haar_pure((2, 2), seed("pp")), ginibre_mixed((2,), 2, seed("pm"))),
+            {"gram", "dense"},
+        ),
+        "maximally-mixed": (maximally_mixed((2, 2, 2)), {"dense"}),
+    }
+
+
+ORACLE_STATES = _oracle_states()
+# the module, not the function the package exports under the same name
+phi_module = importlib.import_module("qphi.phi")
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_STATES))
+def test_per_cut_values_match_dense_qjsd(label):
+    rho, _ = ORACLE_STATES[label]
+    cuts = enumerate_bipartitions(rho.n)
+    dense = [qjsd(rho, product_of_marginals(rho, cut)) for cut in cuts]
+    res = phi(rho)
+    assert [c for c, _ in res.per_cut] == cuts
+    for (cut, got), want in zip(res.per_cut, dense):
+        assert abs(got - want) <= 1e-12, (cut.as_lists(), got, want)
+    vmin = min(dense)
+    assert abs(res.phi - vmin) <= 1e-12
+    ties = tuple(c for c, v in zip(cuts, dense) if v <= vmin + TIE_TOL)
+    assert res.ties == ties
+    assert res.optimal_cut == ties[0]
+
+
+def test_each_state_takes_the_expected_branches(monkeypatch):
+    taken = set()
+    for name in ("schmidt", "gram", "dense"):
+        fn = getattr(phi_module, f"_{name}_midpoint")
+
+        def spy(*args, _fn=fn, _name=name):
+            taken.add(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
+    for label, (rho, branches) in ORACLE_STATES.items():
+        taken.clear()
+        phi(rho)
+        assert taken == branches, label

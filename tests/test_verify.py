@@ -112,6 +112,10 @@ def test_config_validation():
         VerifyConfig(counts={"triangle_inequality": "ab"})
     with pytest.raises(ConfigInvalid):
         VerifyConfig(tolerances={"metric_axioms": "x"})
+    # json.load reads a bare NaN; a non-finite tolerance would fail every comparison
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigInvalid):
+            VerifyConfig(tolerances={"metric_axioms": bad})
     with pytest.raises(ConfigInvalid):
         VerifyConfig(layouts=5)
     with pytest.raises(ConfigInvalid):
