@@ -1,5 +1,5 @@
-"""Derivative-free 1-D line search used by the product-state refinement and
-the observer maximization. Deterministic: no randomness, fixed iteration count."""
+"""Derivative-free 1-D line search used by the observer maximization.
+Deterministic: no randomness, fixed iteration count."""
 from __future__ import annotations
 
 from typing import Callable
@@ -47,5 +47,11 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 2
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 24):
+    """Golden-section minimization on [lo, hi]; see :func:`golden_max`.
+
+    No library code calls it, but the benchmark's tracer
+    (``perfbench/tracer.py``) looks it up by name, so removing it makes a
+    traced benchmark run raise ``AttributeError``.
+    """
     x, negf, evals = golden_max(lambda t: -f(t), lo, hi, iters)
     return x, -negf, evals

@@ -123,14 +123,11 @@ ORACLE_STATES = {
     "qutrit": ginibre_mixed((2, 3, 2), 12, substream(0, "bl-oracle-qutrit")),
     "ghz4": ghz(4),
 }
-# optimized-mode refinement runs about 85 s per phi call on the pure and
-# rank-2 states (2-core host), so optimized mode covers the other three
 ORACLE_CASES = [
     (name, size, mode)
     for name, rho in ORACLE_STATES.items()
     for size in range(1, rho.n)
     for mode in ("marginal", "optimized")
-    if mode == "marginal" or name in ("full-rank", "qutrit", "ghz4")
 ]
 
 def petz_blanket_score(rho: DensityMatrix, z: tuple[int, ...]) -> float:

@@ -83,6 +83,20 @@ def test_gen_bell_pipe_phi():
     assert out["tie_count"] == 1
 
 
+def test_phi_optimized_output_keys():
+    state = run_cli(["gen", "ghz", "3"]).stdout
+    res = run_cli(["phi", "-", "--mode", "optimized"], stdin_text=state)
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert set(out) == {
+        "mode", "units", "phi_nats", "phi_bits", "cut", "ties", "tie_count",
+        "phi_marginal_nats", "refinement_spread",
+    }
+    assert out["mode"] == "optimized"
+    assert out["refinement_spread"] is None
+    assert out["phi_nats"] <= out["phi_marginal_nats"]
+
+
 def test_units_flag_rescales_but_keeps_the_cut():
     state = run_cli(["gen", "ghz", "3"]).stdout
     nats = json.loads(run_cli(["phi", "-", "--per-cut"], stdin_text=state).stdout)

@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qphi.phi import (
 from qphi.states import (
     Bipartition,
     DensityMatrix,
+    _permute_raw,
     bell,
     enumerate_bipartitions,
     ghz,
@@ -260,3 +262,107 @@ def test_each_state_takes_the_expected_branches(monkeypatch):
         taken.clear()
         phi(rho)
         assert taken == branches, label
+
+
+# ---------------------------------------------------------------------------
+# optimized mode
+
+
+def _opt_states():
+    def seed(name):
+        return substream(0, "phi-opt-" + name)
+
+    out = {}
+    for dims, tag in (((2, 2, 2), "222"), ((2, 3, 2), "232"), ((2, 2, 2, 2), "2^4")):
+        dim = int(np.prod(dims))
+        out["full-" + tag] = ginibre_mixed(dims, dim, seed("full-" + tag))
+        out["rank2-" + tag] = ginibre_mixed(dims, 2, seed("rank2-" + tag))
+        out["pure-" + tag] = haar_pure(dims, seed("pure-" + tag))
+    return out
+
+
+OPT_STATES = _opt_states()
+
+
+@pytest.mark.parametrize("label", sorted(OPT_STATES))
+def test_optimized_phi_is_the_minimum_over_every_refined_cut(label):
+    rho = OPT_STATES[label]
+    res = phi(rho, "optimized")
+    assert res.phi <= res.phi_marginal
+    assert res.phi_refined == res.phi
+    refined = [phi_module._refine_product(rho, cut)[0] for cut in enumerate_bipartitions(rho.n)]
+    marginal = [v for _, v in res.per_cut]
+    # no cut reports more than its marginal value
+    capped = [min(r, m) for r, m in zip(refined, marginal)]
+    assert res.phi == min(capped)
+    assert abs(res.phi - min(refined)) <= 1e-12
+    assert res.optimal_cut == res.per_cut[int(np.argmin(capped))][0]
+    assert abs(qjsd(rho, res.sigma_star) - res.phi) <= 1e-12
+
+
+def test_optimized_mode_reports_a_lower_untied_cut():
+    # rank 3 on (2,2,3): the marginal minimum is the cut {0,2}|{1}, but
+    # {0}|{1,2} refines about 0.02 nats lower
+    rho = ginibre_mixed((2, 2, 3), 3, substream(10, "phi-opt-cut"))
+    res = phi(rho, "optimized")
+    assert res.ties == (Bipartition.of([0, 2], 3),)
+    assert res.optimal_cut == Bipartition.of([0], 3)
+    tied = phi_module._refine_product(rho, res.ties[0])[0]
+    assert res.phi < tied - 0.01
+
+
+def _factor_gradients(rho: DensityMatrix, sigma: DensityMatrix, cut: Bipartition):
+    """G_A = tr_B[(1 (x) sigma_B) G] and G_B = tr_A[(sigma_A (x) 1) G] for the
+    qjsd gradient G = (log sigma - log m)/2, m = (rho + sigma)/2, from dense
+    matrix logarithms; also returns sigma_A and sigma_B."""
+
+    def logm(mat):
+        w, v = np.linalg.eigh(mat)
+        return (v * np.log(w)) @ v.conj().T
+
+    a_idx, b_idx = cut.as_lists()
+    da = int(np.prod([rho.dims[i] for i in a_idx]))
+    db = rho.dim // da
+    order = a_idx + b_idx
+    r = _permute_raw(np.asarray(rho.mat), rho.dims, order)
+    s = _permute_raw(np.asarray(sigma.mat), rho.dims, order)
+    g = (0.5 * (logm(s) - logm((r + s) / 2.0))).reshape(da, db, da, db)
+    s4 = s.reshape(da, db, da, db)
+    sa = np.einsum("ijkj->ik", s4)
+    sb = np.einsum("ijil->jl", s4)
+    ga = np.einsum("jm,imkj->ik", sb, g)
+    gb = np.einsum("im,mjil->jl", sa, g)
+    return ga, gb, sa, sb
+
+
+@pytest.mark.parametrize("label", ["full-222", "full-232", "full-2^4"])
+def test_optimized_sigma_is_stationary(label):
+    # at an interior minimum over product states each factor gradient is a
+    # multiple of the identity
+    rho = OPT_STATES[label]
+    res = phi(rho, "optimized")
+    ga, gb, sa, sb = _factor_gradients(rho, res.sigma_star, res.optimal_cut)
+    for g, s in ((ga, sa), (gb, sb)):
+        resid = g - np.trace(s @ g) * np.eye(g.shape[0])
+        assert np.max(np.abs(resid)) <= 1e-6
+
+
+def test_refinement_of_a_pure_state_is_fast_and_lower():
+    rho = haar_pure((2, 2, 2), substream(0, "bl-oracle-pure"))
+    t0 = time.perf_counter()
+    val, sigma, steps, _ = phi_module._refine_product(rho, Bipartition.of([0], 3))
+    assert time.perf_counter() - t0 < 1.0
+    # the former coordinate descent stopped at 0.19778516357 after 500 passes
+    assert val < 0.19778516357
+    assert steps < phi_module.REFINE_MAX_STEPS
+    assert abs(qjsd(rho, sigma) - val) <= 1e-12
+
+
+def test_probe_starts_report_a_refinement_spread():
+    rho = OPT_STATES["full-222"]
+    plain = phi(rho, "optimized")
+    probed = phi(rho, "optimized", probe_starts=3, probe_seed=1)
+    assert plain.refinement_spread is None
+    assert probed.phi == plain.phi and probed.optimal_cut == plain.optimal_cut
+    # a full-rank state has a unique optimum, which perturbed starts find again
+    assert 0.0 <= probed.refinement_spread <= 1e-4
