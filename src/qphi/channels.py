@@ -3,6 +3,10 @@
 Random channels are sampled by slicing a Haar unitary on dimension
 out_dim * kraus_count into block isometries (Stinespring picture), so the
 completeness relation holds by construction up to orthogonality round-off.
+
+:func:`apply_local` applies each site's channel as one superoperator,
+sum_k K (x) conj(K), contracted with the state in a single ``tensordot``
+instead of a pair of products per Kraus operator.
 """
 from __future__ import annotations
 
@@ -43,6 +47,8 @@ class KrausChannel:
                 raise DimensionMismatch(
                     f"Kraus operator shape {arr.shape} != ({self.out_dim}, {self.in_dim})"
                 )
+            if not np.isfinite(arr).all():
+                raise BadParameter("Kraus operator has non-finite entries")
             arr = arr.copy()
             arr.setflags(write=False)
             ops.append(arr)
@@ -106,15 +112,13 @@ def apply_channel(
 
 
 def _apply_on_site(t: np.ndarray, ch: KrausChannel, site: int, n: int) -> np.ndarray:
-    # t has axes (row_0..row_{n-1}, col_0..col_{n-1}); contract site on both sides
-    out = None
-    for k in ch.kraus:
-        a = np.tensordot(k, t, axes=([1], [site]))
-        a = np.moveaxis(a, 0, site)
-        b = np.tensordot(k.conj(), a, axes=([1], [n + site]))
-        b = np.moveaxis(b, 0, n + site)
-        out = b if out is None else out + b
-    return out
+    # t has axes (row_0..row_{n-1}, col_0..col_{n-1}); the superoperator
+    # S[a, b, i, j] = sum_k K[a, i] conj(K[b, j]) maps the site's (row, col)
+    # pair (i, j) to (a, b)
+    ks = np.asarray(ch.kraus)
+    sup = np.einsum("kai,kbj->abij", ks, ks.conj())
+    out = np.tensordot(sup, t, axes=([2, 3], [site, n + site]))
+    return np.moveaxis(out, (0, 1), (site, n + site))
 
 
 def apply_local(lc: LocalChannel, rho: DensityMatrix) -> DensityMatrix:

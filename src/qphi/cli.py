@@ -122,8 +122,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    if args.probe_starts < 0:
+        raise BadParameter(f"--probe-starts must be >= 0, got {args.probe_starts}")
+    if args.probe_starts > 0 and args.mode != "optimized":
+        raise BadParameter("--probe-starts needs --mode optimized")
     rho = _read_state(args.state)
-    res = phi(rho, args.mode, n_cap=args.n_cap)
+    res = phi(rho, args.mode, n_cap=args.n_cap, probe_starts=args.probe_starts)
     out = {
         "mode": res.mode,
         "units": args.units,
@@ -329,6 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--per-cut", action="store_true", dest="per_cut")
     f.add_argument("--sigma", default=None, help="write closest product state to this file")
     f.add_argument("--n-cap", type=int, default=12, dest="n_cap")
+    f.add_argument(
+        "--probe-starts", type=int, default=0, dest="probe_starts",
+        help="optimized mode: rerun the refinement from N perturbed starts and "
+        "report the spread of the optima as refinement_spread",
+    )
     f.set_defaults(fn=_cmd_phi)
 
     d = sub.add_parser("dendrogram", help="recursive integration tree")

@@ -3,10 +3,18 @@
 All values are in nats (natural log). The square root of the divergence is a
 metric on states; ln 2 minus the divergence behaves like a similarity kernel,
 whose Gram spectrum is reported (not asserted) by :func:`negative_type_check`.
+
+Small spectra are computed in stacks: ``np.linalg.eigvalsh`` on an (m, D, D)
+array runs m eigensolves in one call, with the same spectra as m separate
+calls, and :func:`entropies` takes the entropy of every row at once.
+:func:`qjsd_gram` eigensolves its m states and all their pairwise midpoints
+this way. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256
+still goes one matrix at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -18,17 +26,49 @@ LN2 = float(np.log(2.0))
 
 _EIG_ZERO_TOL = 1e-10  # eigenvalues in [-tol, 0) count as exact zeros
 _EIG_FAIL_TOL = 1e-9   # anything below this is a numerical breakdown
+_STACK_BYTES = 1 << 20  # cap on the complex matrices in one stacked eigensolve
+
+
+def _stack_len(dim: int) -> int:
+    """How many D x D complex matrices one stacked eigensolve takes (at least 1)."""
+    return max(1, _STACK_BYTES // (16 * dim * dim))
+
+
+def _stacked_entropies(build, count: int, dim: int) -> np.ndarray:
+    """Von Neumann entropies of ``count`` D x D matrices, eigensolved in stacks
+    of at most ``_STACK_BYTES``; ``build(start, stop)`` returns matrices
+    start..stop-1 as one (stop - start, D, D) array."""
+    step = _stack_len(dim)
+    return np.concatenate([
+        entropies(np.linalg.eigvalsh(build(k, min(k + step, count))))
+        for k in range(0, count, step)
+    ])
+
+
+def _check_spectrum(w: np.ndarray) -> None:
+    lo = float(w.min()) if w.size else 0.0
+    if lo < -_EIG_FAIL_TOL:
+        raise NumericalBreakdown(f"eigenvalue {lo:.3e} below -{_EIG_FAIL_TOL}")
 
 
 def entropy_of_spectrum(eigs: np.ndarray) -> float:
     """-sum(p ln p) over the spectrum, with 0 ln 0 == 0."""
     w = np.asarray(eigs, dtype=float)
-    lo = float(w.min()) if w.size else 0.0
-    if lo < -_EIG_FAIL_TOL:
-        raise NumericalBreakdown(f"eigenvalue {lo:.3e} below -{_EIG_FAIL_TOL}")
-    w = np.clip(w, 0.0, None)
+    _check_spectrum(w)
     pos = w[w > 0.0]
     return float(-np.sum(pos * np.log(pos)))
+
+
+def entropies(spectra: np.ndarray) -> np.ndarray:
+    """:func:`entropy_of_spectrum` of every row of a stack of spectra.
+
+    Equal to the row-by-row values to round-off: a zero or clipped eigenvalue
+    adds an exact 0 to its row's sum instead of being left out of it.
+    """
+    w = np.asarray(spectra, dtype=float)
+    _check_spectrum(w)
+    p = np.where(w > 0.0, w, 1.0)  # 1 ln 1 == 0 stands in for 0 ln 0
+    return -np.sum(p * np.log(p), axis=-1)
 
 
 def von_neumann_entropy(rho: Union[DensityMatrix, np.ndarray]) -> float:
@@ -55,8 +95,22 @@ def delta(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.sqrt(max(qjsd(rho, sigma), 0.0)))
 
 
+@lru_cache(maxsize=None)
+def _gram_items(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j): the m diagonal pairs, then the pairs i < j."""
+    i, j = np.triu_indices(m, 1)
+    out = np.concatenate([np.arange(m), i]), np.concatenate([np.arange(m), j])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def qjsd_gram(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Pairwise divergence matrix (symmetric, zero diagonal)."""
+    """Pairwise divergence matrix (symmetric, zero diagonal).
+
+    The states and their m(m-1)/2 midpoints are eigensolved in stacks; a
+    state is its own midpoint (a + a)/2, exactly.
+    """
     m = len(states)
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
@@ -64,13 +118,15 @@ def qjsd_gram(states: Sequence[DensityMatrix]) -> np.ndarray:
     for s in states[1:]:
         if s.dims != dims0:
             raise LayoutMismatch("all states in an ensemble must share a layout")
-    ent = [von_neumann_entropy(s) for s in states]
+    mats = np.stack([s.mat for s in states])
+    i, j = _gram_items(m)
+    ent = _stacked_entropies(
+        lambda a, b: (mats[i[a:b]] + mats[j[a:b]]) / 2.0, i.size, states[0].dim
+    )
+    i, j = i[m:], j[m:]
     out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            mid = (np.asarray(states[i].mat) + np.asarray(states[j].mat)) / 2.0
-            d = von_neumann_entropy(mid) - 0.5 * ent[i] - 0.5 * ent[j]
-            out[i, j] = out[j, i] = d
+    out[i, j] = ent[m:] - 0.5 * ent[i] - 0.5 * ent[j]
+    out[j, i] = out[i, j]
     return out
 
 

@@ -26,6 +26,19 @@ the two marginal spectra, and the spectrum of m from one of three branches:
   is that of the smaller Gram matrix Z^dag Z.
 - otherwise: one dense eigensolve of m.
 
+The value of a cut does not depend on which side comes first, so each cut
+puts its smaller side first, and cuts whose smaller sides have the same
+dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
+cached): one gather reorders rho for every cut of a chunk, one batched
+partial trace gives their marginals, and one stacked eigensolve per side
+gives the marginal spectra; the dense branch runs one stacked midpoint
+eigensolve per chunk. A chunk holds at most 1 MB of D x D matrices, so
+D = 256 still goes one cut at a time.
+
+:func:`partition_divergences` scores k-block partitions the same way: S(rho)
+once, each distinct block marginal once, S(sigma) as the sum of the block
+entropies, and the midpoints in stacks.
+
 The dense qjsd of :mod:`qphi.divergence` is the reference the tests hold
 every branch to.
 """
@@ -33,11 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import delta, entropy_of_spectrum, qjsd
+from .divergence import _stack_len, _stacked_entropies, delta, entropies, entropy_of_spectrum
 from .errors import (
     BadParameter,
     InvalidPartition,
@@ -47,10 +61,12 @@ from .errors import (
 from .states import (
     Bipartition,
     DensityMatrix,
+    _kron,
     _permute_raw,
+    _split_marginals,
     assemble_on_subsets,
     enumerate_bipartitions,
-    product_of_block_marginals,
+    partial_trace,
     product_of_marginals,
 )
 
@@ -124,10 +140,48 @@ def as_partition(blocks, n: int) -> PartitionKBlocks:
     return PartitionKBlocks(tuple(frozenset(b) for b in blocks), n)
 
 
+def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
+    """:func:`divergence_for_partition` of every partition, from shared work.
+
+    S(rho) is computed once and each distinct block marginal once; S(sigma)
+    is the sum of the block entropies, since S is additive over a product; rho
+    and every midpoint (rho + sigma)/2 are eigensolved in stacks.
+    """
+    parts = [as_partition(p, rho.n) for p in partitions]
+    marg = {}
+    for p in parts:
+        for b in p.blocks:
+            if b not in marg:
+                marg[b] = np.asarray(partial_trace(rho, b).mat)
+    by_dim: dict[int, list[frozenset[int]]] = {}
+    for b, m in marg.items():
+        by_dim.setdefault(m.shape[0], []).append(b)
+    ent = {}
+    for d, blocks in by_dim.items():
+        mats = np.stack([marg[b] for b in blocks])
+        ent.update(zip(blocks, _stacked_entropies(lambda a, b: mats[a:b], len(blocks), d)))
+    mat = np.asarray(rho.mat)
+
+    def midpoint(k):
+        if k == 0:
+            return mat  # rho itself, for S(rho)
+        blocks = parts[k - 1].blocks
+        subs = [sorted(b) for b in blocks]
+        sigma = assemble_on_subsets([marg[b] for b in blocks], subs, rho.layout)
+        return (mat + np.asarray(sigma.mat)) / 2.0
+
+    s = _stacked_entropies(
+        lambda a, b: np.stack([midpoint(k) for k in range(a, b)]), len(parts) + 1, rho.dim
+    )
+    return [
+        float(s_mid - 0.5 * s[0] - 0.5 * sum(ent[b] for b in p.blocks))
+        for s_mid, p in zip(s[1:], parts)
+    ]
+
+
 def divergence_for_partition(rho: DensityMatrix, blocks) -> float:
     """QJSD between the state and the product of its block marginals."""
-    p = as_partition(blocks, rho.n)
-    return qjsd(rho, product_of_block_marginals(rho, [sorted(b) for b in p.blocks]))
+    return partition_divergences(rho, [blocks])[0]
 
 
 def enumerate_partitions(n: int, max_n: int = 6) -> list[PartitionKBlocks]:
@@ -166,8 +220,7 @@ def merge_inequality_check(rho: DensityMatrix, p: PartitionKBlocks, i: int, j: i
     """Divergence before and after merging two blocks; coarsening should not increase it."""
     if p.k < 3:
         raise InvalidPartition("merging requires at least 3 blocks")
-    before = divergence_for_partition(rho, p)
-    after = divergence_for_partition(rho, merge_blocks(p, i, j))
+    before, after = partition_divergences(rho, [p, merge_blocks(p, i, j)])
     return before, after
 
 
@@ -215,11 +268,7 @@ def _refine_product(
     rho_ab = _permute_raw(np.asarray(rho.mat), rho.dims, a_idx + b_idx)
     s_rho = entropy_of_spectrum(np.linalg.eigvalsh(rho_ab))
     if start is None:
-        t = rho_ab.reshape(da, db, da, db)
-        start = (
-            _log_of_density(np.einsum("ijkj->ik", t)),
-            _log_of_density(np.einsum("ijil->jl", t)),
-        )
+        start = tuple(_log_of_density(m) for m in _split_marginals(rho_ab, da))
 
     def evaluate(h):
         (la, pa, va), (lb, pb, vb) = _exp_factor(h[0]), _exp_factor(h[1])
@@ -259,17 +308,17 @@ def _refine_product(
 # ---------------------------------------------------------------------------
 # marginal-mode per-cut values
 
-def _rank(w: np.ndarray) -> int:
-    """Number of eigenvalues of an ascending spectrum above the eigensolver's
-    noise floor D*eps*lambda_max."""
-    return int(np.count_nonzero(w > w.size * _EPS * w[-1]))
+def _rank(w: np.ndarray):
+    """Number of eigenvalues of an ascending spectrum (or of each row of a
+    stack of them) above the eigensolver's noise floor D*eps*lambda_max."""
+    return (w > w.shape[-1] * _EPS * w[..., -1:]).sum(axis=-1)
 
 
 def _factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of a density matrix and a factor X with X X^dag equal to it,
     save the eigenvalues under the noise floor."""
     w, v = np.linalg.eigh(mat)
-    k = w.size - _rank(w)
+    k = w.size - int(_rank(w))
     return w, v[:, k:] * np.sqrt(w[k:])
 
 
@@ -283,18 +332,6 @@ def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]
     return lam, np.concatenate([cross, core])
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its per-call overhead on small ones."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
-
-
-def _rows_in_order(x: np.ndarray, dims, order) -> np.ndarray:
-    """The rows of X, indexed by subsystems in ascending order, reindexed
-    with the subsystems in ``order``."""
-    r = x.shape[1]
-    return x.reshape(dims + (r,)).transpose(order + [len(dims)]).reshape(-1, r)
-
-
 def _gram_midpoint(x: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Non-zero spectrum of (X X^dag + Y Y^dag)/2, with Y Y^dag = rho_A (x) rho_B,
     from the Gram matrix of [X Y]."""
@@ -306,48 +343,74 @@ def _gram_midpoint(x: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.nd
 
 
 def _dense_midpoint(rho: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Spectrum of (rho + rho_A (x) rho_B)/2 by one dense eigensolve."""
+    """Spectra of a stack of midpoints (rho + rho_A (x) rho_B)/2, by one
+    stacked dense eigensolve."""
     return np.linalg.eigvalsh((rho + _kron(rho_a, rho_b)) / 2.0)
 
 
-def _cut_divergences(rho: DensityMatrix, cuts: Sequence[Bipartition]) -> list[float]:
-    """qjsd(rho, product_of_marginals(rho, cut)) for every cut, from one
-    eigendecomposition of rho (the branches are in the module docstring).
+@lru_cache(maxsize=32)
+def _cut_plan(dims: tuple[int, ...], step: int):
+    """The canonical cuts of a layout, each with its smaller side first,
+    grouped by that side's dimension d in chunks of at most ``step`` cuts:
+    (d, the cuts' positions in enumerate_bipartitions order, each cut's
+    subsystem order, first side then second). Only the orders are kept, not
+    the D-long basis permutations they give."""
+    dim = math.prod(dims)
+    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for k, cut in enumerate(enumerate_bipartitions(len(dims))):
+        a_idx, b_idx = cut.as_lists()
+        da = math.prod(dims[i] for i in a_idx)
+        if da * da > dim:
+            a_idx, b_idx, da = b_idx, a_idx, dim // da
+        groups.setdefault(da, []).append((k, tuple(a_idx + b_idx)))
+    plan = []
+    for da, members in sorted(groups.items()):
+        for s in range(0, len(members), step):
+            chunk = members[s:s + step]
+            plan.append((da, tuple(k for k, _ in chunk), tuple(o for _, o in chunk)))
+    return tuple(plan)
 
-    Each cut works with its factors reordered as (A, B), where rho_A (x) rho_B
-    is a plain Kronecker product; the reordering is a permutation of the
-    basis, which leaves every spectrum unchanged.
+
+def _cut_divergences(rho: DensityMatrix) -> list[float]:
+    """qjsd(rho, product_of_marginals(rho, cut)) for every canonical cut, in
+    enumerate_bipartitions order, from one eigendecomposition of rho (the
+    branches are in the module docstring).
+
+    Each cut works with its factors reordered as (A, B), smaller side first,
+    where rho_A (x) rho_B is a plain Kronecker product; the reordering is a
+    permutation of the basis, which leaves every spectrum unchanged.
     """
     dims, dim = rho.dims, rho.dim
     mat = np.asarray(rho.mat)
     w, x = _factor(mat)
     s_rho = entropy_of_spectrum(w)
     r = x.shape[1]
-    out = []
-    for cut in cuts:
-        a_idx, b_idx = cut.as_lists()
-        order = a_idx + b_idx
-        da = math.prod(dims[i] for i in a_idx)
-        db = dim // da
+    base = np.arange(dim).reshape(dims)
+    out = np.empty(2 ** (rho.n - 1) - 1)
+    for da, index, orders in _cut_plan(dims, _stack_len(dim)):
+        # row perm[c, i] of the reordered basis is row i of the original one
+        perm = np.stack([base.transpose(o).reshape(-1) for o in orders])
         if r == 1:
-            lam, mid = _schmidt_midpoint(_rows_in_order(x, dims, order), da)
-            # rho_A and rho_B of a pure state share the spectrum lam
-            s_sigma = 2.0 * entropy_of_spectrum(lam)
-        else:
-            rho_ab = _permute_raw(mat, dims, order)
-            # the two partial traces of rho_ab, whose factors are already (A, B)
-            t = rho_ab.reshape(da, db, da, db)
-            rho_a = np.einsum("ijkj->ik", t)
-            rho_b = np.einsum("ijil->jl", t)
-            wa = np.linalg.eigvalsh(rho_a)
-            wb = np.linalg.eigvalsh(rho_b)
-            s_sigma = entropy_of_spectrum(wa) + entropy_of_spectrum(wb)
-            if r + _rank(wa) * _rank(wb) < dim:
-                mid = _gram_midpoint(_rows_in_order(x, dims, order), rho_a, rho_b)
-            else:
-                mid = _dense_midpoint(rho_ab, rho_a, rho_b)
-        out.append(entropy_of_spectrum(mid) - 0.5 * s_rho - 0.5 * s_sigma)
-    return out
+            for k, p in zip(index, perm):
+                lam, mid = _schmidt_midpoint(x[p], da)
+                # rho_A and rho_B of a pure state share the spectrum lam
+                s_sigma = 2.0 * entropy_of_spectrum(lam)
+                out[k] = entropy_of_spectrum(mid) - 0.5 * s_rho - 0.5 * s_sigma
+            continue
+        rho_ab = mat[perm[:, :, None], perm[:, None, :]]
+        rho_a, rho_b = _split_marginals(rho_ab, da)
+        wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
+        s_sigma = entropies(wa) + entropies(wb)
+        s_mid = np.empty(len(index))
+        gram = r + _rank(wa) * _rank(wb) < dim
+        # a slice takes views, not copies, when every cut of the chunk is dense
+        dense = ~gram if gram.any() else slice(None)
+        if not gram.all():
+            s_mid[dense] = entropies(_dense_midpoint(rho_ab[dense], rho_a[dense], rho_b[dense]))
+        for c in np.flatnonzero(gram):
+            s_mid[c] = entropy_of_spectrum(_gram_midpoint(x[perm[c]], rho_a[c], rho_b[c]))
+        out[list(index)] = s_mid - 0.5 * s_rho - 0.5 * s_sigma
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +439,7 @@ def phi(
     if n > n_cap:
         raise SearchBudgetExceeded(f"n={n} exceeds the configured cap {n_cap}")
     cuts = enumerate_bipartitions(n)
-    per_cut = list(zip(cuts, _cut_divergences(rho, cuts)))
+    per_cut = list(zip(cuts, _cut_divergences(rho)))
     vmin = min(v for _, v in per_cut)
     ties = tuple(c for c, v in per_cut if v <= vmin + tie_tol)
     optimal = ties[0]
@@ -429,12 +492,10 @@ def min_over_partitions(rho: DensityMatrix, max_n: int = 6):
     Returns (best_value, best_partition); used to confirm that bipartitions
     already attain the global minimum.
     """
-    best: Optional[tuple[float, PartitionKBlocks]] = None
-    for p in enumerate_partitions(rho.n, max_n=max_n):
-        v = divergence_for_partition(rho, p)
-        if best is None or v < best[0]:
-            best = (v, p)
-    return best
+    parts = enumerate_partitions(rho.n, max_n=max_n)
+    values = partition_divergences(rho, parts)
+    k = int(np.argmin(values))
+    return values[k], parts[k]
 
 
 # ---------------------------------------------------------------------------

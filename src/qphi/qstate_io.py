@@ -7,6 +7,7 @@ shortest-repr encoding the json module emits. Reading always revalidates.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import TextIO, Union
 
 import numpy as np
@@ -54,7 +55,12 @@ def state_from_dict(obj: dict) -> DensityMatrix:
         raise BadParameter(f"unsupported state document version: {version!r}")
     if "dims" not in obj or "matrix" not in obj:
         raise BadParameter("state document needs 'dims' and 'matrix'")
-    layout = SubsystemLayout(tuple(int(d) for d in obj["dims"]))
+    dims = obj["dims"]
+    if not isinstance(dims, list) or any(
+        isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims
+    ):
+        raise BadParameter(f"'dims' must be a list of integers, got {dims!r}")
+    layout = SubsystemLayout(tuple(int(d) for d in dims))
     mat = _decode_matrix(obj["matrix"])
     return validate_state(mat, layout)
 

@@ -20,6 +20,7 @@ from qphi.errors import BadParameter, LayoutMismatch
 from qphi.states import (
     bell,
     ginibre_mixed,
+    haar_pure,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -114,6 +115,39 @@ def test_tensored_equals_apply_local():
     via_local = apply_local(lc, rho)
     via_kron = apply_channel(tensored(lc), rho, rho.layout)
     assert np.allclose(np.asarray(via_local.mat), np.asarray(via_kron.mat), atol=1e-12)
+
+
+def _local_cases():
+    seed = substream(6, "local-oracle")
+    return {
+        "depolarizing-222": (
+            local_depolarizing([0.1, 0.5, 0.9], dims=[2, 2, 2]),
+            ginibre_mixed((2, 2, 2), 8, seed),
+        ),
+        "depolarizing-23": (local_depolarizing([0.3, 0.7], dims=[2, 3]), haar_pure((2, 3), seed)),
+        "dephasing-222": (
+            local_dephasing([(0.3, 1.1), (1.2, 0.4), (2.0, 2.5)]),
+            ginibre_mixed((2, 2, 2), 2, seed),
+        ),
+        "random-232": (random_local_channel((2, 3, 2), 3, seed), ginibre_mixed((2, 3, 2), 12, seed)),
+        "random-2222": (random_local_channel((2,) * 4, 2, seed), haar_pure((2,) * 4, seed)),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_local_cases()))
+def test_apply_local_matches_the_tensored_channel(label):
+    lc, rho = _local_cases()[label]
+    via_local = np.asarray(apply_local(lc, rho).mat)
+    via_kron = np.asarray(apply_channel(tensored(lc), rho, rho.layout).mat)
+    assert np.max(np.abs(via_local - via_kron)) <= 1e-13
+
+
+def test_kraus_operators_must_be_finite():
+    for bad in (np.nan, np.inf):
+        k = np.eye(2, dtype=complex)
+        k[1, 0] = bad
+        with pytest.raises(BadParameter):
+            KrausChannel(2, 2, (k,))
 
 
 def test_random_local_channel_shapes():

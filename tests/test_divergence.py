@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +8,14 @@ from qphi.channels import apply_channel, random_channel
 from qphi.divergence import (
     LN2,
     delta,
+    entropies,
+    entropy_of_spectrum,
     negative_type_check,
     qjsd,
     qjsd_gram,
     von_neumann_entropy,
 )
-from qphi.errors import LayoutMismatch, TooFewStates
+from qphi.errors import LayoutMismatch, NumericalBreakdown, TooFewStates
 from qphi.states import (
     bell,
     ginibre_mixed,
@@ -102,3 +106,69 @@ def test_negative_type_sampling():
 def test_negative_type_needs_two_states():
     with pytest.raises(TooFewStates):
         negative_type_check([bell()], 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against their one-at-a-time references
+
+divergence_module = importlib.import_module("qphi.divergence")
+
+
+def test_entropies_match_entropy_of_spectrum_row_by_row():
+    rng = np.random.default_rng(7)
+    full = rng.dirichlet(np.ones(8), size=4)
+    zeros = full.copy()
+    zeros[:, :3] = 0.0                      # rank 5, exact zeros
+    clipped = full.copy()
+    clipped[:, 0] = -5e-10                  # clipped to zero, not a breakdown
+    clipped[:, 5] = -1e-11
+    pure = np.zeros((1, 8))
+    pure[0, -1] = 1.0
+    rows = np.vstack([full, zeros, clipped, pure])
+    got = entropies(rows)
+    want = np.array([entropy_of_spectrum(r) for r in rows])
+    assert got.shape == (rows.shape[0],)
+    # rows without a zero or negative eigenvalue sum the same terms in the same order
+    assert np.array_equal(got[:4], want[:4])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    assert got[-1] == 0.0
+    # any leading shape; an empty spectrum has entropy 0
+    assert np.array_equal(entropies(rows.reshape(13, 1, 8))[:, 0], got)
+    assert entropies(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_entropies_raise_on_a_row_below_the_breakdown_floor():
+    rows = np.full((3, 4), 0.25)
+    rows[1] = [0.5, 0.5, 2e-9, -2e-9]
+    with pytest.raises(NumericalBreakdown):
+        entropies(rows)
+    with pytest.raises(NumericalBreakdown):
+        entropy_of_spectrum(rows[1])
+
+
+def _gram_ensemble(dims):
+    dim = int(np.prod(dims))
+    seed = substream(0, f"gram-oracle-{dims}")
+    return [
+        ginibre_mixed(dims, dim, seed),
+        ginibre_mixed(dims, 2, seed),
+        haar_pure(dims, seed),
+        maximally_mixed(dims),
+        ginibre_mixed(dims, dim, seed),
+    ]
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3), (2, 2, 2)])
+def test_qjsd_gram_matches_pairwise_qjsd(dims, monkeypatch):
+    states = _gram_ensemble(dims)
+    g = qjsd_gram(states)
+    m = len(states)
+    for i in range(m):
+        assert g[i, i] == 0.0
+        for j in range(m):
+            if i != j:
+                assert abs(g[i, j] - qjsd(states[i], states[j])) <= 1e-14, (i, j)
+    assert np.array_equal(g, g.T)
+    # one matrix per stacked eigensolve gives the same matrix, bit for bit
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
+    assert np.array_equal(qjsd_gram(states), g)

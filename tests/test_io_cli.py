@@ -59,6 +59,24 @@ def test_malformed_documents_are_rejected():
         state_from_dict(doc)
 
 
+@pytest.mark.parametrize("dims", ["ab", 5, None, [2.7, 2], [2.0, 2], [True, 2], ["2", 2], [[2], 2]])
+def test_malformed_dims_are_rejected(dims):
+    doc = state_to_dict(bell())
+    doc["dims"] = dims
+    with pytest.raises(BadParameter):
+        state_from_dict(doc)
+
+
+def test_malformed_non_finite_matrix_is_rejected():
+    # json.loads reads a bare NaN, and NaN passes every "x > tol" test
+    doc = state_to_dict(bell())
+    doc["matrix"][0][0] = [float("nan"), 0.0]
+    with pytest.raises(BadParameter):
+        state_from_dict(doc)
+    with pytest.raises(BadParameter):
+        state_from_json('{"version": 1, "dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+
+
 def test_reading_revalidates_psd():
     doc = {
         "version": 1,
@@ -154,6 +172,32 @@ def test_exit_code_validation():
     assert "subsystem" in res.stderr
     res2 = run_cli(["phi", "-"], stdin_text="garbage")
     assert res2.returncode == 2
+
+
+def test_malformed_state_documents_exit_2():
+    for doc in (
+        '{"version":1,"dims":[2,2],"matrix":[[[NaN,0],[0,0],[0,0],[0,0]],'
+        '[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[1,0]]]}',
+        '{"version":1,"dims":"ab","matrix":[[[1,0]]]}',
+        '{"version":1,"dims":5,"matrix":[[[1,0]]]}',
+        '{"version":1,"dims":[2.7,2],"matrix":[[[1,0]]]}',
+    ):
+        res = run_cli(["phi", "-"], stdin_text=doc)
+        assert res.returncode == 2, doc
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:")
+
+
+def test_phi_probe_starts_reports_a_refinement_spread():
+    state = run_cli(["gen", "ginibre", "--dims", "2,2", "--seed", "3"]).stdout
+    res = run_cli(["phi", "-", "--mode", "optimized", "--probe-starts", "2"], stdin_text=state)
+    assert res.returncode == 0, res.stderr
+    spread = json.loads(res.stdout)["refinement_spread"]
+    assert isinstance(spread, float) and np.isfinite(spread) and spread >= 0.0
+    for args in (["--mode", "optimized", "--probe-starts", "-1"], ["--probe-starts", "1"]):
+        bad = run_cli(["phi", "-", *args], stdin_text=state)
+        assert bad.returncode == 2, args
+        assert bad.stderr.startswith("error:")
 
 
 def test_malformed_verify_config_exits_2(tmp_path):

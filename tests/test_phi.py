@@ -21,6 +21,7 @@ from qphi.phi import (
     merge_blocks,
     merge_inequality_check,
     min_over_partitions,
+    partition_divergences,
     phi,
 )
 from qphi.states import (
@@ -33,6 +34,7 @@ from qphi.states import (
     ginibre_mixed,
     haar_pure,
     maximally_mixed,
+    product_of_block_marginals,
     product_of_marginals,
     pure_state,
     random_product,
@@ -230,6 +232,7 @@ def _oracle_states():
 ORACLE_STATES = _oracle_states()
 # the module, not the function the package exports under the same name
 phi_module = importlib.import_module("qphi.phi")
+divergence_module = importlib.import_module("qphi.divergence")
 
 
 @pytest.mark.parametrize("label", sorted(ORACLE_STATES))
@@ -246,6 +249,76 @@ def test_per_cut_values_match_dense_qjsd(label):
     ties = tuple(c for c, v in zip(cuts, dense) if v <= vmin + TIE_TOL)
     assert res.ties == ties
     assert res.optimal_cut == ties[0]
+
+
+def test_per_cut_values_do_not_depend_on_the_stack_split(monkeypatch):
+    full = {label: phi(rho).per_cut for label, (rho, _) in ORACLE_STATES.items()}
+    # one matrix per stacked eigensolve: every chunk of the cut plan is one cut
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
+    assert all(len(orders) == 1 for _, _, orders in phi_module._cut_plan((2,) * 6, 1))
+    for label, (rho, _) in ORACLE_STATES.items():
+        assert phi(rho).per_cut == full[label], label
+
+
+@pytest.mark.parametrize("dims", [(2,) * 8, (2,) * 7, (3, 3, 2, 2, 2, 2), (2, 3, 2)])
+def test_cut_plan_covers_every_cut_within_the_stack_cap(dims):
+    dim = int(np.prod(dims))
+    plan = phi_module._cut_plan(dims, divergence_module._stack_len(dim))
+    cuts = enumerate_bipartitions(len(dims))
+    seen = []
+    for d, index, orders in plan:
+        assert len(orders) * 16 * dim * dim <= divergence_module._STACK_BYTES
+        assert d * d <= dim
+        for k, order in zip(index, orders):
+            a_idx, b_idx = cuts[k].as_lists()
+            first, second = (a_idx, b_idx) if order[0] == 0 else (b_idx, a_idx)
+            assert order == tuple(first + second)
+            assert int(np.prod([dims[i] for i in first])) == d
+        seen.extend(index)
+    assert sorted(seen) == list(range(len(cuts)))
+
+
+def test_cut_plan_keeps_orders_not_permutations():
+    # n = 12: 2047 cuts; a D-long index array per cut would be 64 MB
+    plan = phi_module._cut_plan((2,) * 12, divergence_module._stack_len(4096))
+    assert sum(len(index) for _, index, _ in plan) == 2047
+    assert all(len(order) == 12 for _, _, orders in plan for order in orders)
+    assert not any(isinstance(v, np.ndarray) for chunk in plan for v in chunk)
+
+
+def _partition_states():
+    def seed(name):
+        return substream(0, "partition-oracle-" + name)
+
+    return {
+        "full-222": ginibre_mixed((2, 2, 2), 8, seed("f222")),
+        "rank2-222": ginibre_mixed((2, 2, 2), 2, seed("r222")),
+        "haar-222": haar_pure((2, 2, 2), seed("h222")),
+        "full-232": ginibre_mixed((2, 3, 2), 12, seed("f232")),
+        "haar-232": haar_pure((2, 3, 2), seed("h232")),
+        "full-2222": ginibre_mixed((2,) * 4, 16, seed("f2222")),
+        "rank2-2222": ginibre_mixed((2,) * 4, 2, seed("r2222")),
+        "haar-2222": haar_pure((2,) * 4, seed("h2222")),
+        "ghz4": ghz(4),
+    }
+
+
+PARTITION_STATES = _partition_states()
+
+
+@pytest.mark.parametrize("label", sorted(PARTITION_STATES))
+def test_partition_divergences_match_dense_qjsd(label, monkeypatch):
+    rho = PARTITION_STATES[label]
+    parts = enumerate_partitions(rho.n)
+    got = partition_divergences(rho, parts)
+    for p, v in zip(parts, got):
+        sigma = product_of_block_marginals(rho, [sorted(b) for b in p.blocks])
+        assert abs(v - qjsd(rho, sigma)) <= 1e-12, [sorted(b) for b in p.blocks]
+        assert divergence_for_partition(rho, p) == v
+    k = int(np.argmin(got))
+    assert min_over_partitions(rho) == (got[k], parts[k])
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
+    assert partition_divergences(rho, parts) == got
 
 
 def test_each_state_takes_the_expected_branches(monkeypatch):

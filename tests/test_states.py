@@ -24,6 +24,7 @@ from qphi.states import (
     maximally_mixed,
     partial_trace,
     permute_subsystems,
+    product_of_block_marginals,
     product_of_marginals,
     pure_state,
     random_product,
@@ -65,6 +66,16 @@ def test_validate_rejects_bad_inputs():
         validate_state(np.diag([1.5, -0.5]), lay)
     with pytest.raises(DimensionMismatch):
         validate_state(np.eye(3) / 3, lay)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_validate_rejects_non_finite_entries(bad):
+    # NaN compares false against every tolerance, so it must be caught explicitly
+    for i, j in ((0, 0), (0, 1)):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[i, j] = bad
+        with pytest.raises(BadParameter):
+            validate_state(mat, (2,))
 
 
 def test_validate_clips_mild_negativity():
@@ -148,6 +159,20 @@ def test_product_of_marginals_factorizes_products():
     rho = random_product((2, 2, 2), cut, substream(11, "prod"))
     sigma = product_of_marginals(rho, cut)
     assert np.allclose(np.asarray(sigma.mat), np.asarray(rho.mat), atol=1e-12)
+
+
+def test_product_of_marginals_equals_block_marginals_bit_for_bit():
+    states = [
+        ginibre_mixed((2, 2, 2), 8, substream(12, "pm")),
+        ginibre_mixed((2, 3, 2), 3, substream(12, "pm")),
+        haar_pure((3, 2, 2, 2), substream(12, "pm")),
+        ghz(4),
+    ]
+    for rho in states:
+        for cut in enumerate_bipartitions(rho.n):
+            got = np.asarray(product_of_marginals(rho, cut).mat)
+            want = np.asarray(product_of_block_marginals(rho, [cut.mask_a, cut.mask_b]).mat)
+            assert np.array_equal(got, want), cut.as_lists()
 
 
 def test_named_states():
