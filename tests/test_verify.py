@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +151,26 @@ def test_from_dict_round_trip_and_unknown_keys():
     )
     assert cfg.layouts == ((2, 2), (2, 3))
     assert cfg.counts["triangle_inequality"] == (3, 4)
+
+
+# run_suite(VerifyConfig(seed=3, counts=SMALL_COUNTS)).to_dict() from the
+# per-state verify code, before checks drew and scored their states in stacks
+PINNED = Path(__file__).with_name("verify_seed3_small.json")
+INTEGER_DETAILS = ("merges_checked", "increase_count")
+
+
+def test_report_agrees_with_the_pinned_per_state_report(small_report):
+    want = json.loads(PINNED.read_text())
+    got = small_report.to_dict()
+    assert (got["overall"], got["seed"]) == (want["overall"], want["seed"])
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        assert (g["kind"], g["status"], g["samples"]) == (w["kind"], w["status"], w["samples"])
+        assert sorted(g["details"]) == sorted(w["details"]), g["name"]
+        pairs = [("worst_violation", g["worst_violation"], w["worst_violation"])]
+        pairs += [(k, g["details"][k], w["details"][k]) for k in sorted(w["details"])]
+        for key, a, b in pairs:
+            if key in INTEGER_DETAILS or b is None:
+                assert a == b, (g["name"], key)
+            else:
+                assert abs(a - b) <= 1e-12, (g["name"], key, a, b)
