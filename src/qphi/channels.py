@@ -5,12 +5,17 @@ out_dim * kraus_count into block isometries (Stinespring picture), so the
 completeness relation holds by construction up to orthogonality round-off.
 
 :func:`apply_local` applies each site's channel as one superoperator,
-sum_k K (x) conj(K), contracted with the state in a single ``tensordot``
-instead of a pair of products per Kraus operator.
+sum_k K (x) conj(K), contracted with the state in a single matrix product
+instead of a pair of products per Kraus operator. Both application paths
+run on stacks of states, each with its own channel (:func:`_apply_kraus`,
+:func:`_apply_local`); the one-state functions call them with a stack of one.
+The Heisenberg-Weyl operators of :func:`depolarizing` are built once per
+dimension.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +45,6 @@ class KrausChannel:
         if self.in_dim < 1 or self.out_dim < 1:
             raise BadParameter("channel dimensions must be positive")
         ops = []
-        acc = np.zeros((self.in_dim, self.in_dim), dtype=complex)
         for k in self.kraus:
             arr = np.asarray(k, dtype=complex)
             if arr.shape != (self.out_dim, self.in_dim):
@@ -52,19 +56,36 @@ class KrausChannel:
             arr = arr.copy()
             arr.setflags(write=False)
             ops.append(arr)
-            acc += arr.conj().T @ arr
         if not ops:
             raise BadParameter("a channel needs at least one Kraus operator")
-        defect = float(np.max(np.abs(acc - np.eye(self.in_dim))))
-        if defect > COMPLETENESS_TOL:
-            raise BadParameter(f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL}")
+        _check_completeness(np.asarray(ops)[None])
         object.__setattr__(self, "kraus", tuple(ops))
 
     def apply_raw(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ mat @ k.conj().T
-        return out
+        return _apply_kraus(np.asarray(self.kraus)[None], np.asarray(mat)[None])[0]
+
+
+def _check_completeness(kraus: np.ndarray) -> None:
+    """Raise unless sum_k K^dag K = 1 to COMPLETENESS_TOL for every channel of
+    an (S, K, out_dim, in_dim) stack of Kraus families."""
+    acc = np.einsum("skai,skaj->sij", kraus.conj(), kraus)
+    defect = np.max(np.abs(acc - np.eye(kraus.shape[-1])), axis=(-2, -1))
+    bad = np.flatnonzero(defect > COMPLETENESS_TOL)
+    if bad.size:
+        raise BadParameter(
+            f"Kraus completeness defect {float(defect[bad[0]]):.3e} exceeds {COMPLETENESS_TOL}"
+        )
+
+
+def _apply_kraus(kraus: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag for every state of an (S, in_dim, in_dim) stack,
+    each with its own Kraus family from an (S, K, out_dim, in_dim) stack. The
+    terms are summed in Kraus order, as one channel at a time would."""
+    out = np.zeros(mats.shape[:-2] + (kraus.shape[-2],) * 2, dtype=complex)
+    for k in range(kraus.shape[-3]):
+        op = kraus[..., k, :, :]
+        out += op @ mats @ op.conj().swapaxes(-1, -2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,27 +132,35 @@ def apply_channel(
     return validate_state(out, lay)
 
 
-def _apply_on_site(t: np.ndarray, ch: KrausChannel, site: int, n: int) -> np.ndarray:
-    # t has axes (row_0..row_{n-1}, col_0..col_{n-1}); the superoperator
-    # S[a, b, i, j] = sum_k K[a, i] conj(K[b, j]) maps the site's (row, col)
-    # pair (i, j) to (a, b)
-    ks = np.asarray(ch.kraus)
-    sup = np.einsum("kai,kbj->abij", ks, ks.conj())
-    out = np.tensordot(sup, t, axes=([2, 3], [site, n + site]))
-    return np.moveaxis(out, (0, 1), (site, n + site))
+def _apply_local(kraus: Sequence[np.ndarray], mats: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """A local channel on every state of an (S, D, D) stack with layout
+    ``dims``; ``kraus[site]`` is the (S, K, out_dim, in_dim) stack of that
+    site's Kraus families, one per state. Each site's channel is applied as
+    one superoperator, S[a, b, i, j] = sum_k K[a, i] conj(K[b, j]), which maps
+    the site's (row, col) index pair (i, j) to (a, b)."""
+    n, s = len(dims), mats.shape[0]
+    dims = list(dims)
+    t = mats.reshape((s,) + tuple(dims) * 2)
+    for site, ks in enumerate(kraus):
+        sup = np.einsum("skai,skbj->sabij", ks, ks.conj())
+        dout, din = ks.shape[-2], ks.shape[-1]
+        # the site's (row, col) axes first, then the rest in order
+        rest = [1 + i for i in range(2 * n) if i not in (site, n + site)]
+        t2 = t.transpose([0, 1 + site, 1 + n + site] + rest)
+        tail = t2.shape[3:]
+        out = sup.reshape(s, dout * dout, din * din) @ t2.reshape(s, din * din, -1)
+        t = np.moveaxis(out.reshape((s, dout, dout) + tail), (1, 2), (1 + site, 1 + n + site))
+        dims[site] = dout
+    d = int(np.prod(dims))
+    return t.reshape(s, d, d)
 
 
 def apply_local(lc: LocalChannel, rho: DensityMatrix) -> DensityMatrix:
     if lc.in_dims != rho.dims:
         raise LayoutMismatch(f"per-site inputs {lc.in_dims} != state layout {rho.dims}")
-    n = rho.n
-    dims = list(rho.dims)
-    t = np.asarray(rho.mat).reshape(tuple(dims) * 2)
-    for site, ch in enumerate(lc.channels):
-        t = _apply_on_site(t, ch, site, n)
-        dims[site] = ch.out_dim
-    d = int(np.prod(dims))
-    return validate_state(t.reshape(d, d), SubsystemLayout(tuple(dims)))
+    kraus = [np.asarray(ch.kraus)[None] for ch in lc.channels]
+    out = _apply_local(kraus, np.asarray(rho.mat)[None], rho.dims)[0]
+    return validate_state(out, SubsystemLayout(lc.out_dims))
 
 
 def tensored(lc: LocalChannel) -> KrausChannel:
@@ -149,12 +178,34 @@ def tensored(lc: LocalChannel) -> KrausChannel:
 
 def haar_unitary(d: int, seed: SeedLike) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix (phase-fixed)."""
-    rng = rng_from(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    return _haar_from_normals(rng_from(seed).standard_normal((2, d, d)))
+
+
+def _haar_from_normals(x: np.ndarray) -> np.ndarray:
+    """The unitary :func:`haar_unitary` makes from the standard normals
+    x[..., 0, :, :] (real parts) and x[..., 1, :, :] (imaginary parts); a
+    stack of draws goes through one stacked QR."""
+    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
+
+
+def _isometry_kraus(u: np.ndarray, in_dim: int, out_dim: int, kraus_count: int) -> np.ndarray:
+    """The Kraus family of :func:`random_channel` from a Haar unitary on
+    out_dim * kraus_count, or a stack of them: the row blocks of its first
+    in_dim columns."""
+    return u[..., :in_dim].reshape(u.shape[:-2] + (kraus_count, out_dim, in_dim))
+
+
+def _random_kraus(x: np.ndarray, in_dim: int, out_dim: int, kraus_count: int) -> np.ndarray:
+    """The Kraus families :func:`random_channel` builds from a stack of draws
+    x of shape (S, 2, d, d), d = out_dim * kraus_count, as one
+    (S, kraus_count, out_dim, in_dim) stack, checked for completeness."""
+    kraus = _isometry_kraus(_haar_from_normals(x), in_dim, out_dim, kraus_count)
+    _check_completeness(kraus)
+    return kraus
 
 
 def random_channel(in_dim: int, out_dim: int, kraus_count: int, seed: SeedLike) -> KrausChannel:
@@ -166,9 +217,7 @@ def random_channel(in_dim: int, out_dim: int, kraus_count: int, seed: SeedLike) 
             f"out_dim*kraus_count = {big} must be >= in_dim = {in_dim} for an isometry"
         )
     u = haar_unitary(big, seed)
-    v = u[:, :in_dim]
-    ops = tuple(v[i * out_dim : (i + 1) * out_dim, :] for i in range(kraus_count))
-    return KrausChannel(in_dim, out_dim, ops)
+    return KrausChannel(in_dim, out_dim, tuple(_isometry_kraus(u, in_dim, out_dim, kraus_count)))
 
 
 def dephasing(theta: float, phi: float) -> KrausChannel:
@@ -184,7 +233,9 @@ def dephasing(theta: float, phi: float) -> KrausChannel:
     return KrausChannel(2, 2, (p0, p1))
 
 
-def _weyl_ops(d: int) -> list[np.ndarray]:
+@lru_cache(maxsize=16)
+def _weyl_ops(d: int) -> tuple[np.ndarray, ...]:
+    """The d^2 Heisenberg-Weyl operators X^a Z^b, read-only and built once per d."""
     omega = np.exp(2j * np.pi / d)
     x = np.zeros((d, d), dtype=complex)
     for j in range(d):
@@ -193,8 +244,10 @@ def _weyl_ops(d: int) -> list[np.ndarray]:
     ops = []
     for a in range(d):
         for b in range(d):
-            ops.append(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
-    return ops
+            op = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            op.setflags(write=False)
+            ops.append(op)
+    return tuple(ops)
 
 
 def depolarizing(p: float, d: int = 2) -> KrausChannel:

@@ -8,14 +8,14 @@ Small spectra are computed in stacks: ``np.linalg.eigvalsh`` on an (m, D, D)
 array runs m eigensolves in one call, with the same spectra as m separate
 calls, and :func:`entropies` takes the entropy of every row at once.
 :func:`qjsd_gram` eigensolves its m states and all their pairwise midpoints
-this way. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256
+this way, and :func:`_grams` does the same for a stack of ensembles. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256
 still goes one matrix at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,9 +29,10 @@ _EIG_FAIL_TOL = 1e-9   # anything below this is a numerical breakdown
 _STACK_BYTES = 1 << 20  # cap on the complex matrices in one stacked eigensolve
 
 
-def _stack_len(dim: int) -> int:
-    """How many D x D complex matrices one stacked eigensolve takes (at least 1)."""
-    return max(1, _STACK_BYTES // (16 * dim * dim))
+def _stack_len(dim: int, width: Optional[int] = None) -> int:
+    """How many D x D complex matrices one stacked eigensolve takes, or how
+    many D x ``width`` arrays one stack holds (at least 1)."""
+    return max(1, _STACK_BYTES // (16 * dim * (dim if width is None else width)))
 
 
 def _stacked_entropies(build, count: int, dim: int) -> np.ndarray:
@@ -118,15 +119,25 @@ def qjsd_gram(states: Sequence[DensityMatrix]) -> np.ndarray:
     for s in states[1:]:
         if s.dims != dims0:
             raise LayoutMismatch("all states in an ensemble must share a layout")
-    mats = np.stack([s.mat for s in states])
+    return _grams(np.stack([s.mat for s in states])[None])[0]
+
+
+def _grams(mats: np.ndarray) -> np.ndarray:
+    """:func:`qjsd_gram` of each ensemble of a (T, m, D, D) stack of T
+    ensembles of m states, with every state and midpoint of every ensemble
+    eigensolved in shared stacks."""
+    t_count, m, dim = mats.shape[0], mats.shape[1], mats.shape[-1]
     i, j = _gram_items(m)
+    # item k of the flat list is pair (ii[k], jj[k]) of ensemble tt[k]
+    tt = np.repeat(np.arange(t_count), i.size)
+    ii, jj = np.tile(i, t_count), np.tile(j, t_count)
     ent = _stacked_entropies(
-        lambda a, b: (mats[i[a:b]] + mats[j[a:b]]) / 2.0, i.size, states[0].dim
-    )
+        lambda a, b: (mats[tt[a:b], ii[a:b]] + mats[tt[a:b], jj[a:b]]) / 2.0, tt.size, dim
+    ).reshape(t_count, i.size)
     i, j = i[m:], j[m:]
-    out = np.zeros((m, m))
-    out[i, j] = ent[m:] - 0.5 * ent[i] - 0.5 * ent[j]
-    out[j, i] = out[i, j]
+    out = np.zeros((t_count, m, m))
+    out[:, i, j] = ent[:, m:] - 0.5 * ent[:, i] - 0.5 * ent[:, j]
+    out[:, j, i] = out[:, i, j]
     return out
 
 
@@ -147,9 +158,12 @@ def negative_type_check(states: Sequence[DensityMatrix], trials: int, seed) -> G
     max staying <= 0 (up to float slack); the shifted-kernel eigenvalue is
     informational only.
     """
-    dmat = qjsd_gram(states)
+    return _negative_type(qjsd_gram(states), trials, rng_from(seed))
+
+
+def _negative_type(dmat: np.ndarray, trials: int, rng: np.random.Generator) -> GramReport:
+    """:func:`negative_type_check` on a divergence matrix already computed."""
     m = dmat.shape[0]
-    rng = rng_from(seed)
     worst = -np.inf
     for _ in range(int(trials)):
         a = rng.standard_normal(m)

@@ -33,11 +33,14 @@ cached): one gather reorders rho for every cut of a chunk, one batched
 partial trace gives their marginals, and one stacked eigensolve per side
 gives the marginal spectra; the dense branch runs one stacked midpoint
 eigensolve per chunk. A chunk holds at most 1 MB of D x D matrices, so
-D = 256 still goes one cut at a time.
+D = 256 still goes one cut at a time. The kernel, :func:`_cut_divergences`,
+takes a stack of states of one layout and runs the plan once for all of
+them, choosing the branch per state and cut; :func:`phi` calls it with a
+stack of one.
 
-:func:`partition_divergences` scores k-block partitions the same way: S(rho)
-once, each distinct block marginal once, S(sigma) as the sum of the block
-entropies, and the midpoints in stacks.
+:func:`partition_divergences` scores k-block partitions the same way, also
+on stacks of states: S(rho) once, each distinct block marginal once,
+S(sigma) as the sum of the block entropies, and the midpoints in stacks.
 
 The dense qjsd of :mod:`qphi.divergence` is the reference the tests hold
 every branch to.
@@ -45,9 +48,9 @@ every branch to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,12 +64,13 @@ from .errors import (
 from .states import (
     Bipartition,
     DensityMatrix,
+    _assemble_raw,
     _kron,
+    _partial_trace_raw,
     _permute_raw,
     _split_marginals,
     assemble_on_subsets,
     enumerate_bipartitions,
-    partial_trace,
     product_of_marginals,
 )
 
@@ -87,17 +91,28 @@ class PhiResult:
     always carries the plain product-of-marginals minimum, and
     ``phi_refined`` the minimum over cuts of the refined values (optimized
     mode only). ``per_cut`` and ``ties`` hold the marginal-mode values.
+    ``sigma_star`` is the closest product state found; in marginal mode it is
+    built on first access.
     """
 
     phi: float
     optimal_cut: Bipartition
-    sigma_star: DensityMatrix
     per_cut: tuple[tuple[Bipartition, float], ...]
     ties: tuple[Bipartition, ...]
     mode: str
     phi_marginal: float
     phi_refined: Optional[float] = None
     refinement_spread: Optional[float] = None
+    # sigma_star, or a function of no arguments that builds it
+    sigma: Union[DensityMatrix, Callable[[], DensityMatrix], None] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def sigma_star(self) -> DensityMatrix:
+        if callable(self.sigma):
+            object.__setattr__(self, "sigma", self.sigma())
+        return self.sigma
 
     @property
     def tie_count(self) -> int:
@@ -141,42 +156,60 @@ def as_partition(blocks, n: int) -> PartitionKBlocks:
 
 
 def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
-    """:func:`divergence_for_partition` of every partition, from shared work.
-
-    S(rho) is computed once and each distinct block marginal once; S(sigma)
-    is the sum of the block entropies, since S is additive over a product; rho
-    and every midpoint (rho + sigma)/2 are eigensolved in stacks.
-    """
+    """:func:`divergence_for_partition` of every partition, from shared work
+    (:func:`_partition_divergences` on a stack of one)."""
     parts = [as_partition(p, rho.n) for p in partitions]
+    return _partition_divergences(np.asarray(rho.mat)[None], rho.dims, parts)[0].tolist()
+
+
+def _rows(get, per: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of get(0), get(1), ... laid end to end, each ``per``
+    rows long; only the pieces that overlap the range are built."""
+    return np.concatenate([
+        get(k)[max(start - k * per, 0):min(stop - k * per, per)]
+        for k in range(start // per, (stop - 1) // per + 1)
+    ])
+
+
+def _partition_divergences(
+    mats: np.ndarray, dims: tuple[int, ...], parts: Sequence[PartitionKBlocks]
+) -> np.ndarray:
+    """:func:`divergence_for_partition` of every state of an (S, D, D) stack
+    and every partition: an (S, partitions) array.
+
+    S(rho) is computed once per state and each distinct block marginal once,
+    by one batched partial trace over the stack; S(sigma) is the sum of the
+    block entropies, since S is additive over a product; the states and every
+    midpoint (rho + sigma)/2 are eigensolved in stacks.
+    """
+    count, dim = mats.shape[0], mats.shape[-1]
     marg = {}
     for p in parts:
         for b in p.blocks:
             if b not in marg:
-                marg[b] = np.asarray(partial_trace(rho, b).mat)
+                marg[b] = _partial_trace_raw(mats, dims, sorted(b))
     by_dim: dict[int, list[frozenset[int]]] = {}
     for b, m in marg.items():
-        by_dim.setdefault(m.shape[0], []).append(b)
+        by_dim.setdefault(m.shape[-1], []).append(b)
     ent = {}
     for d, blocks in by_dim.items():
-        mats = np.stack([marg[b] for b in blocks])
-        ent.update(zip(blocks, _stacked_entropies(lambda a, b: mats[a:b], len(blocks), d)))
-    mat = np.asarray(rho.mat)
+        e = _stacked_entropies(
+            lambda a, b: _rows(lambda k: marg[blocks[k]], count, a, b), len(blocks) * count, d
+        )
+        ent.update(zip(blocks, e.reshape(len(blocks), count)))
 
-    def midpoint(k):
+    def midpoints(k):
         if k == 0:
-            return mat  # rho itself, for S(rho)
+            return mats  # the states themselves, for S(rho)
         blocks = parts[k - 1].blocks
-        subs = [sorted(b) for b in blocks]
-        sigma = assemble_on_subsets([marg[b] for b in blocks], subs, rho.layout)
-        return (mat + np.asarray(sigma.mat)) / 2.0
+        sigma = _assemble_raw([marg[b] for b in blocks], [sorted(b) for b in blocks], dims)
+        return (mats + sigma) / 2.0
 
     s = _stacked_entropies(
-        lambda a, b: np.stack([midpoint(k) for k in range(a, b)]), len(parts) + 1, rho.dim
-    )
-    return [
-        float(s_mid - 0.5 * s[0] - 0.5 * sum(ent[b] for b in p.blocks))
-        for s_mid, p in zip(s[1:], parts)
-    ]
+        lambda a, b: _rows(midpoints, count, a, b), (len(parts) + 1) * count, dim
+    ).reshape(len(parts) + 1, count)
+    cols = [s_mid - 0.5 * s[0] - 0.5 * sum(ent[b] for b in p.blocks) for s_mid, p in zip(s[1:], parts)]
+    return np.stack(cols, axis=1)
 
 
 def divergence_for_partition(rho: DensityMatrix, blocks) -> float:
@@ -314,30 +347,31 @@ def _rank(w: np.ndarray):
     return (w > w.shape[-1] * _EPS * w[..., -1:]).sum(axis=-1)
 
 
-def _factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of a density matrix and a factor X with X X^dag equal to it,
-    save the eigenvalues under the noise floor."""
-    w, v = np.linalg.eigh(mat)
+def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A factor X with X X^dag equal to the density matrix whose
+    eigendecomposition is (w, v), save the eigenvalues under the noise floor."""
     k = w.size - int(_rank(w))
-    return w, v[:, k:] * np.sqrt(w[k:])
+    return v[:, k:] * np.sqrt(w[k:])
 
 
 def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt weights of a pure state whose factors are ordered (A, B), and
-    the spectrum of the midpoint between it and the product of its marginals."""
-    s = np.linalg.svd(psi.reshape(da, -1), compute_uv=False)
+    """Schmidt weights of pure states, a stack of vectors whose factors are
+    ordered (A, B), and the spectra of the midpoints between them and the
+    products of their marginals."""
+    s = np.linalg.svd(psi.reshape(psi.shape[:-1] + (da, -1)), compute_uv=False)
     lam = s * s
-    cross = np.outer(lam, lam)[~np.eye(lam.size, dtype=bool)] / 2.0
-    core = np.linalg.eigvalsh((np.diag(lam * lam) + np.outer(s, s)) / 2.0)
-    return lam, np.concatenate([cross, core])
+    r = lam.shape[-1]
+    cross = (lam[..., :, None] * lam[..., None, :])[..., ~np.eye(r, dtype=bool)] / 2.0
+    diag = np.zeros(lam.shape + (r,))
+    diag[..., np.arange(r), np.arange(r)] = lam * lam
+    core = np.linalg.eigvalsh((diag + s[..., :, None] * s[..., None, :]) / 2.0)
+    return lam, np.concatenate([cross, core], axis=-1)
 
 
 def _gram_midpoint(x: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Non-zero spectrum of (X X^dag + Y Y^dag)/2, with Y Y^dag = rho_A (x) rho_B,
     from the Gram matrix of [X Y]."""
-    ya = _factor(rho_a)[1]
-    yb = _factor(rho_b)[1]
-    y = _kron(ya, yb)
+    y = _kron(_factor(*np.linalg.eigh(rho_a)), _factor(*np.linalg.eigh(rho_b)))
     z = np.hstack([x, y])
     return np.linalg.eigvalsh(z.conj().T @ z) / 2.0
 
@@ -371,46 +405,97 @@ def _cut_plan(dims: tuple[int, ...], step: int):
     return tuple(plan)
 
 
-def _cut_divergences(rho: DensityMatrix) -> list[float]:
-    """qjsd(rho, product_of_marginals(rho, cut)) for every canonical cut, in
-    enumerate_bipartitions order, from one eigendecomposition of rho (the
+def _perm(base: np.ndarray, orders) -> np.ndarray:
+    """Row perm[c, i] of the basis reordered by orders[c] is row i of the
+    original one; ``base`` is arange(D) shaped as the layout."""
+    return np.stack([base.transpose(o).reshape(-1) for o in orders])
+
+
+def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """qjsd(rho, product_of_marginals(rho, cut)) for every state of an
+    (S, D, D) stack and every canonical cut, in enumerate_bipartitions order:
+    an (S, cuts) array, from one eigendecomposition of each state (the
     branches are in the module docstring).
 
     Each cut works with its factors reordered as (A, B), smaller side first,
     where rho_A (x) rho_B is a plain Kronecker product; the reordering is a
-    permutation of the basis, which leaves every spectrum unchanged.
+    permutation of the basis, which leaves every spectrum unchanged. The
+    states go through the cut plan together: per chunk of cuts, one gather
+    reorders every mixed state for every cut, one batched partial trace gives
+    their marginals, and the marginal and midpoint spectra come from stacked
+    eigensolves; the branch is chosen per state and cut. No stack holds more
+    than ``_STACK_BYTES`` of matrices.
     """
-    dims, dim = rho.dims, rho.dim
-    mat = np.asarray(rho.mat)
-    w, x = _factor(mat)
-    s_rho = entropy_of_spectrum(w)
-    r = x.shape[1]
+    dims = tuple(dims)
+    count, dim = mats.shape[0], mats.shape[-1]
+    step = _stack_len(dim)
+    vstep = _stack_len(dim, 1)
+    plan = _cut_plan(dims, step)
     base = np.arange(dim).reshape(dims)
-    out = np.empty(2 ** (rho.n - 1) - 1)
-    for da, index, orders in _cut_plan(dims, _stack_len(dim)):
-        # row perm[c, i] of the reordered basis is row i of the original one
-        perm = np.stack([base.transpose(o).reshape(-1) for o in orders])
-        if r == 1:
-            for k, p in zip(index, perm):
-                lam, mid = _schmidt_midpoint(x[p], da)
+    out = np.empty((count, 2 ** (len(dims) - 1) - 1))
+    for s0 in range(0, count, step):
+        chunk = mats[s0:s0 + step]
+        res = out[s0:s0 + step]
+        w, v = np.linalg.eigh(chunk)
+        rank = _rank(w)
+        s_rho = entropies(w)
+        pure = np.flatnonzero(rank == 1)
+        mixed = np.flatnonzero(rank > 1)
+        # the factor X of a pure state is its one column, and a stack of
+        # these vectors takes about D times as many cuts as one of matrices
+        psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
+        for da, index, orders in _cut_plan(dims, vstep) if pure.size else ():
+            perm = _perm(base, orders)
+            per = max(1, vstep // len(index))
+            for p0 in range(0, pure.size, per):
+                sel = pure[p0:p0 + per]
+                lam, mid = _schmidt_midpoint(psi[p0:p0 + per][:, perm], da)
                 # rho_A and rho_B of a pure state share the spectrum lam
-                s_sigma = 2.0 * entropy_of_spectrum(lam)
-                out[k] = entropy_of_spectrum(mid) - 0.5 * s_rho - 0.5 * s_sigma
-            continue
-        rho_ab = mat[perm[:, :, None], perm[:, None, :]]
-        rho_a, rho_b = _split_marginals(rho_ab, da)
-        wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
-        s_sigma = entropies(wa) + entropies(wb)
-        s_mid = np.empty(len(index))
-        gram = r + _rank(wa) * _rank(wb) < dim
-        # a slice takes views, not copies, when every cut of the chunk is dense
-        dense = ~gram if gram.any() else slice(None)
-        if not gram.all():
-            s_mid[dense] = entropies(_dense_midpoint(rho_ab[dense], rho_a[dense], rho_b[dense]))
-        for c in np.flatnonzero(gram):
-            s_mid[c] = entropy_of_spectrum(_gram_midpoint(x[perm[c]], rho_a[c], rho_b[c]))
-        out[list(index)] = s_mid - 0.5 * s_rho - 0.5 * s_sigma
-    return out.tolist()
+                s_sigma = 2.0 * entropies(lam)
+                res[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
+        for da, index, orders in plan if mixed.size else ():
+            perm = _perm(base, orders)
+            per = max(1, step // len(index))
+            for m0 in range(0, mixed.size, per):
+                sel = mixed[m0:m0 + per]
+                states = chunk if sel.size == len(chunk) else chunk[sel]
+                rho_ab = states[:, perm[:, :, None], perm[:, None, :]]
+                rho_a, rho_b = _split_marginals(rho_ab, da)
+                wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
+                s_sigma = entropies(wa) + entropies(wb)
+                s_mid = np.empty(s_sigma.shape)
+                gram = rank[sel, None] + _rank(wa) * _rank(wb) < dim
+                # the whole stack, not a copy, when every pair is dense
+                dense = ~gram if gram.any() else (slice(None),) * 2
+                if not gram.all():
+                    s_mid[dense] = entropies(
+                        _dense_midpoint(rho_ab[dense], rho_a[dense], rho_b[dense])
+                    )
+                for i, c in zip(*np.nonzero(gram)):
+                    x = _factor(w[sel[i]], v[sel[i]])
+                    s_mid[i, c] = entropy_of_spectrum(
+                        _gram_midpoint(x[perm[c]], rho_a[i, c], rho_b[i, c])
+                    )
+                res[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
+    return out
+
+
+def _marginal_result(rho: DensityMatrix, values, tie_tol: float = TIE_TOL) -> PhiResult:
+    """The marginal-mode result of a state from its per-cut values, in
+    enumerate_bipartitions order; sigma_star is built on first access."""
+    per_cut = tuple(zip(enumerate_bipartitions(rho.n), (float(v) for v in values)))
+    vmin = min(v for _, v in per_cut)
+    ties = tuple(c for c, v in per_cut if v <= vmin + tie_tol)
+    optimal = ties[0]
+    return PhiResult(
+        phi=vmin,
+        optimal_cut=optimal,
+        per_cut=per_cut,
+        ties=ties,
+        mode="marginal",
+        phi_marginal=vmin,
+        sigma=lambda: product_of_marginals(rho, optimal),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +523,11 @@ def phi(
         raise SingleSubsystem("phi needs at least two subsystems")
     if n > n_cap:
         raise SearchBudgetExceeded(f"n={n} exceeds the configured cap {n_cap}")
-    cuts = enumerate_bipartitions(n)
-    per_cut = list(zip(cuts, _cut_divergences(rho)))
-    vmin = min(v for _, v in per_cut)
-    ties = tuple(c for c, v in per_cut if v <= vmin + tie_tol)
-    optimal = ties[0]
+    marg = _marginal_result(rho, _cut_divergences(np.asarray(rho.mat)[None], rho.dims)[0], tie_tol)
     if mode == "marginal":
-        return PhiResult(
-            phi=vmin,
-            optimal_cut=optimal,
-            sigma_star=product_of_marginals(rho, optimal),
-            per_cut=tuple(per_cut),
-            ties=ties,
-            mode=mode,
-            phi_marginal=vmin,
-        )
+        return marg
     best = None
-    for cut, marginal in per_cut:
+    for cut, marginal in marg.per_cut:
         val, sigma, _steps, h = _refine_product(rho, cut)
         # the descent starts from the marginals floored at 1e-12, so it can
         # end a round-off above the marginal value
@@ -476,13 +549,13 @@ def phi(
     return PhiResult(
         phi=val,
         optimal_cut=cut,
-        sigma_star=sigma,
-        per_cut=tuple(per_cut),
-        ties=ties,
+        per_cut=marg.per_cut,
+        ties=marg.ties,
         mode=mode,
-        phi_marginal=vmin,
+        phi_marginal=marg.phi,
         phi_refined=val,
         refinement_spread=spread,
+        sigma=sigma,
     )
 
 

@@ -170,41 +170,56 @@ def validate_state(mat, layout) -> DensityMatrix:
         raise DimensionMismatch(
             f"matrix dimension {arr.shape[0]} does not match layout product {lay.dim}"
         )
+    return DensityMatrix(lay, _validate_stack(arr[None])[0])
+
+
+def _validate_stack(arr: np.ndarray) -> np.ndarray:
+    """The checks and cleaning of :func:`validate_state`, applied to every
+    matrix of an (S, D, D) stack with one stacked eigensolve; the first
+    matrix that fails a check raises."""
     if not np.isfinite(arr).all():
         raise BadParameter("matrix has non-finite entries")
-    herm_defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if herm_defect > HERMITICITY_TOL:
-        raise NotHermitian(f"hermiticity defect {herm_defect:.3e} exceeds {HERMITICITY_TOL}")
-    h = (arr + arr.conj().T) / 2.0
-    tr = complex(np.trace(h))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
-    eigs = np.linalg.eigvalsh(h)
-    lo = float(eigs[0])
-    if lo < -PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL}")
-    if lo < -1e-12:
-        # genuinely dirty input: project onto the PSD cone and renormalize
-        w, v = np.linalg.eigh(h)
+    herm_defect = np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = np.flatnonzero(herm_defect > HERMITICITY_TOL)
+    if bad.size:
+        raise NotHermitian(
+            f"hermiticity defect {float(herm_defect[bad[0]]):.3e} exceeds {HERMITICITY_TOL}"
+        )
+    h = (arr + arr.conj().swapaxes(-1, -2)) / 2.0
+    tr = np.trace(h, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise TraceNotOne(f"trace {complex(tr[bad[0]])} differs from 1 by more than {TRACE_TOL}")
+    lo = np.linalg.eigvalsh(h)[:, 0]
+    bad = np.flatnonzero(lo < -PSD_TOL)
+    if bad.size:
+        raise NotPSD(f"minimum eigenvalue {float(lo[bad[0]]):.3e} below -{PSD_TOL}")
+    # genuinely dirty input: project onto the PSD cone and renormalize
+    dirty = lo < -1e-12
+    if dirty.any():
+        w, v = np.linalg.eigh(h[dirty])
         w = np.clip(w, 0.0, None)
-        h = (v * w) @ v.conj().T
-        h = (h + h.conj().T) / 2.0
-        h = h / np.real(np.trace(h))
-    elif abs(tr - 1.0) > 1e-12:
-        h = h / np.real(tr)
-    return DensityMatrix(lay, h)
+        p = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        p = (p + p.conj().swapaxes(-1, -2)) / 2.0
+        h[dirty] = p / np.real(np.trace(p, axis1=-2, axis2=-1))[:, None, None]
+    off = ~dirty & (np.abs(tr - 1.0) > 1e-12)
+    if off.any():
+        h[off] = h[off] / np.real(tr[off])[:, None, None]
+    return h
 
 
 # ---------------------------------------------------------------------------
 # tensor algebra
 
 def _permute_raw(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors; ``order[k]`` is the current position moved to slot k."""
-    n = len(dims)
-    t = mat.reshape(tuple(dims) * 2)
-    axes = list(order) + [n + i for i in order]
+    """Reorder tensor factors; ``order[k]`` is the current position moved to slot k.
+    ``mat`` may be a stack of matrices (leading axes are kept)."""
+    n, lead = len(dims), mat.shape[:-2]
+    b = len(lead)
+    t = mat.reshape(lead + tuple(dims) * 2)
+    axes = list(range(b)) + [b + i for i in order] + [b + n + i for i in order]
     d = int(np.prod([dims[i] for i in order]))
-    return np.ascontiguousarray(t.transpose(axes)).reshape(d, d)
+    return np.ascontiguousarray(t.transpose(axes)).reshape(lead + (d, d))
 
 
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
@@ -226,15 +241,24 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise IndexOutOfRange(f"keep indices {keep_sorted} out of range for n={n}")
     if len(keep_sorted) == n:
         return rho
-    traced = [i for i in range(n) if i not in keep_sorted]
     dims = rho.dims
-    t = np.asarray(rho.mat).reshape(dims * 2)
-    axes = keep_sorted + traced + [n + i for i in keep_sorted] + [n + i for i in traced]
-    dk = int(np.prod([dims[i] for i in keep_sorted]))
-    dt = int(np.prod([dims[i] for i in traced]))
-    t4 = t.transpose(axes).reshape(dk, dt, dk, dt)
-    out = np.einsum("abcb->ac", t4)
+    out = _partial_trace_raw(np.asarray(rho.mat), dims, keep_sorted)
     return DensityMatrix(SubsystemLayout(tuple(dims[i] for i in keep_sorted)), out)
+
+
+def _partial_trace_raw(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """The marginal on the sorted subsystems ``keep`` of a matrix, or of a
+    stack of them."""
+    n, lead = len(dims), mat.shape[:-2]
+    b = len(lead)
+    traced = [i for i in range(n) if i not in keep]
+    t = mat.reshape(lead + tuple(dims) * 2)
+    axes = (list(range(b)) + [b + i for i in keep] + [b + i for i in traced]
+            + [b + n + i for i in keep] + [b + n + i for i in traced])
+    dk = int(np.prod([dims[i] for i in keep]))
+    dt = int(np.prod([dims[i] for i in traced]))
+    t4 = t.transpose(axes).reshape(lead + (dk, dt, dk, dt))
+    return np.einsum("...abcb->...ac", t4)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,7 +287,15 @@ def assemble_on_subsets(
 ) -> DensityMatrix:
     """Kron the factor matrices (each living on a sorted index subset) and
     permute the result back into ascending subsystem order."""
-    n = layout.n
+    return DensityMatrix(layout, _assemble_raw(factors, subsets, layout.dims))
+
+
+def _assemble_raw(
+    factors: Sequence[np.ndarray], subsets: Sequence[Sequence[int]], dims: Sequence[int]
+) -> np.ndarray:
+    """:func:`assemble_on_subsets` on bare matrices; each factor may be a stack
+    of matrices (the stacks are paired up, not crossed)."""
+    n = len(dims)
     cur: list[int] = []
     big = None
     for f, sub in zip(factors, subsets):
@@ -271,9 +303,9 @@ def assemble_on_subsets(
         cur.extend(sub)
     if sorted(cur) != list(range(n)):
         raise BadParameter("subsets must partition the full index range")
-    dims_cur = [layout.dims[i] for i in cur]
+    dims_cur = [dims[i] for i in cur]
     order = [cur.index(k) for k in range(n)]
-    return DensityMatrix(layout, _permute_raw(big, dims_cur, order))
+    return _permute_raw(big, dims_cur, order)
 
 
 def product_of_block_marginals(rho: DensityMatrix, blocks: Sequence[Iterable[int]]) -> DensityMatrix:
@@ -317,13 +349,21 @@ def pure_state(vec: np.ndarray, layout) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if v.shape[0] != lay.dim:
         raise DimensionMismatch(f"vector length {v.shape[0]} does not match layout {lay.dims}")
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
+    return DensityMatrix(lay, _pure_stack(v))
+
+
+def _pure_stack(v: np.ndarray) -> np.ndarray:
+    """|v><v|/<v|v> of a vector, or of each row of a stack of them, kept
+    exactly hermitian. The norm is taken as np.linalg.norm takes it, one
+    BLAS dot per real and imaginary part, so a stack matches the per-vector
+    results bit for bit."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    if (sq == 0.0).any():
         raise BadParameter("zero vector cannot be normalized")
-    v = v / nrm
-    proj = np.outer(v, v.conj())
-    proj = (proj + proj.conj().T) / 2.0  # keep the stored matrix exactly hermitian
-    return DensityMatrix(lay, proj)
+    v = v / np.sqrt(sq)
+    proj = v[..., :, None] * v.conj()[..., None, :]
+    return (proj + proj.conj().swapaxes(-1, -2)) / 2.0  # keep the stored matrix exactly hermitian
 
 
 def maximally_mixed(layout) -> DensityMatrix:
@@ -368,9 +408,15 @@ def ginibre_mixed(layout, rank: int, seed: SeedLike) -> DensityMatrix:
         raise BadParameter(f"rank must be >= 1, got {rank}")
     rng = rng_from(seed)
     g = rng.standard_normal((lay.dim, rank)) + 1j * rng.standard_normal((lay.dim, rank))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2.0  # keep the stored matrix exactly hermitian
-    return DensityMatrix(lay, m / np.real(np.trace(m)))
+    return DensityMatrix(lay, _ginibre_stack(g))
+
+
+def _ginibre_stack(g: np.ndarray) -> np.ndarray:
+    """G G^dag / tr(G G^dag) of a matrix, or of each matrix of a stack, kept
+    exactly hermitian; a stack matches the per-matrix results bit for bit."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0  # keep the stored matrix exactly hermitian
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
 
 
 def random_product(layout, cut: Bipartition, seed: SeedLike) -> DensityMatrix:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from qphi.channels import (
     random_local_channel,
     tensored,
 )
-from qphi.errors import BadParameter, LayoutMismatch
+from qphi.errors import BadParameter, LayoutMismatch, NotPSD, TraceNotOne
+from qphi.states import _validate_stack as validate_stack
 from qphi.states import (
     bell,
     ginibre_mixed,
@@ -26,7 +29,10 @@ from qphi.states import (
     pure_state,
     substream,
     tensor,
+    validate_state,
 )
+
+channels_module = importlib.import_module("qphi.channels")
 
 
 def _completeness_defect(ch):
@@ -164,3 +170,83 @@ def test_apply_channel_dimension_checks():
         apply_channel(ch, bell())
     with pytest.raises(LayoutMismatch):
         apply_channel(identity_channel(4), bell(), (2, 3))
+
+
+def _old_weyl_ops(d):
+    omega = np.exp(2j * np.pi / d)
+    x = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        x[(j + 1) % d, j] = 1.0
+    z = np.diag(omega ** np.arange(d))
+    return [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            for a in range(d) for b in range(d)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_depolarizing_kraus_from_cached_weyl_operators(d):
+    ops = channels_module._weyl_ops(d)
+    assert ops is channels_module._weyl_ops(d)
+    assert all(not op.flags.writeable for op in ops)
+    for p in (0.0, 0.3, 1.0):
+        want = [np.sqrt(1.0 - p + p / d**2) * np.eye(d, dtype=complex)]
+        if p > 0.0:
+            want += [np.sqrt(p) / d * op for op in _old_weyl_ops(d)[1:]]
+        got = depolarizing(p, d).kraus
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _stack_cases():
+    seed = substream(8, "stacked-channels")
+    out = {}
+    for dims in ((2, 2), (2, 3), (2, 2, 2)):
+        dim = int(np.prod(dims))
+        out[dims] = [
+            ginibre_mixed(dims, dim, seed),
+            haar_pure(dims, seed),
+            ginibre_mixed(dims, 2, seed),
+            ginibre_mixed(dims, dim, seed),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("kraus_count", [1, 3])
+def test_stacked_channels_match_per_state_application(kraus_count):
+    seed = substream(9, "stacked-channels")
+    for dims, states in _stack_cases().items():
+        dim = int(np.prod(dims))
+        mats = np.stack([np.asarray(r.mat) for r in states])
+        # one channel per state, as the verify checks draw them
+        whole = [random_channel(dim, dim, kraus_count, seed) for _ in states]
+        local = [random_local_channel(dims, kraus_count, seed) for _ in states]
+        got = channels_module._apply_kraus(np.stack([np.asarray(c.kraus) for c in whole]), mats)
+        got = validate_stack(got)
+        for rho, ch, mat in zip(states, whole, got):
+            assert np.max(np.abs(mat - np.asarray(apply_channel(ch, rho).mat))) <= 1e-13
+        kraus = [np.stack([np.asarray(lc.channels[k].kraus) for lc in local]) for k in range(len(dims))]
+        got = validate_stack(channels_module._apply_local(kraus, mats, dims))
+        for rho, lc, mat in zip(states, local, got):
+            assert np.max(np.abs(mat - np.asarray(apply_local(lc, rho).mat))) <= 1e-13
+
+
+def test_stacked_random_kraus_matches_random_channel():
+    x = substream(10, "kraus").standard_normal((5, 2, 6, 6))
+    got = channels_module._random_kraus(x, 3, 2, 3)
+    rng = substream(10, "kraus")
+    for ks in got:
+        want = random_channel(3, 2, 3, rng).kraus
+        assert all(np.max(np.abs(g - w)) <= 1e-15 for g, w in zip(ks, want))
+
+
+def test_stacked_validation_checks_every_state():
+    good = np.stack([np.asarray(r.mat) for r in _stack_cases()[(2, 2)]])
+    mild = np.diag([0.5 + 1e-10, 0.5 + 1e-10, 0.0, -2e-10]).astype(complex)
+    stack = np.concatenate([good, mild[None]])
+    got = validate_stack(stack)
+    for mat, out in zip(stack, got):
+        assert np.array_equal(out, np.asarray(validate_state(mat, (2, 2)).mat))
+    for bad, err in ((np.diag([1.5, -0.5, 0.0, 0.0]), NotPSD), (2 * good[0], TraceNotOne)):
+        with pytest.raises(err):
+            validate_stack(np.concatenate([good, bad[None].astype(complex)]))
+    with pytest.raises(BadParameter):
+        validate_stack(np.concatenate([good, np.full((1, 4, 4), np.nan)]))

@@ -439,3 +439,79 @@ def test_probe_starts_report_a_refinement_spread():
     assert probed.phi == plain.phi and probed.optimal_cut == plain.optimal_cut
     # a full-rank state has a unique optimum, which perturbed starts find again
     assert 0.0 <= probed.refinement_spread <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# stacks of states
+
+
+def _stacks(states):
+    """The states grouped by layout, each group as one (S, D, D) stack."""
+    by_dims = {}
+    for rho in states:
+        by_dims.setdefault(rho.dims, []).append(rho)
+    return [
+        (dims, group, np.stack([np.asarray(r.mat) for r in group]))
+        for dims, group in by_dims.items()
+    ]
+
+
+# pure, full-rank and rank-deficient states side by side in one stack, with
+# cuts that take the Schmidt, Gram and dense branches
+STACK_STATES = [rho for rho, _ in ORACLE_STATES.values()] + [
+    haar_pure((2, 2, 2), substream(0, "stack-h222")),
+    ginibre_mixed((2, 3, 2), 2, substream(0, "stack-r232")),
+    haar_pure((2, 3, 2), substream(0, "stack-h232")),
+]
+
+
+def test_stacked_cut_divergences_match_per_state_phi(monkeypatch):
+    stacks = _stacks(STACK_STATES)
+    assert max(len(group) for _, group, _ in stacks) >= 6
+    results = []
+    for dims, group, mats in stacks:
+        got = phi_module._cut_divergences(mats, dims)
+        assert got.shape == (len(group), 2 ** (len(dims) - 1) - 1)
+        for rho, row in zip(group, got):
+            want = [v for _, v in phi(rho).per_cut]
+            assert np.max(np.abs(row - want)) <= 1e-12, dims
+            dense = [qjsd(rho, product_of_marginals(rho, c)) for c in enumerate_bipartitions(rho.n)]
+            assert np.max(np.abs(row - dense)) <= 1e-12, dims
+        results.append(got)
+    # one matrix per stack: every state and cut on its own, same values
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
+    for (dims, _, mats), got in zip(stacks, results):
+        assert np.array_equal(phi_module._cut_divergences(mats, dims), got)
+
+
+def test_stacked_partition_divergences_match_per_state(monkeypatch):
+    stacks = _stacks(list(PARTITION_STATES.values()) + STACK_STATES[-3:])
+    results = []
+    for dims, group, mats in stacks:
+        parts = enumerate_partitions(len(dims))
+        got = phi_module._partition_divergences(mats, dims, parts)
+        for rho, row in zip(group, got):
+            assert np.max(np.abs(row - partition_divergences(rho, parts))) <= 1e-12, dims
+        results.append(got)
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
+    for (dims, _, mats), got in zip(stacks, results):
+        parts = enumerate_partitions(len(dims))
+        assert np.array_equal(phi_module._partition_divergences(mats, dims, parts), got)
+
+
+def test_marginal_sigma_star_is_built_on_first_access(monkeypatch):
+    rho = ORACLE_STATES["full-222"][0]
+    built = []
+    real = phi_module.product_of_marginals
+
+    def spy(state, cut):
+        built.append(cut)
+        return real(state, cut)
+
+    monkeypatch.setattr(phi_module, "product_of_marginals", spy)
+    res = phi(rho)
+    assert built == []
+    sigma = res.sigma_star
+    assert built == [res.optimal_cut]
+    assert res.sigma_star is sigma and len(built) == 1
+    assert np.array_equal(np.asarray(sigma.mat), np.asarray(real(rho, res.optimal_cut).mat))

@@ -1,10 +1,17 @@
 import json
 from pathlib import Path
 
+import importlib
+
+import numpy as np
 import pytest
 
+from qphi.divergence import _STACK_BYTES as STACK_BYTES
 from qphi.errors import ConfigInvalid
+from qphi.states import SubsystemLayout, ginibre_mixed, haar_pure, substream
 from qphi.verify import DEFAULT_COUNTS, VerifyConfig, run_suite
+
+verify = importlib.import_module("qphi.verify")
 
 SMALL_COUNTS = {
     "metric_axioms": 40,
@@ -174,3 +181,72 @@ def test_report_agrees_with_the_pinned_per_state_report(small_report):
                 assert a == b, (g["name"], key)
             else:
                 assert abs(a - b) <= 1e-12, (g["name"], key, a, b)
+
+
+ZERO_COUNTS = {k: ((0, 0) if k == "triangle_inequality" else 0) for k in DEFAULT_COUNTS}
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_zero_counts_give_strict_json_with_nulls():
+    report = run_suite(VerifyConfig(counts=ZERO_COUNTS))
+    assert report.overall == "pass"
+    doc = _strict_json(report.to_json())
+    for entry in doc["checks"]:
+        assert entry["samples"] == 0, entry["name"]
+        assert entry["worst_violation"] is None, entry["name"]
+    checks = {c["name"]: c["details"] for c in doc["checks"]}
+    assert checks["general_channel_phi_monotonicity"]["max_increase"] is None
+    assert checks["phi_convexity"]["max_violation_marginal"] is None
+    assert checks["phi_lipschitz"]["max_violation_marginal"] is None
+    assert checks["petz_product_exactness"]["markov_chain_worst_error"] is None
+    assert checks["negative_type"]["kernel_min_eigenvalue"] is None
+    assert checks["shifted_kernel_psd"]["kernel_min_eigenvalue"] is None
+
+
+@pytest.mark.parametrize("key", ["petz_markov_chains", "negative_type_ensembles"])
+def test_a_single_zero_count_gives_strict_json(key):
+    counts = dict(SMALL_COUNTS, **{key: 0})
+    report = run_suite(VerifyConfig(seed=3, counts=counts))
+    assert report.overall == "pass"
+    _strict_json(report.to_json())
+
+
+def test_default_json_layout_is_unchanged(small_report):
+    assert small_report.to_json() == json.dumps(small_report.to_dict(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2)])
+@pytest.mark.parametrize("first", [0, 1, 2, 3])
+def test_stacked_draws_match_per_state_generators(dims, first):
+    # states first..first+8 cover every idx % 4 pattern; the per-state
+    # reference is a Haar-pure state where idx % 4 == 3, a Ginibre one elsewhere
+    lay = SubsystemLayout(dims)
+    idx = first + np.arange(9)
+    got = verify._draw_states(substream(1, "draws"), lay.dim, verify._pure_at(idx))
+    rng = substream(1, "draws")
+    for i, mat in zip(idx, got):
+        want = haar_pure(lay, rng) if i % 4 == 3 else ginibre_mixed(lay, lay.dim, rng)
+        assert np.max(np.abs(mat - np.asarray(want.mat))) <= 1e-15
+    # the stream is left where the per-state draws leave it
+    rest = substream(1, "draws")
+    verify._draw_states(rest, lay.dim, verify._pure_at(idx))
+    assert rest.standard_normal() == rng.standard_normal()
+
+
+def test_runs_cover_every_sample_and_keep_stacks_under_the_cap():
+    cap = verify._stack_len(8)
+    for count in (0, 1, cap // 6, cap // 6 + 1, 10000):
+        runs = verify._chunks(count, cap // 6)
+        assert [int(t) for run in runs for t in run] == list(range(count))
+        assert all(6 * len(run) <= cap for run in runs)
+    # a random channel on D = 8 with 4 Kraus operators comes from a 32 x 32 unitary
+    cfg = VerifyConfig()
+    per = verify._channel_run(cfg, 4)
+    assert per * 16 * 32 * 32 <= STACK_BYTES
+    assert 3 * per * 16 * 8 * 8 <= STACK_BYTES
