@@ -37,7 +37,6 @@ from .states import (
     substream,
     w_state,
 )
-from .verify import VerifyConfig, run_suite
 from .witness import build_witness, phi_comparison, product_state_scan
 
 
@@ -289,6 +288,9 @@ def _cmd_blanket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: the suite is the largest module and only this command uses it
+    from .verify import VerifyConfig, run_suite
+
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:

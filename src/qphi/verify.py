@@ -235,8 +235,8 @@ def _sampled(value, samples: int) -> Optional[float]:
 # State idx of a check's ensemble is a Haar-random pure state when
 # idx % 4 == 3 and a full-rank Ginibre state otherwise. A Generator gives the
 # same normals in one block as in pieces, so a block of them, cut up in draw
-# order, builds the same states as haar_pure and ginibre_mixed called one by
-# one, bit for bit, without a DensityMatrix per state.
+# order, builds the states haar_pure and ginibre_mixed would build one by
+# one, by the same arithmetic on stacks and without a DensityMatrix each.
 
 def _pure_at(idx) -> np.ndarray:
     return np.asarray(idx) % 4 == 3
@@ -409,9 +409,9 @@ def _check_local_mono(cfg: VerifyConfig, rng):
 
 
 def _ginibre_runs(count: int, rng):
-    """The states of the k-block and merge checks, in runs: sample t is a
-    full-rank Ginibre state on 3 qubits when t is even and on 4 when odd.
-    Yields (n, stack) per run and n."""
+    """The states of the k-block and merge checks: sample t is a full-rank
+    Ginibre state on 3 qubits when t is even and on 4 when odd. Yields
+    (n, stack of the run's states on n qubits) for each run."""
     for ts in _chunks(count, _stack_len(16)):
         draws: dict = {}
         for t in ts:

@@ -16,3 +16,12 @@ def test_import_does_not_load_scipy_stats():
     code = "import sys, qphi, qphi.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_the_verify_suite_only_on_use():
+    code = (
+        "import sys, qphi, qphi.cli; print('qphi.verify' in sys.modules); "
+        "qphi.VerifyConfig; print('qphi.verify' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
