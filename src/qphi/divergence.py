@@ -8,8 +8,9 @@ Small spectra are computed in stacks: ``np.linalg.eigvalsh`` on an (m, D, D)
 array runs m eigensolves in one call, with the same spectra as m separate
 calls, and :func:`entropies` takes the entropy of every row at once.
 :func:`qjsd_gram` eigensolves its m states and all their pairwise midpoints
-this way, and :func:`_grams` does the same for a stack of ensembles. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256
-still goes one matrix at a time.
+this way, and :func:`_grams` does the same for a stack of ensembles. A stack
+holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256 still goes one
+matrix at a time.
 """
 from __future__ import annotations
 

@@ -208,7 +208,10 @@ def _partition_divergences(
     s = _stacked_entropies(
         lambda a, b: _rows(midpoints, count, a, b), (len(parts) + 1) * count, dim
     ).reshape(len(parts) + 1, count)
-    cols = [s_mid - 0.5 * s[0] - 0.5 * sum(ent[b] for b in p.blocks) for s_mid, p in zip(s[1:], parts)]
+    cols = [
+        s_mid - 0.5 * s[0] - 0.5 * sum(ent[b] for b in p.blocks)
+        for s_mid, p in zip(s[1:], parts)
+    ]
     return np.stack(cols, axis=1)
 
 

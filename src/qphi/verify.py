@@ -335,42 +335,50 @@ def _check_triangle(cfg: VerifyConfig, rng):
     return worst, sum(cfg.counts["triangle_inequality"]), {}
 
 
-def _channel_run(cfg: VerifyConfig, kraus_max: int) -> int:
-    """Samples per run for checks that draw a random channel on the whole
-    space: the unitary on D * kraus_max it comes from fills one matrix of a
-    stack, and each state (with its image and midpoints) up to three."""
+def _channel_run(cfg: VerifyConfig) -> int:
+    """Samples per run for the checks that send states through a random
+    channel on the whole space: the unitary on up to 4 D it comes from fills
+    one matrix of a stack, and each state (with its image and midpoints) up
+    to three."""
     dim = max(math.prod(lay) for lay in cfg.layouts)
-    return min(_stack_len(dim) // 3, _stack_len(dim * kraus_max))
+    return min(_stack_len(dim) // 3, _stack_len(4 * dim))
 
 
-def _check_data_processing(cfg: VerifyConfig, rng):
-    count = int(cfg.counts["data_processing"])
+def _channel_samples(cfg: VerifyConfig, rng, count: int, offsets: tuple[int, ...]):
+    """The samples of the random-channel checks. Sample t draws, in order,
+    states t + o for o in ``offsets``, a Kraus count in 1..4 and the Ginibre
+    matrix of the channel's unitary. Yields (layout, (k, len(offsets), D, D)
+    states, (k, count, D, D) Kraus families) per run and (layout, count)."""
     layouts = cfg.layouts
-    worst = -np.inf
-    for ts in _chunks(count, _channel_run(cfg, 4)):
-        # the draws of a sample, in order: its two states (t and t + 2), the
-        # channel's Kraus count, the Ginibre matrix of the channel's unitary
+    for ts in _chunks(count, _channel_run(cfg)):
         groups: dict = {}
         for t in ts:
             li = t % len(layouts)
             dim = math.prod(layouts[li])
-            x = _state_normals(rng, dim, _pure_at([t, t + 2]))
+            x = _state_normals(rng, dim, _pure_at([t + o for o in offsets]))
             kc = int(rng.integers(1, 5))
             z = rng.standard_normal((2, dim * kc, dim * kc))
             groups.setdefault((li, kc), []).append((t, x, z))
         for (li, kc), group in groups.items():
             dim = math.prod(layouts[li])
-            pure = _pure_at([[t, t + 2] for t, _, _ in group]).ravel()
-            ab = _states_from_normals(np.concatenate([x for _, x, _ in group]), dim, pure)
-            a, b = ab[0::2], ab[1::2]
+            pure = _pure_at([[t + o for o in offsets] for t, _, _ in group]).ravel()
+            states = _states_from_normals(np.concatenate([x for _, x, _ in group]), dim, pure)
             kraus = _random_kraus(np.stack([z for _, _, z in group]), dim, dim, kc)
-            ca = _validate_stack(_apply_kraus(kraus, a))
-            cb = _validate_stack(_apply_kraus(kraus, b))
-            s_a, s_b, s_mid = _pair_entropies(a, b)
-            c_a, c_b, c_mid = _pair_entropies(ca, cb)
-            pre = s_mid - 0.5 * s_a - 0.5 * s_b
-            post = c_mid - 0.5 * c_a - 0.5 * c_b
-            worst = max(worst, np.max(post - pre))
+            yield layouts[li], states.reshape(len(group), len(offsets), dim, dim), kraus
+
+
+def _check_data_processing(cfg: VerifyConfig, rng):
+    count = int(cfg.counts["data_processing"])
+    worst = -np.inf
+    for _, states, kraus in _channel_samples(cfg, rng, count, (0, 2)):
+        a, b = states[:, 0], states[:, 1]
+        s_a, s_b, s_mid = _pair_entropies(a, b)
+        c_a, c_b, c_mid = _pair_entropies(
+            _validate_stack(_apply_kraus(kraus, a)), _validate_stack(_apply_kraus(kraus, b))
+        )
+        pre = s_mid - 0.5 * s_a - 0.5 * s_b
+        post = c_mid - 0.5 * c_a - 0.5 * c_b
+        worst = max(worst, np.max(post - pre))
     return worst, count, {}
 
 
@@ -527,34 +535,46 @@ def _check_petz(cfg: VerifyConfig, rng):
     return worst, count + chains, {"markov_chain_worst_error": _sampled(chain_worst, chains)}
 
 
-def _check_witness_algebra(cfg: VerifyConfig, rng):
-    count = int(cfg.counts["witness_algebra"])
+def _layout_samples(cfg: VerifyConfig, rng, count: int, offsets: tuple[int, ...], per: int):
+    """The samples of checks that draw nothing but their states: sample t
+    takes states t + o for o in ``offsets``, on layout t mod the number of
+    layouts. Yields (layout, (k, len(offsets), D, D) states) per run of at
+    most ``per`` samples and layout."""
     layouts = cfg.layouts
-    worst = -np.inf
-    dim = max(math.prod(lay) for lay in layouts)
-    for ts in _chunks(count, _stack_len(dim)):
-        draws: dict = {}
+    for ts in _chunks(count, per):
+        groups: dict = {}
         for t in ts:
             li = t % len(layouts)
-            draws.setdefault(li, []).append((t, _state_normals(rng, math.prod(layouts[li]), _pure_at([t]))))
-        for li, group in draws.items():
-            lay = SubsystemLayout(layouts[li])
-            mats = _states_from_normals(
-                np.concatenate([x for _, x in group]), lay.dim, _pure_at([t for t, _ in group])
+            idx = [t + o for o in offsets]
+            x = _state_normals(rng, math.prod(layouts[li]), _pure_at(idx))
+            groups.setdefault(li, []).append((idx, x))
+        for li, group in groups.items():
+            dim = math.prod(layouts[li])
+            pure = _pure_at([idx for idx, _ in group]).ravel()
+            states = _states_from_normals(np.concatenate([x for _, x in group]), dim, pure)
+            yield layouts[li], states.reshape(len(group), len(offsets), dim, dim)
+
+
+def _check_witness_algebra(cfg: VerifyConfig, rng):
+    count = int(cfg.counts["witness_algebra"])
+    worst = -np.inf
+    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts))
+    for dims, states in _layout_samples(cfg, rng, count, (0,), per):
+        lay = SubsystemLayout(dims)
+        mats = states[:, 0]
+        for mat, values in zip(mats, _cut_divergences(mats, lay.dims)):
+            rho = DensityMatrix(lay, mat)
+            res = _marginal_result(rho, values)
+            w = build_witness(rho, res)
+            tr = complex(np.trace(w.op))
+            worst = max(worst, abs(tr.real), abs(tr.imag))
+            worst = max(worst, float(np.max(np.abs(w.op - w.op.conj().T))))
+            e = expectation(w, rho)
+            indep = float(
+                np.real(np.trace(np.asarray(res.sigma_star.mat) @ np.asarray(rho.mat)))
+                - np.real(np.trace(np.asarray(rho.mat) @ np.asarray(rho.mat)))
             )
-            for mat, values in zip(mats, _cut_divergences(mats, lay.dims)):
-                rho = DensityMatrix(lay, mat)
-                res = _marginal_result(rho, values)
-                w = build_witness(rho, res)
-                tr = complex(np.trace(w.op))
-                worst = max(worst, abs(tr.real), abs(tr.imag))
-                worst = max(worst, float(np.max(np.abs(w.op - w.op.conj().T))))
-                e = expectation(w, rho)
-                indep = float(
-                    np.real(np.trace(np.asarray(res.sigma_star.mat) @ np.asarray(rho.mat)))
-                    - np.real(np.trace(np.asarray(rho.mat) @ np.asarray(rho.mat)))
-                )
-                worst = max(worst, abs(e - indep))
+            worst = max(worst, abs(e - indep))
     return worst, count, {}
 
 
@@ -583,26 +603,16 @@ def _check_convexity(cfg: VerifyConfig, rng):
 def _check_lipschitz(cfg: VerifyConfig, rng):
     pairs = int(cfg.counts["phi_lipschitz"])
     pairs_opt = int(cfg.counts["phi_lipschitz_optimized"])
-    layouts = cfg.layouts
     worst_marg = -np.inf
-    dim = max(math.prod(lay) for lay in layouts)
-    for ts in _chunks(pairs, _stack_len(dim) // 3):
-        # pair t is states t and t + 1
-        draws: dict = {}
-        for t in ts:
-            li = t % len(layouts)
-            x = _state_normals(rng, math.prod(layouts[li]), _pure_at([t, t + 1]))
-            draws.setdefault(li, []).append((t, x))
-        for li, group in draws.items():
-            lay = layouts[li]
-            pure = _pure_at([[t, t + 1] for t, _ in group]).ravel()
-            ab = _states_from_normals(np.concatenate([x for _, x in group]), math.prod(lay), pure)
-            a, b = ab[0::2], ab[1::2]
-            # lipschitz_check in marginal mode, on the whole stack
-            lhs = np.abs(np.sqrt(np.maximum(_phis(a, lay), 0.0)) - np.sqrt(np.maximum(_phis(b, lay), 0.0)))
-            s_a, s_b, s_mid = _pair_entropies(a, b)
-            rhs = np.sqrt(np.maximum(s_mid - 0.5 * s_a - 0.5 * s_b, 0.0))
-            worst_marg = max(worst_marg, np.max(lhs - rhs))
+    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 3
+    # pair t is states t and t + 1; lipschitz_check in marginal mode, stacked
+    for lay, states in _layout_samples(cfg, rng, pairs, (0, 1), per):
+        a, b = states[:, 0], states[:, 1]
+        root_a, root_b = (np.sqrt(np.maximum(_phis(m, lay), 0.0)) for m in (a, b))
+        lhs = np.abs(root_a - root_b)
+        s_a, s_b, s_mid = _pair_entropies(a, b)
+        rhs = np.sqrt(np.maximum(s_mid - 0.5 * s_a - 0.5 * s_b, 0.0))
+        worst_marg = max(worst_marg, np.max(lhs - rhs))
     worst_opt = -np.inf
     for _ in range(pairs_opt):
         a = ginibre_mixed((2, 2), 4, rng)
@@ -617,31 +627,14 @@ def _check_lipschitz(cfg: VerifyConfig, rng):
 
 def _check_general_channel(cfg: VerifyConfig, rng):
     count = int(cfg.counts["general_channel_phi_monotonicity"])
-    layouts = cfg.layouts
     worst = -np.inf
     increases = 0
-    for ts in _chunks(count, _channel_run(cfg, 4)):
-        # the draws of a sample, in order: its state (t), the channel's Kraus
-        # count, the Ginibre matrix of the channel's unitary
-        groups: dict = {}
-        for t in ts:
-            li = t % len(layouts)
-            dim = math.prod(layouts[li])
-            x = _state_normals(rng, dim, _pure_at([t]))
-            kc = int(rng.integers(1, 5))
-            z = rng.standard_normal((2, dim * kc, dim * kc))
-            groups.setdefault((li, kc), []).append((t, x, z))
-        for (li, kc), group in groups.items():
-            lay = layouts[li]
-            dim = math.prod(lay)
-            rho = _states_from_normals(
-                np.concatenate([x for _, x, _ in group]), dim, _pure_at([t for t, _, _ in group])
-            )
-            kraus = _random_kraus(np.stack([z for _, _, z in group]), dim, dim, kc)
-            before = _phis(rho, lay)
-            after = _phis(_validate_stack(_apply_kraus(kraus, rho)), lay)
-            increases += int(np.sum(after > before + 1e-9))
-            worst = max(worst, np.max(after - before))
+    for lay, states, kraus in _channel_samples(cfg, rng, count, (0,)):
+        rho = states[:, 0]
+        before = _phis(rho, lay)
+        after = _phis(_validate_stack(_apply_kraus(kraus, rho)), lay)
+        increases += int(np.sum(after > before + 1e-9))
+        worst = max(worst, np.max(after - before))
     return None, count, {"max_increase": _sampled(worst, count), "increase_count": increases}
 
 

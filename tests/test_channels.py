@@ -223,7 +223,9 @@ def test_stacked_channels_match_per_state_application(kraus_count):
         got = validate_stack(got)
         for rho, ch, mat in zip(states, whole, got):
             assert np.max(np.abs(mat - np.asarray(apply_channel(ch, rho).mat))) <= 1e-13
-        kraus = [np.stack([np.asarray(lc.channels[k].kraus) for lc in local]) for k in range(len(dims))]
+        kraus = [
+            np.stack([np.asarray(lc.channels[k].kraus) for lc in local]) for k in range(len(dims))
+        ]
         got = validate_stack(channels_module._apply_local(kraus, mats, dims))
         for rho, lc, mat in zip(states, local, got):
             assert np.max(np.abs(mat - np.asarray(apply_local(lc, rho).mat))) <= 1e-13

@@ -247,6 +247,6 @@ def test_runs_cover_every_sample_and_keep_stacks_under_the_cap():
         assert all(6 * len(run) <= cap for run in runs)
     # a random channel on D = 8 with 4 Kraus operators comes from a 32 x 32 unitary
     cfg = VerifyConfig()
-    per = verify._channel_run(cfg, 4)
+    per = verify._channel_run(cfg)
     assert per * 16 * 32 * 32 <= STACK_BYTES
     assert 3 * per * 16 * 8 * 8 <= STACK_BYTES
