@@ -467,7 +467,8 @@ def _check_kblock(cfg: VerifyConfig, rng):
 
 
 def _ensembles(cfg: VerifyConfig, rng):
-    """Ensemble e: states e..e+7 on layout e (cycling through the layouts)."""
+    """The divergence matrix of each ensemble; ensemble e is states e..e+7 on
+    layout e mod the number of layouts."""
     m = 8
     n_ens = int(cfg.counts["negative_type_ensembles"])
     out = []
