@@ -15,6 +15,7 @@ The scan therefore reads phi's per-cut table and runs no recovery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -33,6 +34,7 @@ from .states import (
     Bipartition,
     DensityMatrix,
     SubsystemLayout,
+    _assemble_raw,
     partial_trace,
     validate_state,
 )
@@ -47,28 +49,26 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _invsqrt_psd(mat: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.ndarray:
+def _invsqrt_psd(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
+    inv = np.where(w > PINV_CUTOFF, 1.0 / np.sqrt(np.clip(w, PINV_CUTOFF, None)), 0.0)
     return (v * inv) @ v.conj().T
 
 
 def _embed(op: np.ndarray, op_idx: list[int], space_idx: list[int], layout: SubsystemLayout) -> np.ndarray:
     """Operator acting as ``op`` on op_idx and identity on the rest of space_idx.
 
-    Both index lists hold original subsystem labels in ascending order.
+    Both index lists hold original subsystem labels in ascending order; the
+    result is assembled on the sub-layout of space_idx.
     """
-    rest = [i for i in space_idx if i not in op_idx]
-    d_rest = int(np.prod([layout.dims[i] for i in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest, dtype=complex))
-    cur = list(op_idx) + rest
-    dims_cur = [layout.dims[i] for i in cur]
-    n = len(cur)
-    order = [cur.index(s) for s in space_idx]
-    t = big.reshape(tuple(dims_cur) * 2)
-    axes = order + [n + i for i in order]
-    d = int(np.prod(dims_cur))
-    return np.ascontiguousarray(t.transpose(axes)).reshape(d, d)
+    pos = {s: k for k, s in enumerate(space_idx)}
+    rest = [pos[i] for i in space_idx if i not in op_idx]
+    d_rest = math.prod(layout.dims[space_idx[k]] for k in rest)
+    return _assemble_raw(
+        [op, np.eye(d_rest, dtype=complex)],
+        [[pos[i] for i in op_idx], rest],
+        [layout.dims[i] for i in space_idx],
+    )
 
 
 def _check_subsets(rho: DensityMatrix, blanket: Iterable[int], rebuild: Iterable[int]):
@@ -89,13 +89,12 @@ def petz_recover(
     rho: DensityMatrix,
     blanket: Iterable[int],
     rebuild: Iterable[int],
-    cutoff: float = PINV_CUTOFF,
 ) -> DensityMatrix:
     """Reconstruct the full state with ``rebuild`` regenerated through ``blanket``.
 
     Applies rho_{YZ}^{1/2} (rho_Z^{-1/2} . rho_Z^{-1/2} (x) I_Y) rho_{YZ}^{1/2}
     to the marginal without Y, with pseudo-inverses on the support of rho_Z
-    (eigenvalues below ``cutoff`` are treated as zero). The output is
+    (eigenvalues below ``PINV_CUTOFF`` are treated as zero). The output is
     renormalized when its trace drifts by at most 1e-8 and rejected otherwise.
     """
     z, y = _check_subsets(rho, blanket, rebuild)
@@ -109,7 +108,7 @@ def petz_recover(
     rho_yz = np.asarray(partial_trace(rho, yz).mat)
     rho_az = np.asarray(partial_trace(rho, az).mat)
 
-    inv_on_az = _embed(_invsqrt_psd(rho_z, cutoff), z, az, lay)
+    inv_on_az = _embed(_invsqrt_psd(rho_z), z, az, lay)
     mid_az = inv_on_az @ rho_az @ inv_on_az
     mid_full = _embed(mid_az, az, list(range(n)), lay)
     sq_full = _embed(_sqrt_psd(rho_yz), yz, list(range(n)), lay)

@@ -14,6 +14,7 @@ dimension.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -265,7 +266,13 @@ def depolarizing(p: float, d: int = 2) -> KrausChannel:
 
 
 def partial_trace_channel(layout, drop: Sequence[int]) -> KrausChannel:
-    """The CPTP map tracing out the ``drop`` subsystems (Kraus rank = prod dims dropped)."""
+    """The CPTP map tracing out the ``drop`` subsystems.
+
+    Kraus operator t maps basis state |k, t> (kept digits k, dropped digits t)
+    to |k>: it is the (d_keep, D) block of rows of the identity, reordered to
+    (keep, drop), whose dropped digits equal t. There are prod(dims dropped)
+    of them, each a 0/1 matrix with one 1 per row.
+    """
     lay = as_layout(layout)
     n = lay.n
     drop_sorted = sorted(set(int(i) for i in drop))
@@ -276,35 +283,11 @@ def partial_trace_channel(layout, drop: Sequence[int]) -> KrausChannel:
     keep = [i for i in range(n) if i not in drop_sorted]
     if not keep:
         raise BadParameter("cannot trace out every subsystem")
-    dk = int(np.prod([lay.dims[i] for i in keep]))
-    dt = int(np.prod([lay.dims[i] for i in drop_sorted]))
     din = lay.dim
-    strides = {}
-    acc = 1
-    for i in reversed(range(n)):
-        strides[i] = acc
-        acc *= lay.dims[i]
-    ops = []
-    for t in range(dt):
-        k = np.zeros((dk, din), dtype=complex)
-        # decode t into drop digits
-        digits = {}
-        rem = t
-        for i in reversed(drop_sorted):
-            digits[i] = rem % lay.dims[i]
-            rem //= lay.dims[i]
-        for r in range(dk):
-            rem = r
-            kd = {}
-            for i in reversed(keep):
-                kd[i] = rem % lay.dims[i]
-                rem //= lay.dims[i]
-            col = sum(kd[i] * strides[i] for i in keep) + sum(
-                digits[i] * strides[i] for i in drop_sorted
-            )
-            k[r, col] = 1.0
-        ops.append(k)
-    return KrausChannel(din, dk, tuple(ops))
+    dk = math.prod(lay.dims[i] for i in keep)
+    rows = np.eye(din, dtype=complex).reshape(lay.dims + (din,))
+    rows = rows.transpose(keep + drop_sorted + [n]).reshape(dk, din // dk, din)
+    return KrausChannel(din, dk, tuple(rows[:, t, :] for t in range(din // dk)))
 
 
 def local_dephasing(angles: Sequence[tuple[float, float]]) -> LocalChannel:

@@ -15,6 +15,7 @@ import numpy as np
 from .divergence import delta
 from .errors import BadParameter, SingleSubsystem
 from .phi import phi as phi_fn
+from .qstate_io import _int_list, _is_int
 from .states import DensityMatrix, SubsystemLayout, ginibre_mixed, partial_trace, rng_from
 
 
@@ -102,16 +103,19 @@ def to_json_dict(d: Dendrogram) -> dict:
     return {"dims": list(d.layout.dims), "mode": d.mode, "root": _node_to_dict(d.root)}
 
 
-def to_json(d: Dendrogram, indent: int = 2) -> str:
-    return json.dumps(to_json_dict(d), indent=indent)
+def to_json(d: Dendrogram) -> str:
+    return json.dumps(to_json_dict(d), indent=2)
 
 
 def _node_from_dict(obj: dict) -> DendrogramNode:
     children = obj.get("children")
+    tie_count = obj.get("tie_count", 0)
+    if not _is_int(tie_count):
+        raise BadParameter(f"'tie_count' must be an integer, got {tie_count!r}")
     return DendrogramNode(
-        members=tuple(obj["members"]),
+        members=tuple(_int_list(obj["members"], "members")),
         phi_internal=obj["phi"],
-        tie_count=int(obj.get("tie_count", 0)),
+        tie_count=tie_count,
         children=None if children is None else tuple(_node_from_dict(c) for c in children),
     )
 
@@ -120,7 +124,7 @@ def from_json_dict(obj: dict) -> Dendrogram:
     try:
         return Dendrogram(
             root=_node_from_dict(obj["root"]),
-            layout=SubsystemLayout(tuple(obj["dims"])),
+            layout=SubsystemLayout(tuple(_int_list(obj["dims"], "dims"))),
             mode=obj.get("mode", "marginal"),
         )
     except (KeyError, TypeError) as exc:
@@ -128,7 +132,11 @@ def from_json_dict(obj: dict) -> Dendrogram:
 
 
 def from_json(text: str) -> Dendrogram:
-    return from_json_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParameter(f"invalid JSON: {exc}") from exc
+    return from_json_dict(obj)
 
 
 def _fmt6(v: float) -> str:

@@ -4,13 +4,13 @@ All values are in nats (natural log). The square root of the divergence is a
 metric on states; ln 2 minus the divergence behaves like a similarity kernel,
 whose Gram spectrum is reported (not asserted) by :func:`negative_type_check`.
 
-Small spectra are computed in stacks: ``np.linalg.eigvalsh`` on an (m, D, D)
-array runs m eigensolves in one call, with the same spectra as m separate
-calls, and :func:`entropies` takes the entropy of every row at once.
-:func:`qjsd_gram` eigensolves its m states and all their pairwise midpoints
-this way, and :func:`_grams` does the same for a stack of ensembles. A stack
-holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256 still goes one
-matrix at a time.
+Every entropy in the package is :func:`entropies` of a spectrum, or of a
+stack of spectra. Small spectra are computed in stacks: ``np.linalg.eigvalsh``
+on an (m, D, D) array runs m eigensolves in one call, with the same spectra as
+m separate calls. :func:`qjsd_gram` eigensolves its m states and all their
+pairwise midpoints this way, and :func:`_grams` does the same for a stack of
+ensembles. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so
+D=256 still goes one matrix at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .states import DensityMatrix, rng_from
 
 LN2 = float(np.log(2.0))
 
-_EIG_ZERO_TOL = 1e-10  # eigenvalues in [-tol, 0) count as exact zeros
 _EIG_FAIL_TOL = 1e-9   # anything below this is a numerical breakdown
 _STACK_BYTES = 1 << 20  # cap on the complex matrices in one stacked eigensolve
 
@@ -36,46 +35,24 @@ def _stack_len(dim: int, width: Optional[int] = None) -> int:
     return max(1, _STACK_BYTES // (16 * dim * (dim if width is None else width)))
 
 
-def _stacked_entropies(build, count: int, dim: int) -> np.ndarray:
-    """Von Neumann entropies of ``count`` D x D matrices, eigensolved in stacks
-    of at most ``_STACK_BYTES``; ``build(start, stop)`` returns matrices
-    start..stop-1 as one (stop - start, D, D) array."""
-    step = _stack_len(dim)
-    return np.concatenate([
-        entropies(np.linalg.eigvalsh(build(k, min(k + step, count))))
-        for k in range(0, count, step)
-    ])
+def entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum(p ln p) over a spectrum, or over every row of a stack of spectra,
+    with 0 ln 0 == 0.
 
-
-def _check_spectrum(w: np.ndarray) -> None:
+    Eigenvalues in [-1e-9, 0] count as exact zeros: each adds an exact 0 to
+    its row's sum. Anything lower raises :class:`NumericalBreakdown`.
+    """
+    w = np.asarray(spectra, dtype=float)
     lo = float(w.min()) if w.size else 0.0
     if lo < -_EIG_FAIL_TOL:
         raise NumericalBreakdown(f"eigenvalue {lo:.3e} below -{_EIG_FAIL_TOL}")
-
-
-def entropy_of_spectrum(eigs: np.ndarray) -> float:
-    """-sum(p ln p) over the spectrum, with 0 ln 0 == 0."""
-    w = np.asarray(eigs, dtype=float)
-    _check_spectrum(w)
-    pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
-
-
-def entropies(spectra: np.ndarray) -> np.ndarray:
-    """:func:`entropy_of_spectrum` of every row of a stack of spectra.
-
-    Equal to the row-by-row values to round-off: a zero or clipped eigenvalue
-    adds an exact 0 to its row's sum instead of being left out of it.
-    """
-    w = np.asarray(spectra, dtype=float)
-    _check_spectrum(w)
     p = np.where(w > 0.0, w, 1.0)  # 1 ln 1 == 0 stands in for 0 ln 0
     return -np.sum(p * np.log(p), axis=-1)
 
 
 def von_neumann_entropy(rho: Union[DensityMatrix, np.ndarray]) -> float:
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return entropy_of_spectrum(np.linalg.eigvalsh(mat))
+    return float(entropies(np.linalg.eigvalsh(mat)))
 
 
 def qjsd(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -132,9 +109,13 @@ def _grams(mats: np.ndarray) -> np.ndarray:
     # item k of the flat list is pair (ii[k], jj[k]) of ensemble tt[k]
     tt = np.repeat(np.arange(t_count), i.size)
     ii, jj = np.tile(i, t_count), np.tile(j, t_count)
-    ent = _stacked_entropies(
-        lambda a, b: (mats[tt[a:b], ii[a:b]] + mats[tt[a:b], jj[a:b]]) / 2.0, tt.size, dim
-    ).reshape(t_count, i.size)
+    step = _stack_len(dim)
+    ent = np.concatenate([
+        entropies(np.linalg.eigvalsh(
+            (mats[tt[k:k + step], ii[k:k + step]] + mats[tt[k:k + step], jj[k:k + step]]) / 2.0
+        ))
+        for k in range(0, tt.size, step)
+    ]).reshape(t_count, i.size)
     i, j = i[m:], j[m:]
     out = np.zeros((t_count, m, m))
     out[:, i, j] = ent[:, m:] - 0.5 * ent[:, i] - 0.5 * ent[:, j]

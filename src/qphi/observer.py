@@ -30,15 +30,21 @@ from .states import DensityMatrix, as_layout, substream
 
 ChannelLike = Union[KrausChannel, LocalChannel]
 
+LINE_ITERS = 24  # golden-section iterations per coordinate line search
+GRID_CAP = 1 << 16  # most points one spectrum grid may evaluate
+
 
 @dataclass(frozen=True)
 class ChannelFamily:
-    """A box-parametrized family of channels acting on a fixed input layout."""
+    """A box-parametrized family of channels acting on a fixed input layout.
+
+    :meth:`apply` applies a :class:`LocalChannel` site by site and a
+    :class:`KrausChannel` to the whole state, by what the builder returns.
+    """
 
     kind: str
     box: tuple[tuple[float, float], ...]
     builder: Callable[[np.ndarray], ChannelLike]
-    local: bool
     # layouts cannot be inferred when a channel shrinks the system; families
     # that change dimensions report the output layout per parameter point
     out_layout: Optional[Callable[[np.ndarray], tuple]] = None
@@ -81,7 +87,7 @@ def local_dephasing_family(layout) -> ChannelFamily:
     def build(p: np.ndarray) -> LocalChannel:
         return LocalChannel(tuple(dephasing(p[2 * i], p[2 * i + 1]) for i in range(lay.n)))
 
-    return ChannelFamily(kind="localDephasing", box=box, builder=build, local=True)
+    return ChannelFamily(kind="localDephasing", box=box, builder=build)
 
 
 def local_depolarizing_family(layout) -> ChannelFamily:
@@ -91,7 +97,7 @@ def local_depolarizing_family(layout) -> ChannelFamily:
     def build(p: np.ndarray) -> LocalChannel:
         return LocalChannel(tuple(depolarizing(float(x), d) for x, d in zip(p, lay.dims)))
 
-    return ChannelFamily(kind="localDepolarizing", box=box, builder=build, local=True)
+    return ChannelFamily(kind="localDepolarizing", box=box, builder=build)
 
 
 def partial_trace_family(layout) -> ChannelFamily:
@@ -126,13 +132,12 @@ def partial_trace_family(layout) -> ChannelFamily:
         kind="partialTrace",
         box=((0.0, float(len(drops) - 1)),),
         builder=build,
-        local=False,
         out_layout=kept_layout,
     )
 
 
-def custom_family(box, builder, local: bool = False, kind: str = "custom") -> ChannelFamily:
-    return ChannelFamily(kind=kind, box=tuple(tuple(b) for b in box), builder=builder, local=local)
+def custom_family(box, builder, kind: str = "custom") -> ChannelFamily:
+    return ChannelFamily(kind=kind, box=tuple(tuple(b) for b in box), builder=builder)
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,6 @@ def maximize_phi(
     restarts: int = 8,
     seed: int = 0,
     mode: str = "marginal",
-    line_iters: int = 24,
 ) -> ObserverResult:
     """Maximize phi(F(rho)) over the family's parameter box.
 
@@ -220,7 +224,7 @@ def maximize_phi(
                 room = min(eval_cap - spent, budget - evals)
                 if room < 5:
                     break
-                iters = min(line_iters, room - 4)
+                iters = min(LINE_ITERS, room - 4)
                 t_best, f_best, used = golden_max(g, lows[c], highs[c], iters)
                 spent += used
                 if f_best > f_cur:
@@ -277,12 +281,13 @@ def observer_spectrum(
     family: ChannelFamily,
     axes: Sequence[tuple[int, int]],
     fixed: Optional[dict] = None,
-    cap: int = 1 << 16,
     mode: str = "marginal",
 ) -> SpectrumResult:
-    """Evaluate phi(F(rho)) on a dense grid over one or two parameters.
+    """Evaluate phi(F(rho)) on a dense grid of at most ``GRID_CAP`` points
+    over one or two parameters.
 
-    Non-axis parameters sit at the box midpoint unless pinned via ``fixed``.
+    Non-axis parameters sit at the box midpoint unless pinned via ``fixed``,
+    a map from parameter index to value.
     """
     if not 1 <= len(axes) <= 2:
         raise BadParameter("spectrum grids cover one or two parameters")
@@ -293,11 +298,12 @@ def observer_spectrum(
         if npts < 2:
             raise BadParameter("each axis needs at least 2 points")
         total *= npts
-    if total > cap:
-        raise GridTooLarge(f"grid of {total} points exceeds cap {cap}")
-    fixed = dict(fixed or {})
+    if total > GRID_CAP:
+        raise GridTooLarge(f"grid of {total} points exceeds cap {GRID_CAP}")
     base = np.array([(lo + hi) / 2.0 for lo, hi in family.box])
-    for k, v in fixed.items():
+    for k, v in (fixed or {}).items():
+        if not 0 <= int(k) < family.n_params:
+            raise BadParameter(f"fixed parameter {k} out of range [0, {family.n_params})")
         base[int(k)] = float(v)
     grids = [
         np.linspace(family.box[idx][0], family.box[idx][1], npts) for idx, npts in axes

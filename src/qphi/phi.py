@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import _stack_len, _stacked_entropies, delta, entropies, entropy_of_spectrum
+from .divergence import _stack_len, delta, entropies
 from .errors import (
     BadParameter,
     InvalidPartition,
@@ -76,8 +76,10 @@ from .states import (
 
 TIE_TOL = 1e-9
 DEFAULT_N_CAP = 12
+PARTITION_N_MAX = 6  # exhaustive k-block enumeration stops here (202 partitions)
 REFINE_IMPROVEMENT_TOL = 1e-12
 REFINE_MAX_STEPS = 1000
+_LOG_FLOOR = 1e-12  # eigenvalue floor of the marginal logs the descent starts from
 _MAX_HALVINGS = 60
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -87,10 +89,10 @@ _TINY = float(np.finfo(float).tiny)
 class PhiResult:
     """Outcome of a Phi evaluation.
 
-    ``phi`` is the headline value for the requested mode; ``phi_marginal``
-    always carries the plain product-of-marginals minimum, and
-    ``phi_refined`` the minimum over cuts of the refined values (optimized
-    mode only). ``per_cut`` and ``ties`` hold the marginal-mode values.
+    ``phi`` is the headline value for the requested mode (in optimized mode,
+    the minimum over cuts of the refined values); ``phi_marginal`` always
+    carries the plain product-of-marginals minimum. ``per_cut`` and ``ties``
+    hold the marginal-mode values.
     ``sigma_star`` is the closest product state found; in marginal mode it is
     built on first access.
     """
@@ -101,7 +103,6 @@ class PhiResult:
     ties: tuple[Bipartition, ...]
     mode: str
     phi_marginal: float
-    phi_refined: Optional[float] = None
     refinement_spread: Optional[float] = None
     # sigma_star, or a function of no arguments that builds it
     sigma: Union[DensityMatrix, Callable[[], DensityMatrix], None] = field(
@@ -162,15 +163,6 @@ def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
     return _partition_divergences(np.asarray(rho.mat)[None], rho.dims, parts)[0].tolist()
 
 
-def _rows(get, per: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of get(0), get(1), ... laid end to end, each ``per``
-    rows long; only the pieces that overlap the range are built."""
-    return np.concatenate([
-        get(k)[max(start - k * per, 0):min(stop - k * per, per)]
-        for k in range(start // per, (stop - 1) // per + 1)
-    ])
-
-
 def _partition_divergences(
     mats: np.ndarray, dims: tuple[int, ...], parts: Sequence[PartitionKBlocks]
 ) -> np.ndarray:
@@ -179,39 +171,23 @@ def _partition_divergences(
 
     S(rho) is computed once per state and each distinct block marginal once,
     by one batched partial trace over the stack; S(sigma) is the sum of the
-    block entropies, since S is additive over a product; the states and every
-    midpoint (rho + sigma)/2 are eigensolved in stacks.
+    block entropies, since S is additive over a product. Each eigensolve is
+    one stacked call over the S states: one for the states, one per distinct
+    block and one per partition's midpoints (rho + sigma)/2. Callers keep a
+    stack within ``_STACK_BYTES`` of D x D matrices (``_stack_len(D)`` states).
     """
-    count, dim = mats.shape[0], mats.shape[-1]
     marg = {}
     for p in parts:
         for b in p.blocks:
             if b not in marg:
                 marg[b] = _partial_trace_raw(mats, dims, sorted(b))
-    by_dim: dict[int, list[frozenset[int]]] = {}
-    for b, m in marg.items():
-        by_dim.setdefault(m.shape[-1], []).append(b)
-    ent = {}
-    for d, blocks in by_dim.items():
-        e = _stacked_entropies(
-            lambda a, b: _rows(lambda k: marg[blocks[k]], count, a, b), len(blocks) * count, d
-        )
-        ent.update(zip(blocks, e.reshape(len(blocks), count)))
-
-    def midpoints(k):
-        if k == 0:
-            return mats  # the states themselves, for S(rho)
-        blocks = parts[k - 1].blocks
-        sigma = _assemble_raw([marg[b] for b in blocks], [sorted(b) for b in blocks], dims)
-        return (mats + sigma) / 2.0
-
-    s = _stacked_entropies(
-        lambda a, b: _rows(midpoints, count, a, b), (len(parts) + 1) * count, dim
-    ).reshape(len(parts) + 1, count)
-    cols = [
-        s_mid - 0.5 * s[0] - 0.5 * sum(ent[b] for b in p.blocks)
-        for s_mid, p in zip(s[1:], parts)
-    ]
+    ent = {b: entropies(np.linalg.eigvalsh(m)) for b, m in marg.items()}
+    s_rho = entropies(np.linalg.eigvalsh(mats))
+    cols = []
+    for p in parts:
+        sigma = _assemble_raw([marg[b] for b in p.blocks], [sorted(b) for b in p.blocks], dims)
+        s_mid = entropies(np.linalg.eigvalsh((mats + sigma) / 2.0))
+        cols.append(s_mid - 0.5 * s_rho - 0.5 * sum(ent[b] for b in p.blocks))
     return np.stack(cols, axis=1)
 
 
@@ -220,10 +196,11 @@ def divergence_for_partition(rho: DensityMatrix, blocks) -> float:
     return partition_divergences(rho, [blocks])[0]
 
 
-def enumerate_partitions(n: int, max_n: int = 6) -> list[PartitionKBlocks]:
-    """Every set partition of range(n) with at least two blocks."""
-    if n > max_n:
-        raise BadParameter(f"exhaustive partition enumeration capped at n={max_n}")
+def enumerate_partitions(n: int) -> list[PartitionKBlocks]:
+    """Every set partition of range(n) with at least two blocks, for n up to
+    ``PARTITION_N_MAX``."""
+    if n > PARTITION_N_MAX:
+        raise BadParameter(f"exhaustive partition enumeration capped at n={PARTITION_N_MAX}")
     out: list[PartitionKBlocks] = []
 
     def rec(i: int, blocks: list[list[int]]):
@@ -263,9 +240,9 @@ def merge_inequality_check(rho: DensityMatrix, p: PartitionKBlocks, i: int, j: i
 # ---------------------------------------------------------------------------
 # optimized-mode refinement
 
-def _log_of_density(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _log_of_density(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
-    w = np.clip(w, floor, None)
+    w = np.clip(w, _LOG_FLOOR, None)
     return (v * np.log(w)) @ v.conj().T
 
 
@@ -302,7 +279,7 @@ def _refine_product(
     db = rho.dim // da
     # with the factors ordered (A, B), sigma is a plain Kronecker product
     rho_ab = _permute_raw(np.asarray(rho.mat), rho.dims, a_idx + b_idx)
-    s_rho = entropy_of_spectrum(np.linalg.eigvalsh(rho_ab))
+    s_rho = entropies(np.linalg.eigvalsh(rho_ab))
     if start is None:
         start = tuple(_log_of_density(m) for m in _split_marginals(rho_ab, da))
 
@@ -310,8 +287,8 @@ def _refine_product(
         (la, pa, va), (lb, pb, vb) = _exp_factor(h[0]), _exp_factor(h[1])
         sa, sb = (va * pa) @ va.conj().T, (vb * pb) @ vb.conj().T
         wm, vm = np.linalg.eigh((rho_ab + _kron(sa, sb)) / 2.0)
-        s_sigma = entropy_of_spectrum(pa) + entropy_of_spectrum(pb)
-        value = entropy_of_spectrum(wm) - 0.5 * s_rho - 0.5 * s_sigma
+        s_sigma = entropies(pa) + entropies(pb)
+        value = float(entropies(wm) - 0.5 * s_rho - 0.5 * s_sigma)
         return value, h, (la, va, lb, vb, sa, sb, wm, vm)
 
     value, h, point = evaluate(start)
@@ -476,19 +453,19 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
                     )
                 for i, c in zip(*np.nonzero(gram)):
                     x = _factor(w[sel[i]], v[sel[i]])
-                    s_mid[i, c] = entropy_of_spectrum(
+                    s_mid[i, c] = entropies(
                         _gram_midpoint(x[perm[c]], rho_a[i, c], rho_b[i, c])
                     )
                 res[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out
 
 
-def _marginal_result(rho: DensityMatrix, values, tie_tol: float = TIE_TOL) -> PhiResult:
+def _marginal_result(rho: DensityMatrix, values) -> PhiResult:
     """The marginal-mode result of a state from its per-cut values, in
     enumerate_bipartitions order; sigma_star is built on first access."""
     per_cut = tuple(zip(enumerate_bipartitions(rho.n), (float(v) for v in values)))
     vmin = min(v for _, v in per_cut)
-    ties = tuple(c for c, v in per_cut if v <= vmin + tie_tol)
+    ties = tuple(c for c, v in per_cut if v <= vmin + TIE_TOL)
     optimal = ties[0]
     return PhiResult(
         phi=vmin,
@@ -509,7 +486,6 @@ def phi(
     mode: str = "marginal",
     *,
     n_cap: int = DEFAULT_N_CAP,
-    tie_tol: float = TIE_TOL,
     probe_starts: int = 0,
     probe_seed: int = 0,
 ) -> PhiResult:
@@ -526,7 +502,7 @@ def phi(
         raise SingleSubsystem("phi needs at least two subsystems")
     if n > n_cap:
         raise SearchBudgetExceeded(f"n={n} exceeds the configured cap {n_cap}")
-    marg = _marginal_result(rho, _cut_divergences(np.asarray(rho.mat)[None], rho.dims)[0], tie_tol)
+    marg = _marginal_result(rho, _cut_divergences(np.asarray(rho.mat)[None], rho.dims)[0])
     if mode == "marginal":
         return marg
     best = None
@@ -556,19 +532,18 @@ def phi(
         ties=marg.ties,
         mode=mode,
         phi_marginal=marg.phi,
-        phi_refined=val,
         refinement_spread=spread,
         sigma=sigma,
     )
 
 
-def min_over_partitions(rho: DensityMatrix, max_n: int = 6):
+def min_over_partitions(rho: DensityMatrix):
     """Exhaustive minimum of the partition divergence over every k >= 2 partition.
 
     Returns (best_value, best_partition); used to confirm that bipartitions
     already attain the global minimum.
     """
-    parts = enumerate_partitions(rho.n, max_n=max_n)
+    parts = enumerate_partitions(rho.n)
     values = partition_divergences(rho, parts)
     k = int(np.argmin(values))
     return values[k], parts[k]

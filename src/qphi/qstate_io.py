@@ -35,6 +35,17 @@ def _decode_matrix(rows) -> np.ndarray:
     return arr
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: bools, floats and strings are refused."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _int_list(value, key: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(d) for d in value):
+        raise BadParameter(f"'{key}' must be a list of integers, got {value!r}")
+    return [int(d) for d in value]
+
+
 def state_to_dict(rho: DensityMatrix) -> dict:
     return {
         "version": QSTATE_VERSION,
@@ -43,8 +54,8 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def state_to_json(rho: DensityMatrix, indent=None) -> str:
-    return json.dumps(state_to_dict(rho), indent=indent)
+def state_to_json(rho: DensityMatrix) -> str:
+    return json.dumps(state_to_dict(rho))
 
 
 def state_from_dict(obj: dict) -> DensityMatrix:
@@ -55,12 +66,7 @@ def state_from_dict(obj: dict) -> DensityMatrix:
         raise BadParameter(f"unsupported state document version: {version!r}")
     if "dims" not in obj or "matrix" not in obj:
         raise BadParameter("state document needs 'dims' and 'matrix'")
-    dims = obj["dims"]
-    if not isinstance(dims, list) or any(
-        isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims
-    ):
-        raise BadParameter(f"'dims' must be a list of integers, got {dims!r}")
-    layout = SubsystemLayout(tuple(int(d) for d in dims))
+    layout = SubsystemLayout(tuple(_int_list(obj["dims"], "dims")))
     mat = _decode_matrix(obj["matrix"])
     return validate_state(mat, layout)
 
@@ -85,8 +91,8 @@ def channel_to_dict(ch: KrausChannel) -> dict:
     }
 
 
-def channel_to_json(ch: KrausChannel, indent=None) -> str:
-    return json.dumps(channel_to_dict(ch), indent=indent)
+def channel_to_json(ch: KrausChannel) -> str:
+    return json.dumps(channel_to_dict(ch))
 
 
 def channel_from_dict(obj: dict) -> KrausChannel:
@@ -95,6 +101,11 @@ def channel_from_dict(obj: dict) -> KrausChannel:
     for key in ("inDim", "outDim", "kraus"):
         if key not in obj:
             raise BadParameter(f"channel document needs '{key}'")
+    for key in ("inDim", "outDim"):
+        if not _is_int(obj[key]):
+            raise BadParameter(f"'{key}' must be an integer, got {obj[key]!r}")
+    if not isinstance(obj["kraus"], list):
+        raise BadParameter(f"'kraus' must be a list of matrices, got {obj['kraus']!r}")
     ops = tuple(_decode_matrix(k) for k in obj["kraus"])
     return KrausChannel(int(obj["inDim"]), int(obj["outDim"]), ops)
 

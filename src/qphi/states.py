@@ -309,23 +309,21 @@ def _assemble_raw(
 
 
 def product_of_block_marginals(rho: DensityMatrix, blocks: Sequence[Iterable[int]]) -> DensityMatrix:
-    subs = [sorted(set(b)) for b in blocks]
-    mats = [np.asarray(partial_trace(rho, s).mat) for s in subs]
+    """The product of the marginals on the blocks, which must partition the
+    subsystems (original subsystem order)."""
+    subs = [sorted(set(int(i) for i in b)) for b in blocks]
+    if not all(subs) or sorted(i for s in subs for i in s) != list(range(rho.n)):
+        raise BadParameter(f"blocks {subs} do not partition range({rho.n})")
+    mats = [_partial_trace_raw(np.asarray(rho.mat), rho.dims, s) for s in subs]
     return assemble_on_subsets(mats, subs, rho.layout)
 
 
 def product_of_marginals(rho: DensityMatrix, cut: Bipartition) -> DensityMatrix:
-    """The product rho_A (x) rho_B across the cut (original subsystem order).
-
-    Equal bit for bit to ``product_of_block_marginals(rho, [A, B])``, from one
-    reordering of rho to (A, B) instead of two partial traces.
-    """
+    """The product rho_A (x) rho_B across the cut (original subsystem order):
+    :func:`product_of_block_marginals` on the cut's two sides."""
     if cut.n != rho.n:
         raise LayoutMismatch(f"cut over n={cut.n} applied to state with n={rho.n}")
-    a_idx, b_idx = cut.as_lists()
-    da = int(np.prod([rho.dims[i] for i in a_idx]))
-    rho_ab = _permute_raw(np.asarray(rho.mat), rho.dims, a_idx + b_idx)
-    return assemble_on_subsets(_split_marginals(rho_ab, da), [a_idx, b_idx], rho.layout)
+    return product_of_block_marginals(rho, cut.as_lists())
 
 
 # ---------------------------------------------------------------------------

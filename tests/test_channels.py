@@ -96,11 +96,18 @@ def test_depolarizing_limits():
 
 
 def test_partial_trace_channel_matches_partial_trace():
-    rho = ginibre_mixed((2, 3, 2), 12, substream(2, "ptc"))
-    ch = partial_trace_channel(rho.layout, drop=[1])
-    out = apply_channel(ch, rho, (2, 2))
-    direct = partial_trace(rho, keep=[0, 2])
-    assert np.allclose(np.asarray(out.mat), np.asarray(direct.mat), atol=1e-12)
+    for dims, drop in (((2, 3, 2), [1]), ((2, 2, 2, 2), [0, 2]), ((3, 2, 4), [1]), ((3, 2, 4), [0, 2])):
+        rho = ginibre_mixed(dims, int(np.prod(dims)), substream(2, "ptc"))
+        keep = [i for i in range(len(dims)) if i not in drop]
+        ch = partial_trace_channel(rho.layout, drop=drop)
+        assert len(ch.kraus) == int(np.prod([dims[i] for i in drop]))
+        for k in ch.kraus:
+            # a row selection of the identity: 0/1 entries, exactly one 1 per row
+            assert np.all((k == 0) | (k == 1))
+            assert np.array_equal(np.count_nonzero(k, axis=1), np.ones(k.shape[0]))
+        out = apply_channel(ch, rho, tuple(dims[i] for i in keep))
+        direct = partial_trace(rho, keep=keep)
+        assert np.allclose(np.asarray(out.mat), np.asarray(direct.mat), atol=1e-12), (dims, drop)
 
 
 def test_local_channel_factorizes_over_products():

@@ -81,6 +81,27 @@ def test_json_round_trip():
         from_json("{\"not\": \"a tree\"}")
 
 
+@pytest.mark.parametrize("dims", ["ab", 5, [2.7, 2, 2], [True, 2, 2], ["2", 2, 2]])
+def test_dendrogram_json_with_malformed_dims_is_rejected(dims):
+    doc = json.loads(to_json(build_dendrogram(ghz(3))))
+    doc["dims"] = dims
+    with pytest.raises(BadParameter):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [("members", "ab"), ("members", [0.5, 1]), ("tie_count", "x")])
+def test_dendrogram_json_with_malformed_node_is_rejected(key, value):
+    doc = json.loads(to_json(build_dendrogram(ghz(3))))
+    doc["root"][key] = value
+    with pytest.raises(BadParameter):
+        from_json(json.dumps(doc))
+
+
+def test_dendrogram_invalid_json_is_rejected():
+    with pytest.raises(BadParameter):
+        from_json("not json at all")
+
+
 def test_dot_export_mentions_all_leaves():
     d = build_dendrogram(ghz(3))
     dot = to_dot(d)

@@ -59,6 +59,17 @@ def test_malformed_documents_are_rejected():
         state_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("inDim", "x"), ("inDim", 2.7), ("outDim", True), ("inDim", None), ("kraus", 5), ("kraus", "ab")],
+)
+def test_malformed_channel_documents_are_rejected(key, value):
+    doc = json.loads(channel_to_json(random_channel(2, 2, 2, substream(1, "io-ch"))))
+    doc[key] = value
+    with pytest.raises(BadParameter):
+        channel_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("dims", ["ab", 5, None, [2.7, 2], [2.0, 2], [True, 2], ["2", 2], [[2], 2]])
 def test_malformed_dims_are_rejected(dims):
     doc = state_to_dict(bell())
@@ -186,6 +197,18 @@ def test_malformed_state_documents_exit_2():
         assert res.returncode == 2, doc
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("fixed", ["9=0.5", "-1=0.5"])
+def test_observe_fixed_parameter_out_of_range_exits_2(fixed):
+    state = run_cli(["gen", "bell"]).stdout
+    res = run_cli(
+        ["observe", "-", "--family", "dephasing", "--grid", "0:3", f"--fixed={fixed}"],
+        stdin_text=state,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:")
 
 
 def test_phi_probe_starts_reports_a_refinement_spread():

@@ -93,3 +93,12 @@ def test_spectrum_guards():
         observer_spectrum(bell(), fam, axes=[(0, 4), (1, 4), (2, 4)])
     with pytest.raises(BadParameter):
         observer_spectrum(bell(), fam, axes=[(9, 4)])
+
+
+@pytest.mark.parametrize("key", [9, 4, -1])
+def test_spectrum_fixed_keys_must_name_a_parameter(key):
+    # the dephasing family of two qubits has parameters 0..3; a negative key
+    # must not wrap around to the last one
+    fam = local_dephasing_family((2, 2))
+    with pytest.raises(BadParameter):
+        observer_spectrum(bell(), fam, axes=[(0, 3)], fixed={key: 0.5})

@@ -1,5 +1,7 @@
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import qphi
 
@@ -25,3 +27,19 @@ def test_import_loads_the_verify_suite_only_on_use():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps functions by name; a renamed or deleted one
+    # would otherwise surface only as an AttributeError in a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"qphi.{layer}.{name}"
+        for layer, funcs in tracer.TRACED.items()
+        for name in funcs
+        if not callable(getattr(importlib.import_module(f"qphi.{layer}"), name, None))
+    ]
+    assert tracer.TRACED and missing == []
