@@ -25,7 +25,7 @@ from .observer import (
     partial_trace_family,
 )
 from .phi import phi
-from .qstate_io import state_from_json, state_to_dict, state_to_json
+from .qstate_io import _encode_matrix, read_state, state_to_dict, state_to_json
 from .states import (
     bell,
     enumerate_bipartitions,
@@ -42,11 +42,9 @@ from .witness import build_witness, phi_comparison, product_state_scan
 
 def _read_state(path: str):
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return state_from_json(text)
+        return read_state(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return read_state(fh)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -171,7 +169,7 @@ def _cmd_witness(args) -> int:
     out = {
         "cut": _cut_lists(w.cut),
         "phi_at_construction": w.phi_at_construction,
-        "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(w.op)],
+        "matrix": _encode_matrix(w.op),
         "eigenvalues": [float(e) for e in w.eigenvalues()],
         "comparison": phi_comparison(w, rho),
         "scan": {
@@ -230,6 +228,8 @@ def _parse_fixed(text: str) -> dict:
 
 
 def _cmd_observe(args) -> int:
+    if args.fixed and not args.grid:
+        raise BadParameter("--fixed pins grid axes and needs --grid")
     rho = _read_state(args.state)
     family = _family_for(args, rho)
     if args.grid:
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--restarts", type=int, default=8)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--grid", default=None, help="spectrum axes, e.g. 0:64,1:64")
-    o.add_argument("--fixed", default=None, help="pinned axes, e.g. 2=0.5")
+    o.add_argument("--fixed", default=None, help="with --grid: pinned parameters, e.g. 2=0.5")
     o.set_defaults(fn=_cmd_observe)
 
     b = sub.add_parser("blanket", help="blanket scan: each subset's per-cut divergence")

@@ -7,6 +7,8 @@ child containing the smaller subsystem index is listed first.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,13 +110,23 @@ def to_json(d: Dendrogram) -> str:
 
 
 def _node_from_dict(obj: dict) -> DendrogramNode:
+    if not isinstance(obj, dict):
+        raise BadParameter(f"a dendrogram node must be a JSON object, got {obj!r}")
     children = obj.get("children")
     tie_count = obj.get("tie_count", 0)
+    phi = obj["phi"]
     if not _is_int(tie_count):
         raise BadParameter(f"'tie_count' must be an integer, got {tie_count!r}")
+    if children is None:
+        if phi is not None:
+            raise BadParameter(f"a leaf's 'phi' must be null, got {phi!r}")
+    elif not isinstance(children, list) or len(children) != 2:
+        raise BadParameter(f"'children' must be null or a list of two nodes, got {children!r}")
+    elif isinstance(phi, bool) or not isinstance(phi, numbers.Real) or not math.isfinite(phi):
+        raise BadParameter(f"an internal node's 'phi' must be a finite number, got {phi!r}")
     return DendrogramNode(
         members=tuple(_int_list(obj["members"], "members")),
-        phi_internal=obj["phi"],
+        phi_internal=phi,
         tie_count=tie_count,
         children=None if children is None else tuple(_node_from_dict(c) for c in children),
     )

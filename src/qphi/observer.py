@@ -1,14 +1,20 @@
 """Search for the channel in a parametrized family whose output retains the
 most integrated information.
 
-The search is derivative-free: quasi-random (Sobol) restarts inside the
-closed parameter box, coordinate-wise golden-section ascent per restart, and
-a final polish from the best endpoint. Everything is deterministic for a
-fixed seed, budget and restart count.
+The search is derivative-free: quasi-random restarts inside the closed
+parameter box, coordinate-wise golden-section ascent per restart, and a final
+polish from the best endpoint. Everything is deterministic for a fixed seed,
+budget and restart count.
+
+The restarts are the first points of a scrambled Sobol sequence: Joe & Kuo
+(2008) direction numbers, linear matrix scrambling plus a digital shift
+(Matousek 1998; Owen 1998), in Gray-code order. They equal the points of
+``scipy.stats.qmc.Sobol(d, scramble=True)`` for the same generator, and the
+embedded table of direction numbers caps a searched family at
+``SOBOL_DIM_MAX`` (32) parameters.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -32,6 +38,59 @@ ChannelLike = Union[KrausChannel, LocalChannel]
 
 LINE_ITERS = 24  # golden-section iterations per coordinate line search
 GRID_CAP = 1 << 16  # most points one spectrum grid may evaluate
+
+# Joe & Kuo direction numbers for Sobol dimensions 2..32: a primitive
+# polynomial over GF(2) as an integer (leading and constant terms included),
+# then the initial odd m_1..m_s for its degree s. Dimension 1 has every m_j = 1.
+_SOBOL_TABLE = (
+    (3, 1), (7, 1, 3), (11, 1, 3, 1), (13, 1, 1, 1), (19, 1, 1, 3, 3),
+    (25, 1, 3, 5, 13), (37, 1, 1, 5, 5, 17), (41, 1, 1, 5, 5, 5),
+    (47, 1, 1, 7, 11, 19), (55, 1, 1, 5, 1, 1), (59, 1, 1, 1, 3, 11),
+    (61, 1, 3, 5, 5, 31), (67, 1, 3, 3, 9, 7, 49), (91, 1, 1, 1, 15, 21, 21),
+    (97, 1, 3, 1, 13, 27, 49), (103, 1, 1, 1, 15, 7, 5), (109, 1, 3, 1, 15, 13, 25),
+    (115, 1, 1, 5, 5, 19, 61), (131, 1, 3, 7, 11, 23, 15, 103),
+    (137, 1, 3, 7, 13, 13, 15, 69), (143, 1, 1, 3, 13, 7, 35, 63),
+    (145, 1, 3, 5, 9, 1, 25, 53), (157, 1, 3, 1, 13, 9, 35, 107),
+    (167, 1, 3, 1, 5, 27, 61, 31), (171, 1, 1, 5, 11, 19, 41, 61),
+    (185, 1, 3, 5, 3, 3, 13, 69), (191, 1, 1, 7, 13, 1, 19, 1),
+    (193, 1, 3, 7, 5, 13, 19, 59), (203, 1, 1, 3, 9, 25, 29, 41),
+    (211, 1, 3, 5, 13, 23, 1, 55), (213, 1, 3, 7, 3, 13, 59, 17),
+)
+SOBOL_DIM_MAX = len(_SOBOL_TABLE) + 1
+_SOBOL_BITS = 30
+
+
+def _sobol_starts(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first n points in [0, 1)^d of the scrambled Sobol sequence that
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=rng)`` draws, bit for bit."""
+    if d > SOBOL_DIM_MAX:
+        raise BadParameter(f"the search covers at most {SOBOL_DIM_MAX} parameters, got {d}")
+    # direction numbers m_j 2^(30-j), by the Bratley-Fox recurrence
+    rows = [[1] * _SOBOL_BITS]
+    for poly, *m in _SOBOL_TABLE[: max(d - 1, 0)]:
+        s = len(m)
+        for j in range(s, _SOBOL_BITS):
+            new = m[j - s]
+            for k in range(s):
+                if poly >> (s - 1 - k) & 1:
+                    new ^= m[j - k - 1] << (k + 1)
+            m.append(new)
+        rows.append(m)
+    msb = np.arange(_SOBOL_BITS - 1, -1, -1)
+    v = np.array(rows[:d], dtype=np.uint32).reshape(d, _SOBOL_BITS) << msb
+    # scipy scrambles from a child of the generator's seed sequence;
+    # Generator.spawn and the public seed_seq need numpy 1.25
+    child = np.random.default_rng(rng.bit_generator._seed_seq.spawn(1)[0])
+    shift_bits = child.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32)
+    ltm = np.tril(child.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    # left-multiply each direction number's MSB-first bit vector over GF(2)
+    bits = v[..., None] >> msb & 1
+    sv = ((np.einsum("dpi,dji->djp", ltm, bits) & 1) << msb).sum(axis=2)
+    shift = (shift_bits << np.arange(_SOBOL_BITS)).sum(axis=1)
+    # Gray-code order: point k flips the direction of k's lowest set bit
+    steps = sv[:, [(k & -k).bit_length() - 1 for k in range(1, n)]].T
+    return np.bitwise_xor.accumulate(np.vstack([shift, steps]), axis=0) * 2.0**-_SOBOL_BITS
 
 
 @dataclass(frozen=True)
@@ -167,13 +226,17 @@ def maximize_phi(
     """Maximize phi(F(rho)) over the family's parameter box.
 
     ``budget`` caps the number of objective evaluations; each of the
-    ``restarts`` Sobol starting points receives an equal share, and whatever
-    remains funds a final polish around the incumbent.
+    ``restarts`` starting points receives an equal share, and whatever
+    remains funds a final polish around the incumbent. The starting points
+    are the first ``restarts`` points of the module's scrambled Sobol
+    sequence, seeded from ``seed``; a family with more than ``SOBOL_DIM_MAX``
+    (32) parameters raises :class:`BadParameter` before any evaluation.
     """
     if budget < 1:
         raise BadBudget(f"budget must be >= 1, got {budget}")
     if restarts < 1:
         raise BadParameter(f"restarts must be >= 1, got {restarts}")
+    unit = _sobol_starts(family.n_params, restarts, substream(seed, "observer-starts"))
     phi_before = phi_fn(rho, mode).phi
     lows = np.array([b[0] for b in family.box])
     highs = np.array([b[1] for b in family.box])
@@ -188,18 +251,6 @@ def maximize_phi(
         log.append((tuple(float(x) for x in p), v))
         return v
 
-    # imported here: scipy.stats takes over a second to import, and only this
-    # search needs it
-    from scipy.stats import qmc
-
-    # Sobol points; draw a power-of-two block and slice to avoid balance warnings
-    sob = qmc.Sobol(d=family.n_params, scramble=True, seed=substream(seed, "observer-starts"))
-    m = 1
-    while m < restarts:
-        m *= 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        unit = sob.random(m)[:restarts]
     starts = lows + unit * (highs - lows)
 
     per_restart = max(budget // restarts, family.n_params + 1)

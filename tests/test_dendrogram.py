@@ -89,12 +89,36 @@ def test_dendrogram_json_with_malformed_dims_is_rejected(dims):
         from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("key, value", [("members", "ab"), ("members", [0.5, 1]), ("tie_count", "x")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("members", "ab"),
+        ("members", [0.5, 1]),
+        ("tie_count", "x"),
+        ("phi", "x"),
+        ("phi", True),
+        ("phi", None),
+        ("phi", float("inf")),
+        ("children", "ab"),
+        ("children", [1, 2]),
+    ],
+)
 def test_dendrogram_json_with_malformed_node_is_rejected(key, value):
     doc = json.loads(to_json(build_dendrogram(ghz(3))))
     doc["root"][key] = value
     with pytest.raises(BadParameter):
         from_json(json.dumps(doc))
+
+
+def test_dendrogram_json_needs_two_children_and_null_leaf_phi():
+    text = to_json(build_dendrogram(ghz(3)))
+    three = json.loads(text)
+    three["root"]["children"].append(three["root"]["children"][0])
+    leaf_phi = json.loads(text)
+    next(c for c in leaf_phi["root"]["children"] if c["children"] is None)["phi"] = 0.5
+    for doc in (three, leaf_phi):
+        with pytest.raises(BadParameter):
+            from_json(json.dumps(doc))
 
 
 def test_dendrogram_invalid_json_is_rejected():

@@ -211,6 +211,18 @@ def test_observe_fixed_parameter_out_of_range_exits_2(fixed):
     assert res.stderr.startswith("error:")
 
 
+def test_observe_fixed_without_grid_exits_2():
+    # the search cannot pin a parameter, so --fixed must not be dropped silently
+    state = run_cli(["gen", "bell"]).stdout
+    res = run_cli(
+        ["observe", "-", "--family", "dephasing", "--fixed", "0=3.0", "--budget", "20", "--restarts", "1"],
+        stdin_text=state,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:")
+
+
 def test_phi_probe_starts_reports_a_refinement_spread():
     state = run_cli(["gen", "ginibre", "--dims", "2,2", "--seed", "3"]).stdout
     res = run_cli(["phi", "-", "--mode", "optimized", "--probe-starts", "2"], stdin_text=state)

@@ -1,8 +1,15 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
+from qphi.channels import LocalChannel, depolarizing
 from qphi.errors import BadBudget, BadParameter, GridTooLarge
 from qphi.observer import (
+    SOBOL_DIM_MAX,
+    _sobol_starts,
+    custom_family,
     local_dephasing_family,
     local_depolarizing_family,
     maximize_phi,
@@ -102,3 +109,59 @@ def test_spectrum_fixed_keys_must_name_a_parameter(key):
     fam = local_dephasing_family((2, 2))
     with pytest.raises(BadParameter):
         observer_spectrum(bell(), fam, axes=[(0, 3)], fixed={key: 0.5})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 20, 24, 30, 32])
+def test_sobol_starts_equal_scipy(d):
+    # scipy's scrambled Sobol is the oracle the in-repo generator reproduces
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in (0, 1, 7, 12345):
+        for n in (1, 2, 3, 8, 16, 64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # balance warning for n not a power of 2
+                ref = qmc.Sobol(d, scramble=True, seed=substream(seed, "observer-starts")).random(n)
+            got = _sobol_starts(d, n, substream(seed, "observer-starts"))
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref), (d, seed, n)
+
+
+def test_sobol_starts_pinned():
+    # the same points without scipy: k / 2^30 for these k
+    def ks(d, seed, n):
+        return (_sobol_starts(d, n, substream(seed, "observer-starts")) * 2**30).astype(int).tolist()
+
+    assert ks(1, 0, 8) == [
+        [83906862], [599092987], [816203473], [370374916],
+        [431855892], [1057531585], [740003563], [179220798],
+    ]
+    assert ks(4, 11, 4) == [
+        [1059610013, 75249516, 852233513, 110707951],
+        [136145599, 735723423, 261920667, 919479661],
+        [432375527, 293823197, 766012386, 426538974],
+        [787526085, 1042639406, 284750160, 691738204],
+    ]
+    pts = _sobol_starts(SOBOL_DIM_MAX, 64, substream(3, "observer-starts"))
+    assert hashlib.sha256(pts.astype("<f8").tobytes()).hexdigest() == (
+        "5cf669be42d65f16ff46bb58b3e3aae119cee5cf9dd7109db5aa69cec48e71ba"
+    )
+
+
+def test_search_over_no_parameters_evaluates_the_fixed_channel():
+    fam = custom_family([], lambda p: LocalChannel((depolarizing(0.0, 2), depolarizing(0.0, 2))))
+    res = maximize_phi(bell(), fam, budget=10, restarts=3, seed=0)
+    assert res.best_params == ()
+    assert res.evaluations == 4
+    assert res.phi_after == pytest.approx(BELL_PHI, abs=1e-9)
+
+
+def test_search_refuses_families_beyond_the_sobol_table():
+    built = []
+
+    def build(p):
+        built.append(p)
+        return LocalChannel((depolarizing(0.0, 2), depolarizing(0.0, 2)))
+
+    fam = custom_family([(0.0, 1.0)] * (SOBOL_DIM_MAX + 1), build)
+    with pytest.raises(BadParameter):
+        maximize_phi(bell(), fam, budget=10, restarts=1)
+    assert built == []
