@@ -24,8 +24,8 @@ from .observer import (
     observer_spectrum,
     partial_trace_family,
 )
-from .phi import phi
-from .qstate_io import _encode_matrix, read_state, state_to_dict, state_to_json
+from .phi import DEFAULT_N_CAP, phi
+from .qstate_io import _encode_matrix, _loads, read_state, state_to_dict, state_to_json
 from .states import (
     bell,
     enumerate_bipartitions,
@@ -59,22 +59,33 @@ def _write(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _comma_list(text: str, flag: str, form: str, item) -> list:
+    """The non-empty comma-separated entries of ``flag``, each converted by
+    ``item``, which raises ValueError on an entry not of ``form``."""
+    out = []
+    for part in text.split(","):
+        if part:
+            try:
+                out.append(item(part))
+            except ValueError as exc:
+                raise BadParameter(f"bad {flag} entry {part!r}; expected {form}") from exc
+    if not out:
+        raise BadParameter(f"empty {flag}")
+    return out
+
+
+def _pair(sep: str, value):
+    """Converter of an entry ``AXIS<sep>VALUE`` to (int, value)."""
+
+    def item(part: str):
+        k, v = part.split(sep, 1)
+        return int(k), value(v)
+
+    return item
+
+
 def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(p) for p in text.split(",") if p != "")
-    except ValueError as exc:
-        raise BadParameter(f"bad --dims {text!r}: {exc}") from exc
-    if not dims:
-        raise BadParameter("empty --dims")
-    return dims
-
-
-def _parse_cut(text: str, n: int) -> Bipartition:
-    try:
-        side = tuple(sorted(int(p) for p in text.split(",") if p != ""))
-    except ValueError as exc:
-        raise BadParameter(f"bad --cut {text!r}: {exc}") from exc
-    return Bipartition.of(side, n)
+    return tuple(_comma_list(text, "--dims", "an integer", int))
 
 
 def _convert(value: float, units: str) -> float:
@@ -110,7 +121,7 @@ def _cmd_gen(args) -> int:
         if args.cut is None:
             cut = enumerate_bipartitions(len(dims))[0]
         else:
-            cut = _parse_cut(args.cut, len(dims))
+            cut = Bipartition.of(_comma_list(args.cut, "--cut", "an integer", int), len(dims))
         rho = random_product(dims, cut, substream(seed, "gen-product"))
     else:  # pragma: no cover - argparse restricts choices
         raise BadParameter(f"unknown state kind {kind!r}")
@@ -194,47 +205,16 @@ def _family_for(args, rho):
     raise BadParameter(f"unknown family {args.family!r}")
 
 
-def _parse_grid(text: str) -> list:
-    axes = []
-    for part in text.split(","):
-        if not part:
-            continue
-        if ":" in part:
-            idx, npts = part.split(":", 1)
-        else:
-            raise BadParameter(f"bad --grid entry {part!r}; expected AXIS:POINTS")
-        try:
-            axes.append((int(idx), int(npts)))
-        except ValueError as exc:
-            raise BadParameter(f"bad --grid entry {part!r}: {exc}") from exc
-    if not axes:
-        raise BadParameter("empty --grid")
-    return axes
-
-
-def _parse_fixed(text: str) -> dict:
-    fixed = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        if "=" not in part:
-            raise BadParameter(f"bad --fixed entry {part!r}; expected AXIS=VALUE")
-        k, v = part.split("=", 1)
-        try:
-            fixed[int(k)] = float(v)
-        except ValueError as exc:
-            raise BadParameter(f"bad --fixed entry {part!r}: {exc}") from exc
-    return fixed
-
-
 def _cmd_observe(args) -> int:
     if args.fixed and not args.grid:
         raise BadParameter("--fixed pins grid axes and needs --grid")
     rho = _read_state(args.state)
     family = _family_for(args, rho)
     if args.grid:
-        axes = _parse_grid(args.grid)
-        fixed = _parse_fixed(args.fixed) if args.fixed else None
+        axes = _comma_list(args.grid, "--grid", "AXIS:POINTS", _pair(":", int))
+        fixed = None
+        if args.fixed:
+            fixed = dict(_comma_list(args.fixed, "--fixed", "AXIS=VALUE", _pair("=", float)))
         sweep = observer_spectrum(rho, family, axes, fixed=fixed, mode=args.mode)
         best = max(range(len(sweep.values)), key=lambda i: sweep.values[i])
         out = {
@@ -293,10 +273,7 @@ def _cmd_verify(args) -> int:
 
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise BadParameter(f"invalid config JSON: {exc}") from exc
+            obj = _loads(fh.read())
         if args.seed is not None and isinstance(obj, dict):
             obj["seed"] = args.seed
         cfg = VerifyConfig.from_dict(obj)
@@ -334,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--units", choices=["nats", "bits"], default="nats")
     f.add_argument("--per-cut", action="store_true", dest="per_cut")
     f.add_argument("--sigma", default=None, help="write closest product state to this file")
-    f.add_argument("--n-cap", type=int, default=12, dest="n_cap")
+    f.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, dest="n_cap")
     f.add_argument(
         "--probe-starts", type=int, default=0, dest="probe_starts",
         help="optimized mode: rerun the refinement from N perturbed starts and "

@@ -7,8 +7,6 @@ child containing the smaller subsystem index is listed first.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +15,7 @@ import numpy as np
 from .divergence import delta
 from .errors import BadParameter, SingleSubsystem
 from .phi import phi as phi_fn
-from .qstate_io import _int_list, _is_int
+from .qstate_io import _int_list, _is_int, _is_number, _loads
 from .states import DensityMatrix, SubsystemLayout, ginibre_mixed, partial_trace, rng_from
 
 
@@ -112,43 +110,47 @@ def to_json(d: Dendrogram) -> str:
 def _node_from_dict(obj: dict) -> DendrogramNode:
     if not isinstance(obj, dict):
         raise BadParameter(f"a dendrogram node must be a JSON object, got {obj!r}")
+    members = tuple(_int_list(obj["members"], "members"))
     children = obj.get("children")
     tie_count = obj.get("tie_count", 0)
     phi = obj["phi"]
-    if not _is_int(tie_count):
-        raise BadParameter(f"'tie_count' must be an integer, got {tie_count!r}")
+    if not _is_int(tie_count) or tie_count < 0:
+        raise BadParameter(f"'tie_count' must be a non-negative integer, got {tie_count!r}")
     if children is None:
         if phi is not None:
             raise BadParameter(f"a leaf's 'phi' must be null, got {phi!r}")
-    elif not isinstance(children, list) or len(children) != 2:
+        if len(members) != 1:
+            raise BadParameter(f"a leaf has exactly one member, got {members}")
+        return DendrogramNode(members, phi_internal=None, tie_count=tie_count, children=None)
+    if not isinstance(children, list) or len(children) != 2:
         raise BadParameter(f"'children' must be null or a list of two nodes, got {children!r}")
-    elif isinstance(phi, bool) or not isinstance(phi, numbers.Real) or not math.isfinite(phi):
+    if not _is_number(phi):
         raise BadParameter(f"an internal node's 'phi' must be a finite number, got {phi!r}")
-    return DendrogramNode(
-        members=tuple(_int_list(obj["members"], "members")),
-        phi_internal=phi,
-        tie_count=tie_count,
-        children=None if children is None else tuple(_node_from_dict(c) for c in children),
-    )
+    a, b = (_node_from_dict(c) for c in children)
+    # members are distinct from the root down, so this also makes a and b disjoint
+    if sorted(a.members + b.members) != sorted(members):
+        raise BadParameter(f"children {a.members} and {b.members} do not split {members}")
+    return DendrogramNode(members, phi_internal=phi, tie_count=tie_count, children=(a, b))
 
 
 def from_json_dict(obj: dict) -> Dendrogram:
     try:
-        return Dendrogram(
+        d = Dendrogram(
             root=_node_from_dict(obj["root"]),
             layout=SubsystemLayout(tuple(_int_list(obj["dims"], "dims"))),
             mode=obj.get("mode", "marginal"),
         )
     except (KeyError, TypeError) as exc:
         raise BadParameter(f"malformed dendrogram JSON: {exc}") from exc
+    if sorted(d.root.members) != list(range(d.layout.n)):
+        raise BadParameter(f"the root's members must be 0..{d.layout.n - 1}, got {d.root.members}")
+    if d.mode not in ("marginal", "optimized"):
+        raise BadParameter(f"'mode' must be 'marginal' or 'optimized', got {d.mode!r}")
+    return d
 
 
 def from_json(text: str) -> Dendrogram:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParameter(f"invalid JSON: {exc}") from exc
-    return from_json_dict(obj)
+    return from_json_dict(_loads(text))
 
 
 def _fmt6(v: float) -> str:

@@ -3,8 +3,8 @@ most integrated information.
 
 The search is derivative-free: quasi-random restarts inside the closed
 parameter box, coordinate-wise golden-section ascent per restart, and a final
-polish from the best endpoint. Everything is deterministic for a fixed seed,
-budget and restart count.
+polish from the best point so far. The result is the best point evaluated.
+Everything is deterministic for a fixed seed, budget and restart count.
 
 The restarts are the first points of a scrambled Sobol sequence: Joe & Kuo
 (2008) direction numbers, linear matrix scrambling plus a digital shift
@@ -15,6 +15,7 @@ embedded table of direction numbers caps a searched family at
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -207,7 +208,7 @@ class ObserverResult:
     ratio: float
     evaluations: int
     trace: tuple[tuple[tuple[float, ...], float], ...]
-    near_optimal: tuple[tuple[float, ...], ...]  # endpoints within 1e-6 of the best value
+    near_optimal: tuple[tuple[float, ...], ...]  # every evaluated point within 1e-6 of the best
 
 
 def _phi_of_output(rho: DensityMatrix, family: ChannelFamily, params: np.ndarray, mode: str) -> float:
@@ -227,10 +228,12 @@ def maximize_phi(
 
     ``budget`` caps the number of objective evaluations; each of the
     ``restarts`` starting points receives an equal share, and whatever
-    remains funds a final polish around the incumbent. The starting points
-    are the first ``restarts`` points of the module's scrambled Sobol
-    sequence, seeded from ``seed``; a family with more than ``SOBOL_DIM_MAX``
-    (32) parameters raises :class:`BadParameter` before any evaluation.
+    remains funds a final polish around the incumbent. The result is the best
+    point the search evaluated, the earliest one on ties, so ``phi_after`` is
+    the largest value in ``trace``. The starting points are the first
+    ``restarts`` points of the module's scrambled Sobol sequence, seeded from
+    ``seed``; a family with more than ``SOBOL_DIM_MAX`` (32) parameters raises
+    :class:`BadParameter` before any evaluation.
     """
     if budget < 1:
         raise BadBudget(f"budget must be >= 1, got {budget}")
@@ -241,43 +244,35 @@ def maximize_phi(
     lows = np.array([b[0] for b in family.box])
     highs = np.array([b[1] for b in family.box])
 
-    evals = 0
     log: list[tuple[tuple[float, ...], float]] = []
 
     def objective(p: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
         v = _phi_of_output(rho, family, p, mode)
         log.append((tuple(float(x) for x in p), v))
         return v
 
-    starts = lows + unit * (highs - lows)
+    def best() -> tuple[tuple[float, ...], float]:
+        return max(log, key=lambda e: e[1])
 
-    per_restart = max(budget // restarts, family.n_params + 1)
-
-    def ascend(p0: np.ndarray, eval_cap: int) -> tuple[np.ndarray, float]:
+    def ascend(p0, end: int) -> None:
+        """Coordinate-wise ascent from p0 while the evaluation count stays <= end."""
         p = np.array(p0, dtype=float)
         f_cur = objective(p)
-        spent = 1
-        while spent < eval_cap and evals < budget:
+        while len(log) < end:
             f_pass_start = f_cur
             for c in range(p.size):
-                if spent >= eval_cap or evals >= budget:
+                # a line search costs iters + 4 evaluations; never start one
+                # that would pass the end
+                room = end - len(log)
+                if room < 5:
                     break
-                pc = p[c]
 
                 def g(t: float) -> float:
                     p[c] = t
                     return objective(p)
 
-                # a line search costs iters + 4 evaluations; never start one
-                # that would blow past either the restart share or the budget
-                room = min(eval_cap - spent, budget - evals)
-                if room < 5:
-                    break
-                iters = min(LINE_ITERS, room - 4)
-                t_best, f_best, used = golden_max(g, lows[c], highs[c], iters)
-                spent += used
+                pc = p[c]
+                t_best, f_best, _ = golden_max(g, lows[c], highs[c], min(LINE_ITERS, room - 4))
                 if f_best > f_cur:
                     p[c] = t_best
                     f_cur = f_best
@@ -285,34 +280,27 @@ def maximize_phi(
                     p[c] = pc
             if f_cur - f_pass_start < 1e-12:
                 break
-        return p, f_cur
 
-    best_p: Optional[np.ndarray] = None
-    best_f = -np.inf
-    for r in range(restarts):
-        if evals >= budget:
+    starts = lows + unit * (highs - lows)
+    per_restart = max(budget // restarts, family.n_params + 1)
+    # the last pass polishes the best point so far with whatever budget is left
+    for r in range(restarts + 1):
+        if len(log) >= budget:
             break
-        p, f = ascend(starts[r], per_restart)
-        if f > best_f:
-            best_f, best_p = f, p
-    if best_p is None:
-        best_p = starts[0]
-        best_f = objective(best_p)
-    if evals < budget:
-        p, f = ascend(best_p, budget - evals)
-        if f > best_f:
-            best_f, best_p = f, p
+        if r < restarts:
+            ascend(starts[r], min(len(log) + per_restart, budget))
+        else:
+            ascend(best()[0], budget)
 
-    near = tuple(
-        params for params, v in log if best_f - v <= 1e-6
-    )
+    best_params, best_f = best()
+    near = tuple(params for params, v in log if best_f - v <= 1e-6)
     ratio = best_f / phi_before if phi_before > 0 else 0.0
     return ObserverResult(
-        best_params=tuple(float(x) for x in best_p),
+        best_params=best_params,
         phi_before=phi_before,
         phi_after=best_f,
         ratio=ratio,
-        evaluations=evals,
+        evaluations=len(log),
         trace=tuple(log),
         near_optimal=near,
     )
@@ -362,14 +350,10 @@ def observer_spectrum(
     phi_before = phi_fn(rho, mode).phi
     params_out: list[tuple[float, ...]] = []
     values: list[float] = []
-    if len(axes) == 1:
-        combos = ((i,) for i in range(len(grids[0])))
-    else:
-        combos = ((i, j) for i in range(len(grids[0])) for j in range(len(grids[1])))
-    for combo in combos:
+    for point in itertools.product(*grids):
         p = base.copy()
-        for (idx, _), gi, ci in zip(axes, grids, combo):
-            p[idx] = gi[ci]
+        for (idx, _), x in zip(axes, point):
+            p[idx] = x
         v = _phi_of_output(rho, family, p, mode)
         params_out.append(tuple(float(x) for x in p))
         values.append(v)

@@ -7,6 +7,7 @@ shortest-repr encoding the json module emits. Reading always revalidates.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from typing import TextIO, Union
 
@@ -35,9 +36,22 @@ def _decode_matrix(rows) -> np.ndarray:
     return arr
 
 
+def _loads(text: Union[str, bytes]):
+    """Parse outside JSON; malformed text is a :class:`BadParameter`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParameter(f"invalid JSON: {exc}") from exc
+
+
 def _is_int(x) -> bool:
     """JSON integers only: bools, floats and strings are refused."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """Finite JSON numbers only: bools, strings, NaN and infinities are refused."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _int_list(value, key: str) -> list[int]:
@@ -72,11 +86,7 @@ def state_from_dict(obj: dict) -> DensityMatrix:
 
 
 def state_from_json(text: Union[str, bytes]) -> DensityMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParameter(f"invalid JSON: {exc}") from exc
-    return state_from_dict(obj)
+    return state_from_dict(_loads(text))
 
 
 def read_state(stream: TextIO) -> DensityMatrix:
@@ -111,8 +121,4 @@ def channel_from_dict(obj: dict) -> KrausChannel:
 
 
 def channel_from_json(text: Union[str, bytes]) -> KrausChannel:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParameter(f"invalid JSON: {exc}") from exc
-    return channel_from_dict(obj)
+    return channel_from_dict(_loads(text))

@@ -1,5 +1,6 @@
 """Derivative-free 1-D line search used by the observer maximization.
-Deterministic: no randomness, fixed iteration count."""
+Deterministic: no randomness, fixed iteration count. The search returns the
+best point it evaluated, endpoints and first interior points included."""
 from __future__ import annotations
 
 from typing import Callable
@@ -13,19 +14,22 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 2
     """Golden-section maximization on [lo, hi].
 
     Both endpoints are evaluated explicitly so boundary optima are hit exactly.
-    Returns (x_best, f_best, evaluations).
+    Returns (x_best, f_best, evaluations): the best of all evaluated points,
+    the earliest one on ties.
     """
     evals = 0
+    best = None
 
     def ev(x):
-        nonlocal evals
+        nonlocal evals, best
         evals += 1
-        return f(x)
+        fx = f(x)
+        if best is None or fx > best[1]:
+            best = (x, fx)
+        return fx
 
-    best_x, best_f = lo, ev(lo)
-    fh = ev(hi)
-    if fh > best_f:
-        best_x, best_f = hi, fh
+    ev(lo)
+    ev(hi)
     a, b = float(lo), float(hi)
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
@@ -35,15 +39,11 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 2
             b, d, fd = d, c, fc
             c = b - INVPHI * (b - a)
             fc = ev(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + INVPHI * (b - a)
             fd = ev(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f, evals
+    return best[0], best[1], evals
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 24):

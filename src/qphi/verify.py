@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -39,6 +38,7 @@ from .phi import (
     lipschitz_check,
     merge_blocks,
 )
+from .qstate_io import _is_int, _is_number
 from .states import (
     DensityMatrix,
     SubsystemLayout,
@@ -99,7 +99,7 @@ REPORT_ONLY = (
 
 def _integer(what: str, v) -> int:
     """``v`` as an int; bools, floats and strings are rejected, not coerced."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+    if not _is_int(v):
         raise ConfigInvalid(f"{what} must be an integer, got {v!r}")
     return int(v)
 
@@ -159,7 +159,7 @@ class VerifyConfig:
         for k, v in _mapping("tolerances", self.tolerances or {}).items():
             if k not in DEFAULT_TOLERANCES:
                 raise ConfigInvalid(f"unknown tolerance key {k!r}")
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not _is_number(v):
                 raise ConfigInvalid(f"tolerance {k!r} must be a finite number, got {v!r}")
             tols[k] = float(v)
         object.__setattr__(self, "tolerances", tols)

@@ -121,6 +121,39 @@ def test_dendrogram_json_needs_two_children_and_null_leaf_phi():
             from_json(json.dumps(doc))
 
 
+def _relabel(node, shift):
+    node["members"] = [m + shift for m in node["members"]]
+    for c in node["children"] or []:
+        _relabel(c, shift)
+
+
+# each edit breaks one rule of a well-formed GHZ3 tree: root [0, 1, 2] with
+# children [0] and [1, 2], the latter with children [1] and [2]
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["root"]["children"][0].update(members=[]),
+        lambda doc: doc["root"]["children"][0].update(members=[8, 9]),
+        lambda doc: _relabel(doc["root"], 7),
+        lambda doc: doc["root"]["children"][0].update(members=[1]),
+        lambda doc: doc["root"]["children"][1].update(members=[1, 2, 3]),
+        lambda doc: doc["root"].update(tie_count=-1),
+        lambda doc: doc.update(mode="bogus"),
+        lambda doc: doc.update(mode=5),
+    ],
+    ids=[
+        "leaf-without-member", "leaf-with-two-members", "root-not-0..n-1",
+        "overlapping-children", "children-not-a-split", "negative-tie-count",
+        "unknown-mode", "non-string-mode",
+    ],
+)
+def test_dendrogram_json_that_is_not_a_tree_of_the_layout_is_rejected(edit):
+    doc = json.loads(to_json(build_dendrogram(ghz(3))))
+    edit(doc)
+    with pytest.raises(BadParameter):
+        from_json(json.dumps(doc))
+
+
 def test_dendrogram_invalid_json_is_rejected():
     with pytest.raises(BadParameter):
         from_json("not json at all")

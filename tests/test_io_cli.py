@@ -211,6 +211,24 @@ def test_observe_fixed_parameter_out_of_range_exits_2(fixed):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "haar", "--dims", "2,x"],
+        ["gen", "haar", "--dims", ","],
+        ["gen", "product", "--dims", "2,2", "--cut", ","],
+        ["observe", "-", "--family", "dephasing", "--grid", "3"],
+        ["observe", "-", "--family", "dephasing", "--grid", "0:3:4"],
+        ["observe", "-", "--family", "dephasing", "--grid", "0:3", "--fixed", "1"],
+        ["observe", "-", "--family", "dephasing", "--grid", "0:3", "--fixed", "1=x"],
+    ],
+)
+def test_malformed_comma_lists_exit_2(args):
+    res = run_cli(args, stdin_text=state_to_json(bell()))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:")
+
+
 def test_observe_fixed_without_grid_exits_2():
     # the search cannot pin a parameter, so --fixed must not be dropped silently
     state = run_cli(["gen", "bell"]).stdout

@@ -17,7 +17,8 @@ from qphi.observer import (
     partial_trace_family,
 )
 from qphi.phi import phi
-from qphi.states import bell, ghz, pure_state, substream, tensor
+from qphi.search import INVPHI, golden_max
+from qphi.states import bell, ghz, ginibre_mixed, pure_state, substream, tensor
 
 BELL_PHI = 0.3803956658485781
 CLASSICAL_PAIR_PHI = 0.2157615543388356
@@ -66,6 +67,54 @@ def test_partial_trace_family_picks_the_spectator():
     fam = partial_trace_family(rho.layout)
     res = maximize_phi(rho, fam, budget=60, restarts=2, seed=0)
     assert res.phi_after == pytest.approx(BELL_PHI, abs=1e-9)
+
+
+def test_golden_max_returns_the_best_evaluated_point():
+    # the first interior point c is evaluated before the bracket loop starts
+    c = 1.0 - INVPHI
+    assert golden_max(lambda t: -((t - c) ** 2), 0.0, 1.0) == (c, 0.0, 28)
+    # ties go to the earliest evaluation, the lower endpoint
+    assert golden_max(lambda t: 1.0, 0.0, 1.0, iters=3) == (0.0, 1.0, 7)
+
+
+SEARCH_STATES = {
+    "bell": bell,
+    "ghz3": lambda: ghz(3),
+    "ghz4": lambda: ghz(4),
+    "ginibre222": lambda: ginibre_mixed((2, 2, 2), 8, substream(5, "observer-test")),
+}
+SEARCH_FAMILIES = {
+    "dephasing": local_dephasing_family,
+    "depolarizing": local_depolarizing_family,
+    "ptrace": partial_trace_family,
+}
+
+
+@pytest.mark.parametrize(
+    "state, family, budget, restarts, seed",
+    [
+        # Bell seeds 7 and 15 found a better point than they reported
+        # while golden_max ignored its first interior points
+        ("bell", "dephasing", 500, 8, 7),
+        ("bell", "dephasing", 500, 8, 15),
+        ("bell", "dephasing", 120, 2, 3),
+        ("ghz3", "dephasing", 200, 4, 1),
+        ("ginibre222", "depolarizing", 50, 1, 3),
+        ("ginibre222", "depolarizing", 20, 8, 0),
+        ("ghz4", "ptrace", 40, 2, 1),
+        ("ginibre222", "ptrace", 17, 2, 2),
+        # budgets below one line search still stop at the budget
+        ("bell", "dephasing", 1, 1, 0),
+        ("bell", "dephasing", 3, 2, 0),
+        ("bell", "dephasing", 7, 3, 0),
+    ],
+)
+def test_search_reports_the_best_point_it_evaluated(state, family, budget, restarts, seed):
+    rho = SEARCH_STATES[state]()
+    res = maximize_phi(rho, SEARCH_FAMILIES[family](rho.layout), budget, restarts, seed)
+    assert 1 <= res.evaluations == len(res.trace) <= budget
+    assert res.phi_after == max(v for _, v in res.trace)
+    assert res.best_params == next(p for p, v in res.trace if v == res.phi_after)
 
 
 def test_budget_validation():
