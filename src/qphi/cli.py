@@ -130,10 +130,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    if args.probe_starts < 0:
-        raise BadParameter(f"--probe-starts must be >= 0, got {args.probe_starts}")
-    if args.probe_starts > 0 and args.mode != "optimized":
-        raise BadParameter("--probe-starts needs --mode optimized")
     rho = _read_state(args.state)
     res = phi(rho, args.mode, n_cap=args.n_cap, probe_starts=args.probe_starts)
     out = {

@@ -157,7 +157,11 @@ def _negative_type(dmat: np.ndarray, trials: int, rng: np.random.Generator) -> G
         worst = max(worst, float(a @ dmat @ a))
     if not np.isfinite(worst):
         worst = 0.0
-    kernel = LN2 - dmat
-    min_eig = float(np.linalg.eigvalsh((kernel + kernel.T) / 2.0)[0])
     return GramReport(size=m, trials=int(trials), negative_type_max=worst,
-                      kernel_min_eigenvalue=min_eig)
+                      kernel_min_eigenvalue=_kernel_min_eigenvalue(dmat))
+
+
+def _kernel_min_eigenvalue(dmat: np.ndarray) -> float:
+    """The minimum eigenvalue of the shifted Gram ln 2 - D of a divergence matrix."""
+    kernel = LN2 - dmat
+    return float(np.linalg.eigvalsh((kernel + kernel.T) / 2.0)[0])

@@ -254,10 +254,11 @@ def maximize_phi(
     def best() -> tuple[tuple[float, ...], float]:
         return max(log, key=lambda e: e[1])
 
-    def ascend(p0, end: int) -> None:
-        """Coordinate-wise ascent from p0 while the evaluation count stays <= end."""
+    def ascend(p0, end: int, f0: Optional[float] = None) -> None:
+        """Coordinate-wise ascent from p0 while the evaluation count stays <= end;
+        p0 is evaluated first unless its value f0 is known."""
         p = np.array(p0, dtype=float)
-        f_cur = objective(p)
+        f_cur = objective(p) if f0 is None else f0
         while len(log) < end:
             f_pass_start = f_cur
             for c in range(p.size):
@@ -290,7 +291,8 @@ def maximize_phi(
         if r < restarts:
             ascend(starts[r], min(len(log) + per_restart, budget))
         else:
-            ascend(best()[0], budget)
+            best_p, best_f = best()
+            ascend(best_p, budget, best_f)
 
     best_params, best_f = best()
     near = tuple(params for params, v in log if best_f - v <= 1e-6)

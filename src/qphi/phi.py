@@ -487,16 +487,19 @@ def phi(
     *,
     n_cap: int = DEFAULT_N_CAP,
     probe_starts: int = 0,
-    probe_seed: int = 0,
 ) -> PhiResult:
     """Integrated information of the state, minimized over canonical bipartitions.
 
     ``probe_starts`` (optimized mode) reruns the descent from that many
-    perturbed initializations and records the spread of the resulting optima,
-    as a uniqueness diagnostic.
+    perturbed initializations, drawn from a fixed seed, and records the
+    spread of the resulting optima, as a uniqueness diagnostic.
     """
     if mode not in ("marginal", "optimized"):
         raise BadParameter(f"unknown mode {mode!r}")
+    if probe_starts < 0:
+        raise BadParameter(f"probe_starts must be >= 0, got {probe_starts}")
+    if probe_starts > 0 and mode != "optimized":
+        raise BadParameter("probe_starts needs mode 'optimized'")
     n = rho.n
     if n < 2:
         raise SingleSubsystem("phi needs at least two subsystems")
@@ -517,7 +520,7 @@ def phi(
     val, cut, sigma, hopt = best
     spread = None
     if probe_starts > 0:
-        rng = np.random.default_rng(probe_seed)
+        rng = np.random.default_rng(0)
         devs = []
         for _ in range(int(probe_starts)):
             z = [rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape) for h in hopt]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from itertools import chain
 from typing import TextIO, Union
 
 import numpy as np
@@ -25,12 +26,16 @@ def _encode_matrix(mat: np.ndarray) -> list:
 
 
 def _decode_matrix(rows) -> np.ndarray:
+    """A matrix of [re, im] cells; a cell of any other length, or holding a
+    bool or a non-real, is a :class:`BadParameter`."""
     try:
-        arr = np.asarray(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows], dtype=complex
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        arr = np.asarray([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        # one pass over the types that occur, not one check per number
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadParameter(f"malformed matrix entries: {exc}") from exc
+    if any(k is bool or not issubclass(k, numbers.Real) for k in kinds):
+        raise BadParameter("matrix entries must be pairs of real numbers")
     if arr.ndim != 2:
         raise DimensionMismatch("matrix must be two-dimensional")
     return arr

@@ -5,15 +5,18 @@ sequentially, so reports are byte-for-byte reproducible regardless of any
 thread-count hint a caller passes along.
 
 Checks draw and score their states in stacks of at most 1 MB of matrices
-(``divergence._STACK_BYTES``), not one state at a time. The draws keep each
-check's stream order: a run of samples takes its normals in one block where
-nothing else is drawn between them, and sample by sample where a check also
-draws a Kraus count or a channel, with the QR, channel application,
-validation and eigensolves deferred to stacks grouped by shape. The stacked
-kernels (:func:`qphi.phi._cut_divergences`,
-:func:`qphi.phi._partition_divergences`, :func:`qphi.divergence._grams`, the
-stacked channel application and validation) give the values of per-state
-scoring to round-off. A statistic over no samples is reported as null.
+(``divergence._STACK_BYTES``) and keep each check's stream order. One
+sampler, :func:`_samples`, takes every per-sample draw: sample t draws its
+states, then any Kraus count and channel. Two kinds of draw stay outside it.
+The metric, triangle and negative-type checks take a layout's states in one
+block of normals (:func:`_draw_states`), which is faster than sample by
+sample. The Petz products and Markov chains loop, as what they draw changes
+shape with the cut drawn just before. The stacked kernels
+(:func:`qphi.phi._cut_divergences`, :func:`qphi.phi._partition_divergences`,
+:func:`qphi.divergence._grams`, the stacked channel application and
+validation) give the values of per-state scoring to round-off; the blanket,
+convexity and optimized Lipschitz checks call the library on each drawn
+state. A statistic over no samples is reported as null.
 """
 from __future__ import annotations
 
@@ -27,7 +30,9 @@ import numpy as np
 
 from .blanket import blanket_scan, petz_recover
 from .channels import _apply_kraus, _apply_local, _random_kraus
-from .divergence import LN2, _grams, _negative_type, _stack_len, entropies, qjsd
+from .divergence import (
+    LN2, _grams, _kernel_min_eigenvalue, _negative_type, _stack_len, entropies, qjsd,
+)
 from .errors import ConfigInvalid
 from .phi import (
     _cut_divergences,
@@ -46,7 +51,6 @@ from .states import (
     _pure_stack,
     _validate_stack,
     enumerate_bipartitions,
-    ginibre_mixed,
     product_of_marginals,
     random_product,
     substream,
@@ -235,8 +239,9 @@ def _sampled(value, samples: int) -> Optional[float]:
 # State idx of a check's ensemble is a Haar-random pure state when
 # idx % 4 == 3 and a full-rank Ginibre state otherwise. A Generator gives the
 # same normals in one block as in pieces, so a block of them, cut up in draw
-# order, builds the states haar_pure and ginibre_mixed would build one by
-# one, by the same arithmetic on stacks and without a DensityMatrix each.
+# order, builds the states the per-state generators of qphi.states would
+# build one by one, by the same arithmetic on stacks and without a
+# DensityMatrix each.
 
 def _pure_at(idx) -> np.ndarray:
     return np.asarray(idx) % 4 == 3
@@ -274,6 +279,43 @@ def _chunks(count: int, per: int) -> list[np.ndarray]:
     check sizes its runs so that no stack it builds exceeds _STACK_BYTES."""
     per = max(1, per)
     return [np.arange(lo, min(lo + per, count)) for lo in range(0, count, per)]
+
+
+def _samples(rng, layouts, count: int, per: int, offsets=(0,), mixed=False, kraus=None):
+    """The per-sample draws of a check. Sample t lies on layout t mod
+    len(layouts) and draws, in order: states t + o for o in ``offsets``
+    (full-rank Ginibre throughout when ``mixed``); when ``kraus`` is
+    (kmax, local), a Kraus count in 1..kmax; then the Ginibre matrix of one
+    random channel per site (``local``) or on the whole space. Yields
+    (layout, (k, len(offsets), D, D) states, Kraus stacks) per run of at most
+    ``per`` samples and group of equal layout and Kraus count. The Kraus
+    stacks are None without ``kraus``, else as :func:`_apply_local` (a list,
+    one per site) or :func:`_apply_kraus` (one stack) takes them."""
+    kmax, local = kraus or (0, False)
+    for ts in _chunks(count, per):
+        groups: dict = {}
+        for t in ts:
+            li = t % len(layouts)
+            dim = math.prod(layouts[li])
+            pure = _pure_at([t + o for o in offsets]) & (not mixed)
+            x = _state_normals(rng, dim, pure)
+            kc, z = 0, []
+            if kmax:
+                kc = int(rng.integers(1, kmax + 1))
+                sites = layouts[li] if local else (dim,)
+                z = [rng.standard_normal((2, d * kc, d * kc)) for d in sites]
+            groups.setdefault((li, kc), []).append((pure, x, z))
+        for (li, kc), group in groups.items():
+            lay = layouts[li]
+            dim = math.prod(lay)
+            pure, x, z = zip(*group)
+            states = _states_from_normals(np.concatenate(x), dim, np.concatenate(pure))
+            ks = None
+            if kmax:
+                sites = lay if local else (dim,)
+                ks = [_random_kraus(np.stack(zs), d, d, kc) for d, zs in zip(sites, zip(*z))]
+                ks = ks if local else ks[0]
+            yield lay, states.reshape(len(group), len(offsets), dim, dim), ks
 
 
 def _pair_entropies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,33 +386,11 @@ def _channel_run(cfg: VerifyConfig) -> int:
     return min(_stack_len(dim) // 3, _stack_len(4 * dim))
 
 
-def _channel_samples(cfg: VerifyConfig, rng, count: int, offsets: tuple[int, ...]):
-    """The samples of the random-channel checks. Sample t draws, in order,
-    states t + o for o in ``offsets``, a Kraus count in 1..4 and the Ginibre
-    matrix of the channel's unitary. Yields (layout, (k, len(offsets), D, D)
-    states, (k, count, D, D) Kraus families) per run and (layout, count)."""
-    layouts = cfg.layouts
-    for ts in _chunks(count, _channel_run(cfg)):
-        groups: dict = {}
-        for t in ts:
-            li = t % len(layouts)
-            dim = math.prod(layouts[li])
-            x = _state_normals(rng, dim, _pure_at([t + o for o in offsets]))
-            kc = int(rng.integers(1, 5))
-            z = rng.standard_normal((2, dim * kc, dim * kc))
-            groups.setdefault((li, kc), []).append((t, x, z))
-        for (li, kc), group in groups.items():
-            dim = math.prod(layouts[li])
-            pure = _pure_at([[t + o for o in offsets] for t, _, _ in group]).ravel()
-            states = _states_from_normals(np.concatenate([x for _, x, _ in group]), dim, pure)
-            kraus = _random_kraus(np.stack([z for _, _, z in group]), dim, dim, kc)
-            yield layouts[li], states.reshape(len(group), len(offsets), dim, dim), kraus
-
-
 def _check_data_processing(cfg: VerifyConfig, rng):
     count = int(cfg.counts["data_processing"])
     worst = -np.inf
-    for _, states, kraus in _channel_samples(cfg, rng, count, (0, 2)):
+    per = _channel_run(cfg)
+    for _, states, kraus in _samples(rng, cfg.layouts, count, per, (0, 2), kraus=(4, False)):
         a, b = states[:, 0], states[:, 1]
         s_a, s_b, s_mid = _pair_entropies(a, b)
         c_a, c_b, c_mid = _pair_entropies(
@@ -390,43 +410,15 @@ def _check_local_mono(cfg: VerifyConfig, rng):
     dim = max(math.prod(lay) for lay in layouts)
     site = max(d for lay in layouts for d in lay)
     per = min(_stack_len(dim), _stack_len(3 * site) // max(len(lay) for lay in layouts))
-    for ts in _chunks(count, per):
-        # the draws of a sample, in order: its state (t), the Kraus count,
-        # then one channel's Ginibre matrix per site
-        groups: dict = {}
-        for t in ts:
-            li = t % len(layouts)
-            lay = layouts[li]
-            x = _state_normals(rng, math.prod(lay), _pure_at([t]))
-            kc = int(rng.integers(1, 4))
-            z = [rng.standard_normal((2, d * kc, d * kc)) for d in lay]
-            groups.setdefault((li, kc), []).append((t, x, z))
-        for (li, kc), group in groups.items():
-            lay = layouts[li]
-            rho = _states_from_normals(
-                np.concatenate([x for _, x, _ in group]), math.prod(lay),
-                _pure_at([t for t, _, _ in group]),
-            )
-            kraus = [
-                _random_kraus(np.stack([z[k] for _, _, z in group]), d, d, kc)
-                for k, d in enumerate(lay)
-            ]
-            after = _phis(_validate_stack(_apply_local(kraus, rho, lay)), lay)
-            worst = max(worst, np.max(after - _phis(rho, lay)))
+    for lay, states, kraus in _samples(rng, layouts, count, per, kraus=(3, True)):
+        rho = states[:, 0]
+        after = _phis(_validate_stack(_apply_local(kraus, rho, lay)), lay)
+        worst = max(worst, np.max(after - _phis(rho, lay)))
     return worst, count, {}
 
 
-def _ginibre_runs(count: int, rng):
-    """The states of the k-block and merge checks: sample t is a full-rank
-    Ginibre state on 3 qubits when t is even and on 4 when odd. Yields
-    (n, stack of the run's states on n qubits) for each run."""
-    for ts in _chunks(count, _stack_len(16)):
-        draws: dict = {}
-        for t in ts:
-            n = 3 if t % 2 == 0 else 4
-            draws.setdefault(n, []).append(_state_normals(rng, 2**n, [False]))
-        for n, xs in draws.items():
-            yield n, _states_from_normals(np.concatenate(xs), 2**n, np.zeros(len(xs), bool))
+# the k-block and merge checks draw full-rank states on 3 qubits for even t, 4 for odd
+_QUBITS = ((2,) * 3, (2,) * 4)
 
 
 @lru_cache(maxsize=None)
@@ -448,9 +440,10 @@ def _check_merge(cfg: VerifyConfig, rng):
     count = int(cfg.counts["merge_inequality"])
     worst = -np.inf
     merges = 0
-    for n, rho in _ginibre_runs(count, rng):
-        table = _partition_divergences(rho, (2,) * n, enumerate_partitions(n))
-        merged, part = _merge_pairs(n)
+    for lay, states, _ in _samples(rng, _QUBITS, count, _stack_len(16), mixed=True):
+        rho = states[:, 0]
+        table = _partition_divergences(rho, lay, enumerate_partitions(len(lay)))
+        merged, part = _merge_pairs(len(lay))
         worst = max(worst, np.max(table[:, merged] - table[:, part]))
         merges += len(rho) * merged.size
     return worst, count, {"merges_checked": merges}
@@ -459,9 +452,10 @@ def _check_merge(cfg: VerifyConfig, rng):
 def _check_kblock(cfg: VerifyConfig, rng):
     count = int(cfg.counts["kblock_bipartition_equivalence"])
     worst = -np.inf
-    for n, rho in _ginibre_runs(count, rng):
-        bimin = _phis(rho, (2,) * n)
-        kmin = _partition_divergences(rho, (2,) * n, enumerate_partitions(n)).min(axis=1)
+    for lay, states, _ in _samples(rng, _QUBITS, count, _stack_len(16), mixed=True):
+        rho = states[:, 0]
+        bimin = _phis(rho, lay)
+        kmin = _partition_divergences(rho, lay, enumerate_partitions(len(lay))).min(axis=1)
         worst = max(worst, np.max(np.abs(bimin - kmin)))
     return worst, count, {}
 
@@ -491,12 +485,9 @@ def _check_negative_type(cfg: VerifyConfig, rng):
 
 
 def _check_shifted_kernel(cfg: VerifyConfig, rng):
-    trials = 1  # eigenvalue only; the sampling part lives in negative_type
-    min_eig = np.inf
+    # the eigenvalue only; the sampling part lives in negative_type
     grams = _ensembles(cfg, rng)
-    for dmat in grams:
-        rep = _negative_type(dmat, trials, rng)
-        min_eig = min(min_eig, rep.kernel_min_eigenvalue)
+    min_eig = min((_kernel_min_eigenvalue(dmat) for dmat in grams), default=np.inf)
     return None, len(grams), {"kernel_min_eigenvalue": _sampled(min_eig, len(grams))}
 
 
@@ -536,31 +527,11 @@ def _check_petz(cfg: VerifyConfig, rng):
     return worst, count + chains, {"markov_chain_worst_error": _sampled(chain_worst, chains)}
 
 
-def _layout_samples(cfg: VerifyConfig, rng, count: int, offsets: tuple[int, ...], per: int):
-    """The samples of checks that draw nothing but their states: sample t
-    takes states t + o for o in ``offsets``, on layout t mod the number of
-    layouts. Yields (layout, (k, len(offsets), D, D) states) per run of at
-    most ``per`` samples and layout."""
-    layouts = cfg.layouts
-    for ts in _chunks(count, per):
-        groups: dict = {}
-        for t in ts:
-            li = t % len(layouts)
-            idx = [t + o for o in offsets]
-            x = _state_normals(rng, math.prod(layouts[li]), _pure_at(idx))
-            groups.setdefault(li, []).append((idx, x))
-        for li, group in groups.items():
-            dim = math.prod(layouts[li])
-            pure = _pure_at([idx for idx, _ in group]).ravel()
-            states = _states_from_normals(np.concatenate([x for _, x in group]), dim, pure)
-            yield layouts[li], states.reshape(len(group), len(offsets), dim, dim)
-
-
 def _check_witness_algebra(cfg: VerifyConfig, rng):
     count = int(cfg.counts["witness_algebra"])
     worst = -np.inf
     per = _stack_len(max(math.prod(lay) for lay in cfg.layouts))
-    for dims, states in _layout_samples(cfg, rng, count, (0,), per):
+    for dims, states, _ in _samples(rng, cfg.layouts, count, per):
         lay = SubsystemLayout(dims)
         mats = states[:, 0]
         for mat, values in zip(mats, _cut_divergences(mats, lay.dims)):
@@ -580,25 +551,21 @@ def _check_witness_algebra(cfg: VerifyConfig, rng):
 
 
 def _check_convexity(cfg: VerifyConfig, rng):
-    pairs = int(cfg.counts["phi_convexity"])
-    pairs_opt = int(cfg.counts["phi_convexity_optimized"])
-    worst_marg = -np.inf
-    for _ in range(pairs):
-        a = ginibre_mixed((2, 2), 4, rng)
-        b = ginibre_mixed((2, 2), 4, rng)
-        rep = convexity_check(a, b, t_grid=(0.1, 0.3, 0.5, 0.7, 0.9), mode="marginal")
-        worst_marg = max(worst_marg, rep.max_violation)
-    worst_opt = -np.inf
-    for _ in range(pairs_opt):
-        a = ginibre_mixed((2, 2), 4, rng)
-        b = ginibre_mixed((2, 2), 4, rng)
-        rep = convexity_check(a, b, t_grid=(0.25, 0.5, 0.75), mode="optimized")
-        worst_opt = max(worst_opt, rep.max_violation)
-    details = {
-        "max_violation_marginal": float(worst_marg) if pairs else None,
-        "max_violation_optimized": float(worst_opt) if pairs_opt else None,
-    }
-    return None, pairs + pairs_opt, details
+    details, total = {}, 0
+    # pair t is two full-rank states on (2, 2); the marginal pairs are drawn first
+    for key, mode, t_grid in (
+        ("phi_convexity", "marginal", (0.1, 0.3, 0.5, 0.7, 0.9)),
+        ("phi_convexity_optimized", "optimized", (0.25, 0.5, 0.75)),
+    ):
+        count = int(cfg.counts[key])
+        worst = -np.inf
+        for lay, states, _ in _samples(rng, ((2, 2),), count, _stack_len(4), (0, 1), mixed=True):
+            for a, b in states:
+                rep = convexity_check(DensityMatrix(lay, a), DensityMatrix(lay, b), t_grid, mode)
+                worst = max(worst, rep.max_violation)
+        details[f"max_violation_{mode}"] = _sampled(worst, count)
+        total += count
+    return None, total, details
 
 
 def _check_lipschitz(cfg: VerifyConfig, rng):
@@ -607,7 +574,7 @@ def _check_lipschitz(cfg: VerifyConfig, rng):
     worst_marg = -np.inf
     per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 3
     # pair t is states t and t + 1; lipschitz_check in marginal mode, stacked
-    for lay, states in _layout_samples(cfg, rng, pairs, (0, 1), per):
+    for lay, states, _ in _samples(rng, cfg.layouts, pairs, per, (0, 1)):
         a, b = states[:, 0], states[:, 1]
         root_a, root_b = (np.sqrt(np.maximum(_phis(m, lay), 0.0)) for m in (a, b))
         lhs = np.abs(root_a - root_b)
@@ -615,10 +582,10 @@ def _check_lipschitz(cfg: VerifyConfig, rng):
         rhs = np.sqrt(np.maximum(s_mid - 0.5 * s_a - 0.5 * s_b, 0.0))
         worst_marg = max(worst_marg, np.max(lhs - rhs))
     worst_opt = -np.inf
-    for _ in range(pairs_opt):
-        a = ginibre_mixed((2, 2), 4, rng)
-        b = ginibre_mixed((2, 2), 4, rng)
-        worst_opt = max(worst_opt, lipschitz_check(a, b, mode="optimized").violation)
+    for lay, states, _ in _samples(rng, ((2, 2),), pairs_opt, _stack_len(4), (0, 1), mixed=True):
+        for a, b in states:
+            rep = lipschitz_check(DensityMatrix(lay, a), DensityMatrix(lay, b), mode="optimized")
+            worst_opt = max(worst_opt, rep.violation)
     details = {
         "max_violation_marginal": float(worst_marg) if pairs else None,
         "max_violation_optimized": float(worst_opt) if pairs_opt else None,
@@ -630,7 +597,8 @@ def _check_general_channel(cfg: VerifyConfig, rng):
     count = int(cfg.counts["general_channel_phi_monotonicity"])
     worst = -np.inf
     increases = 0
-    for lay, states, kraus in _channel_samples(cfg, rng, count, (0,)):
+    per = _channel_run(cfg)
+    for lay, states, kraus in _samples(rng, cfg.layouts, count, per, kraus=(4, False)):
         rho = states[:, 0]
         before = _phis(rho, lay)
         after = _phis(_validate_stack(_apply_kraus(kraus, rho)), lay)
@@ -642,13 +610,10 @@ def _check_general_channel(cfg: VerifyConfig, rng):
 def _check_blanket_agreement(cfg: VerifyConfig, rng):
     count = int(cfg.counts["blanket_cut_agreement"])
     matches = 0
-    for _ in range(count):
-        rho = ginibre_mixed((2, 2, 2), 8, rng)
-        res = blanket_scan(rho, 1)
-        if res.matches_optimal_cut_side:
-            matches += 1
-    rate = matches / count if count else 1.0
-    return None, count, {"agreement_rate": float(rate)}
+    for lay, states, _ in _samples(rng, ((2, 2, 2),), count, _stack_len(8), mixed=True):
+        for mat in states[:, 0]:
+            matches += blanket_scan(DensityMatrix(lay, mat), 1).matches_optimal_cut_side
+    return None, count, {"agreement_rate": matches / count if count else 1.0}
 
 
 _CHECKS: tuple[tuple[str, str, Callable], ...] = (

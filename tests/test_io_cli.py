@@ -78,6 +78,20 @@ def test_malformed_dims_are_rejected(dims):
         state_from_dict(doc)
 
 
+@pytest.mark.parametrize("cell", [[0.5, 0, 7], [True, False], [10**400, 0]])
+def test_matrix_cells_must_be_two_numbers(cell):
+    # these once loaded as 0.5 and as 1, and an integer beyond float range
+    # escaped as an OverflowError
+    doc = state_to_dict(bell())
+    doc["matrix"][0][0] = cell
+    with pytest.raises(BadParameter):
+        state_from_json(json.dumps(doc))
+    ch = json.loads(channel_to_json(random_channel(2, 2, 2, substream(1, "io-ch"))))
+    ch["kraus"][0][0][0] = cell
+    with pytest.raises(BadParameter):
+        channel_from_json(json.dumps(ch))
+
+
 def test_malformed_non_finite_matrix_is_rejected():
     # json.loads reads a bare NaN, and NaN passes every "x > tol" test
     doc = state_to_dict(bell())

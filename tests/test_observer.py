@@ -117,6 +117,16 @@ def test_search_reports_the_best_point_it_evaluated(state, family, budget, resta
     assert res.best_params == next(p for p, v in res.trace if v == res.phi_after)
 
 
+def test_polish_does_not_rescore_the_best_point():
+    rho = ginibre_mixed((2, 2, 2), 8, substream(5, "cases"))
+    res = maximize_phi(rho, local_depolarizing_family((2, 2, 2)), budget=20, restarts=8, seed=3)
+    points = [tuple(np.round(p, 3)) for p, _ in res.trace]
+    # the third Sobol start is the best point when the polish begins
+    assert points.count((0.386, 0.439, 0.429)) == 1
+    assert len(set(p for p, _ in res.trace)) == len(res.trace)
+    assert res.evaluations == len(res.trace) <= 20
+
+
 def test_budget_validation():
     with pytest.raises(BadBudget):
         maximize_phi(bell(), local_dephasing_family((2, 2)), budget=0)
@@ -199,7 +209,8 @@ def test_search_over_no_parameters_evaluates_the_fixed_channel():
     fam = custom_family([], lambda p: LocalChannel((depolarizing(0.0, 2), depolarizing(0.0, 2))))
     res = maximize_phi(bell(), fam, budget=10, restarts=3, seed=0)
     assert res.best_params == ()
-    assert res.evaluations == 4
+    # one evaluation per restart; the polish starts from a value already known
+    assert res.evaluations == 3
     assert res.phi_after == pytest.approx(BELL_PHI, abs=1e-9)
 
 

@@ -433,11 +433,21 @@ def test_refinement_of_a_pure_state_is_fast_and_lower():
 def test_probe_starts_report_a_refinement_spread():
     rho = OPT_STATES["full-222"]
     plain = phi(rho, "optimized")
-    probed = phi(rho, "optimized", probe_starts=3, probe_seed=1)
+    probed = phi(rho, "optimized", probe_starts=3)
     assert plain.refinement_spread is None
     assert probed.phi == plain.phi and probed.optimal_cut == plain.optimal_cut
     # a full-rank state has a unique optimum, which perturbed starts find again
     assert 0.0 <= probed.refinement_spread <= 1e-4
+
+
+@pytest.mark.parametrize("mode, starts", [("optimized", -1), ("marginal", -1), ("marginal", 1)])
+def test_probe_starts_are_refused_before_any_work(mode, starts, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a refused call scored a cut")
+
+    monkeypatch.setattr(phi_module, "_cut_divergences", unreachable)
+    with pytest.raises(BadParameter, match="probe_starts"):
+        phi(OPT_STATES["full-222"], mode, probe_starts=starts)
 
 
 # ---------------------------------------------------------------------------

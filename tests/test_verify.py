@@ -8,6 +8,7 @@ import pytest
 
 from qphi.divergence import _STACK_BYTES as STACK_BYTES
 from qphi.errors import ConfigInvalid
+from qphi.channels import random_channel, random_local_channel
 from qphi.states import SubsystemLayout, ginibre_mixed, haar_pure, substream
 from qphi.verify import DEFAULT_COUNTS, VerifyConfig, run_suite
 
@@ -237,6 +238,45 @@ def test_stacked_draws_match_per_state_generators(dims, first):
     rest = substream(1, "draws")
     verify._draw_states(rest, lay.dim, verify._pure_at(idx))
     assert rest.standard_normal() == rng.standard_normal()
+    # the sampler: sample t on layout t mod 2 draws states t + o, then any
+    # Kraus count and channel; runs of 4, grouped by layout and Kraus count
+    layouts, count, per, offsets = (dims, (2, 2)), 9, 4, (0, first)
+    for mixed, kraus in ((True, None), (False, (4, False)), (False, (3, True))):
+        rng = substream(2, "draws")
+        want, keys = [], []
+        for t in range(count):
+            lay = SubsystemLayout(layouts[t % 2])
+            pure = [not mixed and (t + o) % 4 == 3 for o in offsets]
+            states = [haar_pure(lay, rng) if p else ginibre_mixed(lay, lay.dim, rng) for p in pure]
+            kc, channels = 0, []
+            if kraus:
+                kc = int(rng.integers(1, kraus[0] + 1))
+                channels = (
+                    random_local_channel(lay, kc, rng).channels if kraus[1]
+                    else [random_channel(lay.dim, lay.dim, kc, rng)]
+                )
+            want.append((lay.dims, [w.mat for w in states] + [ch.kraus for ch in channels]))
+            keys.append((t % 2, kc))
+        order = []
+        for lo in range(0, count, per):
+            run = range(lo, min(lo + per, count))
+            first_seen = {}
+            for t in run:
+                first_seen.setdefault(keys[t], len(first_seen))
+            order += sorted(run, key=lambda t: first_seen[keys[t]])
+        got = []
+        sampler = substream(2, "draws")
+        runs = verify._samples(sampler, layouts, count, per, offsets, mixed, kraus)
+        for lay_dims, states, ks in runs:
+            assert (ks is None) == (kraus is None)
+            sites = [] if ks is None else ks if kraus[1] else [ks]
+            got += [(lay_dims, [*states[j], *(k[j] for k in sites)]) for j in range(len(states))]
+        assert len(got) == count
+        for t, (lay_dims, mats) in zip(order, got):
+            assert lay_dims == want[t][0] and len(mats) == len(want[t][1])
+            for mat, w in zip(mats, want[t][1]):
+                assert np.max(np.abs(mat - np.asarray(w))) <= 1e-15
+        assert sampler.standard_normal() == rng.standard_normal()
 
 
 def test_runs_cover_every_sample_and_keep_stacks_under_the_cap():
