@@ -29,7 +29,7 @@ from .errors import (
     IndexOutOfRange,
     SupportBreakdown,
 )
-from .phi import phi as phi_fn
+from .phi import PhiResult, phi as phi_fn
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -137,15 +137,21 @@ def blanket_scan(rho: DensityMatrix, target_size: int, mode: str = "marginal") -
 
     score(Z) = qjsd(rho, recovered conditional (x) blanket marginal). With the
     whole complement Y rebuilt the recovered conditional is rho_Y, so the score
-    is the marginal per-cut divergence of the cut Z|Y and is read from the
-    ``per_cut`` table of phi; zero exactly when the state factorizes across Z.
-    The argmin subset is compared against the smaller side of the phi-optimal
-    cut (reported, not asserted).
+    is the marginal per-cut divergence of the cut Z|Y; zero exactly when the
+    state factorizes across Z. The scan validates the size, calls phi once
+    and reads the scores from its ``per_cut`` table (:func:`_scan`). The
+    argmin subset is compared against the smaller side of the phi-optimal cut
+    (reported, not asserted).
     """
     n = rho.n
     if not 1 <= target_size <= n - 1:
         raise BadSize(f"target size {target_size} outside [1, {n - 1}]")
-    res = phi_fn(rho, mode)
+    return _scan(phi_fn(rho, mode), target_size)
+
+
+def _scan(res: PhiResult, target_size: int) -> BlanketResult:
+    """The blanket scan of the state whose phi result is ``res``."""
+    n = res.optimal_cut.n
     a_side, b_side = res.optimal_cut.as_lists()
     smaller = tuple(a_side) if len(a_side) <= len(b_side) else tuple(b_side)
 

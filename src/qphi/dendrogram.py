@@ -31,6 +31,13 @@ class DendrogramNode:
         return self.children is None
 
 
+def _preorder(node: DendrogramNode):
+    """Every node of the subtree, each before its children, children left to right."""
+    yield node
+    for child in node.children or ():
+        yield from _preorder(child)
+
+
 @dataclass(frozen=True)
 class Dendrogram:
     root: DendrogramNode
@@ -38,29 +45,12 @@ class Dendrogram:
     mode: str
 
     def internal_nodes(self) -> list[DendrogramNode]:
-        out = []
-
-        def rec(node):
-            if not node.is_leaf:
-                out.append(node)
-                for c in node.children:
-                    rec(c)
-
-        rec(self.root)
-        return out
+        """The internal nodes, pre-order."""
+        return [node for node in _preorder(self.root) if not node.is_leaf]
 
     def leaves(self) -> list[DendrogramNode]:
-        out = []
-
-        def rec(node):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                for c in node.children:
-                    rec(c)
-
-        rec(self.root)
-        return out
+        """The leaves, left to right."""
+        return [node for node in _preorder(self.root) if node.is_leaf]
 
 
 def build_dendrogram(rho: DensityMatrix, mode: str = "marginal") -> Dendrogram:

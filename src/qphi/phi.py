@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import _stack_len, delta, entropies
+from .divergence import _pair_divergences, _stack_len, entropies
 from .errors import (
     BadParameter,
     InvalidPartition,
@@ -552,6 +552,15 @@ def min_over_partitions(rho: DensityMatrix):
     return values[k], parts[k]
 
 
+def _phis(mats: np.ndarray, dims: tuple[int, ...], mode: str = "marginal") -> np.ndarray:
+    """phi of every state of an (S, D, D) stack: one :func:`_cut_divergences`
+    pass in marginal mode, else one :func:`phi` call per state (which rejects
+    an unknown mode)."""
+    if mode == "marginal":
+        return _cut_divergences(mats, tuple(dims)).min(axis=1)
+    return np.array([phi(DensityMatrix(tuple(dims), m), mode).phi for m in mats])
+
+
 # ---------------------------------------------------------------------------
 # empirical checkers (convexity is measured, not assumed)
 
@@ -568,20 +577,25 @@ def convexity_check(
     t_grid: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     mode: str = "marginal",
 ) -> ConvexityReport:
+    """phi(t rho1 + (1 - t) rho2) against t phi(rho1) + (1 - t) phi(rho2) for
+    each t of ``t_grid``: :func:`_convexity_violations` on a stack of one pair."""
     if rho1.dims != rho2.dims:
         raise BadParameter("states must share a layout")
-    p1 = phi(rho1, mode).phi
-    p2 = phi(rho2, mode).phi
-    viol = []
+    viol = _convexity_violations(rho1.mat[None], rho2.mat[None], rho1.dims, t_grid, mode)[0]
+    viol = tuple(viol.tolist())
+    return ConvexityReport(tuple(float(t) for t in t_grid), viol, max(viol))
+
+
+def _convexity_violations(a: np.ndarray, b: np.ndarray, dims, t_grid, mode: str) -> np.ndarray:
+    """phi(t a + (1 - t) b) - [t phi(a) + (1 - t) phi(b)] for each pair of two
+    paired (k, D, D) stacks and each t of ``t_grid``: a (k, len(t_grid))
+    array. One :func:`_phis` call scores a, b and every mix."""
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise BadParameter(f"mixing weight {t} outside [0, 1]")
-        mix = DensityMatrix(
-            rho1.layout, t * np.asarray(rho1.mat) + (1.0 - t) * np.asarray(rho2.mat)
-        )
-        viol.append(phi(mix, mode).phi - (t * p1 + (1.0 - t) * p2))
-    mx = max(viol)
-    return ConvexityReport(tuple(float(t) for t in t_grid), tuple(viol), mx)
+    mixes = [t * a + (1.0 - t) * b for t in t_grid]
+    p1, p2, *pm = _phis(np.concatenate([a, b, *mixes]), dims, mode).reshape(len(mixes) + 2, -1)
+    return np.stack([p - (t * p1 + (1.0 - t) * p2) for t, p in zip(t_grid, pm)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -592,11 +606,18 @@ class LipschitzReport:
 
 
 def lipschitz_check(rho1: DensityMatrix, rho2: DensityMatrix, mode: str = "marginal") -> LipschitzReport:
-    """Compares the sqrt-phi gap against the state distance (1-Lipschitz bound)."""
+    """Compares the sqrt-phi gap against the state distance (1-Lipschitz
+    bound); :func:`_lipschitz_sides` on a stack of one pair."""
     if rho1.dims != rho2.dims:
         raise BadParameter("states must share a layout")
-    p1 = max(phi(rho1, mode).phi, 0.0)
-    p2 = max(phi(rho2, mode).phi, 0.0)
-    lhs = abs(float(np.sqrt(p1)) - float(np.sqrt(p2)))
-    rhs = delta(rho1, rho2)
+    lhs, rhs = _lipschitz_sides(rho1.mat[None], rho2.mat[None], rho1.dims, mode)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     return LipschitzReport(lhs=lhs, rhs=rhs, violation=lhs - rhs)
+
+
+def _lipschitz_sides(a: np.ndarray, b: np.ndarray, dims, mode: str):
+    """|sqrt(phi(a)) - sqrt(phi(b))| and delta(a, b) for each pair of two
+    paired (k, D, D) stacks: two (k,) arrays. One :func:`_phis` call scores
+    a and b; callers keep k within ``_stack_len(D) // 3``."""
+    roots = np.sqrt(np.maximum(_phis(np.concatenate([a, b]), dims, mode), 0.0)).reshape(2, -1)
+    return np.abs(roots[0] - roots[1]), np.sqrt(np.maximum(_pair_divergences(a, b), 0.0))

@@ -14,33 +14,35 @@ sample. The Petz products and Markov chains loop, as what they draw changes
 shape with the cut drawn just before. The stacked kernels
 (:func:`qphi.phi._cut_divergences`, :func:`qphi.phi._partition_divergences`,
 :func:`qphi.divergence._grams`, the stacked channel application and
-validation) give the values of per-state scoring to round-off; the blanket,
-convexity and optimized Lipschitz checks call the library on each drawn
-state. A statistic over no samples is reported as null.
+validation) give the values of per-state scoring to round-off. Divergence,
+convexity, Lipschitz and blanket scores come from the stacked bodies behind
+the library's public functions. A statistic over no samples is null.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .blanket import blanket_scan, petz_recover
+from .blanket import _scan, petz_recover
 from .channels import _apply_kraus, _apply_local, _random_kraus
 from .divergence import (
-    LN2, _grams, _kernel_min_eigenvalue, _negative_type, _stack_len, entropies, qjsd,
+    LN2, _grams, _kernel_min_eigenvalue, _negative_type, _pair_divergences, _pair_entropies,
+    _stack_len,
 )
 from .errors import ConfigInvalid
 from .phi import (
+    _convexity_violations,
     _cut_divergences,
+    _lipschitz_sides,
     _marginal_result,
     _partition_divergences,
-    convexity_check,
+    _phis,
     enumerate_partitions,
-    lipschitz_check,
     merge_blocks,
 )
 from .qstate_io import _is_int, _is_number
@@ -90,15 +92,6 @@ DEFAULT_TOLERANCES = {
     "petz_product_exactness": 1e-9,
     "witness_algebra": 1e-12,
 }
-
-ASSERTED = tuple(sorted(DEFAULT_TOLERANCES))
-REPORT_ONLY = (
-    "blanket_cut_agreement",
-    "general_channel_phi_monotonicity",
-    "phi_convexity",
-    "phi_lipschitz",
-    "shifted_kernel_psd",
-)
 
 
 def _integer(what: str, v) -> int:
@@ -172,16 +165,11 @@ class VerifyConfig:
     def from_dict(cls, obj: dict) -> "VerifyConfig":
         if not isinstance(obj, dict):
             raise ConfigInvalid("config must be a JSON object")
-        known = {"seed", "layouts", "counts", "tolerances"}
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
-        return cls(
-            seed=obj.get("seed", 0),
-            layouts=obj.get("layouts", DEFAULT_LAYOUTS),
-            counts=obj.get("counts", {}),
-            tolerances=obj.get("tolerances", {}),
-        )
+        # a key left out takes the field's default
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -194,14 +182,7 @@ class CheckResult:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "worst_violation": self.worst_violation,
-            "samples": self.samples,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -318,17 +299,6 @@ def _samples(rng, layouts, count: int, per: int, offsets=(0,), mixed=False, krau
             yield lay, states.reshape(len(group), len(offsets), dim, dim), ks
 
 
-def _pair_entropies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S(a), S(b) and S((a + b)/2) of two paired stacks, as rows of a
-    (3, k) array, from one stacked eigensolve."""
-    return entropies(np.linalg.eigvalsh(np.concatenate([a, b, (a + b) / 2.0]))).reshape(3, -1)
-
-
-def _phis(mats: np.ndarray, dims) -> np.ndarray:
-    """Marginal-mode phi of every state of a stack."""
-    return _cut_divergences(mats, tuple(dims)).min(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # individual checks; each returns (worst_violation, samples, details)
 
@@ -392,12 +362,10 @@ def _check_data_processing(cfg: VerifyConfig, rng):
     per = _channel_run(cfg)
     for _, states, kraus in _samples(rng, cfg.layouts, count, per, (0, 2), kraus=(4, False)):
         a, b = states[:, 0], states[:, 1]
-        s_a, s_b, s_mid = _pair_entropies(a, b)
-        c_a, c_b, c_mid = _pair_entropies(
+        pre = _pair_divergences(a, b)
+        post = _pair_divergences(
             _validate_stack(_apply_kraus(kraus, a)), _validate_stack(_apply_kraus(kraus, b))
         )
-        pre = s_mid - 0.5 * s_a - 0.5 * s_b
-        post = c_mid - 0.5 * c_a - 0.5 * c_b
         worst = max(worst, np.max(post - pre))
     return worst, count, {}
 
@@ -510,14 +478,19 @@ def _check_petz(cfg: VerifyConfig, rng):
     count = int(cfg.counts["petz_product_exactness"])
     chains = int(cfg.counts["petz_markov_chains"])
     worst = -np.inf
-    for t in range(count):
-        lay = cfg.layouts[t % len(cfg.layouts)]
-        n = len(lay)
-        cuts = enumerate_bipartitions(n)
-        cut = cuts[int(rng.integers(0, len(cuts)))]
-        rho = random_product(lay, cut, rng)
-        # the blanket score of either side of the cut; zero on a product state
-        worst = max(worst, qjsd(rho, product_of_marginals(rho, cut)))
+    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 3
+    for ts in _chunks(count, per):
+        pairs: dict = {}
+        for t in ts:
+            lay = cfg.layouts[t % len(cfg.layouts)]
+            cuts = enumerate_bipartitions(len(lay))
+            cut = cuts[int(rng.integers(0, len(cuts)))]
+            rho = random_product(lay, cut, rng)
+            pairs.setdefault(lay, []).append((rho.mat, product_of_marginals(rho, cut).mat))
+        for group in pairs.values():
+            # the blanket score of either side of the cut; zero on a product state
+            rho, sigma = (np.stack(m) for m in zip(*group))
+            worst = max(worst, np.max(_pair_divergences(rho, sigma)))
     chain_worst = -np.inf
     for _ in range(chains):
         mc = _random_markov_chain(rng)
@@ -559,38 +532,32 @@ def _check_convexity(cfg: VerifyConfig, rng):
     ):
         count = int(cfg.counts[key])
         worst = -np.inf
-        for lay, states, _ in _samples(rng, ((2, 2),), count, _stack_len(4), (0, 1), mixed=True):
-            for a, b in states:
-                rep = convexity_check(DensityMatrix(lay, a), DensityMatrix(lay, b), t_grid, mode)
-                worst = max(worst, rep.max_violation)
+        # a run's pairs and mixes make one stack
+        per = _stack_len(4) // (2 + len(t_grid))
+        for lay, states, _ in _samples(rng, ((2, 2),), count, per, (0, 1), mixed=True):
+            viol = _convexity_violations(states[:, 0], states[:, 1], lay, t_grid, mode)
+            worst = max(worst, np.max(viol))
         details[f"max_violation_{mode}"] = _sampled(worst, count)
         total += count
     return None, total, details
 
 
 def _check_lipschitz(cfg: VerifyConfig, rng):
-    pairs = int(cfg.counts["phi_lipschitz"])
-    pairs_opt = int(cfg.counts["phi_lipschitz_optimized"])
-    worst_marg = -np.inf
-    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 3
-    # pair t is states t and t + 1; lipschitz_check in marginal mode, stacked
-    for lay, states, _ in _samples(rng, cfg.layouts, pairs, per, (0, 1)):
-        a, b = states[:, 0], states[:, 1]
-        root_a, root_b = (np.sqrt(np.maximum(_phis(m, lay), 0.0)) for m in (a, b))
-        lhs = np.abs(root_a - root_b)
-        s_a, s_b, s_mid = _pair_entropies(a, b)
-        rhs = np.sqrt(np.maximum(s_mid - 0.5 * s_a - 0.5 * s_b, 0.0))
-        worst_marg = max(worst_marg, np.max(lhs - rhs))
-    worst_opt = -np.inf
-    for lay, states, _ in _samples(rng, ((2, 2),), pairs_opt, _stack_len(4), (0, 1), mixed=True):
-        for a, b in states:
-            rep = lipschitz_check(DensityMatrix(lay, a), DensityMatrix(lay, b), mode="optimized")
-            worst_opt = max(worst_opt, rep.violation)
-    details = {
-        "max_violation_marginal": float(worst_marg) if pairs else None,
-        "max_violation_optimized": float(worst_opt) if pairs_opt else None,
-    }
-    return None, pairs + pairs_opt, details
+    details, total = {}, 0
+    # pair t is states t and t + 1; the optimized pairs are full-rank states on (2, 2)
+    for key, mode, layouts in (
+        ("phi_lipschitz", "marginal", cfg.layouts),
+        ("phi_lipschitz_optimized", "optimized", ((2, 2),)),
+    ):
+        count = int(cfg.counts[key])
+        worst = -np.inf
+        per = _stack_len(max(math.prod(lay) for lay in layouts)) // 3
+        for lay, states, _ in _samples(rng, layouts, count, per, (0, 1), mixed=mode == "optimized"):
+            lhs, rhs = _lipschitz_sides(states[:, 0], states[:, 1], lay, mode)
+            worst = max(worst, np.max(lhs - rhs))
+        details[f"max_violation_{mode}"] = _sampled(worst, count)
+        total += count
+    return None, total, details
 
 
 def _check_general_channel(cfg: VerifyConfig, rng):
@@ -611,9 +578,11 @@ def _check_blanket_agreement(cfg: VerifyConfig, rng):
     count = int(cfg.counts["blanket_cut_agreement"])
     matches = 0
     for lay, states, _ in _samples(rng, ((2, 2, 2),), count, _stack_len(8), mixed=True):
-        for mat in states[:, 0]:
-            matches += blanket_scan(DensityMatrix(lay, mat), 1).matches_optimal_cut_side
-    return None, count, {"agreement_rate": matches / count if count else 1.0}
+        mats = states[:, 0]
+        for mat, values in zip(mats, _cut_divergences(mats, lay)):
+            res = _marginal_result(DensityMatrix(lay, mat), values)
+            matches += _scan(res, 1).matches_optimal_cut_side
+    return None, count, {"agreement_rate": _sampled(matches / max(count, 1), count)}
 
 
 _CHECKS: tuple[tuple[str, str, Callable], ...] = (

@@ -54,6 +54,15 @@ def test_ghz3_tree_values_and_newick():
     assert to_newick(d) == "(0,(1,2)[&phi=0.215762])[&phi=0.380396];"
 
 
+def test_nodes_come_pre_order_and_leaves_left_to_right():
+    # a Bell pair on qubits 0 and 2, qubit 1 in |0>: the root splits {0, 2} | {1}
+    vec = np.zeros(8)
+    vec[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
+    d = build_dendrogram(pure_state(vec, (2, 2, 2)))
+    assert [n.members for n in d.internal_nodes()] == [(0, 1, 2), (0, 2)]
+    assert [n.members for n in d.leaves()] == [(0,), (2,), (1,)]
+
+
 def test_structural_invariants_on_random_state():
     from qphi.states import ginibre_mixed
 

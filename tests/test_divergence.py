@@ -174,6 +174,10 @@ def test_qjsd_gram_matches_pairwise_qjsd(dims, monkeypatch):
             if i != j:
                 assert abs(g[i, j] - qjsd(states[i], states[j])) <= 1e-14, (i, j)
     assert np.array_equal(g, g.T)
+    # every ordered pair as one stack of pairs
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    mats = np.stack([s.mat for s in states])
+    assert np.max(np.abs(divergence_module._pair_divergences(mats[i], mats[j]) - g[i, j])) <= 1e-14
     # one matrix per stacked eigensolve gives the same matrix, bit for bit
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
     assert np.array_equal(qjsd_gram(states), g)

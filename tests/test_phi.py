@@ -190,6 +190,56 @@ def test_lipschitz_check_reports():
     assert zero.lhs == 0.0 and zero.rhs == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2)])
+@pytest.mark.parametrize(
+    "kind, modes",
+    [("pure", ("marginal",)), ("rank-2", ("marginal",)), ("full", ("marginal", "optimized"))],
+)
+def test_convexity_and_lipschitz_match_per_state_phi_and_qjsd(dims, kind, modes):
+    def draw(tag):
+        rng = substream(4, f"checks-{kind}-{tag}")
+        if kind == "pure":
+            return haar_pure(dims, rng)
+        return ginibre_mixed(dims, 2 if kind == "rank-2" else int(np.prod(dims)), rng)
+
+    a, b = draw("a"), draw("b")
+    t_grid = (0.0, 0.3, 0.5, 1.0)
+    pair = np.stack([a.mat, b.mat]), np.stack([b.mat, a.mat])
+    for mode in modes:
+        p1, p2 = phi(a, mode).phi, phi(b, mode).phi
+        rep = convexity_check(a, b, t_grid, mode)
+        want = [
+            phi(DensityMatrix(dims, t * a.mat + (1 - t) * b.mat), mode).phi - (t * p1 + (1 - t) * p2)
+            for t in t_grid
+        ]
+        assert rep.t_grid == t_grid and rep.max_violation == max(rep.violations)
+        assert np.max(np.abs(np.subtract(rep.violations, want))) <= 1e-12
+        lip = lipschitz_check(a, b, mode)
+        lhs = abs(np.sqrt(max(p1, 0.0)) - np.sqrt(max(p2, 0.0)))
+        assert abs(lip.lhs - lhs) <= 1e-12
+        assert abs(lip.rhs - np.sqrt(max(qjsd(a, b), 0.0))) <= 1e-12
+        assert lip.violation == lip.lhs - lip.rhs
+        # the stacked bodies score (a, b) and (b, a) in one call each
+        viol = phi_module._convexity_violations(*pair, dims, t_grid, mode)
+        assert np.max(np.abs(viol[0] - rep.violations)) <= 1e-12
+        assert np.max(np.abs(viol[1] - convexity_check(b, a, t_grid, mode).violations)) <= 1e-12
+        sides = np.array(phi_module._lipschitz_sides(*pair, dims, mode))
+        assert np.max(np.abs(sides - [[lip.lhs] * 2, [lip.rhs] * 2])) <= 1e-12
+
+
+def test_checks_reject_an_unknown_mode_and_weights_outside_the_unit_interval():
+    a = ginibre_mixed((2, 2), 4, substream(23, "cvx-a"))
+    b = ginibre_mixed((2, 2), 4, substream(23, "cvx-b"))
+    for mode in ("marginal", "optimized"):
+        for t in (-0.1, 1.5):
+            with pytest.raises(BadParameter, match="mixing weight"):
+                convexity_check(a, b, (0.5, t), mode)
+    with pytest.raises(BadParameter, match="unknown mode"):
+        convexity_check(a, b, mode="exact")
+    with pytest.raises(BadParameter, match="unknown mode"):
+        lipschitz_check(a, b, mode="exact")
+
+
 # States for the per-cut oracle, chosen so that every branch of the spectral
 # per-cut computation runs: label -> (state, branches its cuts take).
 def _oracle_states():

@@ -6,6 +6,7 @@ import importlib
 import numpy as np
 import pytest
 
+from qphi.blanket import blanket_scan
 from qphi.divergence import _STACK_BYTES as STACK_BYTES
 from qphi.errors import ConfigInvalid
 from qphi.channels import random_channel, random_local_channel
@@ -208,6 +209,7 @@ def test_zero_counts_give_strict_json_with_nulls():
     assert checks["petz_product_exactness"]["markov_chain_worst_error"] is None
     assert checks["negative_type"]["kernel_min_eigenvalue"] is None
     assert checks["shifted_kernel_psd"]["kernel_min_eigenvalue"] is None
+    assert checks["blanket_cut_agreement"]["agreement_rate"] is None
 
 
 @pytest.mark.parametrize("key", ["petz_markov_chains", "negative_type_ensembles"])
@@ -277,6 +279,30 @@ def test_stacked_draws_match_per_state_generators(dims, first):
             for mat, w in zip(mats, want[t][1]):
                 assert np.max(np.abs(mat - np.asarray(w))) <= 1e-15
         assert sampler.standard_normal() == rng.standard_normal()
+
+
+def test_stacked_blanket_agreement_matches_blanket_scan_state_by_state(monkeypatch):
+    scan, scans = verify._scan, []
+
+    def record(res, size):
+        scans.append(scan(res, size))
+        return scans[-1]
+
+    monkeypatch.setattr(verify, "_scan", record)
+    count = 24
+    cfg = VerifyConfig(seed=5, counts={"blanket_cut_agreement": count})
+    _, samples, details = verify._check_blanket_agreement(cfg, substream(5, "blanket"))
+    # the check draws a full-rank Ginibre state on (2, 2, 2) per sample
+    rng = substream(5, "blanket")
+    want = [blanket_scan(ginibre_mixed((2, 2, 2), 8, rng), 1) for _ in range(count)]
+    assert samples == count and len(scans) == count
+    for got, ref in zip(scans, want):
+        assert got.matches_optimal_cut_side == ref.matches_optimal_cut_side
+        assert (got.argmin, got.optimal_cut_side) == (ref.argmin, ref.optimal_cut_side)
+        assert [z for z, _ in got.scores] == [z for z, _ in ref.scores]
+        assert max(abs(g - r) for (_, g), (_, r) in zip(got.scores, ref.scores)) <= 1e-12
+    rate = sum(r.matches_optimal_cut_side for r in want) / count
+    assert details["agreement_rate"] == rate
 
 
 def test_runs_cover_every_sample_and_keep_stacks_under_the_cap():
