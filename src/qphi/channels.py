@@ -10,7 +10,9 @@ instead of a pair of products per Kraus operator. Both application paths
 run on stacks of states, each with its own channel (:func:`_apply_kraus`,
 :func:`_apply_local`); the one-state functions call them with a stack of one.
 The Heisenberg-Weyl operators of :func:`depolarizing` are built once per
-dimension.
+dimension. :func:`_dephasing_kraus` and :func:`_depolarizing_kraus` build the
+Kraus operators of a whole array of parameters at once; :func:`dephasing` and
+:func:`depolarizing` call them with one parameter.
 """
 from __future__ import annotations
 
@@ -117,9 +119,18 @@ def apply_channel(
     ch: KrausChannel, rho: DensityMatrix, out_layout: Optional[SubsystemLayout] = None
 ) -> DensityMatrix:
     """Apply the channel to the whole state and revalidate the output."""
+    lay = _output_layout(ch, rho, out_layout)
+    return validate_state(ch.apply_raw(np.asarray(rho.mat)), lay)
+
+
+def _output_layout(
+    ch: KrausChannel, rho: DensityMatrix, out_layout: Optional[SubsystemLayout] = None
+) -> SubsystemLayout:
+    """The layout of ch(rho): ``out_layout`` if given, else rho's when the
+    dimension is kept, else one subsystem. Raises unless ch fits rho and the
+    layout fits ch's output."""
     if rho.dim != ch.in_dim:
         raise LayoutMismatch(f"state dimension {rho.dim} != channel input {ch.in_dim}")
-    out = ch.apply_raw(np.asarray(rho.mat))
     if out_layout is None:
         if ch.out_dim == rho.dim:
             out_layout = rho.layout
@@ -130,7 +141,7 @@ def apply_channel(
     lay = as_layout(out_layout)
     if lay.dim != ch.out_dim:
         raise LayoutMismatch(f"output layout product {lay.dim} != channel output {ch.out_dim}")
-    return validate_state(out, lay)
+    return lay
 
 
 def _apply_local(kraus: Sequence[np.ndarray], mats: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -156,9 +167,13 @@ def _apply_local(kraus: Sequence[np.ndarray], mats: np.ndarray, dims: Sequence[i
     return t.reshape(s, d, d)
 
 
+def _check_sites(in_dims: tuple[int, ...], rho: DensityMatrix) -> None:
+    if in_dims != rho.dims:
+        raise LayoutMismatch(f"per-site inputs {in_dims} != state layout {rho.dims}")
+
+
 def apply_local(lc: LocalChannel, rho: DensityMatrix) -> DensityMatrix:
-    if lc.in_dims != rho.dims:
-        raise LayoutMismatch(f"per-site inputs {lc.in_dims} != state layout {rho.dims}")
+    _check_sites(lc.in_dims, rho)
     kraus = [np.asarray(ch.kraus)[None] for ch in lc.channels]
     out = _apply_local(kraus, np.asarray(rho.mat)[None], rho.dims)[0]
     return validate_state(out, SubsystemLayout(lc.out_dims))
@@ -226,12 +241,18 @@ def dephasing(theta: float, phi: float) -> KrausChannel:
 
     theta = phi = 0 reproduces computational-basis dephasing.
     """
+    kraus = _dephasing_kraus(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    return KrausChannel(2, 2, tuple(kraus))
+
+
+def _dephasing_kraus(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The Kraus pair of :func:`dephasing` for every angle pair of two
+    same-shape arrays: an array of shape theta.shape + (2, 2, 2)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    b0 = np.array([c, np.exp(1j * phi) * s], dtype=complex)
-    b1 = np.array([-np.exp(-1j * phi) * s, c], dtype=complex)
-    p0 = np.outer(b0, b0.conj())
-    p1 = np.outer(b1, b1.conj())
-    return KrausChannel(2, 2, (p0, p1))
+    b0 = np.stack([c, np.exp(1j * phi) * s], axis=-1)
+    b1 = np.stack([-np.exp(-1j * phi) * s, c], axis=-1)
+    b = np.stack([b0, b1], axis=-2)
+    return b[..., :, None] * b.conj()[..., None, :]
 
 
 @lru_cache(maxsize=16)
@@ -253,16 +274,22 @@ def _weyl_ops(d: int) -> tuple[np.ndarray, ...]:
 
 def depolarizing(p: float, d: int = 2) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, via the Heisenberg-Weyl twirl."""
-    if not 0.0 <= p <= 1.0:
-        raise BadParameter(f"depolarizing strength must lie in [0, 1], got {p}")
-    ops = []
-    w0 = 1.0 - p + p / d**2
-    ops.append(np.sqrt(w0) * np.eye(d, dtype=complex))
-    if p > 0.0:
-        weight = np.sqrt(p) / d
-        for wop in _weyl_ops(d)[1:]:
-            ops.append(weight * wop)
-    return KrausChannel(d, d, tuple(ops))
+    ops, count = _depolarizing_kraus(np.array([p], dtype=float), d)
+    return KrausChannel(d, d, tuple(ops[0, : count[0]]))
+
+
+def _depolarizing_kraus(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus operators of :func:`depolarizing` for every strength of a
+    1-D array: an (S, d^2, d, d) stack and the (S,) count of
+    operators each strength has, d^2, or 1 at p = 0 (its trailing operators
+    are zero)."""
+    bad = np.flatnonzero(~((0.0 <= p) & (p <= 1.0)))
+    if bad.size:
+        raise BadParameter(f"depolarizing strength must lie in [0, 1], got {p[bad[0]]}")
+    ops = np.empty((p.size, d * d, d, d), dtype=complex)
+    ops[:, 0] = np.sqrt(1.0 - p + p / d**2)[:, None, None] * np.eye(d, dtype=complex)
+    ops[:, 1:] = (np.sqrt(p) / d)[:, None, None, None] * np.asarray(_weyl_ops(d)[1:])
+    return ops, np.where(p > 0.0, d * d, 1)
 
 
 def partial_trace_channel(layout, drop: Sequence[int]) -> KrausChannel:

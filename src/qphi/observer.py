@@ -6,6 +6,15 @@ parameter box, coordinate-wise golden-section ascent per restart, and a final
 polish from the best point so far. The result is the best point evaluated.
 Everything is deterministic for a fixed seed, budget and restart count.
 
+Each restart is an ask/tell generator that yields the points it wants scored
+and is sent their values. When every restart's share of the budget fits in
+it, the restarts run in lockstep: each round scores one point from every live
+restart as one (S, D, D) stack of channel outputs, through the stacked
+channel, validation and phi kernels. Otherwise they run one at a time, as
+does the polish. The trace lists each restart's evaluations in restart order
+either way, so it equals a one-at-a-time search's bit for bit. The spectrum
+grid is scored in stacks too.
+
 The restarts are the first points of a scrambled Sobol sequence: Joe & Kuo
 (2008) direction numbers, linear matrix scrambling plus a digital shift
 (Matousek 1998; Owen 1998), in Gray-code order. They equal the points of
@@ -16,24 +25,28 @@ embedded table of direction numbers caps a searched family at
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Generator, Optional, Sequence, Union
 
 import numpy as np
 
 from .channels import (
     KrausChannel,
     LocalChannel,
-    apply_channel,
-    apply_local,
-    dephasing,
-    depolarizing,
+    _apply_local,
+    _check_completeness,
+    _check_sites,
+    _dephasing_kraus,
+    _depolarizing_kraus,
+    _output_layout,
     partial_trace_channel,
 )
+from .divergence import _stack_len
 from .errors import BadBudget, BadParameter, GridTooLarge
+from .phi import _phis
 from .phi import phi as phi_fn
-from .search import golden_max
-from .states import DensityMatrix, as_layout, substream
+from .search import _golden
+from .states import DensityMatrix, _validate_stack, as_layout, substream
 
 ChannelLike = Union[KrausChannel, LocalChannel]
 
@@ -100,6 +113,8 @@ class ChannelFamily:
 
     :meth:`apply` applies a :class:`LocalChannel` site by site and a
     :class:`KrausChannel` to the whole state, by what the builder returns.
+    It is a stack of one through :meth:`_outputs`, which maps a whole matrix
+    of parameter points at once.
     """
 
     kind: str
@@ -108,6 +123,12 @@ class ChannelFamily:
     # layouts cannot be inferred when a channel shrinks the system; families
     # that change dimensions report the output layout per parameter point
     out_layout: Optional[Callable[[np.ndarray], tuple]] = None
+    # set by _local_family only: every site's Kraus stack built straight from
+    # an (S, n_params) matrix, per site an (S, K, d, d) stack and the (S,)
+    # count of leading operators each point uses
+    _site_kraus: Optional[Callable[[np.ndarray], list]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for lo, hi in self.box:
@@ -118,23 +139,100 @@ class ChannelFamily:
     def n_params(self) -> int:
         return len(self.box)
 
-    def instantiate(self, params: Sequence[float]) -> ChannelLike:
+    def _point(self, params: Sequence[float]) -> np.ndarray:
         p = np.asarray(params, dtype=float)
         if p.shape != (self.n_params,):
             raise BadParameter(f"expected {self.n_params} parameters, got shape {p.shape}")
-        for x, (lo, hi) in zip(p, self.box):
-            if x < lo - 1e-12 or x > hi + 1e-12:
-                raise BadParameter(f"parameter {x} outside [{lo}, {hi}]")
+        return p
+
+    def _check(self, params: np.ndarray) -> None:
+        """Raise unless every entry of an (S, n_params) matrix is finite and
+        inside the box, to 1e-12."""
+        bad = np.argwhere(~np.isfinite(params))
+        if bad.size:
+            raise BadParameter(f"parameter {params[tuple(bad[0])]} is not finite")
+        lo = np.array([b[0] for b in self.box], dtype=float)
+        hi = np.array([b[1] for b in self.box], dtype=float)
+        bad = np.argwhere((params < lo - 1e-12) | (params > hi + 1e-12))
+        if bad.size:
+            i, j = bad[0]
+            raise BadParameter(f"parameter {params[i, j]} outside [{lo[j]}, {hi[j]}]")
+
+    def instantiate(self, params: Sequence[float]) -> ChannelLike:
+        p = self._point(params)
+        self._check(p[None])
         return self.builder(p)
 
     def apply(self, params: Sequence[float], rho: DensityMatrix) -> DensityMatrix:
-        ch = self.instantiate(params)
-        if isinstance(ch, LocalChannel):
-            return apply_local(ch, rho)
-        lay = None
-        if self.out_layout is not None:
-            lay = self.out_layout(np.asarray(params, dtype=float))
-        return apply_channel(ch, rho, lay)
+        ((_, dims, mats),) = self._outputs(self._point(params)[None], rho)
+        return DensityMatrix(dims, mats[0])
+
+    def _outputs(self, params: np.ndarray, rho: DensityMatrix):
+        """The validated output F_p(rho) of every row p of an (S, n_params)
+        parameter matrix, grouped by output layout: a list of (rows, dims,
+        stack), ``stack[i]`` the output of row ``rows[i]``.
+
+        The local families build their Kraus stacks directly and apply them
+        in groups of one Kraus count; any other family builds and applies one
+        channel per point. Each state's output equals what
+        :func:`apply_local` or :func:`apply_channel` gives it alone.
+        """
+        self._check(params)
+        applied = self._local(params, rho) if self._site_kraus else self._built(params, rho)
+        layouts: dict = {}
+        for rows, dims, out in applied:
+            layouts.setdefault(dims, []).append((rows, out))
+        return [
+            (np.concatenate([r for r, _ in parts]), dims,
+             _validate_stack(np.concatenate([o for _, o in parts])))
+            for dims, parts in layouts.items()
+        ]
+
+    def _local(self, params: np.ndarray, rho: DensityMatrix):
+        """(rows, dims, unvalidated outputs) per group of rows that use the
+        same number of Kraus operators on every site."""
+        sites = self._site_kraus(params)
+        _check_sites(tuple(k.shape[-1] for k, _ in sites), rho)
+        for k, _ in sites:
+            _check_completeness(k)
+        out_dims = tuple(k.shape[-2] for k, _ in sites)
+        # depolarizing has one operator at p = 0 and d^2 above it
+        counts = np.stack([c for _, c in sites], axis=1)
+        keys, group = np.unique(counts, axis=0, return_inverse=True)
+        for g, key in enumerate(keys):
+            rows = np.flatnonzero(group.ravel() == g)
+            kraus = [k[rows, :c] for (k, _), c in zip(sites, key)]
+            mats = np.repeat(np.asarray(rho.mat)[None], rows.size, axis=0)
+            yield rows, out_dims, _apply_local(kraus, mats, rho.dims)
+
+    def _built(self, params: np.ndarray, rho: DensityMatrix):
+        """(rows, dims, unvalidated output) per row: the builder's channel
+        applied as a stack of one."""
+        mat = np.asarray(rho.mat)
+        for i, p in enumerate(params):
+            ch = self.builder(p)
+            if isinstance(ch, LocalChannel):
+                _check_sites(ch.in_dims, rho)
+                kraus = [np.asarray(c.kraus)[None] for c in ch.channels]
+                yield np.array([i]), ch.out_dims, _apply_local(kraus, mat[None], rho.dims)
+            else:
+                lay = _output_layout(ch, rho, self.out_layout(p) if self.out_layout else None)
+                yield np.array([i]), lay.dims, ch.apply_raw(mat)[None]
+
+
+def _local_family(kind: str, box: tuple, site_kraus: Callable[[np.ndarray], list]) -> ChannelFamily:
+    """A family of local channels stated once, by ``site_kraus``; its builder
+    takes each site's channel from a stack of one."""
+
+    def build(p: np.ndarray) -> LocalChannel:
+        sites = site_kraus(p[None])
+        return LocalChannel(
+            tuple(KrausChannel(k.shape[-1], k.shape[-2], tuple(k[0, : c[0]])) for k, c in sites)
+        )
+
+    family = ChannelFamily(kind=kind, box=box, builder=build)
+    object.__setattr__(family, "_site_kraus", site_kraus)
+    return family
 
 
 def local_dephasing_family(layout) -> ChannelFamily:
@@ -144,20 +242,21 @@ def local_dephasing_family(layout) -> ChannelFamily:
         raise BadParameter("dephasing family is defined for qubit layouts")
     box = tuple(((0.0, np.pi), (0.0, 2.0 * np.pi))[k % 2] for k in range(2 * lay.n))
 
-    def build(p: np.ndarray) -> LocalChannel:
-        return LocalChannel(tuple(dephasing(p[2 * i], p[2 * i + 1]) for i in range(lay.n)))
+    def site_kraus(params: np.ndarray) -> list:
+        kraus = _dephasing_kraus(params[:, 0::2], params[:, 1::2])
+        return [(kraus[:, i], np.full(len(params), 2)) for i in range(lay.n)]
 
-    return ChannelFamily(kind="localDephasing", box=box, builder=build)
+    return _local_family("localDephasing", box, site_kraus)
 
 
 def local_depolarizing_family(layout) -> ChannelFamily:
     lay = as_layout(layout)
     box = tuple((0.0, 1.0) for _ in range(lay.n))
 
-    def build(p: np.ndarray) -> LocalChannel:
-        return LocalChannel(tuple(depolarizing(float(x), d) for x, d in zip(p, lay.dims)))
+    def site_kraus(params: np.ndarray) -> list:
+        return [_depolarizing_kraus(params[:, i], d) for i, d in enumerate(lay.dims)]
 
-    return ChannelFamily(kind="localDepolarizing", box=box, builder=build)
+    return _local_family("localDepolarizing", box, site_kraus)
 
 
 def partial_trace_family(layout) -> ChannelFamily:
@@ -211,9 +310,85 @@ class ObserverResult:
     near_optimal: tuple[tuple[float, ...], ...]  # every evaluated point within 1e-6 of the best
 
 
-def _phi_of_output(rho: DensityMatrix, family: ChannelFamily, params: np.ndarray, mode: str) -> float:
-    out = family.apply(params, rho)
-    return phi_fn(out, mode).phi
+def _scores(family: ChannelFamily, params: np.ndarray, rho: DensityMatrix, mode: str) -> np.ndarray:
+    """phi(family.apply(p, rho), mode).phi for every row p of an
+    (S, n_params) matrix, bit for bit, scored in stacks of ``_stack_len(D)``
+    points."""
+    vals = np.empty(len(params))
+    step = _stack_len(rho.dim)
+    for s0 in range(0, len(params), step):
+        for rows, dims, mats in family._outputs(params[s0:s0 + step], rho):
+            vals[s0 + rows] = _phis(mats, dims, mode)
+    return vals
+
+
+def _ascend(p0, end: int, lows, highs, f0: Optional[float] = None) -> Generator:
+    """Coordinate-wise golden-section ascent from p0 as an ask/tell generator:
+    it yields each point to evaluate and is sent its value, while its own
+    evaluation count stays <= end. p0 is evaluated first unless its value f0
+    is known."""
+    p = np.array(p0, dtype=float)
+    count = 0
+    if f0 is None:
+        f_cur = yield p
+        count = 1
+    else:
+        f_cur = f0
+    while count < end:
+        f_pass_start = f_cur
+        for c in range(p.size):
+            # a line search costs iters + 4 evaluations; never start one
+            # that would pass the end
+            room = end - count
+            if room < 5:
+                break
+            pc = p[c]
+            t_best, f_best, evals = yield from _on_axis(
+                p, c, _golden(lows[c], highs[c], min(LINE_ITERS, room - 4))
+            )
+            count += evals
+            if f_best > f_cur:
+                p[c] = t_best
+                f_cur = f_best
+            else:
+                p[c] = pc
+        if f_cur - f_pass_start < 1e-12:
+            break
+
+
+def _on_axis(p: np.ndarray, c: int, line: Generator) -> Generator:
+    """Run a line search's points through coordinate c of p; returns the
+    line search's result."""
+    t = next(line)
+    while True:
+        p[c] = t
+        try:
+            t = line.send((yield p))
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep(chains: list, score: Callable[[np.ndarray], np.ndarray]) -> list:
+    """Run ask/tell chains side by side: each round takes the next point of
+    every live chain, scores the round's points as one stack and sends each
+    chain its value. Returns each chain's log of (point, value)."""
+    logs = [[] for _ in chains]
+    asks = {}
+    for i, chain in enumerate(chains):
+        try:
+            asks[i] = next(chain)
+        except StopIteration:
+            pass
+    while asks:
+        points = np.array(list(asks.values()), dtype=float)
+        for i, p, v in zip(list(asks), points, score(points)):
+            v = float(v)
+            logs[i].append((tuple(p.tolist()), v))
+            try:
+                asks[i] = chains[i].send(v)
+            except StopIteration:
+                del asks[i]
+    return logs
 
 
 def maximize_phi(
@@ -228,12 +403,22 @@ def maximize_phi(
 
     ``budget`` caps the number of objective evaluations; each of the
     ``restarts`` starting points receives an equal share, and whatever
-    remains funds a final polish around the incumbent. The result is the best
-    point the search evaluated, the earliest one on ties, so ``phi_after`` is
-    the largest value in ``trace``. The starting points are the first
+    remains funds a final polish around the incumbent. The share is
+    ``max(budget // restarts, n_params + 1)``, and a restart whose share is
+    below 5 evaluates only its start point (a line search costs at least 5),
+    so the restarts are then a pure sample. The result is the best point the
+    search evaluated, the earliest one on ties, so ``phi_after`` is the
+    largest value in ``trace``. The starting points are the first
     ``restarts`` points of the module's scrambled Sobol sequence, seeded from
     ``seed``; a family with more than ``SOBOL_DIM_MAX`` (32) parameters raises
     :class:`BadParameter` before any evaluation.
+
+    When every share fits the budget (share x restarts <= budget), the
+    restarts run in lockstep: each round scores one point from every live
+    restart as one stack. Otherwise the budget cuts a restart short by what
+    earlier restarts spent, so they run one at a time. Either way ``trace``
+    lists each restart's evaluations in restart order, then the polish's,
+    and equals a one-at-a-time search's, bit for bit.
     """
     if budget < 1:
         raise BadBudget(f"budget must be >= 1, got {budget}")
@@ -244,66 +429,36 @@ def maximize_phi(
     lows = np.array([b[0] for b in family.box])
     highs = np.array([b[1] for b in family.box])
 
-    log: list[tuple[tuple[float, ...], float]] = []
+    trace: list[tuple[tuple[float, ...], float]] = []
 
-    def objective(p: np.ndarray) -> float:
-        v = _phi_of_output(rho, family, p, mode)
-        log.append((tuple(float(x) for x in p), v))
-        return v
-
-    def best() -> tuple[tuple[float, ...], float]:
-        return max(log, key=lambda e: e[1])
-
-    def ascend(p0, end: int, f0: Optional[float] = None) -> None:
-        """Coordinate-wise ascent from p0 while the evaluation count stays <= end;
-        p0 is evaluated first unless its value f0 is known."""
-        p = np.array(p0, dtype=float)
-        f_cur = objective(p) if f0 is None else f0
-        while len(log) < end:
-            f_pass_start = f_cur
-            for c in range(p.size):
-                # a line search costs iters + 4 evaluations; never start one
-                # that would pass the end
-                room = end - len(log)
-                if room < 5:
-                    break
-
-                def g(t: float) -> float:
-                    p[c] = t
-                    return objective(p)
-
-                pc = p[c]
-                t_best, f_best, _ = golden_max(g, lows[c], highs[c], min(LINE_ITERS, room - 4))
-                if f_best > f_cur:
-                    p[c] = t_best
-                    f_cur = f_best
-                else:
-                    p[c] = pc
-            if f_cur - f_pass_start < 1e-12:
-                break
+    def run(chains: list) -> None:
+        for log in _lockstep(chains, lambda points: _scores(family, points, rho, mode)):
+            trace.extend(log)
 
     starts = lows + unit * (highs - lows)
     per_restart = max(budget // restarts, family.n_params + 1)
-    # the last pass polishes the best point so far with whatever budget is left
-    for r in range(restarts + 1):
-        if len(log) >= budget:
-            break
-        if r < restarts:
-            ascend(starts[r], min(len(log) + per_restart, budget))
-        else:
-            best_p, best_f = best()
-            ascend(best_p, budget, best_f)
+    if per_restart * restarts <= budget:
+        run([_ascend(p, per_restart, lows, highs) for p in starts])
+    else:
+        for p in starts:
+            if len(trace) >= budget:
+                break
+            run([_ascend(p, min(per_restart, budget - len(trace)), lows, highs)])
+    # the polish starts from the best point so far with whatever budget is left
+    if len(trace) < budget:
+        best_p, best_f = max(trace, key=lambda e: e[1])
+        run([_ascend(best_p, budget - len(trace), lows, highs, best_f)])
 
-    best_params, best_f = best()
-    near = tuple(params for params, v in log if best_f - v <= 1e-6)
+    best_params, best_f = max(trace, key=lambda e: e[1])
+    near = tuple(params for params, v in trace if best_f - v <= 1e-6)
     ratio = best_f / phi_before if phi_before > 0 else 0.0
     return ObserverResult(
         best_params=best_params,
         phi_before=phi_before,
         phi_after=best_f,
         ratio=ratio,
-        evaluations=len(log),
-        trace=tuple(log),
+        evaluations=len(trace),
+        trace=tuple(trace),
         near_optimal=near,
     )
 
@@ -325,10 +480,12 @@ def observer_spectrum(
     mode: str = "marginal",
 ) -> SpectrumResult:
     """Evaluate phi(F(rho)) on a dense grid of at most ``GRID_CAP`` points
-    over one or two parameters.
+    over one or two distinct parameters, scored in stacks of
+    ``_stack_len(D)`` points.
 
     Non-axis parameters sit at the box midpoint unless pinned via ``fixed``,
-    a map from parameter index to value.
+    a map from parameter index to value; pinning an axis parameter raises
+    :class:`BadParameter`.
     """
     if not 1 <= len(axes) <= 2:
         raise BadParameter("spectrum grids cover one or two parameters")
@@ -339,32 +496,31 @@ def observer_spectrum(
         if npts < 2:
             raise BadParameter("each axis needs at least 2 points")
         total *= npts
+    index = [int(idx) for idx, _ in axes]
+    if len(set(index)) < len(index):
+        raise BadParameter(f"grid axes {index} repeat a parameter")
     if total > GRID_CAP:
         raise GridTooLarge(f"grid of {total} points exceeds cap {GRID_CAP}")
     base = np.array([(lo + hi) / 2.0 for lo, hi in family.box])
     for k, v in (fixed or {}).items():
         if not 0 <= int(k) < family.n_params:
             raise BadParameter(f"fixed parameter {k} out of range [0, {family.n_params})")
+        if int(k) in index:
+            raise BadParameter(f"fixed parameter {k} is a grid axis")
         base[int(k)] = float(v)
     grids = [
         np.linspace(family.box[idx][0], family.box[idx][1], npts) for idx, npts in axes
     ]
     phi_before = phi_fn(rho, mode).phi
-    params_out: list[tuple[float, ...]] = []
-    values: list[float] = []
-    for point in itertools.product(*grids):
-        p = base.copy()
-        for (idx, _), x in zip(axes, point):
-            p[idx] = x
-        v = _phi_of_output(rho, family, p, mode)
-        params_out.append(tuple(float(x) for x in p))
-        values.append(v)
-    vals = np.array(values)
+    # row-major over the axes, the first axis slowest
+    params = np.repeat(base[None], total, axis=0)
+    params[:, index] = np.array(list(itertools.product(*grids)))
+    vals = _scores(family, params, rho, mode)
     frac = float(np.mean(vals >= 0.5 * phi_before)) if phi_before > 0 else 1.0
     return SpectrumResult(
         axes=tuple((int(i), int(npts)) for i, npts in axes),
-        params=tuple(params_out),
-        values=tuple(float(v) for v in values),
+        params=tuple(map(tuple, params.tolist())),
+        values=tuple(vals.tolist()),
         phi_input=phi_before,
         fraction_retaining_half=frac,
     )

@@ -481,6 +481,14 @@ def _marginal_result(rho: DensityMatrix, values) -> PhiResult:
 # ---------------------------------------------------------------------------
 # the headline quantity
 
+def _check_cuttable(n: int, n_cap: int) -> None:
+    """Raise unless a layout of n subsystems has a cut phi may score."""
+    if n < 2:
+        raise SingleSubsystem("phi needs at least two subsystems")
+    if n > n_cap:
+        raise SearchBudgetExceeded(f"n={n} exceeds the configured cap {n_cap}")
+
+
 def phi(
     rho: DensityMatrix,
     mode: str = "marginal",
@@ -500,11 +508,7 @@ def phi(
         raise BadParameter(f"probe_starts must be >= 0, got {probe_starts}")
     if probe_starts > 0 and mode != "optimized":
         raise BadParameter("probe_starts needs mode 'optimized'")
-    n = rho.n
-    if n < 2:
-        raise SingleSubsystem("phi needs at least two subsystems")
-    if n > n_cap:
-        raise SearchBudgetExceeded(f"n={n} exceeds the configured cap {n_cap}")
+    _check_cuttable(rho.n, n_cap)
     marg = _marginal_result(rho, _cut_divergences(np.asarray(rho.mat)[None], rho.dims)[0])
     if mode == "marginal":
         return marg
@@ -555,7 +559,9 @@ def min_over_partitions(rho: DensityMatrix):
 def _phis(mats: np.ndarray, dims: tuple[int, ...], mode: str = "marginal") -> np.ndarray:
     """phi of every state of an (S, D, D) stack: one :func:`_cut_divergences`
     pass in marginal mode, else one :func:`phi` call per state (which rejects
-    an unknown mode)."""
+    an unknown mode). Raises as :func:`phi` does on a layout of one subsystem
+    or of more than ``DEFAULT_N_CAP``."""
+    _check_cuttable(len(dims), DEFAULT_N_CAP)
     if mode == "marginal":
         return _cut_divergences(mats, tuple(dims)).min(axis=1)
     return np.array([phi(DensityMatrix(tuple(dims), m), mode).phi for m in mats])

@@ -226,6 +226,21 @@ def test_observe_fixed_parameter_out_of_range_exits_2(fixed):
 
 
 @pytest.mark.parametrize(
+    "grid",
+    [
+        ["--grid", "0:3,0:2"],  # one parameter twice
+        ["--grid", "0:3", "--fixed", "0=0.5"],  # a pinned axis
+        ["--grid", "0:3", "--fixed", "1=nan"],
+    ],
+)
+def test_observe_grid_of_repeated_pinned_or_non_finite_parameters_exits_2(grid):
+    res = run_cli(["observe", "-", "--family", "dephasing", *grid], stdin_text=state_to_json(bell()))
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["gen", "haar", "--dims", "2,x"],

@@ -1,13 +1,25 @@
+import dataclasses
 import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
-from qphi.channels import LocalChannel, depolarizing
-from qphi.errors import BadBudget, BadParameter, GridTooLarge
+from qphi.channels import (
+    KrausChannel,
+    LocalChannel,
+    apply_channel,
+    apply_local,
+    dephasing,
+    depolarizing,
+    partial_trace_channel,
+)
+from qphi.errors import BadBudget, BadParameter, GridTooLarge, LayoutMismatch, SingleSubsystem
 from qphi.observer import (
+    LINE_ITERS,
     SOBOL_DIM_MAX,
+    ObserverResult,
+    _scores,
     _sobol_starts,
     custom_family,
     local_dephasing_family,
@@ -225,3 +237,246 @@ def test_search_refuses_families_beyond_the_sobol_table():
     with pytest.raises(BadParameter):
         maximize_phi(bell(), fam, budget=10, restarts=1)
     assert built == []
+
+
+def _hexed(x):
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(_hexed(y) for y in x)
+    return x
+
+
+def _fields(res):
+    return {f.name: _hexed(getattr(res, f.name)) for f in dataclasses.fields(res)}
+
+
+def _reference_output(family, p, rho):
+    """F_p(rho) through the one-channel path the stacked body replaces."""
+    ch = family.instantiate(p)
+    if isinstance(ch, LocalChannel):
+        return apply_local(ch, rho)
+    lay = family.out_layout(np.asarray(p, dtype=float)) if family.out_layout else None
+    return apply_channel(ch, rho, lay)
+
+
+def _random_params(family, count, seed, zeros=0.0):
+    """Points drawn uniformly in the box; with ``zeros``, that share of the
+    entries sit on the lower edge."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([b[0] for b in family.box])
+    hi = np.array([b[1] for b in family.box])
+    params = lo + rng.random((count, family.n_params)) * (hi - lo)
+    return np.where(rng.random(params.shape) < zeros, lo, params)
+
+
+def _kraus_flip(p):
+    # a custom whole-state Kraus family: flip both qubits with probability p
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    q = float(p[0])
+    return KrausChannel(4, 4, (np.sqrt(1 - q) * np.eye(4, dtype=complex), np.sqrt(q) * np.kron(x, x)))
+
+
+OBJECTIVE_CASES = {
+    "dephasing": (lambda: ginibre_mixed((2, 2, 2), 8, substream(1, "obj")), local_dephasing_family, 0.0),
+    # rows with p = 0 on some sites take one Kraus operator there, the rest d^2
+    "depolarizing": (lambda: ginibre_mixed((3, 2, 2), 6, substream(2, "obj")), local_depolarizing_family, 0.4),
+    # drop sets of one and of two subsystems: (2, 2, 2) and (2, 2) outputs in one stack
+    "ptrace": (lambda: ginibre_mixed((2, 2, 2, 2), 5, substream(3, "obj")), partial_trace_family, 0.0),
+    "custom-local": (
+        bell,
+        lambda lay: custom_family(
+            [(0.0, 1.0), (0.0, np.pi)],
+            lambda p: LocalChannel((depolarizing(float(p[0]), 2), dephasing(p[1], 0.0))),
+        ),
+        0.3,
+    ),
+    "custom-kraus": (lambda: ginibre_mixed((2, 2), 3, substream(4, "obj")),
+                     lambda lay: custom_family([(0.0, 1.0)], _kraus_flip), 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+def test_stacked_objective_matches_phi_of_apply_point_by_point(case):
+    make_rho, make_family, zeros = OBJECTIVE_CASES[case]
+    rho = make_rho()
+    family = make_family(rho.layout)
+    params = _random_params(family, 40, 7, zeros)
+    vals = _scores(family, params, rho, "marginal")
+    assert vals.shape == (40,)
+    for p, v in zip(params, vals):
+        ref = _reference_output(family, p, rho)
+        out = family.apply(p, rho)
+        assert out.dims == ref.dims
+        assert np.asarray(out.mat).tobytes() == np.asarray(ref.mat).tobytes()
+        assert float(v).hex() == float(phi(ref, "marginal").phi).hex()
+
+
+def test_stacked_objective_matches_optimized_phi_on_two_qubits():
+    rho = ginibre_mixed((2, 2), 4, substream(6, "obj"))
+    for family, zeros in ((local_dephasing_family((2, 2)), 0.0), (local_depolarizing_family((2, 2)), 0.5)):
+        params = _random_params(family, 4, 8, zeros)
+        vals = _scores(family, params, rho, "optimized")
+        for p, v in zip(params, vals):
+            assert float(v).hex() == float(phi(family.apply(p, rho), "optimized").phi).hex()
+
+
+LOCAL_FAMILIES = {
+    # each family with its channel per site from the one-point constructors
+    "dephasing": (
+        local_dephasing_family((2, 2, 2)),
+        lambda p: [dephasing(p[2 * i], p[2 * i + 1]) for i in range(3)],
+    ),
+    "depolarizing": (
+        local_depolarizing_family((3, 2, 2)),
+        lambda p: [depolarizing(float(x), d) for x, d in zip(p, (3, 2, 2))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCAL_FAMILIES))
+def test_local_families_build_each_points_kraus_operators_bit_for_bit(case):
+    family, per_site = LOCAL_FAMILIES[case]
+    params = _random_params(family, 64, 9, zeros=0.4)
+    params[0] = [b[1] for b in family.box]  # the upper edge too
+    sites = family._site_kraus(params)
+    for r, p in enumerate(params):
+        channels = family.instantiate(p).channels
+        assert len(sites) == len(channels)
+        for (kraus, counts), ch, ref in zip(sites, channels, per_site(p)):
+            ops = np.asarray(ch.kraus)
+            assert counts[r] == len(ops)
+            assert np.ascontiguousarray(kraus[r, :counts[r]]).tobytes() == ops.tobytes()
+            assert np.asarray(ref.kraus).tobytes() == ops.tobytes()
+
+
+def test_family_outputs_refuse_a_state_of_another_layout():
+    for family in (local_depolarizing_family((3, 2)), local_dephasing_family((2, 2, 2))):
+        with pytest.raises(LayoutMismatch):
+            family.apply([0.5] * family.n_params, bell())
+
+
+def test_search_refuses_outputs_of_one_subsystem():
+    # tracing out one qubit of a pair leaves a single subsystem, which phi refuses
+    fam = custom_family([(0.0, 1.0)], lambda p: partial_trace_channel((2, 2), [1]))
+    with pytest.raises(SingleSubsystem):
+        maximize_phi(bell(), fam, budget=10, restarts=2)
+    with pytest.raises(SingleSubsystem):
+        observer_spectrum(bell(), fam, axes=[(0, 3)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_families_refuse_non_finite_parameters(bad):
+    rho = tensor(bell(), pure_state(np.array([1.0, 0.0]), (2,)))
+    with pytest.raises(BadParameter):
+        partial_trace_family(rho.layout).instantiate([bad])
+    with pytest.raises(BadParameter):
+        partial_trace_family(rho.layout).apply([bad], rho)
+    fam = local_dephasing_family((2, 2))
+    with pytest.raises(BadParameter):
+        fam.instantiate([0.1, bad, 0.2, 0.3])
+    params = _random_params(fam, 5, 0)
+    params[3, 2] = bad
+    with pytest.raises(BadParameter):
+        _scores(fam, params, bell(), "marginal")
+    with pytest.raises(BadParameter):
+        observer_spectrum(bell(), fam, axes=[(0, 3)], fixed={1: bad})
+
+
+def test_spectrum_refuses_a_repeated_or_pinned_axis():
+    fam = local_dephasing_family((2, 2))
+    with pytest.raises(BadParameter):
+        observer_spectrum(bell(), fam, axes=[(0, 3), (0, 2)])
+    with pytest.raises(BadParameter):
+        observer_spectrum(bell(), fam, axes=[(0, 3), (1, 2)], fixed={1: 0.5})
+    with pytest.raises(BadParameter):
+        observer_spectrum(bell(), fam, axes=[(2, 3)], fixed={2: 0.5})
+
+
+def test_spectrum_scores_in_stacks_like_point_by_point():
+    rho = ginibre_mixed((2, 2, 2), 8, substream(5, "observer-test"))
+    fam = local_depolarizing_family((2, 2, 2))
+    sweep = observer_spectrum(rho, fam, axes=[(0, 4), (2, 5)], fixed={1: 0.3})
+    assert len(sweep.params) == 20
+    for k, (p, v) in enumerate(zip(sweep.params, sweep.values)):
+        i, j = divmod(k, 5)
+        assert p == (i / 3, 0.3, j / 4)
+        assert float(v).hex() == float(phi(_reference_output(fam, p, rho)).phi).hex()
+
+
+def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
+    """The observer search one evaluation at a time, each restart after the
+    last: the oracle the lockstep search must reproduce."""
+    unit = _sobol_starts(family.n_params, restarts, substream(seed, "observer-starts"))
+    lows = np.array([b[0] for b in family.box])
+    highs = np.array([b[1] for b in family.box])
+    log = []
+
+    def objective(p):
+        v = phi(family.apply(p, rho), mode).phi
+        log.append((tuple(float(x) for x in p), v))
+        return v
+
+    def ascend(p0, end, f0=None):
+        p = np.array(p0, dtype=float)
+        f_cur = objective(p) if f0 is None else f0
+        while len(log) < end:
+            f_start = f_cur
+            for c in range(p.size):
+                room = end - len(log)
+                if room < 5:
+                    break
+                pc = p[c]
+
+                def g(t):
+                    p[c] = t
+                    return objective(p)
+
+                t_best, f_best, _ = golden_max(g, lows[c], highs[c], min(LINE_ITERS, room - 4))
+                if f_best > f_cur:
+                    p[c], f_cur = t_best, f_best
+                else:
+                    p[c] = pc
+            if f_cur - f_start < 1e-12:
+                break
+
+    starts = lows + unit * (highs - lows)
+    share = max(budget // restarts, family.n_params + 1)
+    for r in range(restarts + 1):
+        if len(log) >= budget:
+            break
+        if r < restarts:
+            ascend(starts[r], min(len(log) + share, budget))
+        else:
+            best_p, best_f = max(log, key=lambda e: e[1])
+            ascend(best_p, budget, best_f)
+    best_p, best_f = max(log, key=lambda e: e[1])
+    phi_before = phi(rho, mode).phi
+    return ObserverResult(
+        best_params=best_p,
+        phi_before=phi_before,
+        phi_after=best_f,
+        ratio=best_f / phi_before if phi_before > 0 else 0.0,
+        evaluations=len(log),
+        trace=tuple(log),
+        near_optimal=tuple(p for p, v in log if best_f - v <= 1e-6),
+    )
+
+
+@pytest.mark.parametrize(
+    "state, family, budget, restarts, seed",
+    [
+        ("bell", "dephasing", 500, 8, 7),      # lockstep, eight restarts wide
+        # the n_params + 1 floor sets the share, so the restarts run one at a
+        # time; a share of 4 buys only the start point
+        ("ginibre222", "depolarizing", 20, 8, 3),
+        # a share of 7, and the budget cuts the fifth restart short
+        ("ghz3", "dephasing", 30, 8, 1),
+        ("ghz4", "ptrace", 40, 3, 1),          # 13 x 3 <= 40: lockstep over drop sets
+    ],
+)
+def test_lockstep_search_equals_the_sequential_oracle(state, family, budget, restarts, seed):
+    rho = SEARCH_STATES[state]()
+    fam = SEARCH_FAMILIES[family](rho.layout)
+    got = maximize_phi(rho, fam, budget, restarts, seed)
+    assert _fields(got) == _fields(_sequential_search(rho, fam, budget, restarts, seed))
