@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation problem, 3 numerical breakdown,
-4 budget or size cap exceeded. All structured output is JSON; dendrograms can
-also be printed as Newick or DOT text. Every command that emits a state emits
-QSTATE JSON, so commands compose through pipes.
+4 budget or size cap exceeded, 141 (128 + SIGPIPE) stdout closed by its
+reader before all output was written, with no error printed. All structured
+output is JSON; dendrograms can also be printed as Newick or DOT text. Every
+command that emits a state emits QSTATE JSON, so commands compose through
+pipes.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,7 +28,7 @@ from .observer import (
     partial_trace_family,
 )
 from .phi import DEFAULT_N_CAP, phi
-from .qstate_io import _encode_matrix, _loads, read_state, state_to_dict, state_to_json
+from .qstate_io import _encode_matrix, _loads, read_state, state_to_dict, write_state
 from .states import (
     bell,
     enumerate_bipartitions,
@@ -47,16 +50,30 @@ def _read_state(path: str):
         return read_state(fh)
 
 
-def _write(text: str, out: str | None) -> None:
+def _emit(write, out: str | None) -> None:
+    """Call ``write(stream)`` on the file ``out``, or on stdout when ``out``
+    is unset or ``-``."""
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _write(text: str, out: str | None) -> None:
+    def write(fh):
+        fh.write(text)
+        # a write of its own: when the reader of a pipe leaves during a large
+        # write, that write returns short without an error, and only the
+        # next write reports the closed pipe
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.write("\n")
+
+    _emit(write, out)
+
+
+def _write_state(rho, out: str | None) -> None:
+    _emit(lambda fh: write_state(rho, fh), out)
 
 
 def _comma_list(text: str, flag: str, form: str, item) -> list:
@@ -125,7 +142,7 @@ def _cmd_gen(args) -> int:
         rho = random_product(dims, cut, substream(seed, "gen-product"))
     else:  # pragma: no cover - argparse restricts choices
         raise BadParameter(f"unknown state kind {kind!r}")
-    _write(state_to_json(rho), args.out)
+    _write_state(rho, args.out)
     return 0
 
 
@@ -150,7 +167,7 @@ def _cmd_phi(args) -> int:
             for c, v in res.per_cut
         ]
     if args.sigma:
-        _write(state_to_json(res.sigma_star), args.sigma)
+        _write_state(res.sigma_star, args.sigma)
     _write(json.dumps(out, indent=2), args.out)
     return 0
 
@@ -359,7 +376,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # here, not at exit: a closed pipe may show only when the last
+        # buffered output is flushed
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull so that the
+        # interpreter's flush at exit cannot raise again (Python docs, "Note
+        # on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,11 @@
 
 A state document is ``{"version": 1, "dims": [...], "matrix": [[[re, im], ...], ...]}``
 with the matrix in row-major order; floats round-trip exactly through the
-shortest-repr encoding the json module emits. Reading always revalidates.
+shortest-repr encoding the json module emits. :func:`write_state` streams a
+document to a text stream one matrix row at a time, so no nested list or
+whole-document string of a large state is ever built; its bytes are those of
+``json.dumps`` of the document, followed by a newline. Reading always
+revalidates.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import json
 import math
 import numbers
 from itertools import chain
-from typing import TextIO, Union
+from typing import Iterator, TextIO, Union
 
 import numpy as np
 
@@ -21,24 +25,42 @@ from .states import DensityMatrix, SubsystemLayout, validate_state
 QSTATE_VERSION = 1
 
 
+def _pairs(mat: np.ndarray) -> np.ndarray:
+    """The (..., 2) float64 view of a complex matrix: each entry as (re, im)."""
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return mat.view(np.float64).reshape(*mat.shape, 2)
+
+
 def _encode_matrix(mat: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat)]
+    return _pairs(mat).tolist()
 
 
 def _decode_matrix(rows) -> np.ndarray:
     """A matrix of [re, im] cells; a cell of any other length, or holding a
     bool or a non-real, is a :class:`BadParameter`."""
     try:
-        arr = np.asarray([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-        # one pass over the types that occur, not one check per number
+        # one pass over the types that occur, not one check per number;
+        # np.array would take bools, numeric strings and null as floats
         kinds = set(map(type, chain.from_iterable(chain.from_iterable(rows))))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:
         raise BadParameter(f"malformed matrix entries: {exc}") from exc
     if any(k is bool or not issubclass(k, numbers.Real) for k in kinds):
         raise BadParameter("matrix entries must be pairs of real numbers")
+    if not kinds:
+        # no number at all: an empty object or string reads as the empty
+        # list it iterates as, like any other empty row or matrix
+        rows = [list(row) for row in rows]
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"malformed matrix entries: {exc}") from exc
+    if arr.ndim == 3:
+        if arr.shape[2] != 2:
+            raise BadParameter("matrix entries must be pairs of real numbers")
+        arr = arr.view(complex)[..., 0]
     if arr.ndim != 2:
         raise DimensionMismatch("matrix must be two-dimensional")
-    return arr
+    return arr.astype(complex, copy=False)
 
 
 def _loads(text: Union[str, bytes]):
@@ -73,11 +95,29 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
+def _state_chunks(rho: DensityMatrix) -> Iterator[str]:
+    """``json.dumps(state_to_dict(rho))`` as the header, one chunk per matrix
+    row and the closing brackets."""
+    yield f'{{"version": {QSTATE_VERSION}, "dims": {json.dumps(list(rho.dims))}, "matrix": ['
+    for i, row in enumerate(_pairs(rho.mat)):
+        yield (", " if i else "") + json.dumps(row.tolist())
+    yield "]}"
+
+
 def state_to_json(rho: DensityMatrix) -> str:
-    return json.dumps(state_to_dict(rho))
+    return "".join(_state_chunks(rho))
 
 
-def state_from_dict(obj: dict) -> DensityMatrix:
+def write_state(rho: DensityMatrix, stream: TextIO) -> None:
+    """Write ``rho`` to ``stream`` as a QSTATE document and a newline, one
+    matrix row per write."""
+    for chunk in _state_chunks(rho):
+        stream.write(chunk)
+    stream.write("\n")
+
+
+def _unpack_state(obj) -> tuple[np.ndarray, SubsystemLayout]:
+    """The decoded matrix and layout of a state document, not yet validated."""
     if not isinstance(obj, dict):
         raise BadParameter("state document must be a JSON object")
     version = obj.get("version")
@@ -86,12 +126,17 @@ def state_from_dict(obj: dict) -> DensityMatrix:
     if "dims" not in obj or "matrix" not in obj:
         raise BadParameter("state document needs 'dims' and 'matrix'")
     layout = SubsystemLayout(tuple(_int_list(obj["dims"], "dims")))
-    mat = _decode_matrix(obj["matrix"])
-    return validate_state(mat, layout)
+    return _decode_matrix(obj["matrix"]), layout
+
+
+def state_from_dict(obj: dict) -> DensityMatrix:
+    return validate_state(*_unpack_state(obj))
 
 
 def state_from_json(text: Union[str, bytes]) -> DensityMatrix:
-    return state_from_dict(_loads(text))
+    # the parsed document is freed before validation, which needs D x D
+    # work arrays of its own
+    return validate_state(*_unpack_state(_loads(text)))
 
 
 def read_state(stream: TextIO) -> DensityMatrix:

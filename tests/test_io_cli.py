@@ -1,21 +1,39 @@
 import json
+import numbers
+import os
 import subprocess
 import sys
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qphi.channels import random_channel
-from qphi.errors import BadParameter, NotPSD, ValidationError
+import qphi.cli as cli
+from qphi.channels import KrausChannel, random_channel
+from qphi.errors import BadParameter, DimensionMismatch, NotPSD, ValidationError
+from qphi.phi import phi
 from qphi.qstate_io import (
+    _decode_matrix,
+    _encode_matrix,
     channel_from_json,
     channel_to_json,
     state_from_dict,
     state_from_json,
     state_to_dict,
     state_to_json,
+    write_state,
 )
-from qphi.states import bell, ghz, ginibre_mixed, substream
+from qphi.states import (
+    SubsystemLayout,
+    bell,
+    ghz,
+    ginibre_mixed,
+    haar_pure,
+    substream,
+    validate_state,
+)
+from qphi.witness import build_witness
 
 BELL_PHI = 0.3803956658485781
 
@@ -351,3 +369,234 @@ def test_witness_command_reports_gap():
     # the scan's argmin state is itself a QSTATE document
     argmin = state_from_dict(out["scan"]["argmin_state"])
     assert argmin.dims == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# streamed writer and one-call reader against the nested-list reference
+
+
+def _nested(mat) -> list:
+    """The nested [re, im] lists json.dumps once encoded cell by cell."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat)]
+
+
+def _reference_text(rho) -> str:
+    return json.dumps({"version": 1, "dims": list(rho.dims), "matrix": _nested(rho.mat)})
+
+
+AWKWARD = [0.0, -0.0, 1.0, 2.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+           1.7976931348623157e308, 123456789.0, 0.1]
+AWKWARD = AWKWARD + [-x for x in AWKWARD]
+
+
+def _random_matrix(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-30, 30, size=(2, d, d))
+    mat = rng.standard_normal((d, d)) * scale[0] + 1j * rng.standard_normal((d, d)) * scale[1]
+    # the awkward floats in the first cells, as real and as imaginary parts
+    flat = mat.reshape(-1)
+    k = min(flat.size, len(AWKWARD))
+    flat[:k] = np.array(AWKWARD[:k]) + 1j * np.array(AWKWARD[::-1][:k])
+    return mat
+
+
+def _state(mat, dims=None):
+    """A stand-in state: the writer reads only ``dims`` and ``mat``, so this
+    also reaches it with a matrix that is not C-contiguous."""
+    return SimpleNamespace(dims=tuple(dims or (mat.shape[0],)), mat=mat)
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _written(rho) -> str:
+    rec = _Recorder()
+    write_state(rho, rec)
+    return "".join(rec.writes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 64, 512])
+def test_written_bytes_equal_the_nested_list_encoding(d):
+    mat = _random_matrix(d, d)
+    # a transposed view is not C-contiguous; at d = 512 it adds seconds and no new case
+    for m in (mat, mat.T) if d <= 64 else (mat,):
+        rho = _state(m)
+        want = _reference_text(rho)
+        assert state_to_json(rho) == want
+        assert _written(rho) == want + "\n"
+    if d >= 6:
+        strided = _state(mat[::2, ::3][:2, :2], dims=(2,))
+        assert state_to_json(strided) == _reference_text(strided)
+
+
+def test_every_awkward_float_keeps_its_repr():
+    vals = np.array(AWKWARD)
+    mat = np.diag(vals.astype(complex)) + 1j * np.diag(vals[::-1])
+    rho = _state(mat)
+    text = state_to_json(rho)
+    assert text == _reference_text(rho)
+    for x in ("-0.0", "5e-324", "2.2250738585072014e-308", "1e-05", "1e+16",
+              "1.7976931348623157e+308", "-1.7976931348623157e+308"):
+        assert x in text
+
+
+def test_channel_and_witness_matrices_keep_their_bytes():
+    ch = random_channel(4, 2, 3, substream(2, "io-bytes"))
+    want = json.dumps({"inDim": 4, "outDim": 2, "kraus": [_nested(k) for k in ch.kraus]})
+    assert channel_to_json(ch) == want
+    mat = _random_matrix(6, 7)
+    for m in (mat, mat.T, mat[::2, ::2], mat.real):
+        assert json.dumps(_encode_matrix(m)) == json.dumps(_nested(m))
+    state = run_cli(["gen", "bell"]).stdout
+    res = run_cli(["witness", "-", "--samples", "4"], stdin_text=state)
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    rho = state_from_json(state)
+    w = build_witness(rho, phi(rho, "marginal"))
+    assert json.dumps(out["matrix"]) == json.dumps(_nested(w.op))
+
+
+def test_cli_state_output_equals_the_nested_list_encoding(tmp_path):
+    dims = (2, 3, 2)
+    rho = haar_pure(dims, substream(4, "gen-haar"))
+    want = _reference_text(rho) + "\n"
+    res = run_cli(["gen", "haar", "--dims", "2,3,2", "--seed", "4"])
+    assert res.returncode == 0 and res.stdout == want
+    path = tmp_path / "haar.json"
+    assert run_cli(["gen", "haar", "--dims", "2,3,2", "--seed", "4", "--out", str(path)]).returncode == 0
+    assert path.read_text() == want
+    sigma = tmp_path / "sigma.json"
+    assert run_cli(["phi", str(path), "--sigma", str(sigma)]).returncode == 0
+    assert sigma.read_text() == _reference_text(phi(rho, "marginal").sigma_star) + "\n"
+
+
+def test_write_state_streams_one_row_per_write():
+    rho = ginibre_mixed((2, 2, 2, 2, 2, 2), 64, substream(0, "io-stream"))
+    rec = _Recorder()
+    write_state(rho, rec)
+    doc = _reference_text(rho)
+    header = doc[: doc.index("[[[")]
+    longest_row = max(len(json.dumps(row)) for row in _nested(rho.mat)) + len(", ")
+    assert len(rec.writes) >= 64
+    assert max(map(len, rec.writes)) <= len(header) + longest_row
+    assert "".join(rec.writes) == doc + "\n"
+
+
+def _reference_decode(rows) -> np.ndarray:
+    """The cell-by-cell decoder the one-call reader replaced: the oracle for
+    its exception classes and its bits."""
+    try:
+        arr = np.asarray([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"malformed matrix entries: {exc}") from exc
+    if any(k is bool or not issubclass(k, numbers.Real) for k in kinds):
+        raise BadParameter("matrix entries must be pairs of real numbers")
+    if arr.ndim != 2:
+        raise DimensionMismatch("matrix must be two-dimensional")
+    return arr
+
+
+def _outcome(fn, *args):
+    """(exception class, None) or (None, result)."""
+    try:
+        return None, fn(*args)
+    except ValidationError as exc:
+        return type(exc), None
+
+
+_Z = [0, 0]
+MATRICES = [
+    # ragged rows, and cells of length 1 and 3
+    [[[1, 0], [0, 0]], [[0, 0]]],
+    [[[1], [0]], [[0], [1]]],
+    [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],
+    [[[1, 0], [0]], [_Z, [1, 0]]],
+    [[[1, 0], [0, 0, 0]], [_Z, [1, 0]]],
+    # bools, numeric strings, null and an integer beyond float range
+    [[[True, 0], _Z], [_Z, [1, 0]]],
+    [[["1", 0], _Z], [_Z, [1, 0]]],
+    [[[1, "0"], _Z], [_Z, [1, 0]]],
+    [[[None, 0], _Z], [_Z, [1, 0]]],
+    [[[10**400, 0], _Z], [_Z, [1, 0]]],
+    # over-nested cells and rows, flat rows, empty and scalar matrices
+    [[[[1, 0]], [_Z]], [[_Z], [[1, 0]]]],
+    [[[[1, 0], [0, 0]], _Z], [_Z, [1, 0]]],
+    [[[[1, 0], _Z], [_Z, [1, 0]]]],
+    [[1, 0], [0, 1]],
+    [1, 0],
+    [], [[]], [[], []], [[[]]], [[[], []], [[], []]], 5, "ab", "", {}, [{}], [""], [[{}]], [[""]],
+    {"a": 1}, [[{"a": 1, "b": 2}]], [["ab"]],
+    # valid: exact integers, -0.0, large and subnormal values
+    [[[1, 0], _Z], [_Z, [0, 0]]],
+    [[[0.5, -0.0], [-0.0, 0.5]], [[-0.0, -0.5], [0.5, 0]]],
+    [[[2**53 + 1, 2**70 + 1], [-(2**63), 5e-324]],
+     [[int(1.7976931348623157e308), 0], [1.7976931348623157e308, -1e-05]]],
+    [[[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [0.25, 0.0]],
+     [[0.0, 0.0]] * 4, [[0.0, 0.0]] * 4,
+     [[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [0.25, 0.0]]],
+]
+
+
+@pytest.mark.parametrize("rows", MATRICES, ids=range(len(MATRICES)))
+def test_reader_matches_the_cell_by_cell_decoder(rows, tmp_path):
+    want_exc, want = _outcome(_reference_decode, rows)
+    got_exc, got = _outcome(_decode_matrix, rows)
+    assert got_exc is want_exc
+    if want is not None:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    # the whole state document, through the library and through the CLI;
+    # a valid 2 x 2 matrix is one qubit, anything else is laid out as two
+    dims = [2] if np.shape(want)[:1] == (2,) else [2, 2]
+    doc = json.dumps({"version": 1, "dims": dims, "matrix": rows})
+    want_exc, want = _outcome(lambda: validate_state(_reference_decode(rows), SubsystemLayout(tuple(dims))))
+    got_exc, _ = _outcome(state_from_json, doc)
+    assert got_exc is want_exc
+    path = tmp_path / "state.json"
+    path.write_text(doc)
+    phi_exc, _ = _outcome(phi, want, "marginal") if want is not None else (want_exc, None)
+    assert cli.main(["phi", str(path)]) == (0 if phi_exc is None else 2)
+
+    # the same matrix as the Kraus operator of a channel
+    ch = json.dumps({"inDim": 2, "outDim": 2, "kraus": [rows]})
+    want_exc, _ = _outcome(lambda: KrausChannel(2, 2, (_reference_decode(rows),)))
+    got_exc, _ = _outcome(channel_from_json, ch)
+    assert got_exc is want_exc
+
+
+# ---------------------------------------------------------------------------
+# a reader that stops reading
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["gen", "ghz", "8"], None),
+        (["observe", "-", "--family", "depolarizing", "--grid", "0:64,1:64"], "bell"),
+    ],
+)
+def test_closed_stdout_exits_141_without_an_error(args, stdin):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qphi.cli", *args],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        if stdin:
+            proc.stdin.write(state_to_json(bell()).encode())
+        proc.stdin.close()
+        head = os.read(proc.stdout.fileno(), 10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(head) == 10
+    assert err == ""
