@@ -5,251 +5,91 @@ density matrix and product states over bipartitions, along with the optimal
 cut, the nearest product state, an algebraic witness operator, a recursive
 integration dendrogram, a channel-family observer search, and a
 recovery-based blanket scan. All divergences are in nats.
+
+Every exported name is loaded from its submodule on first use, so a process
+pays to import only the parts of the library it calls.
 """
 
-from .blanket import BlanketResult, blanket_scan, petz_recover
-from .channels import (
-    KrausChannel,
-    LocalChannel,
-    apply_channel,
-    apply_local,
-    dephasing,
-    depolarizing,
-    identity_channel,
-    local_dephasing,
-    local_depolarizing,
-    partial_trace_channel,
-    random_channel,
-    random_local_channel,
-)
-from .dendrogram import (
-    Dendrogram,
-    DendrogramNode,
-    build_dendrogram,
-    from_json as dendrogram_from_json,
-    stability_probe,
-    to_dot,
-    to_json as dendrogram_to_json,
-    to_newick,
-)
-from .divergence import (
-    GramReport,
-    LN2,
-    delta,
-    negative_type_check,
-    qjsd,
-    von_neumann_entropy,
-)
-from .errors import (
-    BadBudget,
-    BadParameter,
-    BadSize,
-    BudgetExceeded,
-    ConfigInvalid,
-    DimensionMismatch,
-    DisjointnessViolation,
-    EmptyKeepSet,
-    GridTooLarge,
-    IndexOutOfRange,
-    InvalidCut,
-    InvalidPartition,
-    LayoutMismatch,
-    NotHermitian,
-    NotPSD,
-    NumericalBreakdown,
-    QphiError,
-    SearchBudgetExceeded,
-    SingleSubsystem,
-    SupportBreakdown,
-    TooFewStates,
-    TraceNotOne,
-    ValidationError,
-)
-from .observer import (
-    ChannelFamily,
-    ObserverResult,
-    SpectrumResult,
-    custom_family,
-    local_dephasing_family,
-    local_depolarizing_family,
-    maximize_phi,
-    observer_spectrum,
-    partial_trace_family,
-)
-from .phi import (
-    ConvexityReport,
-    LipschitzReport,
-    PartitionKBlocks,
-    PhiResult,
-    as_partition,
-    convexity_check,
-    divergence_for_partition,
-    enumerate_partitions,
-    lipschitz_check,
-    merge_blocks,
-    merge_inequality_check,
-    min_over_partitions,
-    partition_divergences,
-    phi,
-)
-from .qstate_io import (
-    channel_from_json,
-    channel_to_json,
-    read_state,
-    state_from_json,
-    state_to_json,
-    write_state,
-)
-from .states import (
-    Bipartition,
-    DensityMatrix,
-    SubsystemLayout,
-    bell,
-    enumerate_bipartitions,
-    ghz,
-    ginibre_mixed,
-    haar_pure,
-    maximally_mixed,
-    partial_trace,
-    product_of_block_marginals,
-    product_of_marginals,
-    pure_state,
-    random_product,
-    substream,
-    tensor,
-    validate_state,
-    w_state,
-)
-from .witness import (
-    ProductScanReport,
-    Witness,
-    build_witness,
-    expectation,
-    phi_comparison,
-    product_state_scan,
-)
+import importlib
+
+# `import qphi.phi` binds the package attribute `phi` to the submodule, and
+# module __getattr__ is never asked for a name the package already binds; so
+# the function is imported here, which loads the submodule first and then
+# rebinds the name to the function for good.
+from .phi import phi
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadBudget",
-    "BadParameter",
-    "BadSize",
-    "Bipartition",
-    "BlanketResult",
-    "BudgetExceeded",
-    "ChannelFamily",
-    "CheckResult",
-    "ConfigInvalid",
-    "ConvexityReport",
-    "Dendrogram",
-    "DendrogramNode",
-    "DensityMatrix",
-    "DimensionMismatch",
-    "DisjointnessViolation",
-    "EmptyKeepSet",
-    "GramReport",
-    "GridTooLarge",
-    "IndexOutOfRange",
-    "InvalidCut",
-    "InvalidPartition",
-    "KrausChannel",
-    "LN2",
-    "LayoutMismatch",
-    "LipschitzReport",
-    "LocalChannel",
-    "NotHermitian",
-    "NotPSD",
-    "NumericalBreakdown",
-    "ObserverResult",
-    "PartitionKBlocks",
-    "PhiResult",
-    "ProductScanReport",
-    "QphiError",
-    "SearchBudgetExceeded",
-    "SingleSubsystem",
-    "SpectrumResult",
-    "SubsystemLayout",
-    "SupportBreakdown",
-    "TooFewStates",
-    "TraceNotOne",
-    "ValidationError",
-    "VerificationReport",
-    "VerifyConfig",
-    "Witness",
-    "apply_channel",
-    "apply_local",
-    "as_partition",
-    "bell",
-    "blanket_scan",
-    "build_dendrogram",
-    "build_witness",
-    "channel_from_json",
-    "channel_to_json",
-    "convexity_check",
-    "custom_family",
-    "delta",
-    "dendrogram_from_json",
-    "dendrogram_to_json",
-    "dephasing",
-    "depolarizing",
-    "divergence_for_partition",
-    "enumerate_bipartitions",
-    "enumerate_partitions",
-    "expectation",
-    "ghz",
-    "ginibre_mixed",
-    "haar_pure",
-    "identity_channel",
-    "lipschitz_check",
-    "local_dephasing",
-    "local_dephasing_family",
-    "local_depolarizing",
-    "local_depolarizing_family",
-    "maximally_mixed",
-    "maximize_phi",
-    "merge_blocks",
-    "merge_inequality_check",
-    "min_over_partitions",
-    "negative_type_check",
-    "observer_spectrum",
-    "partial_trace",
-    "partial_trace_channel",
-    "partial_trace_family",
-    "partition_divergences",
-    "petz_recover",
-    "phi",
-    "phi_comparison",
-    "product_of_block_marginals",
-    "product_of_marginals",
-    "product_state_scan",
-    "pure_state",
-    "qjsd",
-    "random_channel",
-    "random_local_channel",
-    "random_product",
-    "read_state",
-    "run_suite",
-    "stability_probe",
-    "state_from_json",
-    "state_to_json",
-    "substream",
-    "tensor",
-    "validate_state",
-    "von_neumann_entropy",
-    "w_state",
-    "write_state",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("blanket", ("BlanketResult", "blanket_scan", "petz_recover")),
+        ("channels", (
+            "KrausChannel", "LocalChannel", "apply_channel", "apply_local", "dephasing",
+            "depolarizing", "identity_channel", "local_dephasing", "local_depolarizing",
+            "partial_trace_channel", "random_channel", "random_local_channel",
+        )),
+        ("dendrogram", (
+            "Dendrogram", "DendrogramNode", "build_dendrogram", "dendrogram_from_json",
+            "dendrogram_to_json", "stability_probe", "to_dot", "to_newick",
+        )),
+        ("divergence", (
+            "GramReport", "LN2", "delta", "negative_type_check", "qjsd", "von_neumann_entropy",
+        )),
+        ("errors", (
+            "BadBudget", "BadParameter", "BadSize", "BudgetExceeded", "ConfigInvalid",
+            "DimensionMismatch", "DisjointnessViolation", "EmptyKeepSet", "GridTooLarge",
+            "IndexOutOfRange", "InvalidCut", "InvalidPartition", "LayoutMismatch",
+            "NotHermitian", "NotPSD", "NumericalBreakdown", "QphiError",
+            "SearchBudgetExceeded", "SingleSubsystem", "StateTooLarge", "SupportBreakdown",
+            "TooFewStates", "TraceNotOne", "ValidationError",
+        )),
+        ("observer", (
+            "ChannelFamily", "ObserverResult", "SpectrumResult", "custom_family",
+            "local_dephasing_family", "local_depolarizing_family", "maximize_phi",
+            "observer_spectrum", "partial_trace_family",
+        )),
+        ("phi", (
+            "ConvexityReport", "LipschitzReport", "PartitionKBlocks", "PhiResult",
+            "as_partition", "convexity_check", "divergence_for_partition",
+            "enumerate_partitions", "lipschitz_check", "merge_blocks",
+            "merge_inequality_check", "min_over_partitions", "partition_divergences", "phi",
+        )),
+        ("qstate_io", (
+            "channel_from_json", "channel_to_json", "read_state", "state_from_json",
+            "state_to_json", "write_state",
+        )),
+        ("states", (
+            "Bipartition", "DensityMatrix", "SubsystemLayout", "bell", "enumerate_bipartitions",
+            "ghz", "ginibre_mixed", "haar_pure", "maximally_mixed", "partial_trace",
+            "product_of_block_marginals", "product_of_marginals", "pure_state",
+            "random_product", "substream", "tensor", "validate_state", "w_state",
+        )),
+        ("verify", ("CheckResult", "VerificationReport", "VerifyConfig", "run_suite")),
+        ("witness", (
+            "ProductScanReport", "Witness", "build_witness", "expectation", "phi_comparison",
+            "product_state_scan",
+        )),
+    )
+    for name in names
+}
 
+# exported names that differ from the name in their submodule
+_RENAMED = {"dendrogram_from_json": "from_json", "dendrogram_to_json": "to_json"}
 
-# The verify suite is the largest module; it is imported on first use, so
-# that a process which never verifies does not pay to load it.
-_VERIFY_NAMES = ("CheckResult", "VerificationReport", "VerifyConfig", "run_suite")
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    if name in _VERIFY_NAMES:
-        from . import verify
+    # Looked up again on every access, never stored in the package namespace:
+    # a function replaced in its submodule (by a tracer, say) and later
+    # restored is then seen through the package in both states.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), _RENAMED.get(name, name))
 
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,37 +13,27 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import (
+    BadParameter,
+    BudgetExceeded,
+    NumericalBreakdown,
+    StateTooLarge,
+    ValidationError,
+)
 
-from .blanket import blanket_scan
-from .dendrogram import build_dendrogram, to_dot, to_json, to_newick
-from .divergence import LN2
-from .errors import BadParameter, BudgetExceeded, NumericalBreakdown, ValidationError
-from .observer import (
-    local_dephasing_family,
-    local_depolarizing_family,
-    maximize_phi,
-    observer_spectrum,
-    partial_trace_family,
-)
-from .phi import DEFAULT_N_CAP, phi
-from .qstate_io import _encode_matrix, _loads, read_state, state_to_dict, write_state
-from .states import (
-    bell,
-    enumerate_bipartitions,
-    Bipartition,
-    ghz,
-    ginibre_mixed,
-    haar_pure,
-    random_product,
-    substream,
-    w_state,
-)
-from .witness import build_witness, phi_comparison, product_state_scan
+if TYPE_CHECKING:
+    from .states import Bipartition
+
+# Each command imports the modules it uses when it runs, so that a process
+# loads (and, without cached bytecode, compiles) only its own command's code.
 
 
 def _read_state(path: str):
+    from .qstate_io import read_state
+
     if path == "-":
         return read_state(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
@@ -73,6 +63,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _write_state(rho, out: str | None) -> None:
+    from .qstate_io import write_state
+
     _emit(lambda fh: write_state(rho, fh), out)
 
 
@@ -105,50 +97,84 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(_comma_list(text, "--dims", "an integer", int))
 
 
-def _convert(value: float, units: str) -> float:
-    return value / LN2 if units == "bits" else value
-
-
 def _cut_lists(cut: Bipartition) -> list:
     a, b = cut.as_lists()
     return [list(a), list(b)]
+
+
+def _check_gen_size(dims) -> None:
+    """Refuse a state whose dimension, the product of ``dims``, exceeds
+    ``2**DEFAULT_N_CAP``, the largest qubit register :func:`phi` scores by
+    default, before any array is allocated. ``dims`` may be a lazy iterable;
+    the product stops growing at the first factor past the cap."""
+    from .phi import DEFAULT_N_CAP
+
+    cap = 2**DEFAULT_N_CAP
+    dim = 1
+    for d in dims:
+        dim *= d
+        if dim > cap:
+            raise StateTooLarge(
+                f"gen writes states of dimension at most {cap} = 2**{DEFAULT_N_CAP}, "
+                f"the largest qubit register phi scores by default"
+            )
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_gen(args) -> int:
+    from .states import (
+        Bipartition,
+        SubsystemLayout,
+        _seed_int,
+        bell,
+        enumerate_bipartitions,
+        ghz,
+        ginibre_mixed,
+        haar_pure,
+        random_product,
+        substream,
+        w_state,
+    )
+
     kind = args.kind
-    seed = args.seed
+    seed = _seed_int(args.seed)  # refused for every kind, used or not
     if kind == "bell":
         rho = bell()
-    elif kind == "ghz":
-        rho = ghz(args.n if args.n is not None else 3)
-    elif kind == "w":
-        rho = w_state(args.n if args.n is not None else 3)
-    elif kind == "haar":
-        dims = _parse_dims(args.dims or "2,2")
-        rho = haar_pure(dims, substream(seed, "gen-haar"))
-    elif kind == "ginibre":
-        dims = _parse_dims(args.dims or "2,2")
-        rank = args.rank if args.rank is not None else int(np.prod(dims))
-        rho = ginibre_mixed(dims, rank, substream(seed, "gen-ginibre"))
-    elif kind == "product":
-        dims = _parse_dims(args.dims or "2,2")
-        if args.cut is None:
-            cut = enumerate_bipartitions(len(dims))[0]
-        else:
-            cut = Bipartition.of(_comma_list(args.cut, "--cut", "an integer", int), len(dims))
-        rho = random_product(dims, cut, substream(seed, "gen-product"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadParameter(f"unknown state kind {kind!r}")
+    elif kind in ("ghz", "w"):
+        n = args.n if args.n is not None else 3
+        _check_gen_size(repeat(2, n))
+        rho = ghz(n) if kind == "ghz" else w_state(n)
+    else:
+        # the layout refuses a dimension below 2 before the size check
+        # multiplies the dimensions
+        layout = SubsystemLayout(_parse_dims(args.dims or "2,2"))
+        _check_gen_size(layout.dims)
+        if kind == "haar":
+            rho = haar_pure(layout, substream(seed, "gen-haar"))
+        elif kind == "ginibre":
+            rank = args.rank if args.rank is not None else layout.dim
+            rho = ginibre_mixed(layout, rank, substream(seed, "gen-ginibre"))
+        elif kind == "product":
+            if args.cut is None:
+                cut = enumerate_bipartitions(layout.n)[0]
+            else:
+                cut = Bipartition.of(_comma_list(args.cut, "--cut", "an integer", int), layout.n)
+            rho = random_product(layout, cut, substream(seed, "gen-product"))
+        else:  # pragma: no cover - argparse restricts choices
+            raise BadParameter(f"unknown state kind {kind!r}")
     _write_state(rho, args.out)
     return 0
 
 
 def _cmd_phi(args) -> int:
+    from .divergence import LN2
+    from .phi import DEFAULT_N_CAP, phi
+
     rho = _read_state(args.state)
-    res = phi(rho, args.mode, n_cap=args.n_cap, probe_starts=args.probe_starts)
+    n_cap = DEFAULT_N_CAP if args.n_cap is None else args.n_cap
+    res = phi(rho, args.mode, n_cap=n_cap, probe_starts=args.probe_starts)
     out = {
         "mode": res.mode,
         "units": args.units,
@@ -163,7 +189,7 @@ def _cmd_phi(args) -> int:
         out["refinement_spread"] = res.refinement_spread
     if args.per_cut:
         out["per_cut"] = [
-            {"cut": _cut_lists(c), "divergence": _convert(v, args.units)}
+            {"cut": _cut_lists(c), "divergence": v / LN2 if args.units == "bits" else v}
             for c, v in res.per_cut
         ]
     if args.sigma:
@@ -173,6 +199,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_dendrogram(args) -> int:
+    from .dendrogram import build_dendrogram, to_dot, to_json, to_newick
+
     rho = _read_state(args.state)
     d = build_dendrogram(rho, args.mode)
     if args.format == "json":
@@ -186,6 +214,11 @@ def _cmd_dendrogram(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .phi import phi
+    from .qstate_io import _encode_matrix, state_to_dict
+    from .states import substream
+    from .witness import build_witness, phi_comparison, product_state_scan
+
     rho = _read_state(args.state)
     res = phi(rho, args.mode)
     w = build_witness(rho, res)
@@ -209,6 +242,12 @@ def _cmd_witness(args) -> int:
 
 
 def _family_for(args, rho):
+    from .observer import (
+        local_dephasing_family,
+        local_depolarizing_family,
+        partial_trace_family,
+    )
+
     if args.family == "dephasing":
         return local_dephasing_family(rho.layout)
     if args.family == "depolarizing":
@@ -219,6 +258,8 @@ def _family_for(args, rho):
 
 
 def _cmd_observe(args) -> int:
+    from .observer import maximize_phi, observer_spectrum
+
     if args.fixed and not args.grid:
         raise BadParameter("--fixed pins grid axes and needs --grid")
     rho = _read_state(args.state)
@@ -267,6 +308,8 @@ def _cmd_observe(args) -> int:
 
 
 def _cmd_blanket(args) -> int:
+    from .blanket import blanket_scan
+
     rho = _read_state(args.state)
     res = blanket_scan(rho, args.size, mode=args.mode)
     out = {
@@ -281,7 +324,7 @@ def _cmd_blanket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # imported here: the suite is the largest module and only this command uses it
+    from .qstate_io import _loads
     from .verify import VerifyConfig, run_suite
 
     if args.config:
@@ -324,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--units", choices=["nats", "bits"], default="nats")
     f.add_argument("--per-cut", action="store_true", dest="per_cut")
     f.add_argument("--sigma", default=None, help="write closest product state to this file")
-    f.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, dest="n_cap")
+    f.add_argument(
+        "--n-cap", type=int, default=None, dest="n_cap",
+        help="largest subsystem count to score; default phi's own cap",
+    )
     f.add_argument(
         "--probe-starts", type=int, default=0, dest="probe_starts",
         help="optimized mode: rerun the refinement from N perturbed starts and "

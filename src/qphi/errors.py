@@ -95,3 +95,7 @@ class SearchBudgetExceeded(BudgetExceeded):
 
 class GridTooLarge(BudgetExceeded):
     pass
+
+
+class StateTooLarge(BudgetExceeded):
+    pass

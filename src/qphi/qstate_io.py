@@ -14,13 +14,15 @@ import json
 import math
 import numbers
 from itertools import chain
-from typing import Iterator, TextIO, Union
+from typing import TYPE_CHECKING, Iterator, TextIO, Union
 
 import numpy as np
 
-from .channels import KrausChannel
 from .errors import BadParameter, DimensionMismatch
 from .states import DensityMatrix, SubsystemLayout, validate_state
+
+if TYPE_CHECKING:
+    from .channels import KrausChannel
 
 QSTATE_VERSION = 1
 
@@ -156,6 +158,9 @@ def channel_to_json(ch: KrausChannel) -> str:
 
 
 def channel_from_dict(obj: dict) -> KrausChannel:
+    # imported here: only channel documents need the channels module
+    from .channels import KrausChannel
+
     if not isinstance(obj, dict):
         raise BadParameter("channel document must be a JSON object")
     for key in ("inDim", "outDim", "kraus"):

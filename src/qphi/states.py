@@ -7,7 +7,6 @@ identical seeds reproduce matrices bit for bit.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -29,7 +28,8 @@ HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 
-SeedLike = Union[int, np.random.Generator]
+# a string, so that importing this module does not load numpy.random
+SeedLike = Union[int, "np.random.Generator"]
 
 
 @dataclass(frozen=True)
@@ -329,17 +329,26 @@ def product_of_marginals(rho: DensityMatrix, cut: Bipartition) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # generators
 
+def _seed_int(seed) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise BadParameter(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def rng_from(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_seed_int(seed))
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """A named, reproducible child stream of the given seed."""
+    import hashlib  # here, not at the top: only seeded generators need it
+
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = tuple(int.from_bytes(digest[4 * k : 4 * k + 4], "big") for k in range(4))
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=words))
+    return np.random.default_rng(np.random.SeedSequence(entropy=_seed_int(seed), spawn_key=words))
 
 
 def pure_state(vec: np.ndarray, layout) -> DensityMatrix:

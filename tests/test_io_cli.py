@@ -327,14 +327,62 @@ def test_exit_code_budget():
     assert res2.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "bell", "--seed", "-1"],
+        ["gen", "haar", "--dims", "2,2", "--seed", "-1"],
+        ["gen", "ginibre", "--dims", "2,2", "--seed", "-1"],
+        ["observe", "-", "--family", "dephasing", "--budget", "20", "--seed", "-1"],
+        ["witness", "-", "--samples", "5", "--seed", "-1"],
+    ],
+)
+def test_negative_seeds_exit_2(args):
+    res = run_cli(args, stdin_text=state_to_json(bell()))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: seed must be a non-negative integer")
+
+
+@pytest.mark.parametrize(
+    "args", [["gen", "ghz", "30"], ["gen", "w", "30"], ["gen", "haar", "--dims", "1000,1000"]]
+)
+def test_gen_refuses_oversized_states_before_allocating(args):
+    # a 2**30 or 10**6 dimensional matrix would take 16 GiB or more
+    res = subprocess.run(
+        [sys.executable, "-m", "qphi.cli", *args], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 4, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("budget exceeded: ")
+
+
+def test_gen_size_cap_is_2_to_the_default_n_cap():
+    from itertools import repeat
+
+    from qphi.errors import StateTooLarge
+    from qphi.phi import DEFAULT_N_CAP
+
+    cap = 2**DEFAULT_N_CAP
+    for dims in ((2,) * DEFAULT_N_CAP, (cap,), (2, cap // 2)):
+        cli._check_gen_size(dims)
+    for dims in ((2,) * (DEFAULT_N_CAP + 1), (cap + 1,), (3, cap // 2), repeat(2, 10**18)):
+        with pytest.raises(StateTooLarge):
+            cli._check_gen_size(dims)
+
+
 def test_exit_code_numerical_breakdown(monkeypatch):
+    import importlib
+
     import qphi.cli as cli
     from qphi.errors import NumericalBreakdown
 
     def boom(*a, **k):
         raise NumericalBreakdown("synthetic")
 
-    monkeypatch.setattr(cli, "phi", boom)
+    # the command imports phi from its module when it runs; `import qphi.phi`
+    # would name the function, which the package binds as `phi`
+    monkeypatch.setattr(importlib.import_module("qphi.phi"), "phi", boom)
     import tempfile, os
 
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:

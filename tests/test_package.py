@@ -3,7 +3,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qphi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = sorted(p.stem for p in (SRC / "qphi").glob("*.py") if p.stem != "__init__")
+
+# every name the package has exported, which it keeps exporting
+EXPORTED = """
+BadBudget BadParameter BadSize Bipartition BlanketResult BudgetExceeded ChannelFamily
+CheckResult ConfigInvalid ConvexityReport Dendrogram DendrogramNode DensityMatrix
+DimensionMismatch DisjointnessViolation EmptyKeepSet GramReport GridTooLarge
+IndexOutOfRange InvalidCut InvalidPartition KrausChannel LN2 LayoutMismatch
+LipschitzReport LocalChannel NotHermitian NotPSD NumericalBreakdown ObserverResult
+PartitionKBlocks PhiResult ProductScanReport QphiError SearchBudgetExceeded
+SingleSubsystem SpectrumResult SubsystemLayout SupportBreakdown TooFewStates TraceNotOne
+ValidationError VerificationReport VerifyConfig Witness apply_channel apply_local
+as_partition bell blanket_scan build_dendrogram build_witness channel_from_json
+channel_to_json convexity_check custom_family delta dendrogram_from_json
+dendrogram_to_json dephasing depolarizing divergence_for_partition enumerate_bipartitions
+enumerate_partitions expectation ghz ginibre_mixed haar_pure identity_channel
+lipschitz_check local_dephasing local_dephasing_family local_depolarizing
+local_depolarizing_family maximally_mixed maximize_phi merge_blocks
+merge_inequality_check min_over_partitions negative_type_check observer_spectrum
+partial_trace partial_trace_channel partial_trace_family partition_divergences
+petz_recover phi phi_comparison product_of_block_marginals product_of_marginals
+product_state_scan pure_state qjsd random_channel random_local_channel random_product
+read_state run_suite stability_probe state_from_json state_to_json substream tensor
+to_dot to_newick validate_state von_neumann_entropy w_state write_state
+""".split()
 
 
 def test_every_export_resolves_once():
@@ -11,6 +40,63 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(qphi, n)]
     assert missing == []
+
+
+def test_dir_and_star_import_cover_every_export():
+    assert set(EXPORTED) <= set(qphi.__all__)
+    assert set(qphi.__all__) <= set(dir(qphi))
+    code = "from qphi import *; import qphi; print(all(n in globals() for n in qphi.__all__))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
+
+
+def _modules_loaded(args, stdin=""):
+    """The modules a fresh ``python <args>`` process imports, as listed by
+    the interpreter's own ``-X importtime`` report."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        input=stdin, capture_output=True, text=True, check=True,
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def test_gen_bell_loads_only_its_own_modules():
+    loaded = _modules_loaded(["-m", "qphi.cli", "gen", "bell"])
+    assert {"qphi.states", "qphi.qstate_io"} <= loaded
+    unneeded = {f"qphi.{m}" for m in
+                ("observer", "channels", "search", "blanket", "dendrogram", "witness", "verify")}
+    # numpy.random and hashlib count only where numpy itself leaves them
+    # unloaded, as numpy 2 does
+    unneeded |= {"numpy.random", "hashlib"} - _modules_loaded(["-c", "import numpy"])
+    assert loaded & unneeded == set()
+
+
+def test_phi_command_loads_only_its_own_modules():
+    state = subprocess.run(
+        [sys.executable, "-m", "qphi.cli", "gen", "bell"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = _modules_loaded(["-m", "qphi.cli", "phi", "-"], stdin=state)
+    assert "qphi.phi" in loaded
+    unneeded = {f"qphi.{m}" for m in
+                ("observer", "channels", "blanket", "dendrogram", "witness", "verify")}
+    assert loaded & unneeded == set()
+
+
+@pytest.mark.parametrize("submodule", SUBMODULES)
+def test_phi_stays_the_function_whichever_submodule_loads_first(submodule):
+    # importing the submodule qphi.phi binds the package attribute `phi` to
+    # it unless the package has already bound the function
+    code = (
+        f"import qphi.{submodule}, sys, qphi; "
+        "print(qphi.phi is sys.modules['qphi.phi'].phi and callable(qphi.phi))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
 
 
 def test_import_and_search_load_no_scipy():

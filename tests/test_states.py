@@ -203,6 +203,20 @@ def test_random_generators_are_deterministic():
     assert np.isclose(p.purity(), 1.0)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: ginibre_mixed((2, 2), 4, seed=-1),
+        lambda: haar_pure((2, 2), -1),
+        lambda: substream(-1, "s"),
+    ],
+    ids=["ginibre", "haar", "substream"],
+)
+def test_negative_seeds_are_refused(draw):
+    with pytest.raises(BadParameter, match="seed must be a non-negative integer"):
+        draw()
+
+
 def test_ginibre_rank_controls_support():
     low = ginibre_mixed((2, 2), 1, substream(0, "r1"))
     eigs = np.linalg.eigvalsh(np.asarray(low.mat))
