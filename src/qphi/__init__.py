@@ -6,17 +6,14 @@ cut, the nearest product state, an algebraic witness operator, a recursive
 integration dendrogram, a channel-family observer search, and a
 recovery-based blanket scan. All divergences are in nats.
 
-Every exported name is loaded from its submodule on first use, so a process
-pays to import only the parts of the library it calls.
+Every exported name, ``phi`` included, is loaded from its submodule on first
+use, and ``import qphi`` itself loads no submodule, so a process pays to
+import only the parts of the library it calls.
 """
 
 import importlib
-
-# `import qphi.phi` binds the package attribute `phi` to the submodule, and
-# module __getattr__ is never asked for a name the package already binds; so
-# the function is imported here, which loads the submodule first and then
-# rebinds the name to the function for good.
-from .phi import phi
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -93,3 +90,17 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    # Importing a submodule binds it as an attribute of its package, and
+    # __getattr__ is never asked for a name the package binds. The submodule
+    # qphi.phi shares its name with the function it exports, so such a
+    # binding is dropped: `qphi.phi` then stays the function, resolved by
+    # __getattr__, whichever module loads first.
+    def __setattr__(self, name, value):
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

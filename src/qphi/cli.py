@@ -102,12 +102,14 @@ def _cut_lists(cut: Bipartition) -> list:
     return [list(a), list(b)]
 
 
-def _check_gen_size(dims) -> None:
-    """Refuse a state whose dimension, the product of ``dims``, exceeds
-    ``2**DEFAULT_N_CAP``, the largest qubit register :func:`phi` scores by
-    default, before any array is allocated. ``dims`` may be a lazy iterable;
-    the product stops growing at the first factor past the cap."""
-    from .phi import DEFAULT_N_CAP
+def _check_gen_size(dims, rank: int = 1) -> None:
+    """Refuse, before any array is allocated, a state whose dimension D, the
+    product of ``dims``, exceeds ``2**DEFAULT_N_CAP``, the largest qubit
+    register :func:`phi` scores by default, and a Ginibre draw of ``rank``
+    columns whose D x rank entries outnumber those of the largest such state.
+    ``dims`` may be a lazy iterable; the product stops growing at the first
+    factor past the cap."""
+    from .states import DEFAULT_N_CAP
 
     cap = 2**DEFAULT_N_CAP
     dim = 1
@@ -118,6 +120,11 @@ def _check_gen_size(dims) -> None:
                 f"gen writes states of dimension at most {cap} = 2**{DEFAULT_N_CAP}, "
                 f"the largest qubit register phi scores by default"
             )
+    if dim * rank > cap * cap:
+        raise StateTooLarge(
+            f"a Ginibre draw of rank {rank} at dimension {dim} holds more than "
+            f"{cap}**2 entries, those of the largest state gen writes"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +157,11 @@ def _cmd_gen(args) -> int:
         # the layout refuses a dimension below 2 before the size check
         # multiplies the dimensions
         layout = SubsystemLayout(_parse_dims(args.dims or "2,2"))
-        _check_gen_size(layout.dims)
+        rank = args.rank if args.rank is not None else layout.dim
+        _check_gen_size(layout.dims, rank if kind == "ginibre" else 1)
         if kind == "haar":
             rho = haar_pure(layout, substream(seed, "gen-haar"))
         elif kind == "ginibre":
-            rank = args.rank if args.rank is not None else layout.dim
             rho = ginibre_mixed(layout, rank, substream(seed, "gen-ginibre"))
         elif kind == "product":
             if args.cut is None:

@@ -62,6 +62,7 @@ from .errors import (
     SingleSubsystem,
 )
 from .states import (
+    DEFAULT_N_CAP,
     Bipartition,
     DensityMatrix,
     _assemble_raw,
@@ -75,7 +76,6 @@ from .states import (
 )
 
 TIE_TOL = 1e-9
-DEFAULT_N_CAP = 12
 PARTITION_N_MAX = 6  # exhaustive k-block enumeration stops here (202 partitions)
 REFINE_IMPROVEMENT_TOL = 1e-12
 REFINE_MAX_STEPS = 1000
@@ -358,8 +358,20 @@ def _gram_midpoint(x: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.nd
 
 def _dense_midpoint(rho: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Spectra of a stack of midpoints (rho + rho_A (x) rho_B)/2, by one
-    stacked dense eigensolve."""
-    return np.linalg.eigvalsh((rho + _kron(rho_a, rho_b)) / 2.0)
+    stacked dense eigensolve. The midpoints are built in one buffer: the
+    Kronecker products are written into it, then rho is added and the sum
+    halved in place. Addition commutes and halving is exact, so the bits are
+    those of (rho + rho_A (x) rho_B) / 2 without its two temporaries."""
+    da, db = rho_a.shape[-1], rho_b.shape[-1]
+    mid = np.empty(rho.shape, np.result_type(rho, rho_a, rho_b))
+    np.multiply(
+        rho_a[..., :, None, :, None],
+        rho_b[..., None, :, None, :],
+        out=mid.reshape(mid.shape[:-2] + (da, db, da, db)),
+    )
+    mid += rho
+    mid /= 2.0
+    return np.linalg.eigvalsh(mid)
 
 
 @lru_cache(maxsize=32)

@@ -27,6 +27,9 @@ from .errors import (
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
+# the most subsystems phi scores by default; gen writes no state larger than
+# a register of that many qubits
+DEFAULT_N_CAP = 12
 
 # a string, so that importing this module does not load numpy.random
 SeedLike = Union[int, "np.random.Generator"]

@@ -1,4 +1,5 @@
 import json
+import math
 import numbers
 import os
 import subprocess
@@ -345,10 +346,17 @@ def test_negative_seeds_exit_2(args):
 
 
 @pytest.mark.parametrize(
-    "args", [["gen", "ghz", "30"], ["gen", "w", "30"], ["gen", "haar", "--dims", "1000,1000"]]
+    "args",
+    [
+        ["gen", "ghz", "30"],
+        ["gen", "w", "30"],
+        ["gen", "haar", "--dims", "1000,1000"],
+        ["gen", "ginibre", "--dims", "2,2", "--rank", "1000000000000"],
+    ],
 )
 def test_gen_refuses_oversized_states_before_allocating(args):
-    # a 2**30 or 10**6 dimensional matrix would take 16 GiB or more
+    # a 2**30 or 10**6 dimensional matrix, or a 4 x 10**12 Ginibre draw,
+    # would take 16 GiB or more
     res = subprocess.run(
         [sys.executable, "-m", "qphi.cli", *args], capture_output=True, text=True, timeout=60
     )
@@ -371,6 +379,18 @@ def test_gen_size_cap_is_2_to_the_default_n_cap():
             cli._check_gen_size(dims)
 
 
+def test_gen_ginibre_rank_cap_is_the_largest_state_s_entries():
+    from qphi.errors import StateTooLarge
+    from qphi.states import DEFAULT_N_CAP
+
+    entries = 4**DEFAULT_N_CAP
+    for dims in ((2, 2), (3, 5), (2**DEFAULT_N_CAP,)):
+        dim = math.prod(dims)
+        cli._check_gen_size(dims, entries // dim)
+        with pytest.raises(StateTooLarge):
+            cli._check_gen_size(dims, entries // dim + 1)
+
+
 def test_exit_code_numerical_breakdown(monkeypatch):
     import importlib
 
@@ -381,7 +401,7 @@ def test_exit_code_numerical_breakdown(monkeypatch):
         raise NumericalBreakdown("synthetic")
 
     # the command imports phi from its module when it runs; `import qphi.phi`
-    # would name the function, which the package binds as `phi`
+    # would name the function, which the package exports as `phi`
     monkeypatch.setattr(importlib.import_module("qphi.phi"), "phi", boom)
     import tempfile, os
 

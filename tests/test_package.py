@@ -2,6 +2,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -64,11 +65,19 @@ def _modules_loaded(args, stdin=""):
     }
 
 
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = _modules_loaded(["-c", "import qphi"])
+    assert "qphi" in loaded
+    assert {m for m in loaded if m.startswith("qphi.") or m.split(".")[0] == "numpy"} == set()
+
+
 def test_gen_bell_loads_only_its_own_modules():
     loaded = _modules_loaded(["-m", "qphi.cli", "gen", "bell"])
     assert {"qphi.states", "qphi.qstate_io"} <= loaded
-    unneeded = {f"qphi.{m}" for m in
-                ("observer", "channels", "search", "blanket", "dendrogram", "witness", "verify")}
+    unneeded = {f"qphi.{m}" for m in (
+        "phi", "divergence", "observer", "channels", "search", "blanket", "dendrogram",
+        "witness", "verify",
+    )}
     # numpy.random and hashlib count only where numpy itself leaves them
     # unloaded, as numpy 2 does
     unneeded |= {"numpy.random", "hashlib"} - _modules_loaded(["-c", "import numpy"])
@@ -89,14 +98,30 @@ def test_phi_command_loads_only_its_own_modules():
 
 @pytest.mark.parametrize("submodule", SUBMODULES)
 def test_phi_stays_the_function_whichever_submodule_loads_first(submodule):
-    # importing the submodule qphi.phi binds the package attribute `phi` to
-    # it unless the package has already bound the function
+    # the import system binds each submodule it loads as an attribute of the
+    # package, and the package drops that binding for qphi.phi
     code = (
         f"import qphi.{submodule}, sys, qphi; "
         "print(qphi.phi is sys.modules['qphi.phi'].phi and callable(qphi.phi))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"
+
+
+def test_import_qphi_phi_as_names_the_function():
+    code = "import sys; import qphi.phi as m; print(m is sys.modules['qphi.phi'].phi)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
+
+
+def test_patching_phi_through_the_package_restores_the_function():
+    home = importlib.import_module("qphi.phi")
+    with mock.patch("qphi.phi", lambda *args, **kwargs: None) as fake:
+        assert qphi.phi is fake
+        assert home.phi is not fake
+    assert qphi.phi is home.phi and callable(qphi.phi)
+    # the package still binds other submodules
+    assert qphi.divergence is importlib.import_module("qphi.divergence")
 
 
 def test_import_and_search_load_no_scipy():

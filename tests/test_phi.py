@@ -543,6 +543,40 @@ def test_stacked_cut_divergences_match_per_state_phi(monkeypatch):
         assert np.array_equal(phi_module._cut_divergences(mats, dims), got)
 
 
+# full-rank, rank-2 and pure states, two of each per layout, so that a chunk
+# of several states mixes the Schmidt, Gram and dense branches
+CHUNK_STATES = [
+    make(dims, substream(k, f"chunk-{dims}"))
+    for dims in ((2, 2, 2, 2), (3, 2, 2))
+    for k in range(2)
+    for make in (
+        lambda dims, seed: ginibre_mixed(dims, int(np.prod(dims)), seed),
+        lambda dims, seed: ginibre_mixed(dims, 2, seed),
+        haar_pure,
+    )
+]
+
+
+@pytest.mark.parametrize("per_chunk", ["one cut", "several states"])
+def test_cut_divergences_do_not_depend_on_the_chunk_size(per_chunk, monkeypatch):
+    stacks = _stacks(CHUNK_STATES)
+    want = [phi_module._cut_divergences(mats, dims) for dims, _, mats in stacks]
+    # three 16 x 16 or five 12 x 12 matrices per stacked eigensolve
+    stack_bytes = 1 if per_chunk == "one cut" else 3 * 16 * 16 * 16
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
+    for (dims, group, mats), values in zip(stacks, want):
+        step = divergence_module._stack_len(mats.shape[-1])
+        if per_chunk == "one cut":
+            assert step == 1
+        else:
+            assert 1 < step < len(group)
+        got = phi_module._cut_divergences(mats, dims)
+        assert np.array_equal(got, values), dims
+        for rho, row in zip(group, got):
+            dense = [qjsd(rho, product_of_marginals(rho, c)) for c in enumerate_bipartitions(rho.n)]
+            assert np.max(np.abs(row - dense)) <= 1e-12, dims
+
+
 def test_stacked_partition_divergences_match_per_state(monkeypatch):
     stacks = _stacks(list(PARTITION_STATES.values()) + STACK_STATES[-3:])
     results = []
