@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 validation problem, 3 numerical breakdown,
 4 budget or size cap exceeded, 141 (128 + SIGPIPE) stdout closed by its
-reader before all output was written, with no error printed. All structured
-output is JSON; dendrograms can also be printed as Newick or DOT text. Every
-command that emits a state emits QSTATE JSON, so commands compose through
-pipes.
+reader before all output was written, with no error printed. No command
+checks a state's size: :class:`qphi.states.SubsystemLayout` refuses every
+layout above the package's size cap, in gen, in the QSTATE reader and in
+verify configs alike. All structured output is JSON; dendrograms can also
+be printed as Newick or DOT text. Every command that emits a state emits
+QSTATE JSON, so commands compose through pipes.
 """
 from __future__ import annotations
 
@@ -13,14 +15,12 @@ import argparse
 import json
 import os
 import sys
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import (
     BadParameter,
     BudgetExceeded,
     NumericalBreakdown,
-    StateTooLarge,
     ValidationError,
 )
 
@@ -102,33 +102,18 @@ def _cut_lists(cut: Bipartition) -> list:
     return [list(a), list(b)]
 
 
-def _check_gen_size(dims, rank: int = 1) -> None:
-    """Refuse, before any array is allocated, a state whose dimension D, the
-    product of ``dims``, exceeds ``2**DEFAULT_N_CAP``, the largest qubit
-    register :func:`phi` scores by default, and a Ginibre draw of ``rank``
-    columns whose D x rank entries outnumber those of the largest such state.
-    ``dims`` may be a lazy iterable; the product stops growing at the first
-    factor past the cap."""
-    from .states import DEFAULT_N_CAP
-
-    cap = 2**DEFAULT_N_CAP
-    dim = 1
-    for d in dims:
-        dim *= d
-        if dim > cap:
-            raise StateTooLarge(
-                f"gen writes states of dimension at most {cap} = 2**{DEFAULT_N_CAP}, "
-                f"the largest qubit register phi scores by default"
-            )
-    if dim * rank > cap * cap:
-        raise StateTooLarge(
-            f"a Ginibre draw of rank {rank} at dimension {dim} holds more than "
-            f"{cap}**2 entries, those of the largest state gen writes"
-        )
-
-
 # ---------------------------------------------------------------------------
 # commands
+
+# the kinds each of gen's optional inputs applies to; given to any other
+# kind, it is refused rather than ignored
+_GEN_FLAG_KINDS = {
+    "n": ("ghz", "w"),
+    "--dims": ("haar", "ginibre", "product"),
+    "--rank": ("ginibre",),
+    "--cut": ("product",),
+}
+
 
 def _cmd_gen(args) -> int:
     from .states import (
@@ -146,22 +131,21 @@ def _cmd_gen(args) -> int:
     )
 
     kind = args.kind
+    for flag, kinds in _GEN_FLAG_KINDS.items():
+        if getattr(args, flag.lstrip("-")) is not None and kind not in kinds:
+            raise BadParameter(f"{flag} does not apply to gen {kind}, only to {', '.join(kinds)}")
     seed = _seed_int(args.seed)  # refused for every kind, used or not
     if kind == "bell":
         rho = bell()
     elif kind in ("ghz", "w"):
         n = args.n if args.n is not None else 3
-        _check_gen_size(repeat(2, n))
         rho = ghz(n) if kind == "ghz" else w_state(n)
     else:
-        # the layout refuses a dimension below 2 before the size check
-        # multiplies the dimensions
         layout = SubsystemLayout(_parse_dims(args.dims or "2,2"))
-        rank = args.rank if args.rank is not None else layout.dim
-        _check_gen_size(layout.dims, rank if kind == "ginibre" else 1)
         if kind == "haar":
             rho = haar_pure(layout, substream(seed, "gen-haar"))
         elif kind == "ginibre":
+            rank = args.rank if args.rank is not None else layout.dim
             rho = ginibre_mixed(layout, rank, substream(seed, "gen-ginibre"))
         elif kind == "product":
             if args.cut is None:
@@ -177,11 +161,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_phi(args) -> int:
     from .divergence import LN2
-    from .phi import DEFAULT_N_CAP, phi
+    from .phi import phi
 
     rho = _read_state(args.state)
-    n_cap = DEFAULT_N_CAP if args.n_cap is None else args.n_cap
-    res = phi(rho, args.mode, n_cap=n_cap, probe_starts=args.probe_starts)
+    res = phi(rho, args.mode, probe_starts=args.probe_starts)
     out = {
         "mode": res.mode,
         "units": args.units,
@@ -374,10 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--units", choices=["nats", "bits"], default="nats")
     f.add_argument("--per-cut", action="store_true", dest="per_cut")
     f.add_argument("--sigma", default=None, help="write closest product state to this file")
-    f.add_argument(
-        "--n-cap", type=int, default=None, dest="n_cap",
-        help="largest subsystem count to score; default phi's own cap",
-    )
     f.add_argument(
         "--probe-starts", type=int, default=0, dest="probe_starts",
         help="optimized mode: rerun the refinement from N perturbed starts and "

@@ -194,6 +194,8 @@ def stability_probe(
     on member sets common to both trees and count topology changes."""
     if trials < 1:
         raise BadParameter("trials must be >= 1")
+    if not 0.0 <= eps <= 1.0:
+        raise BadParameter(f"eps must lie in [0, 1], got {eps}")
     base = build_dendrogram(rho, mode)
     base_phis = {n.members: n.phi_internal for n in base.internal_nodes()}
     rng = rng_from(int(seed))

@@ -58,13 +58,12 @@ from .divergence import _pair_divergences, _stack_len, entropies
 from .errors import (
     BadParameter,
     InvalidPartition,
-    SearchBudgetExceeded,
     SingleSubsystem,
 )
 from .states import (
-    DEFAULT_N_CAP,
     Bipartition,
     DensityMatrix,
+    SubsystemLayout,
     _assemble_raw,
     _kron,
     _partial_trace_raw,
@@ -493,23 +492,17 @@ def _marginal_result(rho: DensityMatrix, values) -> PhiResult:
 # ---------------------------------------------------------------------------
 # the headline quantity
 
-def _check_cuttable(n: int, n_cap: int) -> None:
+def _check_cuttable(n: int) -> None:
     """Raise unless a layout of n subsystems has a cut phi may score."""
     if n < 2:
         raise SingleSubsystem("phi needs at least two subsystems")
-    if n > n_cap:
-        raise SearchBudgetExceeded(f"n={n} exceeds the configured cap {n_cap}")
 
 
-def phi(
-    rho: DensityMatrix,
-    mode: str = "marginal",
-    *,
-    n_cap: int = DEFAULT_N_CAP,
-    probe_starts: int = 0,
-) -> PhiResult:
+def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) -> PhiResult:
     """Integrated information of the state, minimized over canonical bipartitions.
 
+    The state's layout has already passed the package's size rule
+    (:class:`~qphi.states.SubsystemLayout`), so n is at most 12 here.
     ``probe_starts`` (optimized mode) reruns the descent from that many
     perturbed initializations, drawn from a fixed seed, and records the
     spread of the resulting optima, as a uniqueness diagnostic.
@@ -520,7 +513,7 @@ def phi(
         raise BadParameter(f"probe_starts must be >= 0, got {probe_starts}")
     if probe_starts > 0 and mode != "optimized":
         raise BadParameter("probe_starts needs mode 'optimized'")
-    _check_cuttable(rho.n, n_cap)
+    _check_cuttable(rho.n)
     marg = _marginal_result(rho, _cut_divergences(np.asarray(rho.mat)[None], rho.dims)[0])
     if mode == "marginal":
         return marg
@@ -571,12 +564,14 @@ def min_over_partitions(rho: DensityMatrix):
 def _phis(mats: np.ndarray, dims: tuple[int, ...], mode: str = "marginal") -> np.ndarray:
     """phi of every state of an (S, D, D) stack: one :func:`_cut_divergences`
     pass in marginal mode, else one :func:`phi` call per state (which rejects
-    an unknown mode). Raises as :func:`phi` does on a layout of one subsystem
-    or of more than ``DEFAULT_N_CAP``."""
-    _check_cuttable(len(dims), DEFAULT_N_CAP)
+    an unknown mode). Raises as :func:`phi` does on a layout of one subsystem;
+    ``dims`` passes the size rule of :class:`~qphi.states.SubsystemLayout`
+    here, before scoring, as a custom channel family's outputs may exceed it."""
+    layout = SubsystemLayout(dims)
+    _check_cuttable(layout.n)
     if mode == "marginal":
-        return _cut_divergences(mats, tuple(dims)).min(axis=1)
-    return np.array([phi(DensityMatrix(tuple(dims), m), mode).phi for m in mats])
+        return _cut_divergences(mats, layout.dims).min(axis=1)
+    return np.array([phi(DensityMatrix(layout, m), mode).phi for m in mats])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ identical seeds reproduce matrices bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -21,14 +22,15 @@ from .errors import (
     LayoutMismatch,
     NotHermitian,
     NotPSD,
+    StateTooLarge,
     TraceNotOne,
 )
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-# the most subsystems phi scores by default; gen writes no state larger than
-# a register of that many qubits
+# no state has dimension above 2**DEFAULT_N_CAP, a register of this many
+# qubits: phi eigensolves D x D matrices on each of its 2**(n-1) - 1 cuts
 DEFAULT_N_CAP = 12
 
 # a string, so that importing this module does not load numpy.random
@@ -37,7 +39,10 @@ SeedLike = Union[int, "np.random.Generator"]
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered local dimensions of the tensor factors."""
+    """Ordered local dimensions of the tensor factors. The package's one
+    size rule: a dimension D above ``2**DEFAULT_N_CAP`` = 4096, hence also
+    n above ``DEFAULT_N_CAP``, raises :class:`StateTooLarge`, so generators
+    and the reader refuse a state before its matrix is allocated or decoded."""
 
     dims: tuple[int, ...]
 
@@ -47,6 +52,9 @@ class SubsystemLayout:
             raise DimensionMismatch("layout needs at least one subsystem")
         if any(d < 2 for d in dims):
             raise DimensionMismatch(f"every local dimension must be >= 2, got {dims}")
+        # the count first, so that no product of a long list is formed
+        if len(dims) > DEFAULT_N_CAP or math.prod(dims) > 2**DEFAULT_N_CAP:
+            raise StateTooLarge(f"layout of {len(dims)} subsystems has D > {2**DEFAULT_N_CAP}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -55,10 +63,7 @@ class SubsystemLayout:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
 
 def as_layout(layout) -> SubsystemLayout:
@@ -71,8 +76,9 @@ def as_layout(layout) -> SubsystemLayout:
 class DensityMatrix:
     """A density operator together with its subsystem layout.
 
-    Construction does only cheap shape checks; use :func:`validate_state` for
-    untrusted matrices (it enforces hermiticity, unit trace and positivity).
+    Construction does only the layout's checks and a shape check; use
+    :func:`validate_state` for untrusted matrices (it enforces hermiticity,
+    unit trace and positivity).
     """
 
     layout: SubsystemLayout
@@ -387,21 +393,28 @@ def bell() -> DensityMatrix:
     return pure_state(v, (2, 2))
 
 
-def ghz(n: int) -> DensityMatrix:
+def _qubits(n: int, name: str) -> SubsystemLayout:
+    """n qubits; past the size rule, n is refused before (2,) * n is built."""
     if n < 2:
-        raise BadParameter("ghz needs at least 2 qubits")
-    v = np.zeros(2**n, dtype=complex)
+        raise BadParameter(f"{name} needs at least 2 qubits")
+    if n > DEFAULT_N_CAP:
+        raise StateTooLarge(f"{name} of {n} qubits exceeds {DEFAULT_N_CAP} qubits")
+    return SubsystemLayout((2,) * n)
+
+
+def ghz(n: int) -> DensityMatrix:
+    lay = _qubits(n, "ghz")
+    v = np.zeros(lay.dim, dtype=complex)
     v[0] = v[-1] = 1.0 / np.sqrt(2.0)
-    return pure_state(v, (2,) * n)
+    return pure_state(v, lay)
 
 
 def w_state(n: int) -> DensityMatrix:
-    if n < 2:
-        raise BadParameter("w needs at least 2 qubits")
-    v = np.zeros(2**n, dtype=complex)
+    lay = _qubits(n, "w")
+    v = np.zeros(lay.dim, dtype=complex)
     for k in range(n):
         v[1 << k] = 1.0 / np.sqrt(n)
-    return pure_state(v, (2,) * n)
+    return pure_state(v, lay)
 
 
 def haar_pure(layout, seed: SeedLike) -> DensityMatrix:
@@ -412,10 +425,13 @@ def haar_pure(layout, seed: SeedLike) -> DensityMatrix:
 
 
 def ginibre_mixed(layout, rank: int, seed: SeedLike) -> DensityMatrix:
-    """Full support when rank >= dim; induced-measure mixed state otherwise."""
+    """Full support when rank >= dim; induced-measure mixed state otherwise.
+    A draw of more D x rank entries than 4**DEFAULT_N_CAP is refused."""
     lay = as_layout(layout)
     if rank < 1:
         raise BadParameter(f"rank must be >= 1, got {rank}")
+    if lay.dim * rank > 4**DEFAULT_N_CAP:
+        raise StateTooLarge(f"Ginibre draw {lay.dim} x {rank} exceeds 4**{DEFAULT_N_CAP} entries")
     rng = rng_from(seed)
     g = rng.standard_normal((lay.dim, rank)) + 1j * rng.standard_normal((lay.dim, rank))
     return DensityMatrix(lay, _ginibre_stack(g))

@@ -128,7 +128,7 @@ class VerifyConfig:
         except TypeError as exc:
             raise ConfigInvalid(f"malformed layouts: {exc}") from exc
         for lay in layouts:
-            SubsystemLayout(lay)  # raises on bad dims
+            SubsystemLayout(lay)  # raises on bad dims and above the size cap
             if len(lay) < 2:
                 raise ConfigInvalid("every layout needs at least two subsystems")
         object.__setattr__(self, "layouts", layouts)

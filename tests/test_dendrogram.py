@@ -202,3 +202,12 @@ def test_stability_probe_reports():
     assert {"max_phi_shift", "shift_bound", "shift_violations", "topology_changes", "trials"} <= set(rep)
     with pytest.raises(BadParameter):
         stability_probe(ghz(3), trials=0)
+
+
+def test_stability_probe_refuses_eps_outside_the_unit_interval():
+    # a weight outside [0, 1] mixes to a matrix that is not a state
+    for eps in (2.0, -0.5):
+        with pytest.raises(BadParameter, match="eps"):
+            stability_probe(ghz(3), trials=1, eps=eps)
+    for eps in (0.0, 1.0):
+        assert stability_probe(ghz(3), trials=1, eps=eps)["eps"] == eps

@@ -1,5 +1,4 @@
 import json
-import math
 import numbers
 import os
 import subprocess
@@ -317,10 +316,26 @@ def test_malformed_verify_config_exits_2(tmp_path):
         assert res.stderr.startswith("error:")
 
 
+# D = 3**8 = 6561 is above the size cap, but n = 8 is not
+OVERSIZED_QUDITS = '{"version": 1, "dims": [3, 3, 3, 3, 3, 3, 3, 3], "matrix": []}'
+
+
+def test_oversized_verify_config_exits_4_before_any_check(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layouts": [[2] * 13]}))
+    res = run_cli(["verify", "--config", str(cfg)])
+    assert res.returncode == 4, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("budget exceeded: ")
+
+
 def test_exit_code_budget():
-    state = run_cli(["gen", "ghz", "3"]).stdout
-    res = run_cli(["phi", "-", "--n-cap", "2"], stdin_text=state)
+    # the reader builds the layout, and so refuses the state, before it
+    # decodes the matrix
+    res = run_cli(["phi", "-"], stdin_text=OVERSIZED_QUDITS)
     assert res.returncode == 4
+    assert res.stdout == ""
+    assert res.stderr.startswith("budget exceeded: ")
     res2 = run_cli(
         ["observe", "-", "--family", "dephasing", "--grid", "0:300,1:300"],
         stdin_text=run_cli(["gen", "bell"]).stdout,
@@ -365,30 +380,25 @@ def test_gen_refuses_oversized_states_before_allocating(args):
     assert res.stderr.startswith("budget exceeded: ")
 
 
-def test_gen_size_cap_is_2_to_the_default_n_cap():
-    from itertools import repeat
-
-    from qphi.errors import StateTooLarge
-    from qphi.phi import DEFAULT_N_CAP
-
-    cap = 2**DEFAULT_N_CAP
-    for dims in ((2,) * DEFAULT_N_CAP, (cap,), (2, cap // 2)):
-        cli._check_gen_size(dims)
-    for dims in ((2,) * (DEFAULT_N_CAP + 1), (cap + 1,), (3, cap // 2), repeat(2, 10**18)):
-        with pytest.raises(StateTooLarge):
-            cli._check_gen_size(dims)
-
-
-def test_gen_ginibre_rank_cap_is_the_largest_state_s_entries():
-    from qphi.errors import StateTooLarge
-    from qphi.states import DEFAULT_N_CAP
-
-    entries = 4**DEFAULT_N_CAP
-    for dims in ((2, 2), (3, 5), (2**DEFAULT_N_CAP,)):
-        dim = math.prod(dims)
-        cli._check_gen_size(dims, entries // dim)
-        with pytest.raises(StateTooLarge):
-            cli._check_gen_size(dims, entries // dim + 1)
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["bell", "--dims", "3,3", "--rank", "2", "--cut", "0"], "--dims"),
+        (["bell", "--rank", "2"], "--rank"),
+        (["ghz", "3", "--dims", "5,5"], "--dims"),
+        (["w", "3", "--cut", "0"], "--cut"),
+        (["haar", "--rank", "5"], "--rank"),
+        (["haar", "4"], "n"),
+        (["ginibre", "--cut", "0"], "--cut"),
+        (["product", "--rank", "2"], "--rank"),
+    ],
+)
+def test_gen_refuses_flags_that_do_not_apply_to_the_kind(args, flag):
+    res = run_cli(["gen", *args])
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {flag} does not apply to gen {args[0]}")
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_exit_code_numerical_breakdown(monkeypatch):

@@ -8,7 +8,6 @@ from qphi.divergence import LN2, qjsd
 from qphi.errors import (
     BadParameter,
     InvalidPartition,
-    SearchBudgetExceeded,
     SingleSubsystem,
 )
 from qphi.phi import (
@@ -95,8 +94,6 @@ def test_product_states_have_zero_phi_with_factorizing_cut():
 def test_phi_argument_validation():
     with pytest.raises(SingleSubsystem):
         phi(maximally_mixed((4,)))
-    with pytest.raises(SearchBudgetExceeded):
-        phi(ghz(3), n_cap=2)
     with pytest.raises(BadParameter):
         phi(bell(), "fancy")
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import qphi.states as states
 from qphi.errors import (
     BadParameter,
     DimensionMismatch,
@@ -9,9 +12,11 @@ from qphi.errors import (
     InvalidCut,
     NotHermitian,
     NotPSD,
+    StateTooLarge,
     TraceNotOne,
 )
 from qphi.states import (
+    DEFAULT_N_CAP,
     Bipartition,
     DensityMatrix,
     SubsystemLayout,
@@ -42,6 +47,23 @@ def test_layout_rejects_trivial_dims():
         SubsystemLayout((2, 1))
     lay = SubsystemLayout((2, 3, 2))
     assert lay.n == 3 and lay.dim == 12
+
+
+def test_layout_size_rule_is_2_to_the_default_n_cap():
+    cap = 2**DEFAULT_N_CAP
+    for dims in ((2,) * DEFAULT_N_CAP, (cap,), (2, cap // 2)):
+        assert SubsystemLayout(dims).dim <= cap
+    for dims in ((2,) * (DEFAULT_N_CAP + 1), (cap + 1,), (3, cap // 2)):
+        with pytest.raises(StateTooLarge):
+            SubsystemLayout(dims)
+
+
+@pytest.mark.parametrize("make", [ghz, w_state])
+def test_qubit_generators_refuse_oversized_counts_at_once(make):
+    # an n-long layout tuple, let alone a 2**n vector, cannot be built here
+    for n in (DEFAULT_N_CAP + 1, 10**18):
+        with pytest.raises(StateTooLarge):
+            make(n)
 
 
 def test_density_matrix_is_read_only():
@@ -225,3 +247,20 @@ def test_ginibre_rank_controls_support():
     assert np.all(np.linalg.eigvalsh(np.asarray(full.mat)) > 1e-12)
     with pytest.raises(BadParameter):
         ginibre_mixed((2, 2), 0, substream(0, "r0"))
+
+
+def test_ginibre_entry_cap_is_the_largest_state_s_entries(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def draw(seed):
+        raise Drawn  # a draw the cap lets through stops here, unallocated
+
+    monkeypatch.setattr(states, "rng_from", draw)
+    entries = 4**DEFAULT_N_CAP
+    for dims in ((2, 2), (3, 5), (2**DEFAULT_N_CAP,)):
+        dim = math.prod(dims)
+        with pytest.raises(Drawn):
+            ginibre_mixed(dims, entries // dim, 0)
+        with pytest.raises(StateTooLarge):
+            ginibre_mixed(dims, entries // dim + 1, 0)
