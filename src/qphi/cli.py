@@ -32,12 +32,14 @@ if TYPE_CHECKING:
 
 
 def _read_state(path: str):
-    from .qstate_io import read_state
+    from .qstate_io import state_from_json
 
     if path == "-":
-        return read_state(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_state(fh)
+        # the bytes, where stdin has them: the parser decodes them, so bytes
+        # that are not UTF-8 are bad input whatever the locale
+        return state_from_json(getattr(sys.stdin, "buffer", sys.stdin).read())
+    with open(path, "rb") as fh:
+        return state_from_json(fh.read())
 
 
 def _emit(write, out: str | None) -> None:
@@ -318,7 +320,7 @@ def _cmd_verify(args) -> int:
     from .verify import VerifyConfig, run_suite
 
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "rb") as fh:
             obj = _loads(fh.read())
         if args.seed is not None and isinstance(obj, dict):
             obj["seed"] = args.seed

@@ -11,7 +11,10 @@ m separate calls. :func:`qjsd` is :func:`_pair_divergences` on one pair,
 which eigensolves the states of two paired stacks and their midpoints in one
 stack. :func:`qjsd_gram` eigensolves its m states and all pairwise midpoints,
 and :func:`_grams` those of a stack of ensembles. A stack holds at most
-``_STACK_BYTES`` (1 MB) of matrices, so D=256 still goes one matrix at a time.
+``_STACK_BYTES`` (1 MB) of matrices, so D=256 still goes one matrix at a time,
+and the code that builds a stack sizes it: a kernel that builds more matrices
+than it is given splits its input into runs, so a caller passes stacks of
+any length.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ from .states import DensityMatrix, rng_from
 LN2 = float(np.log(2.0))
 
 _EIG_FAIL_TOL = 1e-9   # anything below this is a numerical breakdown
-_STACK_BYTES = 1 << 20  # cap on the complex matrices in one stacked eigensolve
+# cap on the complex matrices of one stack, checked where the stack is built
+_STACK_BYTES = 1 << 20
 
 
 def _stack_len(dim: int, width: Optional[int] = None) -> int:
@@ -70,13 +74,17 @@ def qjsd(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _pair_entropies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """S(a), S(b) and S((a + b)/2) of two paired (k, D, D) stacks, as rows
-    of a (3, k) array, from one stacked eigensolve of 3k matrices."""
-    return entropies(np.linalg.eigvalsh(np.concatenate([a, b, (a + b) / 2.0]))).reshape(3, -1)
+    of a (3, k) array. Each run of pairs is one stacked eigensolve of its
+    states and midpoints, at most ``_STACK_BYTES`` of matrices."""
+    step = max(1, _stack_len(a.shape[-1]) // 3)
+    return np.concatenate([
+        entropies(np.linalg.eigvalsh(np.concatenate([x, y, (x + y) / 2.0]))).reshape(3, -1)
+        for x, y in ((a[i:i + step], b[i:i + step]) for i in range(0, len(a), step))
+    ], axis=1)
 
 
 def _pair_divergences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`qjsd` of each pair of two paired (k, D, D) stacks. Callers with
-    more than one pair keep k within ``_stack_len(D) // 3``."""
+    """:func:`qjsd` of each pair of two paired (k, D, D) stacks."""
     s_a, s_b, s_mid = _pair_entropies(a, b)
     return s_mid - 0.5 * s_a - 0.5 * s_b
 

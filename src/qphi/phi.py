@@ -172,8 +172,7 @@ def _partition_divergences(
     by one batched partial trace over the stack; S(sigma) is the sum of the
     block entropies, since S is additive over a product. Each eigensolve is
     one stacked call over the S states: one for the states, one per distinct
-    block and one per partition's midpoints (rho + sigma)/2. Callers keep a
-    stack within ``_STACK_BYTES`` of D x D matrices (``_stack_len(D)`` states).
+    block and one per partition's midpoints (rho + sigma)/2.
     """
     marg = {}
     for p in parts:
@@ -602,13 +601,19 @@ def convexity_check(
 def _convexity_violations(a: np.ndarray, b: np.ndarray, dims, t_grid, mode: str) -> np.ndarray:
     """phi(t a + (1 - t) b) - [t phi(a) + (1 - t) phi(b)] for each pair of two
     paired (k, D, D) stacks and each t of ``t_grid``: a (k, len(t_grid))
-    array. One :func:`_phis` call scores a, b and every mix."""
+    array. One :func:`_phis` call per run of pairs scores their a, b and
+    every mix, a stack of at most ``_STACK_BYTES``."""
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise BadParameter(f"mixing weight {t} outside [0, 1]")
-    mixes = [t * a + (1.0 - t) * b for t in t_grid]
-    p1, p2, *pm = _phis(np.concatenate([a, b, *mixes]), dims, mode).reshape(len(mixes) + 2, -1)
-    return np.stack([p - (t * p1 + (1.0 - t) * p2) for t, p in zip(t_grid, pm)], axis=1)
+    step = max(1, _stack_len(a.shape[-1]) // (2 + len(t_grid)))
+    out = []
+    for i in range(0, len(a), step):
+        x, y = a[i:i + step], b[i:i + step]
+        mixes = [t * x + (1.0 - t) * y for t in t_grid]
+        p1, p2, *pm = _phis(np.concatenate([x, y, *mixes]), dims, mode).reshape(len(mixes) + 2, -1)
+        out.append(np.stack([p - (t * p1 + (1.0 - t) * p2) for t, p in zip(t_grid, pm)], axis=1))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -631,6 +636,6 @@ def lipschitz_check(rho1: DensityMatrix, rho2: DensityMatrix, mode: str = "margi
 def _lipschitz_sides(a: np.ndarray, b: np.ndarray, dims, mode: str):
     """|sqrt(phi(a)) - sqrt(phi(b))| and delta(a, b) for each pair of two
     paired (k, D, D) stacks: two (k,) arrays. One :func:`_phis` call scores
-    a and b; callers keep k within ``_stack_len(D) // 3``."""
+    a and b."""
     roots = np.sqrt(np.maximum(_phis(np.concatenate([a, b]), dims, mode), 0.0)).reshape(2, -1)
     return np.abs(roots[0] - roots[1]), np.sqrt(np.maximum(_pair_divergences(a, b), 0.0))

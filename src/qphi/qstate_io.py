@@ -66,10 +66,12 @@ def _decode_matrix(rows) -> np.ndarray:
 
 
 def _loads(text: Union[str, bytes]):
-    """Parse outside JSON; malformed text is a :class:`BadParameter`."""
+    """Parse outside JSON, given as text or as UTF-8 (-16, -32) bytes. Bytes
+    that do not decode, malformed text and nesting deeper than the parser's
+    recursion limit are each a :class:`BadParameter`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadParameter(f"invalid JSON: {exc}") from exc
 
 

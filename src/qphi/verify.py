@@ -5,13 +5,13 @@ sequentially, so reports are byte-for-byte reproducible regardless of any
 thread-count hint a caller passes along.
 
 Checks draw and score their states in stacks of at most 1 MB of matrices
-(``divergence._STACK_BYTES``) and keep each check's stream order. One
-sampler, :func:`_samples`, takes every per-sample draw: sample t draws its
-states, then any Kraus count and channel. Two kinds of draw stay outside it.
-The metric, triangle and negative-type checks take a layout's states in one
-block of normals (:func:`_draw_states`), which is faster than sample by
-sample. The Petz products and Markov chains loop, as what they draw changes
-shape with the cut drawn just before. The stacked kernels
+(``divergence._STACK_BYTES``), each sized by the code that builds it. One
+sampler, :func:`_samples`, takes the draws of every check but the Petz one
+(sample t draws its states, then any Kraus count and channel) and sizes its
+runs from those draws. The Petz products and Markov chains loop, as what
+they draw changes shape with the cut drawn just before. A kernel that
+builds more matrices than it is given splits its input itself, so no check
+works out a run length. The stacked kernels
 (:func:`qphi.phi._cut_divergences`, :func:`qphi.phi._partition_divergences`,
 :func:`qphi.divergence._grams`, the stacked channel application and
 validation) give the values of per-state scoring to round-off. Divergence,
@@ -228,19 +228,10 @@ def _pure_at(idx) -> np.ndarray:
     return np.asarray(idx) % 4 == 3
 
 
-def _state_normals(rng, dim: int, pure) -> np.ndarray:
-    """The standard normals of states of dimension ``dim``, in the order the
-    per-state draws take them: 2 D^2 for a Ginibre state (real parts, then
-    imaginary), 2 D for a pure one."""
-    pure = np.asarray(pure, dtype=bool)
-    return rng.standard_normal(int(np.where(pure, 2 * dim, 2 * dim * dim).sum()))
-
-
-def _states_from_normals(flat: np.ndarray, dim: int, pure) -> np.ndarray:
-    """The (k, D, D) stack of states whose normals ``flat`` holds end to end."""
-    pure = np.asarray(pure, dtype=bool)
-    sizes = np.where(pure, 2 * dim, 2 * dim * dim)
-    start = np.cumsum(sizes) - sizes
+def _states_from_normals(flat: np.ndarray, dim: int, pure, start) -> np.ndarray:
+    """The (k, D, D) stack of states whose standard normals begin at
+    ``start`` in ``flat``, in the order the per-state draws take them: 2 D^2
+    for a Ginibre state (real parts, then imaginary), 2 D for a pure one."""
     out = np.empty((pure.size, dim, dim), dtype=complex)
     if not pure.all():
         x = flat[start[~pure, None] + np.arange(2 * dim * dim)].reshape(-1, 2, dim, dim)
@@ -251,66 +242,73 @@ def _states_from_normals(flat: np.ndarray, dim: int, pure) -> np.ndarray:
     return out
 
 
-def _draw_states(rng, dim: int, pure) -> np.ndarray:
-    return _states_from_normals(_state_normals(rng, dim, pure), dim, pure)
-
-
 def _chunks(count: int, per: int) -> list[np.ndarray]:
-    """Sample numbers 0..count-1 in consecutive runs of at most ``per``. Each
-    check sizes its runs so that no stack it builds exceeds _STACK_BYTES."""
+    """Sample numbers 0..count-1 in consecutive runs of at most ``per``."""
     per = max(1, per)
     return [np.arange(lo, min(lo + per, count)) for lo in range(0, count, per)]
 
 
-def _samples(rng, layouts, count: int, per: int, offsets=(0,), mixed=False, kraus=None):
+def _samples(rng, layouts, count: int, offsets=(0,), mixed=False, kraus=None):
     """The per-sample draws of a check. Sample t lies on layout t mod
     len(layouts) and draws, in order: states t + o for o in ``offsets``
     (full-rank Ginibre throughout when ``mixed``); when ``kraus`` is
     (kmax, local), a Kraus count in 1..kmax; then the Ginibre matrix of one
-    random channel per site (``local``) or on the whole space. Yields
-    (layout, (k, len(offsets), D, D) states, Kraus stacks) per run of at most
-    ``per`` samples and group of equal layout and Kraus count. The Kraus
-    stacks are None without ``kraus``, else as :func:`_apply_local` (a list,
-    one per site) or :func:`_apply_kraus` (one stack) takes them."""
+    random channel per site (``local``) or on the whole space.
+
+    A run holds its states twice, as normals and as matrices, and the
+    unitaries of its channels (on d kmax per site, or on D kmax) once, as
+    normals; runs are as long as ``_STACK_BYTES`` allows, and a run without
+    Kraus draws takes all its normals in one block. Yields (layout, (k,
+    len(offsets), D, D) states, Kraus stacks) per run and group of equal
+    layout and Kraus count, in order of first sample. The Kraus stacks are
+    None without ``kraus``, else as :func:`_apply_local` (a list, one per
+    site) or :func:`_apply_kraus` (one stack) takes them."""
     kmax, local = kraus or (0, False)
-    for ts in _chunks(count, per):
-        groups: dict = {}
-        for t in ts:
-            li = t % len(layouts)
-            dim = math.prod(layouts[li])
-            pure = _pure_at([t + o for o in offsets]) & (not mixed)
-            x = _state_normals(rng, dim, pure)
-            kc, z = 0, []
-            if kmax:
-                kc = int(rng.integers(1, kmax + 1))
-                sites = layouts[li] if local else (dim,)
-                z = [rng.standard_normal((2, d * kc, d * kc)) for d in sites]
-            groups.setdefault((li, kc), []).append((pure, x, z))
-        for (li, kc), group in groups.items():
-            lay = layouts[li]
-            dim = math.prod(lay)
-            pure, x, z = zip(*group)
-            states = _states_from_normals(np.concatenate(x), dim, np.concatenate(pure))
+    offsets = np.asarray(offsets)
+    dims = np.array([math.prod(lay) for lay in layouts])
+    sites = [lay if local else (math.prod(lay),) for lay in layouts]
+    # complex numbers a run holds per sample
+    width = max(
+        2 * offsets.size * d * d + sum((s * kmax) ** 2 for s in site)
+        for d, site in zip(dims.tolist(), sites)
+    )
+    for ts in _chunks(count, _stack_len(1, width)):
+        li = ts % len(layouts)
+        pure = _pure_at(ts[:, None] + offsets) & (not mixed)
+        sizes = np.where(pure, 2 * dims[li, None], 2 * dims[li, None] ** 2)
+        start = np.cumsum(sizes).reshape(sizes.shape) - sizes
+        kc, z = np.zeros(ts.size, dtype=int), []
+        if kmax:
+            flat = np.empty(int(sizes.sum()))
+            for i, j in enumerate(li):
+                rng.standard_normal(out=flat[start[i, 0]:start[i, 0] + sizes[i].sum()])
+                kc[i] = rng.integers(1, kmax + 1)
+                z.append([rng.standard_normal((2, d * kc[i], d * kc[i])) for d in sites[j]])
+        else:
+            flat = rng.standard_normal(int(sizes.sum()))
+        for j, k in dict.fromkeys(zip(li.tolist(), kc.tolist())):
+            g = np.flatnonzero((li == j) & (kc == k))
+            dim = int(dims[j])
+            states = _states_from_normals(flat, dim, pure[g].ravel(), start[g].ravel())
             ks = None
             if kmax:
-                sites = lay if local else (dim,)
-                ks = [_random_kraus(np.stack(zs), d, d, kc) for d, zs in zip(sites, zip(*z))]
+                ks = [
+                    _random_kraus(np.stack(zs), d, d, k)
+                    for d, zs in zip(sites[j], zip(*(z[i] for i in g)))
+                ]
                 ks = ks if local else ks[0]
-            yield lay, states.reshape(len(group), len(offsets), dim, dim), ks
+            yield layouts[j], states.reshape(g.size, offsets.size, dim, dim), ks
 
 
 # ---------------------------------------------------------------------------
 # individual checks; each returns (worst_violation, samples, details)
 
 def _check_metric_axioms(cfg: VerifyConfig, rng):
-    per = int(cfg.counts["metric_axioms"])
+    count = int(cfg.counts["metric_axioms"])
     worst = -np.inf
     for lay in cfg.layouts:
-        dim = math.prod(lay)
-        for t in _chunks(per, _stack_len(dim) // 3):
-            # sample i is the pair (state i, state i + 1)
-            ab = _draw_states(rng, dim, _pure_at(np.stack([t, t + 1], axis=1).ravel()))
-            ab = ab.reshape(-1, 2, dim, dim)
+        # sample i is the pair (state i, state i + 1)
+        for _, ab, _ in _samples(rng, (lay,), count, (0, 1)):
             s_a, s_b, s_mid = _pair_entropies(ab[:, 0], ab[:, 1])
             dab = s_mid - 0.5 * s_a - 0.5 * s_b
             dba = s_mid - 0.5 * s_b - 0.5 * s_a
@@ -323,18 +321,15 @@ def _check_metric_axioms(cfg: VerifyConfig, rng):
                 np.max(dab - LN2 - 1e-10),  # upper bound slack
                 np.max(np.abs(daa)),
             )
-    return worst, per * len(cfg.layouts), {}
+    return worst, count * len(cfg.layouts), {}
 
 
 def _check_triangle(cfg: VerifyConfig, rng):
     worst = -np.inf
     for lay, count in zip(cfg.layouts, cfg.counts["triangle_inequality"]):
-        dim = math.prod(lay)
-        # the 3 states and 3 midpoints of every triple of a run in one eigensolve
-        for t in _chunks(int(count), _stack_len(dim) // 6):
-            # triple t is states t, t + 1, t + 2
-            states = _draw_states(rng, dim, _pure_at((t[:, None] + np.arange(3)).ravel()))
-            gram = _grams(states.reshape(-1, 3, dim, dim))
+        # triple t is states t, t + 1, t + 2
+        for _, states, _ in _samples(rng, (lay,), int(count), (0, 1, 2)):
+            gram = _grams(states)
             dab, dbc, dac = (
                 np.sqrt(np.maximum(gram[:, i, j], 0.0)) for i, j in ((0, 1), (1, 2), (0, 2))
             )
@@ -347,20 +342,10 @@ def _check_triangle(cfg: VerifyConfig, rng):
     return worst, sum(cfg.counts["triangle_inequality"]), {}
 
 
-def _channel_run(cfg: VerifyConfig) -> int:
-    """Samples per run for the checks that send states through a random
-    channel on the whole space: the unitary on up to 4 D it comes from fills
-    one matrix of a stack, and each state (with its image and midpoints) up
-    to three."""
-    dim = max(math.prod(lay) for lay in cfg.layouts)
-    return min(_stack_len(dim) // 3, _stack_len(4 * dim))
-
-
 def _check_data_processing(cfg: VerifyConfig, rng):
     count = int(cfg.counts["data_processing"])
     worst = -np.inf
-    per = _channel_run(cfg)
-    for _, states, kraus in _samples(rng, cfg.layouts, count, per, (0, 2), kraus=(4, False)):
+    for _, states, kraus in _samples(rng, cfg.layouts, count, (0, 2), kraus=(4, False)):
         a, b = states[:, 0], states[:, 1]
         pre = _pair_divergences(a, b)
         post = _pair_divergences(
@@ -372,13 +357,8 @@ def _check_data_processing(cfg: VerifyConfig, rng):
 
 def _check_local_mono(cfg: VerifyConfig, rng):
     count = int(cfg.counts["local_phi_monotonicity"])
-    layouts = cfg.layouts
     worst = -np.inf
-    # a run holds each sample's state, its image and the site unitaries
-    dim = max(math.prod(lay) for lay in layouts)
-    site = max(d for lay in layouts for d in lay)
-    per = min(_stack_len(dim), _stack_len(3 * site) // max(len(lay) for lay in layouts))
-    for lay, states, kraus in _samples(rng, layouts, count, per, kraus=(3, True)):
+    for lay, states, kraus in _samples(rng, cfg.layouts, count, kraus=(3, True)):
         rho = states[:, 0]
         after = _phis(_validate_stack(_apply_local(kraus, rho, lay)), lay)
         worst = max(worst, np.max(after - _phis(rho, lay)))
@@ -408,7 +388,7 @@ def _check_merge(cfg: VerifyConfig, rng):
     count = int(cfg.counts["merge_inequality"])
     worst = -np.inf
     merges = 0
-    for lay, states, _ in _samples(rng, _QUBITS, count, _stack_len(16), mixed=True):
+    for lay, states, _ in _samples(rng, _QUBITS, count, mixed=True):
         rho = states[:, 0]
         table = _partition_divergences(rho, lay, enumerate_partitions(len(lay)))
         merged, part = _merge_pairs(len(lay))
@@ -420,7 +400,7 @@ def _check_merge(cfg: VerifyConfig, rng):
 def _check_kblock(cfg: VerifyConfig, rng):
     count = int(cfg.counts["kblock_bipartition_equivalence"])
     worst = -np.inf
-    for lay, states, _ in _samples(rng, _QUBITS, count, _stack_len(16), mixed=True):
+    for lay, states, _ in _samples(rng, _QUBITS, count, mixed=True):
         rho = states[:, 0]
         bimin = _phis(rho, lay)
         kmin = _partition_divergences(rho, lay, enumerate_partitions(len(lay))).min(axis=1)
@@ -431,12 +411,11 @@ def _check_kblock(cfg: VerifyConfig, rng):
 def _ensembles(cfg: VerifyConfig, rng):
     """The divergence matrix of each ensemble; ensemble e is states e..e+7 on
     layout e mod the number of layouts."""
-    m = 8
-    n_ens = int(cfg.counts["negative_type_ensembles"])
     out = []
-    for e in range(n_ens):
-        dim = math.prod(cfg.layouts[e % len(cfg.layouts)])
-        out.append(_grams(_draw_states(rng, dim, _pure_at(e + np.arange(m)))[None])[0])
+    for e in range(int(cfg.counts["negative_type_ensembles"])):
+        lay = cfg.layouts[e % len(cfg.layouts)]
+        [(_, states, _)] = _samples(rng, (lay,), 1, e + np.arange(8))
+        out.append(_grams(states)[0])
     return out
 
 
@@ -478,7 +457,9 @@ def _check_petz(cfg: VerifyConfig, rng):
     count = int(cfg.counts["petz_product_exactness"])
     chains = int(cfg.counts["petz_markov_chains"])
     worst = -np.inf
-    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 3
+    # a run's states and their products; what is drawn for a sample depends
+    # on the cut drawn just before, so the runs are built sample by sample
+    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 2
     for ts in _chunks(count, per):
         pairs: dict = {}
         for t in ts:
@@ -503,8 +484,7 @@ def _check_petz(cfg: VerifyConfig, rng):
 def _check_witness_algebra(cfg: VerifyConfig, rng):
     count = int(cfg.counts["witness_algebra"])
     worst = -np.inf
-    per = _stack_len(max(math.prod(lay) for lay in cfg.layouts))
-    for dims, states, _ in _samples(rng, cfg.layouts, count, per):
+    for dims, states, _ in _samples(rng, cfg.layouts, count):
         lay = SubsystemLayout(dims)
         mats = states[:, 0]
         for mat, values in zip(mats, _cut_divergences(mats, lay.dims)):
@@ -532,9 +512,7 @@ def _check_convexity(cfg: VerifyConfig, rng):
     ):
         count = int(cfg.counts[key])
         worst = -np.inf
-        # a run's pairs and mixes make one stack
-        per = _stack_len(4) // (2 + len(t_grid))
-        for lay, states, _ in _samples(rng, ((2, 2),), count, per, (0, 1), mixed=True):
+        for lay, states, _ in _samples(rng, ((2, 2),), count, (0, 1), mixed=True):
             viol = _convexity_violations(states[:, 0], states[:, 1], lay, t_grid, mode)
             worst = max(worst, np.max(viol))
         details[f"max_violation_{mode}"] = _sampled(worst, count)
@@ -551,8 +529,7 @@ def _check_lipschitz(cfg: VerifyConfig, rng):
     ):
         count = int(cfg.counts[key])
         worst = -np.inf
-        per = _stack_len(max(math.prod(lay) for lay in layouts)) // 3
-        for lay, states, _ in _samples(rng, layouts, count, per, (0, 1), mixed=mode == "optimized"):
+        for lay, states, _ in _samples(rng, layouts, count, (0, 1), mixed=mode == "optimized"):
             lhs, rhs = _lipschitz_sides(states[:, 0], states[:, 1], lay, mode)
             worst = max(worst, np.max(lhs - rhs))
         details[f"max_violation_{mode}"] = _sampled(worst, count)
@@ -564,8 +541,7 @@ def _check_general_channel(cfg: VerifyConfig, rng):
     count = int(cfg.counts["general_channel_phi_monotonicity"])
     worst = -np.inf
     increases = 0
-    per = _channel_run(cfg)
-    for lay, states, kraus in _samples(rng, cfg.layouts, count, per, kraus=(4, False)):
+    for lay, states, kraus in _samples(rng, cfg.layouts, count, kraus=(4, False)):
         rho = states[:, 0]
         before = _phis(rho, lay)
         after = _phis(_validate_stack(_apply_kraus(kraus, rho)), lay)
@@ -577,7 +553,7 @@ def _check_general_channel(cfg: VerifyConfig, rng):
 def _check_blanket_agreement(cfg: VerifyConfig, rng):
     count = int(cfg.counts["blanket_cut_agreement"])
     matches = 0
-    for lay, states, _ in _samples(rng, ((2, 2, 2),), count, _stack_len(8), mixed=True):
+    for lay, states, _ in _samples(rng, ((2, 2, 2),), count, mixed=True):
         mats = states[:, 0]
         for mat, values in zip(mats, _cut_divergences(mats, lay)):
             res = _marginal_result(DensityMatrix(lay, mat), values)

@@ -177,7 +177,26 @@ def test_qjsd_gram_matches_pairwise_qjsd(dims, monkeypatch):
     # every ordered pair as one stack of pairs
     i, j = np.nonzero(~np.eye(m, dtype=bool))
     mats = np.stack([s.mat for s in states])
-    assert np.max(np.abs(divergence_module._pair_divergences(mats[i], mats[j]) - g[i, j])) <= 1e-14
-    # one matrix per stacked eigensolve gives the same matrix, bit for bit
+    pairs = divergence_module._pair_divergences(mats[i], mats[j])
+    assert np.max(np.abs(pairs - g[i, j])) <= 1e-14
+    # one matrix (or pair) per stacked eigensolve gives the same values, bit for bit
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
     assert np.array_equal(qjsd_gram(states), g)
+    assert np.array_equal(divergence_module._pair_divergences(mats[i], mats[j]), pairs)
+
+
+def test_pair_divergences_split_their_own_stacks(monkeypatch):
+    mats = np.stack([s.mat for s in _gram_ensemble((2, 2))])
+    want = divergence_module._pair_divergences(mats, mats[::-1])
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def record(x):
+        sizes.append(x.nbytes)
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    # two pairs and their midpoints fill the cap
+    cap = 16 * 4 * 4 * 6
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", cap)
+    assert np.array_equal(divergence_module._pair_divergences(mats, mats[::-1]), want)
+    assert len(sizes) == -(-len(mats) // 2) and max(sizes) <= cap

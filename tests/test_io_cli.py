@@ -316,6 +316,41 @@ def test_malformed_verify_config_exits_2(tmp_path):
         assert res.stderr.startswith("error:")
 
 
+NOT_UTF8 = b'{"version": 1, "dims": [2, 2], "matrix": [[["\xff'
+TOO_DEEP = b"[" * 100000 + b"]" * 100000
+
+
+@pytest.mark.parametrize(
+    "args, doc, encoding",
+    [
+        (["phi", "FILE"], NOT_UTF8, None),
+        (["dendrogram", "FILE"], NOT_UTF8, None),
+        (["verify", "--config", "FILE"], NOT_UTF8, None),
+        # stdin is read as bytes, so its text encoding does not matter
+        (["phi", "-"], NOT_UTF8, "utf-8:strict"),
+        (["phi", "FILE"], TOO_DEEP, None),
+        (["phi", "-"], TOO_DEEP, None),
+        (["verify", "--config", "FILE"], TOO_DEEP, None),
+    ],
+    ids=[
+        "phi-file-bytes", "dendrogram-file-bytes", "verify-config-bytes", "phi-stdin-bytes",
+        "phi-file-deep", "phi-stdin-deep", "verify-config-deep",
+    ],
+)
+def test_undecodable_or_too_deep_json_exits_2(args, doc, encoding, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc)
+    env = dict(os.environ, **({"PYTHONIOENCODING": encoding} if encoding else {}))
+    res = subprocess.run(
+        [sys.executable, "-m", "qphi.cli", *(str(path) if a == "FILE" else a for a in args)],
+        input=doc, capture_output=True, env=env,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    assert b"Traceback" not in res.stderr
+    assert res.stderr.startswith(b"error: invalid JSON") and res.stderr.count(b"\n") == 1
+
+
 # D = 3**8 = 6561 is above the size cap, but n = 8 is not
 OVERSIZED_QUDITS = '{"version": 1, "dims": [3, 3, 3, 3, 3, 3, 3, 3], "matrix": []}'
 

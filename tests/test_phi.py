@@ -192,7 +192,7 @@ def test_lipschitz_check_reports():
     "kind, modes",
     [("pure", ("marginal",)), ("rank-2", ("marginal",)), ("full", ("marginal", "optimized"))],
 )
-def test_convexity_and_lipschitz_match_per_state_phi_and_qjsd(dims, kind, modes):
+def test_convexity_and_lipschitz_match_per_state_phi_and_qjsd(dims, kind, modes, monkeypatch):
     def draw(tag):
         rng = substream(4, f"checks-{kind}-{tag}")
         if kind == "pure":
@@ -202,6 +202,7 @@ def test_convexity_and_lipschitz_match_per_state_phi_and_qjsd(dims, kind, modes)
     a, b = draw("a"), draw("b")
     t_grid = (0.0, 0.3, 0.5, 1.0)
     pair = np.stack([a.mat, b.mat]), np.stack([b.mat, a.mat])
+    stacked = {}
     for mode in modes:
         p1, p2 = phi(a, mode).phi, phi(b, mode).phi
         rep = convexity_check(a, b, t_grid, mode)
@@ -222,6 +223,22 @@ def test_convexity_and_lipschitz_match_per_state_phi_and_qjsd(dims, kind, modes)
         assert np.max(np.abs(viol[1] - convexity_check(b, a, t_grid, mode).violations)) <= 1e-12
         sides = np.array(phi_module._lipschitz_sides(*pair, dims, mode))
         assert np.max(np.abs(sides - [[lip.lhs] * 2, [lip.rhs] * 2])) <= 1e-12
+        stacked[mode] = viol
+    # one pair per run of the kernel, its states and mixes a stack within
+    # the cap, gives the same values, bit for bit
+    phis, sizes = phi_module._phis, []
+
+    def record(mats, *args):
+        sizes.append(mats.nbytes)
+        return phis(mats, *args)
+
+    monkeypatch.setattr(phi_module, "_phis", record)
+    cap = a.mat.nbytes * (2 + len(t_grid))
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", cap)
+    for mode in modes:
+        sizes.clear()
+        assert np.array_equal(phi_module._convexity_violations(*pair, dims, t_grid, mode), stacked[mode])
+        assert sizes == [cap, cap]
 
 
 def test_checks_reject_an_unknown_mode_and_weights_outside_the_unit_interval():

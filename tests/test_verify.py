@@ -1,19 +1,20 @@
-import json
-from pathlib import Path
-
 import importlib
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qphi.blanket import blanket_scan
-from qphi.divergence import _STACK_BYTES as STACK_BYTES
+from qphi.divergence import _STACK_BYTES as STACK_BYTES, qjsd_gram
 from qphi.errors import ConfigInvalid
 from qphi.channels import random_channel, random_local_channel
 from qphi.states import SubsystemLayout, ginibre_mixed, haar_pure, substream
-from qphi.verify import DEFAULT_COUNTS, VerifyConfig, run_suite
+from qphi.verify import DEFAULT_COUNTS, DEFAULT_LAYOUTS, VerifyConfig, run_suite
 
 verify = importlib.import_module("qphi.verify")
+divergence_module = importlib.import_module("qphi.divergence")
 
 SMALL_COUNTS = {
     "metric_axioms": 40,
@@ -70,6 +71,14 @@ def test_report_checks_never_gate(small_report):
 def test_byte_identical_across_runs_and_thread_hints(small_report):
     again = run_suite(VerifyConfig(seed=3, counts=SMALL_COUNTS), threads=8)
     assert again.to_json() == small_report.to_json()
+
+
+def test_byte_identical_when_every_stack_is_split(small_report, monkeypatch):
+    # 4 KiB holds four 8 x 8 matrices: every sampler run, every check's own
+    # stacks and every kernel's eigensolves are split into short runs
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 4096)
+    split = run_suite(VerifyConfig(seed=3, counts=SMALL_COUNTS))
+    assert split.to_json() == small_report.to_json()
 
 
 def test_seed_changes_the_stream(small_report):
@@ -224,26 +233,30 @@ def test_default_json_layout_is_unchanged(small_report):
     assert small_report.to_json() == json.dumps(small_report.to_dict(), indent=2, sort_keys=True)
 
 
+def _sample_width(layouts, offsets, kraus):
+    """Complex numbers a run of the sampler holds per sample: its states
+    twice (normals and matrices), and once the unitaries on d kmax per site
+    (or D kmax) its channels come from."""
+    kmax, local = kraus or (0, False)
+    return max(
+        2 * len(offsets) * math.prod(lay) ** 2
+        + sum((d * kmax) ** 2 for d in (lay if local else (math.prod(lay),)))
+        for lay in layouts
+    )
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2)])
 @pytest.mark.parametrize("first", [0, 1, 2, 3])
-def test_stacked_draws_match_per_state_generators(dims, first):
-    # states first..first+8 cover every idx % 4 pattern; the per-state
-    # reference is a Haar-pure state where idx % 4 == 3, a Ginibre one elsewhere
-    lay = SubsystemLayout(dims)
-    idx = first + np.arange(9)
-    got = verify._draw_states(substream(1, "draws"), lay.dim, verify._pure_at(idx))
-    rng = substream(1, "draws")
-    for i, mat in zip(idx, got):
-        want = haar_pure(lay, rng) if i % 4 == 3 else ginibre_mixed(lay, lay.dim, rng)
-        assert np.max(np.abs(mat - np.asarray(want.mat))) <= 1e-15
-    # the stream is left where the per-state draws leave it
-    rest = substream(1, "draws")
-    verify._draw_states(rest, lay.dim, verify._pure_at(idx))
-    assert rest.standard_normal() == rng.standard_normal()
+def test_stacked_draws_match_per_state_generators(dims, first, monkeypatch):
     # the sampler: sample t on layout t mod 2 draws states t + o, then any
-    # Kraus count and channel; runs of 4, grouped by layout and Kraus count
+    # Kraus count and channel; the per-state reference is a Haar-pure state
+    # where idx % 4 == 3 (unless mixed), a Ginibre one elsewhere. Offsets
+    # (0, first) over 9 samples cover every idx % 4 pattern. The cap is set
+    # for runs of 4, grouped by layout and Kraus count.
     layouts, count, per, offsets = (dims, (2, 2)), 9, 4, (0, first)
-    for mixed, kraus in ((True, None), (False, (4, False)), (False, (3, True))):
+    for mixed, kraus in ((False, None), (True, None), (False, (4, False)), (False, (3, True))):
+        width = _sample_width(layouts, offsets, kraus)
+        monkeypatch.setattr(divergence_module, "_STACK_BYTES", 16 * width * per)
         rng = substream(2, "draws")
         want, keys = [], []
         for t in range(count):
@@ -268,8 +281,7 @@ def test_stacked_draws_match_per_state_generators(dims, first):
             order += sorted(run, key=lambda t: first_seen[keys[t]])
         got = []
         sampler = substream(2, "draws")
-        runs = verify._samples(sampler, layouts, count, per, offsets, mixed, kraus)
-        for lay_dims, states, ks in runs:
+        for lay_dims, states, ks in verify._samples(sampler, layouts, count, offsets, mixed, kraus):
             assert (ks is None) == (kraus is None)
             sites = [] if ks is None else ks if kraus[1] else [ks]
             got += [(lay_dims, [*states[j], *(k[j] for k in sites)]) for j in range(len(states))]
@@ -278,7 +290,23 @@ def test_stacked_draws_match_per_state_generators(dims, first):
             assert lay_dims == want[t][0] and len(mats) == len(want[t][1])
             for mat, w in zip(mats, want[t][1]):
                 assert np.max(np.abs(mat - np.asarray(w))) <= 1e-15
+        # the stream is left where the per-state draws leave it
         assert sampler.standard_normal() == rng.standard_normal()
+
+
+def test_ensembles_match_per_state_generators():
+    # ensemble e is states e..e+7 on layout e mod 2, drawn ensemble by ensemble
+    cfg = VerifyConfig(layouts=((2, 2), (3, 2)), counts={"negative_type_ensembles": 3})
+    got = verify._ensembles(cfg, substream(4, "ens"))
+    rng = substream(4, "ens")
+    for e, dmat in enumerate(got):
+        lay = SubsystemLayout(cfg.layouts[e % 2])
+        states = [
+            haar_pure(lay, rng) if i % 4 == 3 else ginibre_mixed(lay, lay.dim, rng)
+            for i in range(e, e + 8)
+        ]
+        assert np.max(np.abs(dmat - qjsd_gram(states))) <= 1e-15
+    assert len(got) == 3
 
 
 def test_stacked_blanket_agreement_matches_blanket_scan_state_by_state(monkeypatch):
@@ -305,14 +333,41 @@ def test_stacked_blanket_agreement_matches_blanket_scan_state_by_state(monkeypat
     assert details["agreement_rate"] == rate
 
 
-def test_runs_cover_every_sample_and_keep_stacks_under_the_cap():
-    cap = verify._stack_len(8)
-    for count in (0, 1, cap // 6, cap // 6 + 1, 10000):
-        runs = verify._chunks(count, cap // 6)
+@pytest.mark.parametrize("stack_bytes", [STACK_BYTES, 1 << 16], ids=["cap", "64KiB"])
+@pytest.mark.parametrize(
+    "offsets, kraus",
+    [((0, 1, 2), None), ((0, 2), (4, False)), ((0,), (3, True))],
+    ids=["block", "channel", "local-channels"],
+)
+def test_sampler_runs_cover_every_sample_and_fit_the_cap(offsets, kraus, stack_bytes, monkeypatch):
+    # whole-space and local Kraus widths, and a block draw without Kraus
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
+    chunks, runs = verify._chunks, []
+
+    def record(count, per):
+        runs[:] = chunks(count, per)
+        return list(runs)
+
+    monkeypatch.setattr(verify, "_chunks", record)
+    width = 16 * _sample_width(DEFAULT_LAYOUTS, offsets, kraus)
+    per = stack_bytes // width
+    for count in sorted({0, 1, per, per + 1, 150}):
+        rng = substream(0, "runs")
+        groups = list(verify._samples(rng, DEFAULT_LAYOUTS, count, offsets, False, kraus))
         assert [int(t) for run in runs for t in run] == list(range(count))
-        assert all(6 * len(run) <= cap for run in runs)
-    # a random channel on D = 8 with 4 Kraus operators comes from a 32 x 32 unitary
-    cfg = VerifyConfig()
-    per = verify._channel_run(cfg)
-    assert per * 16 * 32 * 32 <= STACK_BYTES
-    assert 3 * per * 16 * 8 * 8 <= STACK_BYTES
+        # every run but the last is as long as the cap allows
+        assert all(len(run) * width <= stack_bytes < (len(run) + 1) * width for run in runs[:-1])
+        # a run's groups come out together: its states twice, and the unitary
+        # on d kc of each sample's Kraus family per site, fit the cap
+        g = 0
+        for run in runs:
+            left, used = len(run), 0
+            while left > 0:
+                _, states, ks = groups[g]
+                g += 1
+                left -= len(states)
+                used += 2 * states.nbytes
+                for k in [] if ks is None else ks if kraus[1] else [ks]:
+                    used += len(k) * 16 * (k.shape[1] * k.shape[2]) ** 2
+            assert left == 0 and used <= stack_bytes
+        assert g == len(groups)
