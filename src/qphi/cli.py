@@ -384,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--family", choices=["dephasing", "depolarizing", "ptrace"], required=True)
     o.add_argument("--mode", choices=["marginal", "optimized"], default="marginal")
     o.add_argument("--budget", type=int, default=2000)
-    o.add_argument("--restarts", type=int, default=8)
+    o.add_argument("--restarts", type=int, default=8,
+                   help="most restarts; as many run as the budget funds at 6 evaluations each")
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--grid", default=None, help="spectrum axes, e.g. 0:64,1:64")
     o.add_argument("--fixed", default=None, help="with --grid: pinned parameters, e.g. 2=0.5")

@@ -7,13 +7,13 @@ polish from the best point so far. The result is the best point evaluated.
 Everything is deterministic for a fixed seed, budget and restart count.
 
 Each restart is an ask/tell generator that yields the points it wants scored
-and is sent their values. When every restart's share of the budget fits in
-it, the restarts run in lockstep: each round scores one point from every live
-restart as one (S, D, D) stack of channel outputs, through the stacked
-channel, validation and phi kernels. Otherwise they run one at a time, as
-does the polish. The trace lists each restart's evaluations in restart order
-either way, so it equals a one-at-a-time search's bit for bit. The spectrum
-grid is scored in stacks too.
+and is sent their values. Every restart's share of the budget is fixed
+before the first evaluation, so the restarts run in lockstep: each round
+scores one point from every live restart as one (S, D, D) stack of channel
+outputs, through the stacked channel, validation and phi kernels. The polish
+follows on its own. The trace lists each restart's evaluations in restart
+order, so it equals a one-at-a-time search's bit for bit. The spectrum grid
+is scored in stacks too.
 
 The restarts are the first points of a scrambled Sobol sequence: Joe & Kuo
 (2008) direction numbers, linear matrix scrambling plus a digital shift
@@ -51,6 +51,7 @@ from .states import DensityMatrix, _validate_stack, as_layout, substream
 ChannelLike = Union[KrausChannel, LocalChannel]
 
 LINE_ITERS = 24  # golden-section iterations per coordinate line search
+SHARE_MIN = 6  # fewest evaluations per restart: its start and one 5-evaluation line search
 GRID_CAP = 1 << 16  # most points one spectrum grid may evaluate
 
 # Joe & Kuo direction numbers for Sobol dimensions 2..32: a primitive
@@ -173,7 +174,7 @@ class ChannelFamily:
         stack), ``stack[i]`` the output of row ``rows[i]``.
 
         The local families build their Kraus stacks directly and apply them
-        in groups of one Kraus count; any other family builds and applies one
+        to every row at once; any other family builds and applies one
         channel per point. Each state's output equals what
         :func:`apply_local` or :func:`apply_channel` gives it alone.
         """
@@ -189,21 +190,18 @@ class ChannelFamily:
         ]
 
     def _local(self, params: np.ndarray, rho: DensityMatrix):
-        """(rows, dims, unvalidated outputs) per group of rows that use the
-        same number of Kraus operators on every site."""
+        """(rows, dims, unvalidated outputs) of every row, applied as one
+        stack. Each site applies all its operators, and the ones a point does
+        not use are exact zeros, so a row's output is that of the operators
+        it uses alone."""
         sites = self._site_kraus(params)
         _check_sites(tuple(k.shape[-1] for k, _ in sites), rho)
         for k, _ in sites:
             _check_completeness(k)
         out_dims = tuple(k.shape[-2] for k, _ in sites)
-        # depolarizing has one operator at p = 0 and d^2 above it
-        counts = np.stack([c for _, c in sites], axis=1)
-        keys, group = np.unique(counts, axis=0, return_inverse=True)
-        for g, key in enumerate(keys):
-            rows = np.flatnonzero(group.ravel() == g)
-            kraus = [k[rows, :c] for (k, _), c in zip(sites, key)]
-            mats = np.repeat(np.asarray(rho.mat)[None], rows.size, axis=0)
-            yield rows, out_dims, _apply_local(kraus, mats, rho.dims)
+        mats = np.repeat(np.asarray(rho.mat)[None], len(params), axis=0)
+        out = _apply_local([k for k, _ in sites], mats, rho.dims)
+        return [(np.arange(len(params)), out_dims, out)]
 
     def _built(self, params: np.ndarray, rho: DensityMatrix):
         """(rows, dims, unvalidated output) per row: the builder's channel
@@ -401,30 +399,31 @@ def maximize_phi(
 ) -> ObserverResult:
     """Maximize phi(F(rho)) over the family's parameter box.
 
-    ``budget`` caps the number of objective evaluations; each of the
-    ``restarts`` starting points receives an equal share, and whatever
-    remains funds a final polish around the incumbent. The share is
-    ``max(budget // restarts, n_params + 1)``, and a restart whose share is
-    below 5 evaluates only its start point (a line search costs at least 5),
-    so the restarts are then a pure sample. The result is the best point the
-    search evaluated, the earliest one on ties, so ``phi_after`` is the
-    largest value in ``trace``. The starting points are the first
-    ``restarts`` points of the module's scrambled Sobol sequence, seeded from
-    ``seed``; a family with more than ``SOBOL_DIM_MAX`` (32) parameters raises
-    :class:`BadParameter` before any evaluation.
+    ``budget`` caps the number of objective evaluations. Each restart gets a
+    share of ``max(budget // restarts, SHARE_MIN)`` evaluations (its start
+    point and at least one line search). As many restarts run as the budget
+    funds at that share, at least one and at most ``restarts``; a budget below
+    the share goes whole to the one restart. Whatever the restarts leave
+    funds a final polish around the incumbent. The result is the best point the search
+    evaluated, the earliest one on ties, so ``phi_after`` is the largest value
+    in ``trace``. The starting points are the first points of the module's
+    scrambled Sobol sequence, seeded from ``seed``, one per restart that runs,
+    so ``restarts`` sizes no memory; a family with more than
+    ``SOBOL_DIM_MAX`` (32) parameters raises :class:`BadParameter` before any
+    evaluation.
 
-    When every share fits the budget (share x restarts <= budget), the
-    restarts run in lockstep: each round scores one point from every live
-    restart as one stack. Otherwise the budget cuts a restart short by what
-    earlier restarts spent, so they run one at a time. Either way ``trace``
-    lists each restart's evaluations in restart order, then the polish's,
-    and equals a one-at-a-time search's, bit for bit.
+    The restarts run in lockstep: each round scores one point from every live
+    restart as one stack. ``trace`` lists each restart's evaluations in
+    restart order, then the polish's, and equals a one-at-a-time search's,
+    bit for bit.
     """
     if budget < 1:
         raise BadBudget(f"budget must be >= 1, got {budget}")
     if restarts < 1:
         raise BadParameter(f"restarts must be >= 1, got {restarts}")
-    unit = _sobol_starts(family.n_params, restarts, substream(seed, "observer-starts"))
+    share = max(budget // restarts, SHARE_MIN)
+    runs = max(1, min(restarts, budget // share))
+    unit = _sobol_starts(family.n_params, runs, substream(seed, "observer-starts"))
     phi_before = phi_fn(rho, mode).phi
     lows = np.array([b[0] for b in family.box])
     highs = np.array([b[1] for b in family.box])
@@ -436,14 +435,7 @@ def maximize_phi(
             trace.extend(log)
 
     starts = lows + unit * (highs - lows)
-    per_restart = max(budget // restarts, family.n_params + 1)
-    if per_restart * restarts <= budget:
-        run([_ascend(p, per_restart, lows, highs) for p in starts])
-    else:
-        for p in starts:
-            if len(trace) >= budget:
-                break
-            run([_ascend(p, min(per_restart, budget - len(trace)), lows, highs)])
+    run([_ascend(p, min(share, budget), lows, highs) for p in starts])
     # the polish starts from the best point so far with whatever budget is left
     if len(trace) < budget:
         best_p, best_f = max(trace, key=lambda e: e[1])

@@ -144,7 +144,12 @@ def state_from_json(text: Union[str, bytes]) -> DensityMatrix:
 
 
 def read_state(stream: TextIO) -> DensityMatrix:
-    return state_from_json(stream.read())
+    """The state a text stream holds; text that does not decode is invalid JSON."""
+    try:
+        text = stream.read()
+    except UnicodeDecodeError as exc:
+        raise BadParameter(f"invalid JSON: {exc}") from exc
+    return state_from_json(text)
 
 
 def channel_to_dict(ch: KrausChannel) -> dict:

@@ -18,6 +18,7 @@ from qphi.qstate_io import (
     _encode_matrix,
     channel_from_json,
     channel_to_json,
+    read_state,
     state_from_dict,
     state_from_json,
     state_to_dict,
@@ -349,6 +350,13 @@ def test_undecodable_or_too_deep_json_exits_2(args, doc, encoding, tmp_path):
     assert res.stdout == b""
     assert b"Traceback" not in res.stderr
     assert res.stderr.startswith(b"error: invalid JSON") and res.stderr.count(b"\n") == 1
+
+
+def test_read_state_refuses_text_that_does_not_decode(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(NOT_UTF8)
+    with open(path, encoding="utf-8") as stream, pytest.raises(BadParameter, match="^invalid JSON"):
+        read_state(stream)
 
 
 # D = 3**8 = 6561 is above the size cap, but n = 8 is not

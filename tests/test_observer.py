@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qphi import observer
 from qphi.channels import (
     KrausChannel,
     LocalChannel,
@@ -133,7 +134,8 @@ def test_polish_does_not_rescore_the_best_point():
     rho = ginibre_mixed((2, 2, 2), 8, substream(5, "cases"))
     res = maximize_phi(rho, local_depolarizing_family((2, 2, 2)), budget=20, restarts=8, seed=3)
     points = [tuple(np.round(p, 3)) for p, _ in res.trace]
-    # the third Sobol start is the best point when the polish begins
+    # 20 evaluations fund three restarts of 6, and the 2 left fund no line
+    # search, so the polish scores nothing; the third Sobol start is scored once
     assert points.count((0.386, 0.439, 0.429)) == 1
     assert len(set(p for p, _ in res.trace)) == len(res.trace)
     assert res.evaluations == len(res.trace) <= 20
@@ -221,8 +223,9 @@ def test_search_over_no_parameters_evaluates_the_fixed_channel():
     fam = custom_family([], lambda p: LocalChannel((depolarizing(0.0, 2), depolarizing(0.0, 2))))
     res = maximize_phi(bell(), fam, budget=10, restarts=3, seed=0)
     assert res.best_params == ()
-    # one evaluation per restart; the polish starts from a value already known
-    assert res.evaluations == 3
+    # the budget funds one restart of 6, which scores the fixed channel once;
+    # the polish starts from a value already known
+    assert res.evaluations == 1
     assert res.phi_after == pytest.approx(BELL_PHI, abs=1e-9)
 
 
@@ -406,8 +409,12 @@ def test_spectrum_scores_in_stacks_like_point_by_point():
 
 def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
     """The observer search one evaluation at a time, each restart after the
-    last: the oracle the lockstep search must reproduce."""
-    unit = _sobol_starts(family.n_params, restarts, substream(seed, "observer-starts"))
+    last: the oracle the lockstep search must reproduce. Every restart's share
+    is fixed up front, at least 6 evaluations (the start point and one
+    5-evaluation line search), and as many restarts run as the budget funds."""
+    share = max(budget // restarts, 6)
+    runs = max(1, min(restarts, budget // share))
+    unit = _sobol_starts(family.n_params, runs, substream(seed, "observer-starts"))
     lows = np.array([b[0] for b in family.box])
     highs = np.array([b[1] for b in family.box])
     log = []
@@ -440,16 +447,11 @@ def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
             if f_cur - f_start < 1e-12:
                 break
 
-    starts = lows + unit * (highs - lows)
-    share = max(budget // restarts, family.n_params + 1)
-    for r in range(restarts + 1):
-        if len(log) >= budget:
-            break
-        if r < restarts:
-            ascend(starts[r], min(len(log) + share, budget))
-        else:
-            best_p, best_f = max(log, key=lambda e: e[1])
-            ascend(best_p, budget, best_f)
+    for start in lows + unit * (highs - lows):
+        ascend(start, len(log) + min(share, budget))
+    if len(log) < budget:
+        best_p, best_f = max(log, key=lambda e: e[1])
+        ascend(best_p, budget, best_f)
     best_p, best_f = max(log, key=lambda e: e[1])
     phi_before = phi(rho, mode).phi
     return ObserverResult(
@@ -467,11 +469,13 @@ def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
     "state, family, budget, restarts, seed",
     [
         ("bell", "dephasing", 500, 8, 7),      # lockstep, eight restarts wide
-        # the n_params + 1 floor sets the share, so the restarts run one at a
-        # time; a share of 4 buys only the start point
+        # the floor of 6 sets the share: the budget funds three restarts of 6
+        # and leaves 2 evaluations to the polish
         ("ginibre222", "depolarizing", 20, 8, 3),
-        # a share of 7, and the budget cuts the fifth restart short
+        # the floor of 6 sets the share, and the budget funds five of eight
         ("ghz3", "dephasing", 30, 8, 1),
+        # 6 <= share < n_params + 1: eight restarts of one line search each
+        ("ghz4", "dephasing", 50, 8, 2),
         ("ghz4", "ptrace", 40, 3, 1),          # 13 x 3 <= 40: lockstep over drop sets
     ],
 )
@@ -480,3 +484,48 @@ def test_lockstep_search_equals_the_sequential_oracle(state, family, budget, res
     fam = SEARCH_FAMILIES[family](rho.layout)
     got = maximize_phi(rho, fam, budget, restarts, seed)
     assert _fields(got) == _fields(_sequential_search(rho, fam, budget, restarts, seed))
+
+
+@pytest.mark.parametrize(
+    "state, family, budget, runs",
+    [
+        ("ginibre222", "depolarizing", 20, 3),  # the floor binds: 3 restarts of 6
+        ("ghz4", "dephasing", 50, 8),           # 6 <= share < n_params + 1 = 9
+    ],
+)
+def test_each_funded_restart_scores_its_start_and_one_line_search(state, family, budget, runs):
+    rho = SEARCH_STATES[state]()
+    fam = SEARCH_FAMILIES[family](rho.layout)
+    res = maximize_phi(rho, fam, budget, restarts=8, seed=3)
+    lows = np.array([b[0] for b in fam.box])
+    highs = np.array([b[1] for b in fam.box])
+    starts = lows + _sobol_starts(fam.n_params, runs, substream(3, "observer-starts")) * (highs - lows)
+    # 6 evaluations per restart and fewer than 5 left: the polish scores nothing
+    assert res.evaluations == 6 * runs and budget - 6 * runs < 5
+    for r, start in enumerate(starts):
+        block = [np.array(p) for p, _ in res.trace[6 * r:6 * r + 6]]
+        assert np.array_equal(block[0], start)
+        # the line search moves the first coordinate only
+        assert all(np.array_equal(p[1:], start[1:]) for p in block)
+        assert len({p[0] for p in block}) == 6
+
+
+def test_restarts_size_no_memory(monkeypatch):
+    drawn = []
+
+    def recorder(d, n, rng):
+        drawn.append(n)
+        return _sobol_starts(d, n, rng)
+
+    monkeypatch.setattr(observer, "_sobol_starts", recorder)
+    res = maximize_phi(bell(), local_dephasing_family((2, 2)), budget=10, restarts=10**9)
+    assert drawn and max(drawn) <= 2
+    assert res.evaluations <= 10
+
+
+@pytest.mark.parametrize("d", [0, 1, 3, 6, 32])
+def test_sobol_starts_are_a_prefix_of_longer_draws(d):
+    longer = _sobol_starts(d, 64, substream(5, "observer-starts"))
+    for m in (1, 2, 7, 63):
+        got = _sobol_starts(d, m, substream(5, "observer-starts"))
+        assert np.array_equal(got, longer[:m]), (d, m)
