@@ -421,8 +421,8 @@ def maximize_phi(
         raise BadBudget(f"budget must be >= 1, got {budget}")
     if restarts < 1:
         raise BadParameter(f"restarts must be >= 1, got {restarts}")
-    share = max(budget // restarts, SHARE_MIN)
-    runs = max(1, min(restarts, budget // share))
+    share = min(max(budget // restarts, SHARE_MIN), budget)
+    runs = min(restarts, budget // share)
     unit = _sobol_starts(family.n_params, runs, substream(seed, "observer-starts"))
     phi_before = phi_fn(rho, mode).phi
     lows = np.array([b[0] for b in family.box])
@@ -435,7 +435,7 @@ def maximize_phi(
             trace.extend(log)
 
     starts = lows + unit * (highs - lows)
-    run([_ascend(p, min(share, budget), lows, highs) for p in starts])
+    run([_ascend(p, share, lows, highs) for p in starts])
     # the polish starts from the best point so far with whatever budget is left
     if len(trace) < budget:
         best_p, best_f = max(trace, key=lambda e: e[1])

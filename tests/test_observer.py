@@ -139,6 +139,23 @@ def test_polish_does_not_rescore_the_best_point():
     assert points.count((0.386, 0.439, 0.429)) == 1
     assert len(set(p for p, _ in res.trace)) == len(res.trace)
     assert res.evaluations == len(res.trace) <= 20
+    # 55 evaluations fund eight restarts of 6 and leave 7 to the polish: it
+    # starts from the incumbent with its known value, so it scores one
+    # golden-section line on the first coordinate and nothing before it
+    fam = local_depolarizing_family((2, 2, 2))
+    res = maximize_phi(rho, fam, budget=55, restarts=8, seed=3)
+    incumbent = np.array(max(res.trace[:48], key=lambda e: e[1])[0])
+    line = []
+
+    def g(t):
+        p = incumbent.copy()
+        p[0] = t
+        line.append((tuple(p.tolist()), phi(fam.apply(p, rho)).phi))
+        return line[-1][1]
+
+    golden_max(g, *fam.box[0], iters=3)
+    assert len(line) == 7
+    assert res.trace[48:] == tuple(line)
 
 
 def test_budget_validation():
@@ -412,8 +429,8 @@ def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
     last: the oracle the lockstep search must reproduce. Every restart's share
     is fixed up front, at least 6 evaluations (the start point and one
     5-evaluation line search), and as many restarts run as the budget funds."""
-    share = max(budget // restarts, 6)
-    runs = max(1, min(restarts, budget // share))
+    share = min(max(budget // restarts, 6), budget)
+    runs = min(restarts, budget // share)
     unit = _sobol_starts(family.n_params, runs, substream(seed, "observer-starts"))
     lows = np.array([b[0] for b in family.box])
     highs = np.array([b[1] for b in family.box])
@@ -448,7 +465,7 @@ def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
                 break
 
     for start in lows + unit * (highs - lows):
-        ascend(start, len(log) + min(share, budget))
+        ascend(start, len(log) + share)
     if len(log) < budget:
         best_p, best_f = max(log, key=lambda e: e[1])
         ascend(best_p, budget, best_f)
@@ -477,6 +494,11 @@ def _sequential_search(rho, family, budget, restarts, seed, mode="marginal"):
         # 6 <= share < n_params + 1: eight restarts of one line search each
         ("ghz4", "dephasing", 50, 8, 2),
         ("ghz4", "ptrace", 40, 3, 1),          # 13 x 3 <= 40: lockstep over drop sets
+        # eight restarts of 6 leave 7 evaluations: the polish runs a line search
+        ("ginibre222", "depolarizing", 55, 8, 3),
+        # forty restarts of 6 leave 39: the polish runs a second line search
+        # from wherever the incumbent's known value let the first one move it
+        ("bell", "dephasing", 279, 40, 7),
     ],
 )
 def test_lockstep_search_equals_the_sequential_oracle(state, family, budget, restarts, seed):
