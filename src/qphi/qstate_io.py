@@ -5,8 +5,12 @@ with the matrix in row-major order; floats round-trip exactly through the
 shortest-repr encoding the json module emits. :func:`write_state` streams a
 document to a text stream one matrix row at a time, so no nested list or
 whole-document string of a large state is ever built; its bytes are those of
-``json.dumps`` of the document, followed by a newline. Reading always
-revalidates.
+``json.dumps`` of the document, followed by a newline. Formatting the floats
+is the cost of a write, so each cell pair that mirrors exactly (the lower cell
+the conjugate of the upper one, or equal to it) is formatted once, from the
+upper cell; the texts handed down to later rows are held joined a few rows at
+a time: at most a quarter of the cells, about three quarters of the matrix's
+own size. Reading always revalidates.
 """
 from __future__ import annotations
 
@@ -99,12 +103,84 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
+_SIGN = np.uint64(1 << 63)
+# rows whose handed cell texts are joined into one string per column at once
+_JOIN_ROWS = 8
+
+
+def _mirrored(cells: str) -> list[str]:
+    """The ``'re, im'`` texts of a run of cells, from the run's encoding
+    ``'re, im], [re, im, ...'``, each with its imaginary part's sign flipped.
+
+    ``repr(-x) == '-' + repr(x)`` for every float, ``-0.0`` and the
+    infinities included, so this is the text of each cell's conjugate. Within
+    the run ``", "`` stands before every imaginary part and inside every
+    ``"], ["``: prefixing all of them with ``-`` and dropping ``--`` flips each
+    imaginary part and turns the separators into ``"], -["``.
+    """
+    return cells.replace(", ", ", -").replace(", --", ", ").split("], -[")
+
+
+def _mirror_rows(pairs: np.ndarray) -> tuple[list, list]:
+    """For each row i of a (D, D, 2) matrix: whether every cell (k > i, i)
+    below the diagonal is the exact conjugate of its mirror (i, k), bit for
+    bit, and whether every one equals its mirror."""
+    bits = pairs.view(np.uint64)
+    re, im = bits[..., 0], bits[..., 1]
+    same_re = re == re.T
+    # json writes NaN for either sign, so a NaN is no flipped text
+    conj = same_re & ((im ^ im.T) == _SIGN) & ~np.isnan(pairs[..., 1])
+    same = same_re & (im == im.T)
+    lower = np.tri(len(pairs), dtype=bool)
+    return (conj | lower).all(axis=1).tolist(), (same | lower).all(axis=1).tolist()
+
+
 def _state_chunks(rho: DensityMatrix) -> Iterator[str]:
     """``json.dumps(state_to_dict(rho))`` as the header, one chunk per matrix
-    row and the closing brackets."""
+    row and the closing brackets.
+
+    Row i formats only its cells (i, j >= i). Its cells (i, k > i) then hand
+    row k the text of cell (k, i): their own text when the pair's bits are
+    equal, the text with the imaginary sign flipped when cell (k, i) is their
+    exact conjugate. A row whose pairs are not all one or all the other hands
+    texts formatted from the lower cells' own values, so every matrix keeps
+    the bytes of the nested-list encoding.
+    """
+    pairs = _pairs(rho.mat)
+    d = len(pairs)
+    conj_rows, same_rows = _mirror_rows(pairs)
+    # pending[k]: the texts of cells (k, j) handed down by the rows j before
+    # the current block, a string per block of rows; block: (j, the texts row
+    # j hands down) for the rows of the current block
+    pending: list = [[] for _ in range(d)]
+    block: list = []
     yield f'{{"version": {QSTATE_VERSION}, "dims": {json.dumps(list(rho.dims))}, "matrix": ['
-    for i, row in enumerate(_pairs(rho.mat)):
-        yield (", " if i else "") + json.dumps(row.tolist())
+    for i in range(d):
+        upper = json.dumps(pairs[i, i:].tolist())[2:-2]
+        row, pending[i] = pending[i], None
+        row += [hand[i - j - 1] for j, hand in block]
+        row.append(upper)
+        yield (", [[" if i else "[[") + "], [".join(row) + "]]"
+        if i + 1 == d:
+            break
+        off = upper[upper.index("], [") + 4:]
+        if conj_rows[i]:
+            block.append((i, _mirrored(off)))
+        elif same_rows[i]:
+            block.append((i, off.split("], [")))
+        else:
+            block.append((i, json.dumps(pairs[i + 1:, i].tolist())[2:-2].split("], [")))
+        if len(block) == _JOIN_ROWS:
+            columns = map("], [".join, zip(*(hand[i - j:] for j, hand in block)))
+            for col, text in zip(pending[i + 1:], columns):
+                col.append(text)
+            # the spent zip still holds the slices it did not run to the end
+            del columns
+            block = []
+            if (i + 1) % _JOIN_ROWS**2 == 0:
+                # every _JOIN_ROWS blocks, their strings in each column into one
+                for col in pending[i + 1:]:
+                    col[-_JOIN_ROWS:] = ["], [".join(col[-_JOIN_ROWS:])]
     yield "]}"
 
 
@@ -114,7 +190,12 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 def write_state(rho: DensityMatrix, stream: TextIO) -> None:
     """Write ``rho`` to ``stream`` as a QSTATE document and a newline, one
-    matrix row per write."""
+    matrix row per write.
+
+    Each exactly mirrored cell pair is formatted once; until the lower cell's
+    row is written its text waits, with those of the other pending cells,
+    joined into a string per column every few rows.
+    """
     for chunk in _state_chunks(rho):
         stream.write(chunk)
     stream.write("\n")

@@ -182,19 +182,37 @@ def validate_state(mat, layout) -> DensityMatrix:
     return DensityMatrix(lay, _validate_stack(arr[None])[0])
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix or of each matrix of a stack, in a
+    new C-ordered array."""
+    return np.conjugate(m.swapaxes(-1, -2), out=np.empty(m.shape, dtype=complex))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2, exactly hermitian, built in one new array: IEEE addition
+    commutes, so it equals the expression bit for bit."""
+    h = _adjoint(m)
+    h += m
+    h /= 2.0
+    return h
+
+
 def _validate_stack(arr: np.ndarray) -> np.ndarray:
     """The checks and cleaning of :func:`validate_state`, applied to every
     matrix of an (S, D, D) stack with one stacked eigensolve; the first
     matrix that fails a check raises."""
     if not np.isfinite(arr).all():
         raise BadParameter("matrix has non-finite entries")
-    herm_defect = np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    h = _adjoint(arr)
+    herm_defect = np.max(np.abs(arr - h), axis=(-2, -1))
     bad = np.flatnonzero(herm_defect > HERMITICITY_TOL)
     if bad.size:
         raise NotHermitian(
             f"hermiticity defect {float(herm_defect[bad[0]]):.3e} exceeds {HERMITICITY_TOL}"
         )
-    h = (arr + arr.conj().swapaxes(-1, -2)) / 2.0
+    # the hermitian part, built as _hermitian_part builds it
+    h += arr
+    h /= 2.0
     tr = np.trace(h, axis1=-2, axis2=-1)
     bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
     if bad.size:
@@ -209,7 +227,7 @@ def _validate_stack(arr: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(h[dirty])
         w = np.clip(w, 0.0, None)
         p = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        p = (p + p.conj().swapaxes(-1, -2)) / 2.0
+        p = _hermitian_part(p)
         h[dirty] = p / np.real(np.trace(p, axis1=-2, axis2=-1))[:, None, None]
     off = ~dirty & (np.abs(tr - 1.0) > 1e-12)
     if off.any():
@@ -379,7 +397,7 @@ def _pure_stack(v: np.ndarray) -> np.ndarray:
         raise BadParameter("zero vector cannot be normalized")
     v = v / np.sqrt(sq)
     proj = v[..., :, None] * v.conj()[..., None, :]
-    return (proj + proj.conj().swapaxes(-1, -2)) / 2.0  # keep the stored matrix exactly hermitian
+    return _hermitian_part(proj)  # keep the stored matrix exactly hermitian
 
 
 def maximally_mixed(layout) -> DensityMatrix:
@@ -440,9 +458,9 @@ def ginibre_mixed(layout, rank: int, seed: SeedLike) -> DensityMatrix:
 def _ginibre_stack(g: np.ndarray) -> np.ndarray:
     """G G^dag / tr(G G^dag) of a matrix, or of each matrix of a stack, kept
     exactly hermitian; a stack matches the per-matrix results bit for bit."""
-    m = g @ g.conj().swapaxes(-1, -2)
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0  # keep the stored matrix exactly hermitian
-    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+    m = _hermitian_part(g @ g.conj().swapaxes(-1, -2))  # keep the stored matrix exactly hermitian
+    m /= np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+    return m
 
 
 def random_product(layout, cut: Bipartition, seed: SeedLike) -> DensityMatrix:

@@ -3,6 +3,7 @@ import numbers
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import chain
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import qphi.cli as cli
+import qphi.qstate_io as qstate_io
 from qphi.channels import KrausChannel, random_channel
 from qphi.errors import BadParameter, DimensionMismatch, NotPSD, ValidationError
 from qphi.phi import phi
@@ -606,6 +608,120 @@ def test_write_state_streams_one_row_per_write():
     assert len(rec.writes) >= 64
     assert max(map(len, rec.writes)) <= len(header) + longest_row
     assert "".join(rec.writes) == doc + "\n"
+
+
+def _hermitian(mat) -> np.ndarray:
+    """``mat`` with each lower cell replaced by the exact conjugate of its
+    upper mirror, bit for bit."""
+    h = np.array(mat, dtype=complex)
+    lower = np.tril_indices(len(h), -1)
+    h[lower] = h.T[lower].conj()
+    return h
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i·im with the signs of zeros kept (``1j * -0.0`` is ``+0.0``)."""
+    mat = np.empty(np.shape(re), dtype=complex)
+    mat.real, mat.imag = re, im
+    return mat
+
+
+def _zero_imaginary_pairs(upper_sign: float, lower_sign: float) -> np.ndarray:
+    """A real symmetric matrix whose off-diagonal imaginary parts are zeros of
+    the given signs above and below the diagonal."""
+    re = _random_matrix(5, 11).real
+    im = np.where(np.tri(5, dtype=bool), lower_sign, upper_sign)
+    return _complex(np.triu(re) + np.triu(re, 1).T, im)
+
+
+def _nudged(row: int, col: int, part: str) -> np.ndarray:
+    """A hermitian matrix with lower cell (row, col) one ulp off its mirror's
+    conjugate, so the mirror breaks in the middle of row ``col``."""
+    h = _hermitian(_random_matrix(8, 3))
+    cell = h[row, col]
+    if part == "re":
+        h[row, col] = complex(np.nextafter(cell.real, np.inf), cell.imag)
+    else:
+        h[row, col] = complex(cell.real, np.nextafter(cell.imag, -np.inf))
+    return h
+
+
+def _zero_signs_per_cell() -> np.ndarray:
+    """Zero imaginary parts with all four sign pairs, mixed within rows."""
+    signs = np.random.default_rng(5).integers(0, 2, size=(5, 5)).astype(bool)
+    return _complex(_zero_imaginary_pairs(0.0, 0.0).real, np.where(signs, -0.0, 0.0))
+
+
+def _non_finite() -> np.ndarray:
+    """Exact conjugate pairs holding NaN and infinities: json writes NaN for
+    either sign, and -Infinity for a flipped infinity."""
+    h = _random_matrix(4, 8)
+    h[0, 1], h[0, 2], h[1, 3] = complex(1.0, np.nan), complex(np.inf, -np.inf), complex(np.nan, 2.0)
+    return _hermitian(h)
+
+
+HERMITIAN_CASES = {
+    # the awkward floats in row 0 and their exact conjugates in column 0
+    "awkward-d6": lambda: _hermitian(_random_matrix(6, 6)),
+    "awkward-d23": lambda: _hermitian(_random_matrix(23, 23)),
+    "awkward-d64": lambda: _hermitian(_random_matrix(64, 64)),
+    "d1": lambda: _complex([[0.25]], [[-0.0]]),
+    "d2": lambda: _hermitian(_random_matrix(2, 2)),
+    "zeros+above+below": lambda: _zero_imaginary_pairs(0.0, 0.0),
+    "zeros+above-below": lambda: _zero_imaginary_pairs(0.0, -0.0),
+    "zeros-above+below": lambda: _zero_imaginary_pairs(-0.0, 0.0),
+    "zeros-above-below": lambda: _zero_imaginary_pairs(-0.0, -0.0),
+    "zero-signs-per-cell": _zero_signs_per_cell,
+    "nudged-real": lambda: _nudged(5, 2, "re"),
+    "nudged-imag": lambda: _nudged(6, 3, "im"),
+    "nudged-last-row": lambda: _nudged(7, 0, "im"),
+    "non-finite": _non_finite,
+    "ghz3": lambda: np.asarray(ghz(3).mat),
+    "ginibre": lambda: np.asarray(ginibre_mixed((2, 3), 6, substream(1, "io-mirror")).mat),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HERMITIAN_CASES))
+def test_mirrored_cells_keep_the_nested_list_bytes(case):
+    mat = HERMITIAN_CASES[case]()
+    # a transposed hermitian matrix is hermitian and not C-contiguous, and so
+    # is every other row and column of one
+    for m in (mat, mat.T, mat[::2, ::2]):
+        rho = _state(m)
+        want = _reference_text(rho)
+        assert state_to_json(rho) == want
+        assert _written(rho) == want + "\n"
+
+
+@pytest.mark.parametrize("case", ["haar", "ghz", "nudged"])
+def test_each_mirrored_pair_is_formatted_once(case, monkeypatch):
+    mat = {"haar": lambda: np.asarray(haar_pure((2,) * 4, substream(2, "io-once")).mat),
+           "ghz": lambda: np.asarray(ghz(4).mat),
+           "nudged": lambda: _nudged(6, 3, "im")}[case]()
+    formatted = []
+
+    def dumps(obj):
+        if obj and isinstance(obj[0], list):
+            formatted.append(len(obj))
+        return json.dumps(obj)
+
+    monkeypatch.setattr(qstate_io, "json", SimpleNamespace(dumps=dumps))
+    rho = _state(mat)
+    assert state_to_json(rho) == _reference_text(rho)
+    d = len(mat)
+    # the upper triangle, and the one row whose mirror breaks formats its column
+    assert sum(formatted) == d * (d + 1) // 2 + (d - 4 if case == "nudged" else 0)
+
+
+def test_the_writer_holds_less_than_the_matrix():
+    rho = haar_pure((2,) * 8, substream(0, "io-memory"))
+    tracemalloc.start()
+    try:
+        write_state(rho, SimpleNamespace(write=len))  # keeps nothing it is given
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rho.mat.nbytes
 
 
 def _reference_decode(rows) -> np.ndarray:
