@@ -35,24 +35,14 @@ from .states import (
     DensityMatrix,
     SubsystemLayout,
     _assemble_raw,
+    _ints,
+    _spectral,
     partial_trace,
     validate_state,
 )
 
 PINV_CUTOFF = 1e-12
 TRACE_DRIFT_TOL = 1e-8
-
-
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def _invsqrt_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    inv = np.where(w > PINV_CUTOFF, 1.0 / np.sqrt(np.clip(w, PINV_CUTOFF, None)), 0.0)
-    return (v * inv) @ v.conj().T
 
 
 def _embed(op: np.ndarray, op_idx: list[int], space_idx: list[int], layout: SubsystemLayout) -> np.ndarray:
@@ -73,8 +63,8 @@ def _embed(op: np.ndarray, op_idx: list[int], space_idx: list[int], layout: Subs
 
 def _check_subsets(rho: DensityMatrix, blanket: Iterable[int], rebuild: Iterable[int]):
     n = rho.n
-    z = sorted(set(int(i) for i in blanket))
-    y = sorted(set(int(i) for i in rebuild))
+    z = sorted(set(_ints(blanket, IndexOutOfRange, "subsystem indices")))
+    y = sorted(set(_ints(rebuild, IndexOutOfRange, "subsystem indices")))
     if not z or not y:
         raise BadParameter("blanket and rebuild sets must both be non-empty")
     for i in z + y:
@@ -108,10 +98,13 @@ def petz_recover(
     rho_yz = np.asarray(partial_trace(rho, yz).mat)
     rho_az = np.asarray(partial_trace(rho, az).mat)
 
-    inv_on_az = _embed(_invsqrt_psd(rho_z), z, az, lay)
+    w, v = np.linalg.eigh(rho_z)
+    inv = np.where(w > PINV_CUTOFF, 1.0 / np.sqrt(np.clip(w, PINV_CUTOFF, None)), 0.0)
+    inv_on_az = _embed(_spectral(v, inv), z, az, lay)
     mid_az = inv_on_az @ rho_az @ inv_on_az
     mid_full = _embed(mid_az, az, list(range(n)), lay)
-    sq_full = _embed(_sqrt_psd(rho_yz), yz, list(range(n)), lay)
+    w, v = np.linalg.eigh(rho_yz)
+    sq_full = _embed(_spectral(v, np.sqrt(np.clip(w, 0.0, None))), yz, list(range(n)), lay)
     out = sq_full @ mid_full @ sq_full
 
     tr = float(np.real(np.trace(out)))

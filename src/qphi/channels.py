@@ -28,6 +28,7 @@ from .states import (
     DensityMatrix,
     SeedLike,
     SubsystemLayout,
+    _ints,
     as_layout,
     rng_from,
     validate_state,
@@ -302,7 +303,7 @@ def partial_trace_channel(layout, drop: Sequence[int]) -> KrausChannel:
     """
     lay = as_layout(layout)
     n = lay.n
-    drop_sorted = sorted(set(int(i) for i in drop))
+    drop_sorted = sorted(set(_ints(drop, IndexOutOfRange, "drop indices")))
     if not drop_sorted:
         raise BadParameter("drop set must be non-empty")
     if any(i < 0 or i >= n for i in drop_sorted):

@@ -15,8 +15,8 @@ import numpy as np
 from .divergence import delta
 from .errors import BadParameter, SingleSubsystem
 from .phi import phi as phi_fn
-from .qstate_io import _int_list, _is_int, _is_number, _loads
-from .states import DensityMatrix, SubsystemLayout, ginibre_mixed, partial_trace, rng_from
+from .qstate_io import _int_list, _is_number, _loads
+from .states import DensityMatrix, SubsystemLayout, _is_int, ginibre_mixed, partial_trace, rng_from
 
 
 @dataclass(frozen=True)
@@ -192,18 +192,18 @@ def stability_probe(
 ) -> dict:
     """Rebuild the tree after mixing in eps of a random state; report phi shifts
     on member sets common to both trees and count topology changes."""
-    if trials < 1:
-        raise BadParameter("trials must be >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise BadParameter(f"trials must be an integer >= 1, got {trials!r}")
     if not 0.0 <= eps <= 1.0:
         raise BadParameter(f"eps must lie in [0, 1], got {eps}")
     base = build_dendrogram(rho, mode)
     base_phis = {n.members: n.phi_internal for n in base.internal_nodes()}
-    rng = rng_from(int(seed))
+    rng = rng_from(seed)
     max_shift = 0.0
     bound = 0.0
     shift_violations = 0
     topology_changes = 0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         noise = ginibre_mixed(rho.layout, rho.dim, rng)
         pert = DensityMatrix(
             rho.layout, (1.0 - eps) * np.asarray(rho.mat) + eps * np.asarray(noise.mat)

@@ -24,8 +24,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LayoutMismatch, NumericalBreakdown, TooFewStates
-from .states import DensityMatrix, rng_from
+from .errors import BadParameter, LayoutMismatch, NumericalBreakdown, TooFewStates
+from .states import DensityMatrix, _is_int, rng_from
 
 LN2 = float(np.log(2.0))
 
@@ -158,8 +158,10 @@ def negative_type_check(states: Sequence[DensityMatrix], trials: int, seed) -> G
 
     Conditional negative-definiteness of the divergence matrix shows up as the
     max staying <= 0 (up to float slack); the shifted-kernel eigenvalue is
-    informational only.
+    informational only. ``trials`` may be 0, as verify's config may set it.
     """
+    if not _is_int(trials) or trials < 0:
+        raise BadParameter(f"trials must be an integer >= 0, got {trials!r}")
     return _negative_type(qjsd_gram(states), trials, rng_from(seed))
 
 

@@ -58,6 +58,7 @@ from .divergence import _pair_divergences, _stack_len, entropies
 from .errors import (
     BadParameter,
     InvalidPartition,
+    LayoutMismatch,
     SingleSubsystem,
 )
 from .states import (
@@ -65,9 +66,12 @@ from .states import (
     DensityMatrix,
     SubsystemLayout,
     _assemble_raw,
+    _ints,
+    _is_int,
     _kron,
     _partial_trace_raw,
     _permute_raw,
+    _spectral,
     _split_marginals,
     assemble_on_subsets,
     enumerate_bipartitions,
@@ -127,7 +131,7 @@ class PartitionKBlocks:
     n: int
 
     def __post_init__(self):
-        blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(frozenset(_ints(b, InvalidPartition, "block indices")) for b in self.blocks)
         if len(blocks) < 2:
             raise InvalidPartition("a partition needs at least 2 blocks")
         seen: set[int] = set()
@@ -159,6 +163,9 @@ def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
     """:func:`divergence_for_partition` of every partition, from shared work
     (:func:`_partition_divergences` on a stack of one)."""
     parts = [as_partition(p, rho.n) for p in partitions]
+    for p in parts:
+        if p.n != rho.n:
+            raise LayoutMismatch(f"partition over n={p.n} applied to state with n={rho.n}")
     return _partition_divergences(np.asarray(rho.mat)[None], rho.dims, parts)[0].tolist()
 
 
@@ -238,12 +245,6 @@ def merge_inequality_check(rho: DensityMatrix, p: PartitionKBlocks, i: int, j: i
 # ---------------------------------------------------------------------------
 # optimized-mode refinement
 
-def _log_of_density(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, _LOG_FLOOR, None)
-    return (v * np.log(w)) @ v.conj().T
-
-
 def _exp_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-spectrum, spectrum and eigenvectors of exp(H)/tr exp(H). The
     log-spectrum comes from H, so it stays finite where the spectrum underflows."""
@@ -279,11 +280,12 @@ def _refine_product(
     rho_ab = _permute_raw(np.asarray(rho.mat), rho.dims, a_idx + b_idx)
     s_rho = entropies(np.linalg.eigvalsh(rho_ab))
     if start is None:
-        start = tuple(_log_of_density(m) for m in _split_marginals(rho_ab, da))
+        eigs = map(np.linalg.eigh, _split_marginals(rho_ab, da))
+        start = tuple(_spectral(v, np.log(np.clip(w, _LOG_FLOOR, None))) for w, v in eigs)
 
     def evaluate(h):
         (la, pa, va), (lb, pb, vb) = _exp_factor(h[0]), _exp_factor(h[1])
-        sa, sb = (va * pa) @ va.conj().T, (vb * pb) @ vb.conj().T
+        sa, sb = _spectral(va, pa), _spectral(vb, pb)
         wm, vm = np.linalg.eigh((rho_ab + _kron(sa, sb)) / 2.0)
         s_sigma = entropies(pa) + entropies(pb)
         value = float(entropies(wm) - 0.5 * s_rho - 0.5 * s_sigma)
@@ -295,10 +297,9 @@ def _refine_product(
         la, va, lb, vb, sa, sb, wm, vm = point
         # G_A and G_B up to multiples of the identity, which exp(H)/tr exp(H)
         # does not see
-        log_m = (vm * np.log(np.clip(wm, _TINY, None))) @ vm.conj().T
-        log_m = log_m.reshape(da, db, da, db)
-        ga = 0.5 * ((va * la) @ va.conj().T - np.einsum("jm,imkj->ik", sb, log_m))
-        gb = 0.5 * ((vb * lb) @ vb.conj().T - np.einsum("im,mjil->jl", sa, log_m))
+        log_m = _spectral(vm, np.log(np.clip(wm, _TINY, None))).reshape(da, db, da, db)
+        ga = 0.5 * (_spectral(va, la) - np.einsum("jm,imkj->ik", sb, log_m))
+        gb = 0.5 * (_spectral(vb, lb) - np.einsum("im,mjil->jl", sa, log_m))
         for _ in range(_MAX_HALVINGS):
             trial = evaluate((h[0] - eta * ga, h[1] - eta * gb))
             if trial[0] <= value:
@@ -508,8 +509,8 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
     """
     if mode not in ("marginal", "optimized"):
         raise BadParameter(f"unknown mode {mode!r}")
-    if probe_starts < 0:
-        raise BadParameter(f"probe_starts must be >= 0, got {probe_starts}")
+    if not _is_int(probe_starts) or probe_starts < 0:
+        raise BadParameter(f"probe_starts must be an integer >= 0, got {probe_starts!r}")
     if probe_starts > 0 and mode != "optimized":
         raise BadParameter("probe_starts needs mode 'optimized'")
     _check_cuttable(rho.n)
@@ -530,7 +531,7 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
     if probe_starts > 0:
         rng = np.random.default_rng(0)
         devs = []
-        for _ in range(int(probe_starts)):
+        for _ in range(probe_starts):
             z = [rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape) for h in hopt]
             h_init = tuple(h + 0.025 * (g + g.conj().T) for h, g in zip(hopt, z))
             _, s2, _, _ = _refine_product(rho, cut, start=h_init)
@@ -603,6 +604,8 @@ def _convexity_violations(a: np.ndarray, b: np.ndarray, dims, t_grid, mode: str)
     paired (k, D, D) stacks and each t of ``t_grid``: a (k, len(t_grid))
     array. One :func:`_phis` call per run of pairs scores their a, b and
     every mix, a stack of at most ``_STACK_BYTES``."""
+    if len(t_grid) == 0:
+        raise BadParameter("t_grid needs at least one mixing weight")
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise BadParameter(f"mixing weight {t} outside [0, 1]")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, TextIO, Union
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .states import DensityMatrix, SubsystemLayout, validate_state
+from .states import DensityMatrix, SubsystemLayout, _is_int, validate_state
 
 if TYPE_CHECKING:
     from .channels import KrausChannel
@@ -77,11 +77,6 @@ def _loads(text: Union[str, bytes]):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadParameter(f"invalid JSON: {exc}") from exc
-
-
-def _is_int(x) -> bool:
-    """JSON integers only: bools, floats and strings are refused."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

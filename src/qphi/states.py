@@ -3,11 +3,16 @@
 Subsystem 0 is the most significant factor in the Kronecker ordering, so the
 computational-basis index of ``|x0 x1 ... x_{n-1}>`` is ``x0*d1*...*d_{n-1} + ...``.
 All randomness flows through ``numpy.random.Generator`` seeded explicitly;
-identical seeds reproduce matrices bit for bit.
+identical seeds reproduce matrices bit for bit. :func:`_spectral` is the
+package's one functional calculus: every f(A) = V f(w) V^dag (log, square root,
+pseudo-inverse square root) is rebuilt by it, each caller flooring w by its own
+policy. Dimensions, indices and seeds must be integers (:func:`_is_int`):
+floats, bools and strings are refused, not truncated.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -37,6 +42,20 @@ DEFAULT_N_CAP = 12
 SeedLike = Union[int, "np.random.Generator"]
 
 
+def _is_int(x) -> bool:
+    """Integers only, numpy's included: bools, floats and strings are refused."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _ints(values: Iterable, exc: type, what: str) -> list[int]:
+    """``values`` as ints; an entry that is not an integer raises ``exc``."""
+    values = list(values)
+    for v in values:
+        if not _is_int(v):
+            raise exc(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered local dimensions of the tensor factors. The package's one
@@ -47,7 +66,7 @@ class SubsystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_ints(self.dims, DimensionMismatch, "local dimensions"))
         if len(dims) == 0:
             raise DimensionMismatch("layout needs at least one subsystem")
         if any(d < 2 for d in dims):
@@ -120,7 +139,7 @@ class Bipartition:
     n: int
 
     def __post_init__(self):
-        mask = frozenset(int(i) for i in self.mask_a)
+        mask = frozenset(_ints(self.mask_a, IndexOutOfRange, "cut indices"))
         object.__setattr__(self, "mask_a", mask)
         if any(i < 0 or i >= self.n for i in mask):
             raise IndexOutOfRange(f"cut indices {sorted(mask)} out of range for n={self.n}")
@@ -132,7 +151,7 @@ class Bipartition:
     @classmethod
     def of(cls, side: Iterable[int], n: int) -> "Bipartition":
         """Build the canonical cut containing the given side (complemented if needed)."""
-        s = frozenset(int(i) for i in side)
+        s = frozenset(_ints(side, IndexOutOfRange, "cut indices"))
         if any(i < 0 or i >= n for i in s):
             raise IndexOutOfRange(f"cut indices {sorted(s)} out of range for n={n}")
         if 0 not in s:
@@ -197,6 +216,12 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
+def _spectral(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V diag(x) V^dag for eigenvectors V and values x = f(w), the caller's
+    floor applied: f(A) of one matrix or of each matrix of a stack."""
+    return (v * x[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def _validate_stack(arr: np.ndarray) -> np.ndarray:
     """The checks and cleaning of :func:`validate_state`, applied to every
     matrix of an (S, D, D) stack with one stacked eigensolve; the first
@@ -225,9 +250,7 @@ def _validate_stack(arr: np.ndarray) -> np.ndarray:
     dirty = lo < -1e-12
     if dirty.any():
         w, v = np.linalg.eigh(h[dirty])
-        w = np.clip(w, 0.0, None)
-        p = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        p = _hermitian_part(p)
+        p = _hermitian_part(_spectral(v, np.clip(w, 0.0, None)))
         h[dirty] = p / np.real(np.trace(p, axis1=-2, axis2=-1))[:, None, None]
     off = ~dirty & (np.abs(tr - 1.0) > 1e-12)
     if off.any():
@@ -261,7 +284,7 @@ def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatri
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out everything except ``keep``, preserving the original ordering."""
     n = rho.n
-    keep_sorted = sorted(set(int(i) for i in keep))
+    keep_sorted = sorted(set(_ints(keep, IndexOutOfRange, "keep indices")))
     if len(keep_sorted) == 0:
         raise EmptyKeepSet("keep set must be non-empty")
     if any(i < 0 or i >= n for i in keep_sorted):
@@ -274,18 +297,13 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def _partial_trace_raw(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """The marginal on the sorted subsystems ``keep`` of a matrix, or of a
-    stack of them."""
-    n, lead = len(dims), mat.shape[:-2]
-    b = len(lead)
-    traced = [i for i in range(n) if i not in keep]
-    t = mat.reshape(lead + tuple(dims) * 2)
-    axes = (list(range(b)) + [b + i for i in keep] + [b + i for i in traced]
-            + [b + n + i for i in keep] + [b + n + i for i in traced])
-    dk = int(np.prod([dims[i] for i in keep]))
-    dt = int(np.prod([dims[i] for i in traced]))
-    t4 = t.transpose(axes).reshape(lead + (dk, dt, dk, dt))
-    return np.einsum("...abcb->...ac", t4)
+    """The marginal on the sorted subsystems ``keep`` of a matrix, or of a stack
+    of them: :func:`_split_marginals`'s contraction with the kept factors first."""
+    rest = [i for i in range(len(dims)) if i not in keep]
+    dk = math.prod(dims[i] for i in keep)
+    dr = math.prod(dims) // dk
+    t = _permute_raw(mat, dims, list(keep) + rest).reshape(mat.shape[:-2] + (dk, dr, dk, dr))
+    return np.einsum("...ijkj->...ik", t)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,7 +323,7 @@ def _split_marginals(rho_ab: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarra
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(
-        SubsystemLayout(a.dims + b.dims), np.kron(np.asarray(a.mat), np.asarray(b.mat))
+        SubsystemLayout(a.dims + b.dims), _kron(np.asarray(a.mat), np.asarray(b.mat))
     )
 
 
@@ -338,7 +356,7 @@ def _assemble_raw(
 def product_of_block_marginals(rho: DensityMatrix, blocks: Sequence[Iterable[int]]) -> DensityMatrix:
     """The product of the marginals on the blocks, which must partition the
     subsystems (original subsystem order)."""
-    subs = [sorted(set(int(i) for i in b)) for b in blocks]
+    subs = [sorted(set(_ints(b, BadParameter, "block indices"))) for b in blocks]
     if not all(subs) or sorted(i for s in subs for i in s) != list(range(rho.n)):
         raise BadParameter(f"blocks {subs} do not partition range({rho.n})")
     mats = [_partial_trace_raw(np.asarray(rho.mat), rho.dims, s) for s in subs]
@@ -357,10 +375,9 @@ def product_of_marginals(rho: DensityMatrix, cut: Bipartition) -> DensityMatrix:
 # generators
 
 def _seed_int(seed) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise BadParameter(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    if not _is_int(seed) or seed < 0:
+        raise BadParameter(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:

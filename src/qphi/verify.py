@@ -45,11 +45,12 @@ from .phi import (
     enumerate_partitions,
     merge_blocks,
 )
-from .qstate_io import _is_int, _is_number
+from .qstate_io import _is_number
 from .states import (
     DensityMatrix,
     SubsystemLayout,
     _ginibre_stack,
+    _is_int,
     _pure_stack,
     _validate_stack,
     enumerate_bipartitions,

@@ -18,6 +18,7 @@ from .states import (
     Bipartition,
     DensityMatrix,
     SubsystemLayout,
+    _is_int,
     assemble_on_subsets,
     ginibre_mixed,
     haar_pure,
@@ -91,15 +92,15 @@ def product_state_scan(w: Witness, samples: int, seed) -> ProductScanReport:
 
     Alternates Haar-random pure factors with full-rank Ginibre factors.
     """
-    if samples < 1:
-        raise BadParameter("samples must be >= 1")
+    if not _is_int(samples) or samples < 1:
+        raise BadParameter(f"samples must be an integer >= 1, got {samples!r}")
     a_idx, b_idx = w.cut.as_lists()
     da = int(np.prod([w.layout.dims[i] for i in a_idx]))
     db = int(np.prod([w.layout.dims[i] for i in b_idx]))
     rng = rng_from(seed)
     best: Optional[tuple[float, DensityMatrix]] = None
     negative = 0
-    for i in range(int(samples)):
+    for i in range(samples):
         if i % 2 == 0:
             fa = haar_pure((da,), rng).mat
             fb = haar_pure((db,), rng).mat

@@ -79,6 +79,15 @@ def test_petz_argument_validation():
         petz_recover(rho, blanket=[5], rebuild=[1])
 
 
+def test_petz_indices_are_checked_not_truncated():
+    # 1.9 is refused, not read as subsystem 1; numpy integers are accepted
+    rho = ghz(3)
+    with pytest.raises(IndexOutOfRange, match="integer"):
+        petz_recover(rho, blanket=[1.9], rebuild=[0])
+    same = petz_recover(rho, blanket=[np.int64(1)], rebuild=[np.int64(0)])
+    assert np.array_equal(same.mat, petz_recover(rho, blanket=[1], rebuild=[0]).mat)
+
+
 def test_blanket_scan_on_product_finds_the_spectator():
     # sigma_{01} (x) tau_2: tracing the argmin through {2} costs nothing
     sigma = random_product((2, 2), Bipartition.of([0], 2), substream(4, "bl-s"))

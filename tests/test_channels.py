@@ -18,7 +18,7 @@ from qphi.channels import (
     random_local_channel,
     tensored,
 )
-from qphi.errors import BadParameter, LayoutMismatch, NotPSD, TraceNotOne
+from qphi.errors import BadParameter, IndexOutOfRange, LayoutMismatch, NotPSD, TraceNotOne
 from qphi.states import _validate_stack as validate_stack
 from qphi.states import (
     bell,
@@ -108,6 +108,13 @@ def test_partial_trace_channel_matches_partial_trace():
         out = apply_channel(ch, rho, tuple(dims[i] for i in keep))
         direct = partial_trace(rho, keep=keep)
         assert np.allclose(np.asarray(out.mat), np.asarray(direct.mat), atol=1e-12), (dims, drop)
+
+
+def test_partial_trace_channel_drop_indices_must_be_integers():
+    with pytest.raises(IndexOutOfRange, match="integer"):
+        partial_trace_channel((2, 2, 2), drop=[1.5])
+    ch = partial_trace_channel((2, 2, 2), drop=[np.int64(1)])
+    assert ch.out_dim == 4
 
 
 def test_local_channel_factorizes_over_products():

@@ -204,6 +204,13 @@ def test_stability_probe_reports():
         stability_probe(ghz(3), trials=0)
 
 
+def test_stability_probe_refuses_non_integer_seeds_and_trials():
+    for kw in ({"seed": 1.5}, {"seed": True}, {"seed": -1}, {"trials": 1.5}):
+        with pytest.raises(BadParameter, match="integer"):
+            stability_probe(ghz(3), **{"trials": 1, **kw})
+    assert stability_probe(ghz(3), trials=np.int64(1), seed=np.int64(0))["trials"] == 1
+
+
 def test_stability_probe_refuses_eps_outside_the_unit_interval():
     # a weight outside [0, 1] mixes to a matrix that is not a state
     for eps in (2.0, -0.5):

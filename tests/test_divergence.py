@@ -14,7 +14,7 @@ from qphi.divergence import (
     qjsd_gram,
     von_neumann_entropy,
 )
-from qphi.errors import LayoutMismatch, NumericalBreakdown, TooFewStates
+from qphi.errors import BadParameter, LayoutMismatch, NumericalBreakdown, TooFewStates
 from qphi.states import (
     bell,
     ginibre_mixed,
@@ -100,6 +100,21 @@ def test_negative_type_sampling():
     assert rep.negative_type_max <= 1e-9
     # the shifted kernel ln2 - D is reported, not asserted
     assert np.isfinite(rep.kernel_min_eigenvalue)
+
+
+@pytest.mark.parametrize("trials", [-3, 2.5, "4", True])
+def test_negative_type_refuses_bad_trial_counts(trials):
+    states = [bell(), maximally_mixed((2, 2))]
+    with pytest.raises(BadParameter, match="trials"):
+        negative_type_check(states, trials, 0)
+
+
+def test_negative_type_takes_zero_and_numpy_trial_counts():
+    # verify passes a count of zero when its config does
+    states = [bell(), maximally_mixed((2, 2))]
+    assert negative_type_check(states, 0, 0).trials == 0
+    rep = negative_type_check(states, np.int64(5), 0)
+    assert rep.trials == 5 and type(rep.trials) is int
 
 
 def test_negative_type_needs_two_states():

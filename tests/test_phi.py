@@ -8,10 +8,12 @@ from qphi.divergence import LN2, qjsd
 from qphi.errors import (
     BadParameter,
     InvalidPartition,
+    LayoutMismatch,
     SingleSubsystem,
 )
 from qphi.phi import (
     TIE_TOL,
+    PartitionKBlocks,
     as_partition,
     convexity_check,
     divergence_for_partition,
@@ -175,6 +177,32 @@ def test_convexity_check_reports():
     assert abs(rep.violations[0]) < 1e-12 and abs(rep.violations[-1]) < 1e-12
     same = convexity_check(a, a, t_grid=(0.25, 0.75))
     assert same.max_violation == pytest.approx(0.0, abs=1e-12)
+
+
+def test_convexity_check_refuses_an_empty_grid():
+    a = ginibre_mixed((2, 2), 4, substream(23, "cvx-a"))
+    with pytest.raises(BadParameter, match="t_grid"):
+        convexity_check(a, a, t_grid=())
+
+
+def test_partitions_over_another_n_are_refused():
+    p4 = PartitionKBlocks((frozenset({0, 1}), frozenset({2, 3})), 4)
+    rho = ghz(3)
+    with pytest.raises(LayoutMismatch):
+        partition_divergences(rho, [p4])
+    with pytest.raises(LayoutMismatch):
+        divergence_for_partition(rho, p4)
+    with pytest.raises(LayoutMismatch):
+        merge_inequality_check(rho, as_partition([[0], [1], [2, 3]], 4), 0, 1)
+
+
+def test_partition_blocks_and_probe_starts_must_be_integers():
+    with pytest.raises(InvalidPartition, match="integer"):
+        PartitionKBlocks((frozenset({0, 1.0}), frozenset({2})), 3)
+    with pytest.raises(BadParameter, match="integer"):
+        phi(bell(), "optimized", probe_starts=1.5)
+    p = PartitionKBlocks((frozenset({np.int64(0)}), frozenset({1, 2})), 3)
+    assert p.blocks == (frozenset({0}), frozenset({1, 2}))
 
 
 def test_lipschitz_check_reports():

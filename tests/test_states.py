@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -153,6 +154,70 @@ def test_partial_trace_errors():
         partial_trace(rho, [])
     with pytest.raises(IndexOutOfRange):
         partial_trace(rho, [3])
+
+
+def _index_sum_marginal(mat: np.ndarray, dims, keep) -> np.ndarray:
+    """The marginal on ``keep`` by an explicit sum over the traced digits."""
+    n = len(dims)
+    rest = [i for i in range(n) if i not in keep]
+    dk = math.prod(dims[i] for i in keep)
+    out = np.zeros((dk, dk), dtype=complex)
+    for x in np.ndindex(*dims):
+        for y in np.ndindex(*dims):
+            if all(x[i] == y[i] for i in rest):
+                row = np.ravel_multi_index(tuple(x[i] for i in keep), [dims[i] for i in keep])
+                col = np.ravel_multi_index(tuple(y[i] for i in keep), [dims[i] for i in keep])
+                out[row, col] += mat[np.ravel_multi_index(x, dims), np.ravel_multi_index(y, dims)]
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+def test_partial_trace_matches_an_explicit_index_sum(dims):
+    # every keep set, non-contiguous ones such as [0, 2] included; the stack
+    # form traces each of its matrices on its own
+    n = len(dims)
+    rhos = [ginibre_mixed(dims, math.prod(dims), substream(s, "ptrace-ref")) for s in range(2)]
+    stack = np.stack([np.asarray(r.mat) for r in rhos])
+    for k in range(1, n + 1):
+        for keep in itertools.combinations(range(n), k):
+            want = [_index_sum_marginal(np.asarray(r.mat), dims, keep) for r in rhos]
+            red = partial_trace(rhos[0], keep)
+            assert red.dims == tuple(dims[i] for i in keep)
+            np.testing.assert_allclose(np.asarray(red.mat), want[0], rtol=0, atol=1e-15)
+            raw = states._partial_trace_raw(stack, dims, list(keep))
+            np.testing.assert_allclose(raw, np.stack(want), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call, exc",
+    [
+        (lambda: SubsystemLayout((2.7, 2)), DimensionMismatch),
+        (lambda: SubsystemLayout(("3", 2)), DimensionMismatch),
+        (lambda: SubsystemLayout((True, 2)), DimensionMismatch),
+        (lambda: Bipartition(frozenset({0, 1.0}), 3), IndexOutOfRange),
+        (lambda: Bipartition.of([0.5], 2), IndexOutOfRange),
+        (lambda: partial_trace(ghz(3), [0.9]), IndexOutOfRange),
+        (lambda: product_of_block_marginals(ghz(3), [[0, 1.0], [2]]), BadParameter),
+        (lambda: haar_pure((2, 2), 2.7), BadParameter),
+        (lambda: ginibre_mixed((2, 2), 4, "2"), BadParameter),
+        (lambda: substream(True, "s"), BadParameter),
+    ],
+    ids=["layout-float", "layout-str", "layout-bool", "cut-float", "cut-of-float",
+         "keep-float", "blocks-float", "seed-float", "seed-str", "seed-bool"],
+)
+def test_integers_are_checked_not_truncated(call, exc):
+    with pytest.raises(exc, match="integer"):
+        call()
+
+
+def test_numpy_integers_are_accepted():
+    lay = SubsystemLayout((np.int64(2), np.int32(3)))
+    assert lay.dims == (2, 3) and all(type(d) is int for d in lay.dims)
+    assert Bipartition.of([np.int64(1)], 3) == Bipartition.of([1], 3)
+    rho = ghz(3)
+    assert np.array_equal(partial_trace(rho, [np.int64(0)]).mat, partial_trace(rho, [0]).mat)
+    assert np.array_equal(haar_pure((2, 2), np.int64(2)).mat, haar_pure((2, 2), 2).mat)
+    assert substream(np.uint32(1), "s").random() == substream(1, "s").random()
 
 
 def test_permute_subsystems_roundtrip():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qphi.errors import BadParameter
 from qphi.phi import phi
 from qphi.states import (
     bell,
@@ -66,6 +67,15 @@ def test_product_scan_finds_negative_expectations(bell_witness):
     # deterministic under the same stream
     rep2 = product_state_scan(w, 64, substream(0, "wit-scan"))
     assert rep2.min_expectation == rep.min_expectation
+
+
+def test_product_scan_sample_count_must_be_an_integer(bell_witness):
+    # 2.5 would draw 2 samples and divide the negative count by 2.5
+    w, _ = bell_witness
+    for samples in (2.5, "4", True):
+        with pytest.raises(BadParameter, match="samples"):
+            product_state_scan(w, samples, 0)
+    assert product_state_scan(w, np.int64(2), 0).samples == 2
 
 
 def test_known_product_state_expectation(bell_witness):
