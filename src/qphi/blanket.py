@@ -35,7 +35,8 @@ from .states import (
     DensityMatrix,
     SubsystemLayout,
     _assemble_raw,
-    _ints,
+    _indices,
+    _int,
     _spectral,
     partial_trace,
     validate_state,
@@ -62,14 +63,10 @@ def _embed(op: np.ndarray, op_idx: list[int], space_idx: list[int], layout: Subs
 
 
 def _check_subsets(rho: DensityMatrix, blanket: Iterable[int], rebuild: Iterable[int]):
-    n = rho.n
-    z = sorted(set(_ints(blanket, IndexOutOfRange, "subsystem indices")))
-    y = sorted(set(_ints(rebuild, IndexOutOfRange, "subsystem indices")))
+    z = _indices(blanket, rho.n, IndexOutOfRange, "subsystem indices")
+    y = _indices(rebuild, rho.n, IndexOutOfRange, "subsystem indices")
     if not z or not y:
         raise BadParameter("blanket and rebuild sets must both be non-empty")
-    for i in z + y:
-        if i < 0 or i >= n:
-            raise IndexOutOfRange(f"subsystem index {i} out of range for n={n}")
     if set(z) & set(y):
         raise DisjointnessViolation(f"blanket {z} and rebuild {y} overlap")
     return z, y
@@ -137,7 +134,7 @@ def blanket_scan(rho: DensityMatrix, target_size: int, mode: str = "marginal") -
     (reported, not asserted).
     """
     n = rho.n
-    if not 1 <= target_size <= n - 1:
+    if _int(target_size, 1, BadSize, "target size") > n - 1:
         raise BadSize(f"target size {target_size} outside [1, {n - 1}]")
     return _scan(phi_fn(rho, mode), target_size)
 

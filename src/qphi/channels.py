@@ -28,7 +28,8 @@ from .states import (
     DensityMatrix,
     SeedLike,
     SubsystemLayout,
-    _ints,
+    _indices,
+    _int,
     as_layout,
     rng_from,
     validate_state,
@@ -46,8 +47,8 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise BadParameter("channel dimensions must be positive")
+        _int(self.in_dim, 1, BadParameter, "in_dim")
+        _int(self.out_dim, 1, BadParameter, "out_dim")
         ops = []
         for k in self.kraus:
             arr = np.asarray(k, dtype=complex)
@@ -226,8 +227,8 @@ def _random_kraus(x: np.ndarray, in_dim: int, out_dim: int, kraus_count: int) ->
 
 
 def random_channel(in_dim: int, out_dim: int, kraus_count: int, seed: SeedLike) -> KrausChannel:
-    if in_dim < 1 or out_dim < 1 or kraus_count < 1:
-        raise BadParameter("in_dim, out_dim and kraus_count must all be >= 1")
+    for value, what in ((in_dim, "in_dim"), (out_dim, "out_dim"), (kraus_count, "kraus_count")):
+        _int(value, 1, BadParameter, what)
     big = out_dim * kraus_count
     if big < in_dim:
         raise BadParameter(
@@ -275,6 +276,7 @@ def _weyl_ops(d: int) -> tuple[np.ndarray, ...]:
 
 def depolarizing(p: float, d: int = 2) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, via the Heisenberg-Weyl twirl."""
+    d = _int(d, 1, BadParameter, "depolarizing dimension")
     ops, count = _depolarizing_kraus(np.array([p], dtype=float), d)
     return KrausChannel(d, d, tuple(ops[0, : count[0]]))
 
@@ -303,11 +305,9 @@ def partial_trace_channel(layout, drop: Sequence[int]) -> KrausChannel:
     """
     lay = as_layout(layout)
     n = lay.n
-    drop_sorted = sorted(set(_ints(drop, IndexOutOfRange, "drop indices")))
+    drop_sorted = _indices(drop, n, IndexOutOfRange, "drop indices")
     if not drop_sorted:
         raise BadParameter("drop set must be non-empty")
-    if any(i < 0 or i >= n for i in drop_sorted):
-        raise IndexOutOfRange(f"drop indices {drop_sorted} out of range for n={n}")
     keep = [i for i in range(n) if i not in drop_sorted]
     if not keep:
         raise BadParameter("cannot trace out every subsystem")

@@ -121,7 +121,7 @@ def _cmd_gen(args) -> int:
     from .states import (
         Bipartition,
         SubsystemLayout,
-        _seed_int,
+        _int,
         bell,
         enumerate_bipartitions,
         ghz,
@@ -136,7 +136,7 @@ def _cmd_gen(args) -> int:
     for flag, kinds in _GEN_FLAG_KINDS.items():
         if getattr(args, flag.lstrip("-")) is not None and kind not in kinds:
             raise BadParameter(f"{flag} does not apply to gen {kind}, only to {', '.join(kinds)}")
-    seed = _seed_int(args.seed)  # refused for every kind, used or not
+    seed = _int(args.seed, 0, BadParameter, "seed")  # refused for every kind, used or not
     if kind == "bell":
         rho = bell()
     elif kind in ("ghz", "w"):
@@ -165,6 +165,8 @@ def _cmd_phi(args) -> int:
     from .divergence import LN2
     from .phi import phi
 
+    if args.sigma == "-" and (args.out or "-") == "-":
+        raise BadParameter("--sigma - needs --out FILE: stdout takes one JSON document")
     rho = _read_state(args.state)
     res = phi(rho, args.mode, probe_starts=args.probe_starts)
     out = {
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=["marginal", "optimized"], default="marginal")
     f.add_argument("--units", choices=["nats", "bits"], default="nats")
     f.add_argument("--per-cut", action="store_true", dest="per_cut")
-    f.add_argument("--sigma", default=None, help="write closest product state to this file")
+    f.add_argument("--sigma", default=None, help="write closest product state here (- needs --out)")
     f.add_argument(
         "--probe-starts", type=int, default=0, dest="probe_starts",
         help="optimized mode: rerun the refinement from N perturbed starts and "

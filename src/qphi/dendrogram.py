@@ -16,7 +16,7 @@ from .divergence import delta
 from .errors import BadParameter, SingleSubsystem
 from .phi import phi as phi_fn
 from .qstate_io import _int_list, _is_number, _loads
-from .states import DensityMatrix, SubsystemLayout, _is_int, ginibre_mixed, partial_trace, rng_from
+from .states import DensityMatrix, SubsystemLayout, _int, ginibre_mixed, partial_trace, rng_from
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,8 @@ def _node_from_dict(obj: dict) -> DendrogramNode:
         raise BadParameter(f"a dendrogram node must be a JSON object, got {obj!r}")
     members = tuple(_int_list(obj["members"], "members"))
     children = obj.get("children")
-    tie_count = obj.get("tie_count", 0)
+    tie_count = _int(obj.get("tie_count", 0), 0, BadParameter, "'tie_count'")
     phi = obj["phi"]
-    if not _is_int(tie_count) or tie_count < 0:
-        raise BadParameter(f"'tie_count' must be a non-negative integer, got {tie_count!r}")
     if children is None:
         if phi is not None:
             raise BadParameter(f"a leaf's 'phi' must be null, got {phi!r}")
@@ -192,8 +190,7 @@ def stability_probe(
 ) -> dict:
     """Rebuild the tree after mixing in eps of a random state; report phi shifts
     on member sets common to both trees and count topology changes."""
-    if not _is_int(trials) or trials < 1:
-        raise BadParameter(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _int(trials, 1, BadParameter, "trials")
     if not 0.0 <= eps <= 1.0:
         raise BadParameter(f"eps must lie in [0, 1], got {eps}")
     base = build_dendrogram(rho, mode)
@@ -221,7 +218,7 @@ def stability_probe(
             if shift > dist + 1e-6:
                 shift_violations += 1
     return {
-        "trials": int(trials),
+        "trials": trials,
         "eps": float(eps),
         "max_phi_shift": max_shift,
         "shift_bound": bound,

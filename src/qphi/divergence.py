@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BadParameter, LayoutMismatch, NumericalBreakdown, TooFewStates
-from .states import DensityMatrix, _is_int, rng_from
+from .states import DensityMatrix, _int, rng_from
 
 LN2 = float(np.log(2.0))
 
@@ -160,8 +160,7 @@ def negative_type_check(states: Sequence[DensityMatrix], trials: int, seed) -> G
     max staying <= 0 (up to float slack); the shifted-kernel eigenvalue is
     informational only. ``trials`` may be 0, as verify's config may set it.
     """
-    if not _is_int(trials) or trials < 0:
-        raise BadParameter(f"trials must be an integer >= 0, got {trials!r}")
+    trials = _int(trials, 0, BadParameter, "trials")
     return _negative_type(qjsd_gram(states), trials, rng_from(seed))
 
 

@@ -25,6 +25,7 @@ embedded table of direction numbers caps a searched family at
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence, Union
 
@@ -46,7 +47,7 @@ from .errors import BadBudget, BadParameter, GridTooLarge
 from .phi import _phis
 from .phi import phi as phi_fn
 from .search import _golden
-from .states import DensityMatrix, _validate_stack, as_layout, substream
+from .states import DensityMatrix, _indices, _int, _validate_stack, as_layout, substream
 
 ChannelLike = Union[KrausChannel, LocalChannel]
 
@@ -417,10 +418,8 @@ def maximize_phi(
     restart order, then the polish's, and equals a one-at-a-time search's,
     bit for bit.
     """
-    if budget < 1:
-        raise BadBudget(f"budget must be >= 1, got {budget}")
-    if restarts < 1:
-        raise BadParameter(f"restarts must be >= 1, got {restarts}")
+    budget = _int(budget, 1, BadBudget, "budget")
+    restarts = _int(restarts, 1, BadParameter, "restarts")
     share = min(max(budget // restarts, SHARE_MIN), budget)
     runs = min(restarts, budget // share)
     unit = _sobol_starts(family.n_params, runs, substream(seed, "observer-starts"))
@@ -481,25 +480,18 @@ def observer_spectrum(
     """
     if not 1 <= len(axes) <= 2:
         raise BadParameter("spectrum grids cover one or two parameters")
-    total = 1
-    for idx, npts in axes:
-        if not (0 <= idx < family.n_params):
-            raise BadParameter(f"axis parameter {idx} out of range")
-        if npts < 2:
-            raise BadParameter("each axis needs at least 2 points")
-        total *= npts
-    index = [int(idx) for idx, _ in axes]
-    if len(set(index)) < len(index):
+    index = [idx for idx, _ in axes]
+    if len(_indices(index, family.n_params, BadParameter, "grid axes")) < len(index):
         raise BadParameter(f"grid axes {index} repeat a parameter")
+    total = math.prod(_int(npts, 2, BadParameter, "axis point counts") for _, npts in axes)
     if total > GRID_CAP:
         raise GridTooLarge(f"grid of {total} points exceeds cap {GRID_CAP}")
     base = np.array([(lo + hi) / 2.0 for lo, hi in family.box])
+    pinned = _indices(fixed or {}, family.n_params, BadParameter, "fixed parameters")
+    if set(pinned) & set(index):
+        raise BadParameter(f"fixed parameters {pinned} pin a grid axis")
     for k, v in (fixed or {}).items():
-        if not 0 <= int(k) < family.n_params:
-            raise BadParameter(f"fixed parameter {k} out of range [0, {family.n_params})")
-        if int(k) in index:
-            raise BadParameter(f"fixed parameter {k} is a grid axis")
-        base[int(k)] = float(v)
+        base[k] = float(v)
     grids = [
         np.linspace(family.box[idx][0], family.box[idx][1], npts) for idx, npts in axes
     ]

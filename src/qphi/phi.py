@@ -66,8 +66,8 @@ from .states import (
     DensityMatrix,
     SubsystemLayout,
     _assemble_raw,
-    _ints,
-    _is_int,
+    _indices,
+    _int,
     _kron,
     _partial_trace_raw,
     _permute_raw,
@@ -131,15 +131,16 @@ class PartitionKBlocks:
     n: int
 
     def __post_init__(self):
-        blocks = tuple(frozenset(_ints(b, InvalidPartition, "block indices")) for b in self.blocks)
+        _int(self.n, 2, InvalidPartition, "subsystem count")
+        blocks = tuple(
+            frozenset(_indices(b, self.n, InvalidPartition, "block indices")) for b in self.blocks
+        )
         if len(blocks) < 2:
             raise InvalidPartition("a partition needs at least 2 blocks")
         seen: set[int] = set()
         for b in blocks:
             if not b:
                 raise InvalidPartition("empty block")
-            if any(i < 0 or i >= self.n for i in b):
-                raise InvalidPartition(f"block {sorted(b)} out of range for n={self.n}")
             if seen & b:
                 raise InvalidPartition("blocks must be disjoint")
             seen |= b
@@ -204,7 +205,7 @@ def divergence_for_partition(rho: DensityMatrix, blocks) -> float:
 def enumerate_partitions(n: int) -> list[PartitionKBlocks]:
     """Every set partition of range(n) with at least two blocks, for n up to
     ``PARTITION_N_MAX``."""
-    if n > PARTITION_N_MAX:
+    if _int(n, 1, BadParameter, "subsystem count") > PARTITION_N_MAX:
         raise BadParameter(f"exhaustive partition enumeration capped at n={PARTITION_N_MAX}")
     out: list[PartitionKBlocks] = []
 
@@ -226,11 +227,12 @@ def enumerate_partitions(n: int) -> list[PartitionKBlocks]:
 
 
 def merge_blocks(p: PartitionKBlocks, i: int, j: int) -> PartitionKBlocks:
-    if i == j or not (0 <= i < p.k) or not (0 <= j < p.k):
-        raise InvalidPartition(f"cannot merge blocks {i} and {j} of a {p.k}-block partition")
+    ij = _indices((i, j), p.k, InvalidPartition, "merged block indices")
+    if len(ij) < 2:
+        raise InvalidPartition(f"cannot merge block {i} with itself")
     merged = [set(b) for b in p.blocks]
-    merged[min(i, j)] |= merged[max(i, j)]
-    del merged[max(i, j)]
+    merged[ij[0]] |= merged[ij[1]]
+    del merged[ij[1]]
     return PartitionKBlocks(tuple(frozenset(b) for b in merged), p.n)
 
 
@@ -509,8 +511,7 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
     """
     if mode not in ("marginal", "optimized"):
         raise BadParameter(f"unknown mode {mode!r}")
-    if not _is_int(probe_starts) or probe_starts < 0:
-        raise BadParameter(f"probe_starts must be an integer >= 0, got {probe_starts!r}")
+    probe_starts = _int(probe_starts, 0, BadParameter, "probe_starts")
     if probe_starts > 0 and mode != "optimized":
         raise BadParameter("probe_starts needs mode 'optimized'")
     _check_cuttable(rho.n)

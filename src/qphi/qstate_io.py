@@ -249,13 +249,10 @@ def channel_from_dict(obj: dict) -> KrausChannel:
     for key in ("inDim", "outDim", "kraus"):
         if key not in obj:
             raise BadParameter(f"channel document needs '{key}'")
-    for key in ("inDim", "outDim"):
-        if not _is_int(obj[key]):
-            raise BadParameter(f"'{key}' must be an integer, got {obj[key]!r}")
     if not isinstance(obj["kraus"], list):
         raise BadParameter(f"'kraus' must be a list of matrices, got {obj['kraus']!r}")
     ops = tuple(_decode_matrix(k) for k in obj["kraus"])
-    return KrausChannel(int(obj["inDim"]), int(obj["outDim"]), ops)
+    return KrausChannel(obj["inDim"], obj["outDim"], ops)
 
 
 def channel_from_json(text: Union[str, bytes]) -> KrausChannel:

@@ -6,8 +6,9 @@ All randomness flows through ``numpy.random.Generator`` seeded explicitly;
 identical seeds reproduce matrices bit for bit. :func:`_spectral` is the
 package's one functional calculus: every f(A) = V f(w) V^dag (log, square root,
 pseudo-inverse square root) is rebuilt by it, each caller flooring w by its own
-policy. Dimensions, indices and seeds must be integers (:func:`_is_int`):
-floats, bools and strings are refused, not truncated.
+policy. Dimensions, counts, indices and seeds must be integers, checked by
+:func:`_int` (a floor) and :func:`_indices` (a range): floats, bools and
+strings are refused, not truncated.
 """
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ SeedLike = Union[int, "np.random.Generator"]
 
 def _is_int(x) -> bool:
     """Integers only, numpy's included: bools, floats and strings are refused."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    # the exact-type test first: it is the common case, and the ABC test is slow
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _ints(values: Iterable, exc: type, what: str) -> list[int]:
@@ -54,6 +56,23 @@ def _ints(values: Iterable, exc: type, what: str) -> list[int]:
         if not _is_int(v):
             raise exc(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
+
+
+def _int(value, lo: int, exc: type, what: str) -> int:
+    """``value`` as an int of at least ``lo``; anything else raises ``exc``."""
+    if not _is_int(value) or value < lo:
+        floor = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+        raise exc(f"{what} must be {floor}, got {value!r}")
+    return int(value)
+
+
+def _indices(values: Iterable, n: int, exc: type, what: str) -> list[int]:
+    """The distinct entries of ``values``, ascending, as ints in [0, n); an
+    entry that is not an integer or lies outside raises ``exc``."""
+    out = sorted(set(_ints(values, exc, what)))
+    if out and (out[0] < 0 or out[-1] >= n):
+        raise exc(f"{what} {out} out of range [0, {n})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,10 +158,9 @@ class Bipartition:
     n: int
 
     def __post_init__(self):
-        mask = frozenset(_ints(self.mask_a, IndexOutOfRange, "cut indices"))
+        _int(self.n, 1, InvalidCut, "subsystem count")
+        mask = frozenset(_indices(self.mask_a, self.n, IndexOutOfRange, "cut indices"))
         object.__setattr__(self, "mask_a", mask)
-        if any(i < 0 or i >= self.n for i in mask):
-            raise IndexOutOfRange(f"cut indices {sorted(mask)} out of range for n={self.n}")
         if len(mask) == 0 or len(mask) == self.n:
             raise InvalidCut("a bipartition needs two non-empty sides")
         if 0 not in mask:
@@ -151,11 +169,9 @@ class Bipartition:
     @classmethod
     def of(cls, side: Iterable[int], n: int) -> "Bipartition":
         """Build the canonical cut containing the given side (complemented if needed)."""
-        s = frozenset(_ints(side, IndexOutOfRange, "cut indices"))
-        if any(i < 0 or i >= n for i in s):
-            raise IndexOutOfRange(f"cut indices {sorted(s)} out of range for n={n}")
+        s = frozenset(_indices(side, n, IndexOutOfRange, "cut indices"))
         if 0 not in s:
-            s = frozenset(range(n)) - s
+            s = frozenset(range(_int(n, 1, InvalidCut, "subsystem count"))) - s
         return cls(s, n)
 
     @property
@@ -171,7 +187,10 @@ class Bipartition:
 
 def enumerate_bipartitions(n_or_layout) -> list[Bipartition]:
     """All 2^(n-1) - 1 canonical cuts in ascending-bitmask order."""
-    n = n_or_layout if isinstance(n_or_layout, int) else as_layout(n_or_layout).n
+    if isinstance(n_or_layout, numbers.Number):
+        n = _int(n_or_layout, 1, BadParameter, "subsystem count")
+    else:
+        n = as_layout(n_or_layout).n
     full = (1 << n) - 1
     cuts = []
     for mask in range(1, full, 2):  # bit 0 always set, never the full set
@@ -283,13 +302,10 @@ def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatri
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out everything except ``keep``, preserving the original ordering."""
-    n = rho.n
-    keep_sorted = sorted(set(_ints(keep, IndexOutOfRange, "keep indices")))
+    keep_sorted = _indices(keep, rho.n, IndexOutOfRange, "keep indices")
     if len(keep_sorted) == 0:
         raise EmptyKeepSet("keep set must be non-empty")
-    if any(i < 0 or i >= n for i in keep_sorted):
-        raise IndexOutOfRange(f"keep indices {keep_sorted} out of range for n={n}")
-    if len(keep_sorted) == n:
+    if len(keep_sorted) == rho.n:
         return rho
     dims = rho.dims
     out = _partial_trace_raw(np.asarray(rho.mat), dims, keep_sorted)
@@ -374,16 +390,10 @@ def product_of_marginals(rho: DensityMatrix, cut: Bipartition) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # generators
 
-def _seed_int(seed) -> int:
-    if not _is_int(seed) or seed < 0:
-        raise BadParameter(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
 def rng_from(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(_seed_int(seed))
+    return np.random.default_rng(_int(seed, 0, BadParameter, "seed"))
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -392,7 +402,8 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = tuple(int.from_bytes(digest[4 * k : 4 * k + 4], "big") for k in range(4))
-    return np.random.default_rng(np.random.SeedSequence(entropy=_seed_int(seed), spawn_key=words))
+    entropy = _int(seed, 0, BadParameter, "seed")
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=words))
 
 
 def pure_state(vec: np.ndarray, layout) -> DensityMatrix:
@@ -430,9 +441,7 @@ def bell() -> DensityMatrix:
 
 def _qubits(n: int, name: str) -> SubsystemLayout:
     """n qubits; past the size rule, n is refused before (2,) * n is built."""
-    if n < 2:
-        raise BadParameter(f"{name} needs at least 2 qubits")
-    if n > DEFAULT_N_CAP:
+    if _int(n, 2, BadParameter, f"{name} qubit count") > DEFAULT_N_CAP:
         raise StateTooLarge(f"{name} of {n} qubits exceeds {DEFAULT_N_CAP} qubits")
     return SubsystemLayout((2,) * n)
 
@@ -463,9 +472,7 @@ def ginibre_mixed(layout, rank: int, seed: SeedLike) -> DensityMatrix:
     """Full support when rank >= dim; induced-measure mixed state otherwise.
     A draw of more D x rank entries than 4**DEFAULT_N_CAP is refused."""
     lay = as_layout(layout)
-    if rank < 1:
-        raise BadParameter(f"rank must be >= 1, got {rank}")
-    if lay.dim * rank > 4**DEFAULT_N_CAP:
+    if lay.dim * _int(rank, 1, BadParameter, "rank") > 4**DEFAULT_N_CAP:
         raise StateTooLarge(f"Ginibre draw {lay.dim} x {rank} exceeds 4**{DEFAULT_N_CAP} entries")
     rng = rng_from(seed)
     g = rng.standard_normal((lay.dim, rank)) + 1j * rng.standard_normal((lay.dim, rank))

@@ -50,7 +50,8 @@ from .states import (
     DensityMatrix,
     SubsystemLayout,
     _ginibre_stack,
-    _is_int,
+    _int,
+    _ints,
     _pure_stack,
     _validate_stack,
     enumerate_bipartitions,
@@ -82,6 +83,9 @@ DEFAULT_COUNTS = {
     "blanket_cut_agreement": 200,
 }
 
+# the triangle count of a default layout listed in a config without triangle counts
+_TRIANGLE = dict(zip(DEFAULT_LAYOUTS, DEFAULT_COUNTS["triangle_inequality"]))
+
 DEFAULT_TOLERANCES = {
     "metric_axioms": 1e-12,
     "triangle_inequality": 1e-9,
@@ -95,13 +99,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _integer(what: str, v) -> int:
-    """``v`` as an int; bools, floats and strings are rejected, not coerced."""
-    if not _is_int(v):
-        raise ConfigInvalid(f"{what} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _mapping(what: str, v) -> dict:
     if not isinstance(v, dict):
         raise ConfigInvalid(f"{what} must be a JSON object, got {v!r}")
@@ -110,21 +107,24 @@ def _mapping(what: str, v) -> dict:
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """A verify run's seed, layouts, per-check sample counts and tolerances.
+
+    The ``triangle_inequality`` count is one per layout, or one for all. Unset,
+    it is 10000 for a (2, 2) layout, 2000 for (2, 2, 2) and 2000 for any other.
+    """
+
     seed: int = 0
     layouts: tuple[tuple[int, ...], ...] = DEFAULT_LAYOUTS
     counts: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        seed = _integer("seed", self.seed)
-        if seed < 0:
-            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _int(self.seed, 0, ConfigInvalid, "seed"))
         if not self.layouts:
             raise ConfigInvalid("at least one layout is required")
         try:
             layouts = tuple(
-                tuple(_integer("layout dimension", d) for d in lay) for lay in self.layouts
+                tuple(_ints(lay, ConfigInvalid, "layout dimensions")) for lay in self.layouts
             )
         except TypeError as exc:
             raise ConfigInvalid(f"malformed layouts: {exc}") from exc
@@ -134,24 +134,21 @@ class VerifyConfig:
                 raise ConfigInvalid("every layout needs at least two subsystems")
         object.__setattr__(self, "layouts", layouts)
         counts = dict(DEFAULT_COUNTS)
+        counts["triangle_inequality"] = [_TRIANGLE.get(lay, 2000) for lay in layouts]
         for k, v in _mapping("counts", self.counts or {}).items():
             if k not in DEFAULT_COUNTS:
                 raise ConfigInvalid(f"unknown count key {k!r}")
             counts[k] = v
         tri = counts["triangle_inequality"]
-        if isinstance(tri, (list, tuple)):
-            tri = tuple(_integer("triangle_inequality count", t) for t in tri)
-        else:
-            tri = tuple(_integer("triangle_inequality count", tri) for _ in layouts)
+        tri = tri if isinstance(tri, (list, tuple)) else [tri] * len(layouts)
         if len(tri) != len(layouts):
             raise ConfigInvalid("triangle_inequality counts must match the layouts list")
-        counts["triangle_inequality"] = tri
         for k, v in counts.items():
-            if k == "triangle_inequality":
-                if any(t < 0 for t in v):
-                    raise ConfigInvalid("counts must be non-negative")
-            elif _integer(f"count {k!r}", v) < 0:
-                raise ConfigInvalid(f"count {k!r} must be non-negative")
+            if k != "triangle_inequality":
+                counts[k] = _int(v, 0, ConfigInvalid, f"count {k!r}")
+        counts["triangle_inequality"] = tuple(
+            _int(t, 0, ConfigInvalid, "triangle_inequality count") for t in tri
+        )
         object.__setattr__(self, "counts", counts)
         tols = dict(DEFAULT_TOLERANCES)
         for k, v in _mapping("tolerances", self.tolerances or {}).items():

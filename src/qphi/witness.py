@@ -18,7 +18,7 @@ from .states import (
     Bipartition,
     DensityMatrix,
     SubsystemLayout,
-    _is_int,
+    _int,
     assemble_on_subsets,
     ginibre_mixed,
     haar_pure,
@@ -92,8 +92,7 @@ def product_state_scan(w: Witness, samples: int, seed) -> ProductScanReport:
 
     Alternates Haar-random pure factors with full-rank Ginibre factors.
     """
-    if not _is_int(samples) or samples < 1:
-        raise BadParameter(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _int(samples, 1, BadParameter, "samples")
     a_idx, b_idx = w.cut.as_lists()
     da = int(np.prod([w.layout.dims[i] for i in a_idx]))
     db = int(np.prod([w.layout.dims[i] for i in b_idx]))
@@ -114,7 +113,7 @@ def product_state_scan(w: Witness, samples: int, seed) -> ProductScanReport:
         if best is None or e < best[0]:
             best = (e, prod)
     return ProductScanReport(
-        samples=int(samples),
+        samples=samples,
         seed=seed if isinstance(seed,(int, np.integer)) else None,
         min_expectation=best[0],
         argmin_state=best[1],

@@ -188,6 +188,27 @@ def test_phi_sigma_output_is_valid_qstate(tmp_path):
     assert abs(json.loads(res2.stdout)["phi_nats"]) < 1e-10
 
 
+def test_sigma_to_stdout_needs_an_out_file(tmp_path):
+    state = state_to_json(bell())
+    # sigma and the result on one stdout would be two JSON documents, which
+    # the next command of a pipe refuses
+    for out in ([], ["--out", "-"]):
+        res = run_cli(["phi", "-", "--sigma", "-", *out], stdin_text=state)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: --sigma - needs --out FILE")
+        assert res.stderr.count("\n") == 1
+    out = tmp_path / "phi.json"
+    res = run_cli(["phi", "-", "--sigma", "-", "--out", str(out)], stdin_text=state)
+    assert res.returncode == 0, res.stderr
+    assert np.allclose(state_from_json(res.stdout).mat, np.eye(4) / 4, atol=1e-9)
+    assert json.loads(out.read_text())["cut"] == [[0], [1]]
+    sigma = tmp_path / "sigma.json"
+    res = run_cli(["phi", "-", "--sigma", str(sigma)], stdin_text=state)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["phi_nats"] > 0
+    assert np.allclose(state_from_json(sigma.read_text()).mat, np.eye(4) / 4, atol=1e-9)
+
+
 def test_gen_product_respects_cut():
     out = run_cli(["gen", "product", "--dims", "2,2,2", "--cut", "0,2", "--seed", "5"])
     assert out.returncode == 0

@@ -5,17 +5,24 @@ import numpy as np
 import pytest
 
 import qphi.states as states
+from qphi.blanket import blanket_scan
+from qphi.channels import KrausChannel, depolarizing, random_channel
 from qphi.errors import (
+    BadBudget,
     BadParameter,
+    BadSize,
     DimensionMismatch,
     EmptyKeepSet,
     IndexOutOfRange,
     InvalidCut,
+    InvalidPartition,
     NotHermitian,
     NotPSD,
     StateTooLarge,
     TraceNotOne,
 )
+from qphi.observer import local_dephasing_family, maximize_phi, observer_spectrum
+from qphi.phi import PartitionKBlocks, enumerate_partitions, merge_blocks
 from qphi.states import (
     DEFAULT_N_CAP,
     Bipartition,
@@ -188,6 +195,9 @@ def test_partial_trace_matches_an_explicit_index_sum(dims):
             np.testing.assert_allclose(raw, np.stack(want), rtol=0, atol=1e-15)
 
 
+_DEPHASING = local_dephasing_family((2, 2))
+
+
 @pytest.mark.parametrize(
     "call, exc",
     [
@@ -201,13 +211,60 @@ def test_partial_trace_matches_an_explicit_index_sum(dims):
         (lambda: haar_pure((2, 2), 2.7), BadParameter),
         (lambda: ginibre_mixed((2, 2), 4, "2"), BadParameter),
         (lambda: substream(True, "s"), BadParameter),
+        (lambda: maximize_phi(bell(), _DEPHASING, budget=10.5), BadBudget),
+        (lambda: maximize_phi(bell(), _DEPHASING, budget=20, restarts=2.5), BadParameter),
+        (lambda: maximize_phi(bell(), _DEPHASING, budget=True), BadBudget),
+        (lambda: observer_spectrum(bell(), _DEPHASING, axes=[(0.7, 3)]), BadParameter),
+        (lambda: observer_spectrum(bell(), _DEPHASING, axes=[(0, 2.5)]), BadParameter),
+        (lambda: observer_spectrum(bell(), _DEPHASING, [(0, 3)], fixed={1.7: 0.3}), BadParameter),
+        (lambda: blanket_scan(ghz(3), 1.5), BadSize),
+        (lambda: blanket_scan(ghz(3), True), BadSize),
+        (lambda: ginibre_mixed((2, 2), 2.5, 0), BadParameter),
+        (lambda: Bipartition(frozenset({0}), 2.5), InvalidCut),
+        (lambda: random_channel(2, 2, 1.5, 0), BadParameter),
+        (lambda: KrausChannel(2.0, 2.0, (np.eye(2),)), BadParameter),
+        (lambda: depolarizing(0.1, 2.0), BadParameter),
+        (lambda: ghz(3.0), BadParameter),
+        (lambda: PartitionKBlocks((frozenset({0}), frozenset({1, 2})), 3.0), InvalidPartition),
+        (lambda: enumerate_bipartitions(True), BadParameter),
+        (lambda: Bipartition.of([1], 2.5), InvalidCut),
+        (lambda: enumerate_partitions(2.5), BadParameter),
+        (lambda: merge_blocks(PartitionKBlocks(tuple(map(frozenset, ([0], [1], [2]))), 3), 0.5, 1),
+         InvalidPartition),
     ],
     ids=["layout-float", "layout-str", "layout-bool", "cut-float", "cut-of-float",
-         "keep-float", "blocks-float", "seed-float", "seed-str", "seed-bool"],
+         "keep-float", "blocks-float", "seed-float", "seed-str", "seed-bool",
+         "budget-float", "restarts-float", "budget-bool", "axis-index-float",
+         "axis-points-float", "fixed-key-float", "blanket-size-float", "blanket-size-bool",
+         "rank-float", "cut-n-float", "kraus-count-float", "kraus-dims-float",
+         "depolarizing-d-float", "qubits-float", "partition-n-float", "cuts-n-bool",
+         "cut-of-n-float", "partitions-n-float", "merge-index-float"],
 )
 def test_integers_are_checked_not_truncated(call, exc):
     with pytest.raises(exc, match="integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i: maximize_phi(bell(), _DEPHASING, budget=i(20), restarts=i(2), seed=i(0)).trace,
+        lambda i: observer_spectrum(bell(), _DEPHASING, [(i(0), i(3))], fixed={i(1): 0.3}),
+        lambda i: blanket_scan(ghz(3), i(1)),
+        lambda i: ginibre_mixed((2, 2), i(3), i(0)).mat.tobytes(),
+        lambda i: Bipartition(frozenset({i(0)}), i(3)).mask_b,
+        lambda i: [k.tobytes() for k in random_channel(i(2), i(2), i(2), i(0)).kraus],
+        lambda i: KrausChannel(i(2), i(2), (np.eye(2),)).kraus[0].tobytes(),
+        lambda i: [k.tobytes() for k in depolarizing(0.1, i(3)).kraus],
+        lambda i: ghz(i(3)).mat.tobytes(),
+        lambda i: PartitionKBlocks((frozenset({i(0)}), frozenset({1, 2})), i(3)).blocks,
+        lambda i: enumerate_bipartitions(i(4)),
+    ],
+    ids=["maximize", "spectrum", "blanket", "rank", "cut-n", "random-channel", "kraus-dims",
+         "depolarizing", "qubits", "partition-n", "cuts-n"],
+)
+def test_numpy_integer_counts_give_the_python_integer_results(call):
+    assert call(np.int64) == call(int)
 
 
 def test_numpy_integers_are_accepted():

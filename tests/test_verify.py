@@ -171,6 +171,25 @@ def test_from_dict_round_trip_and_unknown_keys():
     assert cfg.counts["triangle_inequality"] == (3, 4)
 
 
+def test_unset_triangle_counts_follow_each_layout():
+    # a layouts list of other than the two defaults once stopped on the
+    # triangle key it never set, and two custom layouts took the default
+    # counts by position
+    assert VerifyConfig(layouts=[[2, 2]]).counts["triangle_inequality"] == (10000,)
+    cfg = VerifyConfig.from_dict({"seed": 1, "layouts": [[2, 2]]})
+    assert (cfg.seed, cfg.layouts, cfg.counts["triangle_inequality"]) == (1, ((2, 2),), (10000,))
+    cfg = VerifyConfig(layouts=[[2, 2, 2], [2, 2]])
+    assert cfg.counts["triangle_inequality"] == (2000, 10000)
+    cfg = VerifyConfig(layouts=[[2, 3], [2, 2], [3, 2, 2]])
+    assert cfg.counts["triangle_inequality"] == (2000, 10000, 2000)
+    assert VerifyConfig().counts["triangle_inequality"] == DEFAULT_COUNTS["triangle_inequality"]
+    # the error that is there is the one reported
+    with pytest.raises(ConfigInvalid, match="tolerance"):
+        VerifyConfig(layouts=[[2, 2]], tolerances={"metric_axioms": float("nan")})
+    with pytest.raises(ConfigInvalid, match="triangle_inequality counts must match"):
+        VerifyConfig(layouts=[[2, 2]], counts={"triangle_inequality": [5, 6]})
+
+
 # run_suite(VerifyConfig(seed=3, counts=SMALL_COUNTS)).to_dict() from the
 # per-state verify code, before checks drew and scored their states in stacks
 PINNED = Path(__file__).with_name("verify_seed3_small.json")
