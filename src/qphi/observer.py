@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence, Union
 
@@ -478,8 +480,18 @@ def observer_spectrum(
     a map from parameter index to value; pinning an axis parameter raises
     :class:`BadParameter`.
     """
+    try:
+        axes = [(idx, npts) for idx, npts in axes]
+    except (TypeError, ValueError):
+        raise BadParameter(f"grid axes must be (parameter, points) pairs, got {axes!r}") from None
     if not 1 <= len(axes) <= 2:
         raise BadParameter("spectrum grids cover one or two parameters")
+    fixed = {} if fixed is None else fixed
+    if not isinstance(fixed, Mapping):
+        raise BadParameter(f"fixed parameters must map indices to values, got {fixed!r}")
+    for v in fixed.values():
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise BadParameter(f"fixed parameter values must be real numbers, got {v!r}")
     index = [idx for idx, _ in axes]
     if len(_indices(index, family.n_params, BadParameter, "grid axes")) < len(index):
         raise BadParameter(f"grid axes {index} repeat a parameter")
@@ -487,10 +499,10 @@ def observer_spectrum(
     if total > GRID_CAP:
         raise GridTooLarge(f"grid of {total} points exceeds cap {GRID_CAP}")
     base = np.array([(lo + hi) / 2.0 for lo, hi in family.box])
-    pinned = _indices(fixed or {}, family.n_params, BadParameter, "fixed parameters")
+    pinned = _indices(fixed, family.n_params, BadParameter, "fixed parameters")
     if set(pinned) & set(index):
         raise BadParameter(f"fixed parameters {pinned} pin a grid axis")
-    for k, v in (fixed or {}).items():
+    for k, v in fixed.items():
         base[k] = float(v)
     grids = [
         np.linspace(family.box[idx][0], family.box[idx][1], npts) for idx, npts in axes

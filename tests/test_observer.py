@@ -192,6 +192,22 @@ def test_spectrum_guards():
         observer_spectrum(bell(), fam, axes=[(9, 4)])
 
 
+@pytest.mark.parametrize(
+    "axes, fixed",
+    [
+        ([(0,)], None),
+        (5, None),
+        ([(0, 3)], {1: "x"}),
+        ([(0, 3)], {1: None}),
+        ([(0, 3)], [1]),
+    ],
+)
+def test_spectrum_refuses_malformed_axes_and_pinned_values(axes, fixed):
+    fam = local_dephasing_family((2, 2))
+    with pytest.raises(BadParameter):
+        observer_spectrum(bell(), fam, axes=axes, fixed=fixed)
+
+
 @pytest.mark.parametrize("key", [9, 4, -1])
 def test_spectrum_fixed_keys_must_name_a_parameter(key):
     # the dephasing family of two qubits has parameters 0..3; a negative key

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qphi.divergence import LN2, qjsd
+from qphi.divergence import LN2, entropies, qjsd
 from qphi.errors import (
     BadParameter,
     InvalidPartition,
@@ -29,6 +29,7 @@ from qphi.states import (
     Bipartition,
     DensityMatrix,
     _permute_raw,
+    _split_marginals,
     bell,
     enumerate_bipartitions,
     ghz,
@@ -318,6 +319,9 @@ def _oracle_states():
             {"gram", "dense"},
         ),
         "maximally-mixed": (maximally_mixed((2, 2, 2)), {"dense"}),
+        # rank 3 of 128: d_A = 2, 4 cuts have rank-deficient marginals, d_A = 8
+        # cuts full-rank ones
+        "rank3-2^7": (ginibre_mixed((2,) * 7, 3, seed("r2^7")), {"gram", "resolvent"}),
     }
 
 
@@ -325,13 +329,24 @@ ORACLE_STATES = _oracle_states()
 # the module, not the function the package exports under the same name
 phi_module = importlib.import_module("qphi.phi")
 divergence_module = importlib.import_module("qphi.divergence")
+_DENSE_PER_CUT = {}
+
+
+def _dense_per_cut(rho: DensityMatrix) -> list[float]:
+    """qjsd(rho, product_of_marginals(rho, cut)) of every cut, computed once
+    per state object, as several tests hold the same module-level states to it."""
+    if id(rho) not in _DENSE_PER_CUT:
+        values = [qjsd(rho, product_of_marginals(rho, c)) for c in enumerate_bipartitions(rho.n)]
+        # the state is kept with its values, so that its id is not reused
+        _DENSE_PER_CUT[id(rho)] = (rho, values)
+    return _DENSE_PER_CUT[id(rho)][1]
 
 
 @pytest.mark.parametrize("label", sorted(ORACLE_STATES))
 def test_per_cut_values_match_dense_qjsd(label):
     rho, _ = ORACLE_STATES[label]
     cuts = enumerate_bipartitions(rho.n)
-    dense = [qjsd(rho, product_of_marginals(rho, cut)) for cut in cuts]
+    dense = _dense_per_cut(rho)
     res = phi(rho)
     assert [c for c, _ in res.per_cut] == cuts
     for (cut, got), want in zip(res.per_cut, dense):
@@ -415,7 +430,7 @@ def test_partition_divergences_match_dense_qjsd(label, monkeypatch):
 
 def test_each_state_takes_the_expected_branches(monkeypatch):
     taken = set()
-    for name in ("schmidt", "gram", "dense"):
+    for name in ("schmidt", "gram", "resolvent", "dense"):
         fn = getattr(phi_module, f"_{name}_midpoint")
 
         def spy(*args, _fn=fn, _name=name):
@@ -427,6 +442,77 @@ def test_each_state_takes_the_expected_branches(monkeypatch):
         taken.clear()
         phi(rho)
         assert taken == branches, label
+
+
+def _resolvent_against_qjsd(rho: DensityMatrix, stride: int):
+    """(resolvent value, dense qjsd) of every stride-th cut whose marginals
+    have full rank, with the branch called directly, whatever
+    ``_resolvent_pays`` says; also the smallest ratio of a marginal
+    eigenvalue to ``_rank``'s floor."""
+    mat = np.asarray(rho.mat)
+    w, v = np.linalg.eigh(mat)
+    x = phi_module._factor(w, v)
+    base = np.arange(rho.dim).reshape(rho.dims)
+    pairs, margin = [], np.inf
+    for cut in enumerate_bipartitions(rho.n)[::stride]:
+        a_idx, b_idx = cut.as_lists()
+        da = int(np.prod([rho.dims[i] for i in a_idx]))
+        rho_ab = _permute_raw(mat, rho.dims, a_idx + b_idx)
+        rho_a, rho_b = _split_marginals(rho_ab, da)
+        wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
+        if phi_module._rank(wa) * phi_module._rank(wb) < rho.dim:
+            continue
+        for ws in (wa, wb):
+            margin = min(margin, ws[0] / (ws.size * phi_module._EPS * ws[-1]))
+        perm = base.transpose(a_idx + b_idx).reshape(-1)
+        s_mid = phi_module._resolvent_midpoint(x[perm], rho_a, rho_b, wa, wb)
+        got = s_mid - 0.5 * (entropies(w) + entropies(wa) + entropies(wb))
+        pairs.append((got, qjsd(rho, product_of_marginals(rho, cut))))
+    return pairs, margin
+
+
+def _near_floor_state() -> DensityMatrix:
+    """Rank 3 of 128 plus 1e-11 of a rank-8 state: the d_A = 4 marginals are
+    full rank with smallest eigenvalues about 13 times ``_rank``'s floor, so
+    ln a_min, and the node range, are near their widest."""
+    low = np.asarray(ginibre_mixed((2,) * 7, 3, substream(0, "floor-low")).mat)
+    fill = np.asarray(ginibre_mixed((2,) * 7, 8, substream(0, "floor-fill")).mat)
+    m = (1 - 1e-11) * low + 1e-11 * fill
+    return DensityMatrix((2,) * 7, (m + m.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize(
+    "dims, rank, stride",
+    [(dims, rank, 3) for dims in ((2,) * 7, (3, 3, 2, 2, 2, 2)) for rank in (2, 3, 4, 8)]
+    # a sample of the 127 cuts at D = 256, to keep the dense references short
+    + [((2,) * 8, 4, 9)],
+)
+def test_resolvent_branch_matches_dense_qjsd(dims, rank, stride):
+    rho = ginibre_mixed(dims, rank, substream(rank, f"resolvent-{dims}"))
+    pairs, _ = _resolvent_against_qjsd(rho, stride)
+    assert len(pairs) >= 3
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12
+
+
+def test_resolvent_branch_holds_near_the_rank_floor():
+    pairs, margin = _resolvent_against_qjsd(_near_floor_state(), 2)
+    assert 3.0 <= margin <= 30.0
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12
+
+
+def test_full_rank_and_small_states_never_take_the_resolvent_branch(monkeypatch):
+    assert not any(phi_module._resolvent_pays(dim, dim) for dim in range(2, 4097))
+    assert not any(
+        phi_module._resolvent_pays(dim, r) for dim in range(2, 17) for r in range(1, dim + 1)
+    )
+
+    def unreachable(*args):
+        raise AssertionError("a full-rank state took the resolvent branch")
+
+    monkeypatch.setattr(phi_module, "_resolvent_midpoint", unreachable)
+    phi(ginibre_mixed((2,) * 7, 128, substream(0, "resolvent-full")))
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +646,9 @@ def _stacks(states):
 # pure, full-rank and rank-deficient states side by side in one stack, with
 # cuts that take the Schmidt, Gram and dense branches
 STACK_STATES = [rho for rho, _ in ORACLE_STATES.values()] + [
+    # with the oracle's rank-3 state, a D = 128 stack of Gram and resolvent cuts
+    ginibre_mixed((2,) * 7, 2, substream(0, "stack-r2^7")),
+    # the last three also go through the partition kernel
     haar_pure((2, 2, 2), substream(0, "stack-h222")),
     ginibre_mixed((2, 3, 2), 2, substream(0, "stack-r232")),
     haar_pure((2, 3, 2), substream(0, "stack-h232")),
@@ -576,7 +665,7 @@ def test_stacked_cut_divergences_match_per_state_phi(monkeypatch):
         for rho, row in zip(group, got):
             want = [v for _, v in phi(rho).per_cut]
             assert np.max(np.abs(row - want)) <= 1e-12, dims
-            dense = [qjsd(rho, product_of_marginals(rho, c)) for c in enumerate_bipartitions(rho.n)]
+            dense = _dense_per_cut(rho)
             assert np.max(np.abs(row - dense)) <= 1e-12, dims
         results.append(got)
     # one matrix per stack: every state and cut on its own, same values
@@ -586,7 +675,8 @@ def test_stacked_cut_divergences_match_per_state_phi(monkeypatch):
 
 
 # full-rank, rank-2 and pure states, two of each per layout, so that a chunk
-# of several states mixes the Schmidt, Gram and dense branches
+# of several states mixes the Schmidt, Gram and dense branches; at D = 128,
+# rank-3 and pure states, two of each, mix the Schmidt, Gram and resolvent ones
 CHUNK_STATES = [
     make(dims, substream(k, f"chunk-{dims}"))
     for dims in ((2, 2, 2, 2), (3, 2, 2))
@@ -596,6 +686,10 @@ CHUNK_STATES = [
         lambda dims, seed: ginibre_mixed(dims, 2, seed),
         haar_pure,
     )
+] + [
+    make((2,) * 7, substream(k, "chunk-2^7"))
+    for k in range(2)
+    for make in (lambda dims, seed: ginibre_mixed(dims, 3, seed), haar_pure)
 ]
 
 
@@ -603,11 +697,12 @@ CHUNK_STATES = [
 def test_cut_divergences_do_not_depend_on_the_chunk_size(per_chunk, monkeypatch):
     stacks = _stacks(CHUNK_STATES)
     want = [phi_module._cut_divergences(mats, dims) for dims, _, mats in stacks]
-    # three 16 x 16 or five 12 x 12 matrices per stacked eigensolve
-    stack_bytes = 1 if per_chunk == "one cut" else 3 * 16 * 16 * 16
-    monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
     for (dims, group, mats), values in zip(stacks, want):
-        step = divergence_module._stack_len(mats.shape[-1])
+        dim = mats.shape[-1]
+        # one matrix, or three, per stacked eigensolve
+        stack_bytes = 1 if per_chunk == "one cut" else 3 * 16 * dim * dim
+        monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
+        step = divergence_module._stack_len(dim)
         if per_chunk == "one cut":
             assert step == 1
         else:
@@ -615,7 +710,7 @@ def test_cut_divergences_do_not_depend_on_the_chunk_size(per_chunk, monkeypatch)
         got = phi_module._cut_divergences(mats, dims)
         assert np.array_equal(got, values), dims
         for rho, row in zip(group, got):
-            dense = [qjsd(rho, product_of_marginals(rho, c)) for c in enumerate_bipartitions(rho.n)]
+            dense = _dense_per_cut(rho)
             assert np.max(np.abs(row - dense)) <= 1e-12, dims
 
 
