@@ -30,6 +30,7 @@ from .states import (
     SubsystemLayout,
     _indices,
     _int,
+    _real,
     as_layout,
     rng_from,
     validate_state,
@@ -243,7 +244,8 @@ def dephasing(theta: float, phi: float) -> KrausChannel:
 
     theta = phi = 0 reproduces computational-basis dephasing.
     """
-    kraus = _dephasing_kraus(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    theta, phi = (_real(x, BadParameter, "dephasing angle") for x in (theta, phi))
+    kraus = _dephasing_kraus(np.asarray(theta), np.asarray(phi))
     return KrausChannel(2, 2, tuple(kraus))
 
 
@@ -276,8 +278,9 @@ def _weyl_ops(d: int) -> tuple[np.ndarray, ...]:
 
 def depolarizing(p: float, d: int = 2) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, via the Heisenberg-Weyl twirl."""
+    p = _real(p, BadParameter, "depolarizing strength")
     d = _int(d, 1, BadParameter, "depolarizing dimension")
-    ops, count = _depolarizing_kraus(np.array([p], dtype=float), d)
+    ops, count = _depolarizing_kraus(np.array([p]), d)
     return KrausChannel(d, d, tuple(ops[0, : count[0]]))
 
 

@@ -15,8 +15,17 @@ import numpy as np
 from .divergence import delta
 from .errors import BadParameter, SingleSubsystem
 from .phi import phi as phi_fn
-from .qstate_io import _int_list, _is_number, _loads
-from .states import DensityMatrix, SubsystemLayout, _int, ginibre_mixed, partial_trace, rng_from
+from .qstate_io import _loads
+from .states import (
+    DensityMatrix,
+    SubsystemLayout,
+    _int,
+    _ints,
+    _real,
+    ginibre_mixed,
+    partial_trace,
+    rng_from,
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,7 @@ def to_json(d: Dendrogram) -> str:
 def _node_from_dict(obj: dict) -> DendrogramNode:
     if not isinstance(obj, dict):
         raise BadParameter(f"a dendrogram node must be a JSON object, got {obj!r}")
-    members = tuple(_int_list(obj["members"], "members"))
+    members = tuple(_ints(obj["members"], BadParameter, "'members'"))
     children = obj.get("children")
     tie_count = _int(obj.get("tie_count", 0), 0, BadParameter, "'tie_count'")
     phi = obj["phi"]
@@ -112,8 +121,7 @@ def _node_from_dict(obj: dict) -> DendrogramNode:
         return DendrogramNode(members, phi_internal=None, tie_count=tie_count, children=None)
     if not isinstance(children, list) or len(children) != 2:
         raise BadParameter(f"'children' must be null or a list of two nodes, got {children!r}")
-    if not _is_number(phi):
-        raise BadParameter(f"an internal node's 'phi' must be a finite number, got {phi!r}")
+    phi = _real(phi, BadParameter, "an internal node's 'phi'")
     a, b = (_node_from_dict(c) for c in children)
     # members are distinct from the root down, so this also makes a and b disjoint
     if sorted(a.members + b.members) != sorted(members):
@@ -125,7 +133,7 @@ def from_json_dict(obj: dict) -> Dendrogram:
     try:
         d = Dendrogram(
             root=_node_from_dict(obj["root"]),
-            layout=SubsystemLayout(tuple(_int_list(obj["dims"], "dims"))),
+            layout=SubsystemLayout(tuple(_ints(obj["dims"], BadParameter, "'dims'"))),
             mode=obj.get("mode", "marginal"),
         )
     except (KeyError, TypeError) as exc:
@@ -191,7 +199,7 @@ def stability_probe(
     """Rebuild the tree after mixing in eps of a random state; report phi shifts
     on member sets common to both trees and count topology changes."""
     trials = _int(trials, 1, BadParameter, "trials")
-    if not 0.0 <= eps <= 1.0:
+    if not 0.0 <= _real(eps, BadParameter, "eps") <= 1.0:
         raise BadParameter(f"eps must lie in [0, 1], got {eps}")
     base = build_dendrogram(rho, mode)
     base_phis = {n.members: n.phi_internal for n in base.internal_nodes()}

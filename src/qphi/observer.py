@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence, Union
@@ -49,7 +48,7 @@ from .errors import BadBudget, BadParameter, GridTooLarge
 from .phi import _phis
 from .phi import phi as phi_fn
 from .search import _golden
-from .states import DensityMatrix, _indices, _int, _validate_stack, as_layout, substream
+from .states import DensityMatrix, _indices, _int, _real, _validate_stack, as_layout, substream
 
 ChannelLike = Union[KrausChannel, LocalChannel]
 
@@ -135,9 +134,19 @@ class ChannelFamily:
     )
 
     def __post_init__(self):
-        for lo, hi in self.box:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        try:
+            pairs = [tuple(b) for b in self.box]
+        except TypeError:
+            raise BadParameter(f"box must be (low, high) pairs, got {self.box!r}") from None
+        box = []
+        for pair in pairs:
+            if len(pair) != 2:
+                raise BadParameter(f"box must be (low, high) pairs, got {pair!r}")
+            lo, hi = (_real(x, BadParameter, "parameter bounds") for x in pair)
+            if lo > hi:
                 raise BadParameter(f"malformed parameter interval ({lo}, {hi})")
+            box.append((lo, hi))
+        object.__setattr__(self, "box", tuple(box))
 
     @property
     def n_params(self) -> int:
@@ -297,7 +306,7 @@ def partial_trace_family(layout) -> ChannelFamily:
 
 
 def custom_family(box, builder, kind: str = "custom") -> ChannelFamily:
-    return ChannelFamily(kind=kind, box=tuple(tuple(b) for b in box), builder=builder)
+    return ChannelFamily(kind=kind, box=box, builder=builder)
 
 
 @dataclass(frozen=True)
@@ -489,9 +498,7 @@ def observer_spectrum(
     fixed = {} if fixed is None else fixed
     if not isinstance(fixed, Mapping):
         raise BadParameter(f"fixed parameters must map indices to values, got {fixed!r}")
-    for v in fixed.values():
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise BadParameter(f"fixed parameter values must be real numbers, got {v!r}")
+    fixed = {k: _real(v, BadParameter, "fixed parameter values") for k, v in fixed.items()}
     index = [idx for idx, _ in axes]
     if len(_indices(index, family.n_params, BadParameter, "grid axes")) < len(index):
         raise BadParameter(f"grid axes {index} repeat a parameter")
@@ -499,11 +506,11 @@ def observer_spectrum(
     if total > GRID_CAP:
         raise GridTooLarge(f"grid of {total} points exceeds cap {GRID_CAP}")
     base = np.array([(lo + hi) / 2.0 for lo, hi in family.box])
-    pinned = _indices(fixed, family.n_params, BadParameter, "fixed parameters")
+    pinned = _indices(list(fixed), family.n_params, BadParameter, "fixed parameters")
     if set(pinned) & set(index):
         raise BadParameter(f"fixed parameters {pinned} pin a grid axis")
     for k, v in fixed.items():
-        base[k] = float(v)
+        base[k] = v
     grids = [
         np.linspace(family.box[idx][0], family.box[idx][1], npts) for idx, npts in axes
     ]

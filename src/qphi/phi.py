@@ -40,14 +40,14 @@ the two marginal spectra, and S(m) from one of four branches:
 The value of a cut does not depend on which side comes first, so each cut
 puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
-cached): one gather reorders rho for every cut of a chunk, one batched
-partial trace gives their marginals, and one stacked eigensolve per side
-gives the marginal spectra; the dense branch runs one stacked midpoint
-eigensolve per chunk. A chunk holds at most 1 MB of D x D matrices, so
-D = 256 still goes one cut at a time. The kernel, :func:`_cut_divergences`,
-takes a stack of states of one layout and runs the plan once for all of
-them, choosing the branch per state and cut; :func:`phi` calls it with a
-stack of one.
+cached). A cut's marginals come straight from rho, one contraction per side
+(:func:`~qphi.states._partial_trace_raw`), with one stacked eigensolve per
+side. Only the dense branch reorders rho, gathering the cuts it scores for
+one stacked midpoint eigensolve; the others read permuted rows of psi or X.
+A chunk holds at most 1 MB of D x D matrices, so D = 256 still goes one cut
+at a time. The kernel, :func:`_cut_divergences`, takes a stack of states of
+one layout and runs the plan once for all of them, choosing the branch per
+state and cut; :func:`phi` calls it with a stack of one.
 
 :func:`partition_divergences` scores k-block partitions the same way, also
 on stacks of states: S(rho) once, each distinct block marginal once,
@@ -80,10 +80,10 @@ from .states import (
     _indices,
     _int,
     _kron,
+    _real,
     _partial_trace_raw,
     _permute_raw,
     _spectral,
-    _split_marginals,
     assemble_on_subsets,
     enumerate_bipartitions,
     product_of_marginals,
@@ -296,7 +296,7 @@ def _refine_product(
     rho_ab = _permute_raw(np.asarray(rho.mat), rho.dims, a_idx + b_idx)
     s_rho = entropies(np.linalg.eigvalsh(rho_ab))
     if start is None:
-        eigs = map(np.linalg.eigh, _split_marginals(rho_ab, da))
+        eigs = (np.linalg.eigh(_partial_trace_raw(rho.mat, rho.dims, s)) for s in (a_idx, b_idx))
         start = tuple(_spectral(v, np.log(np.clip(w, _LOG_FLOOR, None))) for w, v in eigs)
 
     def evaluate(h):
@@ -445,29 +445,29 @@ def _dense_midpoint(rho: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np
 def _cut_plan(dims: tuple[int, ...], step: int):
     """The canonical cuts of a layout, each with its smaller side first,
     grouped by that side's dimension d in chunks of at most ``step`` cuts:
-    (d, the cuts' positions in enumerate_bipartitions order, each cut's
-    subsystem order, first side then second). Only the orders are kept, not
-    the D-long basis permutations they give."""
+    (d, the cuts' positions in enumerate_bipartitions order, each cut's two
+    sorted sides, first then second). Only the sides are kept, not the D-long
+    basis permutations they give."""
     dim = math.prod(dims)
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    groups: dict[int, list] = {}
     for k, cut in enumerate(enumerate_bipartitions(len(dims))):
         a_idx, b_idx = cut.as_lists()
         da = math.prod(dims[i] for i in a_idx)
         if da * da > dim:
             a_idx, b_idx, da = b_idx, a_idx, dim // da
-        groups.setdefault(da, []).append((k, tuple(a_idx + b_idx)))
+        groups.setdefault(da, []).append((k, (tuple(a_idx), tuple(b_idx))))
     plan = []
     for da, members in sorted(groups.items()):
         for s in range(0, len(members), step):
             chunk = members[s:s + step]
-            plan.append((da, tuple(k for k, _ in chunk), tuple(o for _, o in chunk)))
+            plan.append((da, tuple(k for k, _ in chunk), tuple(sides for _, sides in chunk)))
     return tuple(plan)
 
 
-def _perm(base: np.ndarray, orders) -> np.ndarray:
-    """Row perm[c, i] of the basis reordered by orders[c] is row i of the
-    original one; ``base`` is arange(D) shaped as the layout."""
-    return np.stack([base.transpose(o).reshape(-1) for o in orders])
+def _perm(base: np.ndarray, sides) -> np.ndarray:
+    """Row perm[c, i] of the basis reordered as sides[c] (first side, then
+    second) is row i of the original; ``base`` is arange(D) shaped as the layout."""
+    return np.stack([base.transpose(a + b).reshape(-1) for a, b in sides])
 
 
 def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -476,14 +476,14 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     an (S, cuts) array, from one eigendecomposition of each state (the
     branches are in the module docstring).
 
-    Each cut works with its factors reordered as (A, B), smaller side first,
-    where rho_A (x) rho_B is a plain Kronecker product; the reordering is a
+    Each cut works with its factors ordered (A, B), smaller side first, where
+    rho_A (x) rho_B is a plain Kronecker product; the reordering is a
     permutation of the basis, which leaves every spectrum unchanged. The
-    states go through the cut plan together: per chunk of cuts, one gather
-    reorders every mixed state for every cut, one batched partial trace gives
-    their marginals, and the marginal and midpoint spectra come from stacked
-    eigensolves; the branch is chosen per state and cut. No stack holds more
-    than ``_STACK_BYTES`` of matrices.
+    states go through the cut plan together: per chunk of cuts, one partial
+    trace per side gives each mixed state's marginals, stacked eigensolves
+    their spectra, and the branch is chosen per state and cut; only the dense
+    branch's (state, cut) pairs are gathered in (A, B) order. No stack holds
+    more than ``_STACK_BYTES`` of matrices.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
@@ -503,8 +503,8 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         # the factor X of a pure state is its one column, and a stack of
         # these vectors takes about D times as many cuts as one of matrices
         psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
-        for da, index, orders in _cut_plan(dims, vstep) if pure.size else ():
-            perm = _perm(base, orders)
+        for da, index, sides in _cut_plan(dims, vstep) if pure.size else ():
+            perm = _perm(base, sides)
             per = max(1, vstep // len(index))
             for p0 in range(0, pure.size, per):
                 sel = pure[p0:p0 + per]
@@ -512,14 +512,14 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
                 # rho_A and rho_B of a pure state share the spectrum lam
                 s_sigma = 2.0 * entropies(lam)
                 res[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-        for da, index, orders in plan if mixed.size else ():
-            perm = _perm(base, orders)
+        for _, index, sides in plan if mixed.size else ():
+            perm = _perm(base, sides)
             per = max(1, step // len(index))
             for m0 in range(0, mixed.size, per):
                 sel = mixed[m0:m0 + per]
                 states = chunk if sel.size == len(chunk) else chunk[sel]
-                rho_ab = states[:, perm[:, :, None], perm[:, None, :]]
-                rho_a, rho_b = _split_marginals(rho_ab, da)
+                marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
+                rho_a, rho_b = (np.stack(m, axis=1) for m in zip(*marg))
                 wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
                 s_sigma = entropies(wa) + entropies(wb)
                 s_mid = np.empty(s_sigma.shape)
@@ -528,12 +528,12 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
                 # full-rank marginals, so the Gram branch does not apply
                 resolvent = (ra * rb == dim) & _resolvent_pays(dim, rank[sel, None])
                 fast = gram | resolvent
-                # the whole stack, not a copy, when every pair is dense
-                dense = ~fast if fast.any() else (slice(None),) * 2
-                if not fast.all():
-                    s_mid[dense] = entropies(
-                        _dense_midpoint(rho_ab[dense], rho_a[dense], rho_b[dense])
-                    )
+                i, c = np.nonzero(~fast)
+                if i.size:
+                    # the dense pairs only: at most ``step`` D x D matrices
+                    p = perm[c]
+                    rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
+                    s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
                 for i, c in zip(*np.nonzero(fast)):
                     x = _factor(w[sel[i]], v[sel[i]])[perm[c]]
                     if gram[i, c]:
@@ -681,7 +681,7 @@ def _convexity_violations(a: np.ndarray, b: np.ndarray, dims, t_grid, mode: str)
     if len(t_grid) == 0:
         raise BadParameter("t_grid needs at least one mixing weight")
     for t in t_grid:
-        if not 0.0 <= t <= 1.0:
+        if not 0.0 <= _real(t, BadParameter, "mixing weight") <= 1.0:
             raise BadParameter(f"mixing weight {t} outside [0, 1]")
     step = max(1, _stack_len(a.shape[-1]) // (2 + len(t_grid)))
     out = []

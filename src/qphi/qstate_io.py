@@ -15,7 +15,6 @@ own size. Reading always revalidates.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, TextIO, Union
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator, TextIO, Union
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .states import DensityMatrix, SubsystemLayout, _is_int, validate_state
+from .states import DensityMatrix, SubsystemLayout, _ints, validate_state
 
 if TYPE_CHECKING:
     from .channels import KrausChannel
@@ -77,17 +76,6 @@ def _loads(text: Union[str, bytes]):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadParameter(f"invalid JSON: {exc}") from exc
-
-
-def _is_number(x) -> bool:
-    """Finite JSON numbers only: bools, strings, NaN and infinities are refused."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _int_list(value, key: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(d) for d in value):
-        raise BadParameter(f"'{key}' must be a list of integers, got {value!r}")
-    return [int(d) for d in value]
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
@@ -205,7 +193,7 @@ def _unpack_state(obj) -> tuple[np.ndarray, SubsystemLayout]:
         raise BadParameter(f"unsupported state document version: {version!r}")
     if "dims" not in obj or "matrix" not in obj:
         raise BadParameter("state document needs 'dims' and 'matrix'")
-    layout = SubsystemLayout(tuple(_int_list(obj["dims"], "dims")))
+    layout = SubsystemLayout(tuple(_ints(obj["dims"], BadParameter, "'dims'")))
     return _decode_matrix(obj["matrix"]), layout
 
 

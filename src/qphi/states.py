@@ -8,7 +8,9 @@ package's one functional calculus: every f(A) = V f(w) V^dag (log, square root,
 pseudo-inverse square root) is rebuilt by it, each caller flooring w by its own
 policy. Dimensions, counts, indices and seeds must be integers, checked by
 :func:`_int` (a floor) and :func:`_indices` (a range): floats, bools and
-strings are refused, not truncated.
+strings are refused, not truncated. Real parameters (strengths, angles,
+bounds, weights, tolerances) must be finite real numbers, checked by
+:func:`_real`: bools, strings, NaN and infinities are refused.
 """
 from __future__ import annotations
 
@@ -50,12 +52,29 @@ def _is_int(x) -> bool:
 
 
 def _ints(values: Iterable, exc: type, what: str) -> list[int]:
-    """``values`` as ints; an entry that is not an integer raises ``exc``."""
+    """``values`` as ints; a string, a dict, anything not iterable, or an
+    entry that is not an integer, raises ``exc``."""
+    # concrete types, not the slower abstract ones: layouts come through here
+    if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
+        raise exc(f"{what} must be a list of integers, got {values!r}")
     values = list(values)
     for v in values:
         if not _is_int(v):
             raise exc(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
+
+
+def _is_number(x) -> bool:
+    """Finite real numbers only, numpy's included: bools, strings, NaN and
+    infinities are refused."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _real(value, exc: type, what: str) -> float:
+    """``value`` as a float; anything but a finite real number raises ``exc``."""
+    if not _is_number(value):
+        raise exc(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _int(value, lo: int, exc: type, what: str) -> int:
@@ -314,12 +333,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 def _partial_trace_raw(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """The marginal on the sorted subsystems ``keep`` of a matrix, or of a stack
-    of them: :func:`_split_marginals`'s contraction with the kept factors first."""
-    rest = [i for i in range(len(dims)) if i not in keep]
+    of them: one einsum over the layout tensor, each traced factor's column
+    label equal to its row label, with no reordered copy of the matrix."""
+    n = len(dims)
+    cols = [n + i if i in keep else i for i in range(n)]
+    t = mat.reshape(mat.shape[:-2] + tuple(dims) * 2)
+    out = np.einsum(t, [..., *range(n), *cols], [..., *keep, *(n + i for i in keep)])
     dk = math.prod(dims[i] for i in keep)
-    dr = math.prod(dims) // dk
-    t = _permute_raw(mat, dims, list(keep) + rest).reshape(mat.shape[:-2] + (dk, dr, dk, dr))
-    return np.einsum("...ijkj->...ik", t)
+    return out.reshape(mat.shape[:-2] + (dk, dk))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,14 +348,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.kron's per-call overhead on small ones."""
     shape = a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
-
-
-def _split_marginals(rho_ab: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]:
-    """rho_A and rho_B of a matrix, or a stack of them, whose factors are
-    ordered (A, B) with dim A = da."""
-    db = rho_ab.shape[-1] // da
-    t = rho_ab.reshape(rho_ab.shape[:-2] + (da, db, da, db))
-    return np.einsum("...ijkj->...ik", t), np.einsum("...ijil->...jl", t)
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -45,7 +45,6 @@ from .phi import (
     enumerate_partitions,
     merge_blocks,
 )
-from .qstate_io import _is_number
 from .states import (
     DensityMatrix,
     SubsystemLayout,
@@ -53,6 +52,7 @@ from .states import (
     _int,
     _ints,
     _pure_stack,
+    _real,
     _validate_stack,
     enumerate_bipartitions,
     product_of_marginals,
@@ -154,9 +154,7 @@ class VerifyConfig:
         for k, v in _mapping("tolerances", self.tolerances or {}).items():
             if k not in DEFAULT_TOLERANCES:
                 raise ConfigInvalid(f"unknown tolerance key {k!r}")
-            if not _is_number(v):
-                raise ConfigInvalid(f"tolerance {k!r} must be a finite number, got {v!r}")
-            tols[k] = float(v)
+            tols[k] = _real(v, ConfigInvalid, f"tolerance {k!r}")
         object.__setattr__(self, "tolerances", tols)
 
     @classmethod

@@ -91,7 +91,9 @@ def test_malformed_channel_documents_are_rejected(key, value):
         channel_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("dims", ["ab", 5, None, [2.7, 2], [2.0, 2], [True, 2], ["2", 2], [[2], 2]])
+@pytest.mark.parametrize(
+    "dims", ["ab", 5, None, [2.7, 2], [2.0, 2], [True, 2], ["2", 2], [[2], 2], {}, {"2": 2}]
+)
 def test_malformed_dims_are_rejected(dims):
     doc = state_to_dict(bell())
     doc["dims"] = dims

@@ -28,8 +28,8 @@ from qphi.phi import (
 from qphi.states import (
     Bipartition,
     DensityMatrix,
+    _partial_trace_raw,
     _permute_raw,
-    _split_marginals,
     bell,
     enumerate_bipartitions,
     ghz,
@@ -362,7 +362,7 @@ def test_per_cut_values_do_not_depend_on_the_stack_split(monkeypatch):
     full = {label: phi(rho).per_cut for label, (rho, _) in ORACLE_STATES.items()}
     # one matrix per stacked eigensolve: every chunk of the cut plan is one cut
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
-    assert all(len(orders) == 1 for _, _, orders in phi_module._cut_plan((2,) * 6, 1))
+    assert all(len(sides) == 1 for _, _, sides in phi_module._cut_plan((2,) * 6, 1))
     for label, (rho, _) in ORACLE_STATES.items():
         assert phi(rho).per_cut == full[label], label
 
@@ -373,23 +373,24 @@ def test_cut_plan_covers_every_cut_within_the_stack_cap(dims):
     plan = phi_module._cut_plan(dims, divergence_module._stack_len(dim))
     cuts = enumerate_bipartitions(len(dims))
     seen = []
-    for d, index, orders in plan:
-        assert len(orders) * 16 * dim * dim <= divergence_module._STACK_BYTES
+    for d, index, sides in plan:
+        assert len(sides) * 16 * dim * dim <= divergence_module._STACK_BYTES
         assert d * d <= dim
-        for k, order in zip(index, orders):
+        for k, side in zip(index, sides):
             a_idx, b_idx = cuts[k].as_lists()
-            first, second = (a_idx, b_idx) if order[0] == 0 else (b_idx, a_idx)
-            assert order == tuple(first + second)
+            first, second = (a_idx, b_idx) if 0 in side[0] else (b_idx, a_idx)
+            assert side == (tuple(first), tuple(second))
             assert int(np.prod([dims[i] for i in first])) == d
         seen.extend(index)
     assert sorted(seen) == list(range(len(cuts)))
 
 
 def test_cut_plan_keeps_orders_not_permutations():
-    # n = 12: 2047 cuts; a D-long index array per cut would be 64 MB
+    # n = 12: 2047 cuts; a D-long index array per cut would be 64 MB, so
+    # each cut keeps its two sides, which order its 12 subsystems
     plan = phi_module._cut_plan((2,) * 12, divergence_module._stack_len(4096))
     assert sum(len(index) for _, index, _ in plan) == 2047
-    assert all(len(order) == 12 for _, _, orders in plan for order in orders)
+    assert all(len(a) + len(b) == 12 for _, _, sides in plan for a, b in sides)
     assert not any(isinstance(v, np.ndarray) for chunk in plan for v in chunk)
 
 
@@ -456,9 +457,7 @@ def _resolvent_against_qjsd(rho: DensityMatrix, stride: int):
     pairs, margin = [], np.inf
     for cut in enumerate_bipartitions(rho.n)[::stride]:
         a_idx, b_idx = cut.as_lists()
-        da = int(np.prod([rho.dims[i] for i in a_idx]))
-        rho_ab = _permute_raw(mat, rho.dims, a_idx + b_idx)
-        rho_a, rho_b = _split_marginals(rho_ab, da)
+        rho_a, rho_b = (_partial_trace_raw(mat, rho.dims, side) for side in (a_idx, b_idx))
         wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
         if phi_module._rank(wa) * phi_module._rank(wb) < rho.dim:
             continue
@@ -712,6 +711,41 @@ def test_cut_divergences_do_not_depend_on_the_chunk_size(per_chunk, monkeypatch)
         for rho, row in zip(group, got):
             dense = _dense_per_cut(rho)
             assert np.max(np.abs(row - dense)) <= 1e-12, dims
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1])
+def test_mixed_stack_rows_equal_their_one_state_calls(stack_bytes, monkeypatch):
+    # rank 3, pure and full rank on (2,)^7: the Gram, resolvent, Schmidt and
+    # dense branches in one stack, the pure state between the two mixed
+    # ones, so that the dense branch gathers from a subset of the stack
+    dims = (2,) * 7
+    group = [
+        ginibre_mixed(dims, 3, substream(0, "mixed-stack-r3")),
+        haar_pure(dims, substream(0, "mixed-stack-pure")),
+        ginibre_mixed(dims, 128, substream(0, "mixed-stack-full")),
+    ]
+    mats = np.stack([np.asarray(rho.mat) for rho in group])
+    if stack_bytes is not None:
+        monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
+    alone = [phi_module._cut_divergences(m[None], dims)[0] for m in mats]
+    taken, dense_sizes = set(), []
+    for name in ("schmidt", "gram", "resolvent", "dense"):
+        fn = getattr(phi_module, f"_{name}_midpoint")
+
+        def spy(*args, _fn=fn, _name=name):
+            taken.add(_name)
+            if _name == "dense":
+                dense_sizes.append(args[0].nbytes)
+            return _fn(*args)
+
+        monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
+    got = phi_module._cut_divergences(mats, dims)
+    assert taken == {"schmidt", "gram", "resolvent", "dense"}
+    for row, want in zip(got, alone):
+        assert np.array_equal(row, want)
+    # the dense-only gather stays within the stack cap
+    one = mats[0].nbytes
+    assert dense_sizes and max(dense_sizes) <= max(divergence_module._STACK_BYTES, one)
 
 
 def test_stacked_partition_divergences_match_per_state(monkeypatch):

@@ -1,12 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qphi.states as states
 from qphi.blanket import blanket_scan
-from qphi.channels import KrausChannel, depolarizing, random_channel
+from qphi.channels import KrausChannel, dephasing, depolarizing, random_channel
+from qphi.dendrogram import stability_probe
 from qphi.errors import (
     BadBudget,
     BadParameter,
@@ -21,8 +23,14 @@ from qphi.errors import (
     StateTooLarge,
     TraceNotOne,
 )
-from qphi.observer import local_dephasing_family, maximize_phi, observer_spectrum
-from qphi.phi import PartitionKBlocks, enumerate_partitions, merge_blocks
+from qphi.observer import (
+    ChannelFamily,
+    custom_family,
+    local_dephasing_family,
+    maximize_phi,
+    observer_spectrum,
+)
+from qphi.phi import PartitionKBlocks, convexity_check, enumerate_partitions, merge_blocks
 from qphi.states import (
     DEFAULT_N_CAP,
     Bipartition,
@@ -178,13 +186,15 @@ def _index_sum_marginal(mat: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2), (3, 4)])
 def test_partial_trace_matches_an_explicit_index_sum(dims):
     # every keep set, non-contiguous ones such as [0, 2] included; the stack
-    # form traces each of its matrices on its own
+    # form traces each of its matrices on its own, with one leading axis or
+    # two, as the cut kernel's (states, cuts) stacks have
     n = len(dims)
     rhos = [ginibre_mixed(dims, math.prod(dims), substream(s, "ptrace-ref")) for s in range(2)]
     stack = np.stack([np.asarray(r.mat) for r in rhos])
+    grid = np.stack([stack, stack[::-1], stack])
     for k in range(1, n + 1):
         for keep in itertools.combinations(range(n), k):
             want = [_index_sum_marginal(np.asarray(r.mat), dims, keep) for r in rhos]
@@ -193,6 +203,24 @@ def test_partial_trace_matches_an_explicit_index_sum(dims):
             np.testing.assert_allclose(np.asarray(red.mat), want[0], rtol=0, atol=1e-15)
             raw = states._partial_trace_raw(stack, dims, list(keep))
             np.testing.assert_allclose(raw, np.stack(want), rtol=0, atol=1e-15)
+            raw = states._partial_trace_raw(grid, dims, list(keep))
+            np.testing.assert_allclose(raw, np.stack([want, want[::-1], want]), rtol=0, atol=1e-15)
+
+
+def test_partial_trace_makes_no_reordered_copy():
+    # D = 256: the marginal is one contraction of the layout tensor, so its
+    # peak is the small output, not a reordered copy of the 1 MB matrix
+    dims = (2,) * 8
+    mat = np.asarray(ginibre_mixed(dims, 4, substream(0, "ptrace-copy")).mat)
+    for keep in ([7], [0, 3, 5], [1, 2, 6, 7]):
+        states._partial_trace_raw(mat, dims, keep)
+        tracemalloc.start()
+        try:
+            states._partial_trace_raw(mat, dims, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mat.nbytes / 8, keep
 
 
 _DEPHASING = local_dephasing_family((2, 2))
@@ -265,6 +293,49 @@ def test_integers_are_checked_not_truncated(call, exc):
 )
 def test_numpy_integer_counts_give_the_python_integer_results(call):
     assert call(np.int64) == call(int)
+
+
+def _no_channel(params):
+    raise AssertionError("a refused family built a channel")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: custom_family([("a", 1.0)], _no_channel),
+        lambda: custom_family([(0.0,)], _no_channel),
+        lambda: custom_family(5, _no_channel),
+        lambda: custom_family([(0, True)], _no_channel),
+        lambda: custom_family([(0.0, float("inf"))], _no_channel),
+        lambda: ChannelFamily(kind="custom", box=((None, 1.0),), builder=_no_channel),
+        lambda: stability_probe(ghz(3), eps="0.1"),
+        lambda: stability_probe(ghz(3), eps=float("nan")),
+        lambda: convexity_check(bell(), bell(), t_grid=["a"]),
+        lambda: convexity_check(bell(), bell(), t_grid=[True]),
+        lambda: depolarizing("a"),
+        lambda: depolarizing(True),
+        lambda: dephasing("a", 0.0),
+        lambda: dephasing(0.0, float("nan")),
+        lambda: observer_spectrum(bell(), _DEPHASING, [(0, 3)], fixed={1: "0.3"}),
+    ],
+    ids=["box-str", "box-single", "box-int", "box-bool", "box-inf", "family-none", "eps-str",
+         "eps-nan", "t-grid-str", "t-grid-bool", "depolarizing-str", "depolarizing-bool",
+         "dephasing-str", "dephasing-nan", "fixed-str"],
+)
+def test_real_parameters_must_be_finite_real_numbers(call):
+    with pytest.raises(BadParameter, match="finite real number|pairs"):
+        call()
+
+
+def test_real_parameters_accept_integers_and_numpy_reals():
+    fam = custom_family([(0, np.float32(0.5)), (np.int64(-1), 2)], _no_channel)
+    assert fam.box == ((0.0, 0.5), (-1.0, 2.0))
+    assert all(type(v) is float for pair in fam.box for v in pair)
+    ref = [k.tobytes() for k in depolarizing(0.25).kraus]
+    assert [k.tobytes() for k in depolarizing(np.float64(0.25)).kraus] == ref
+    assert [k.tobytes() for k in dephasing(1, np.float32(0.0)).kraus] == [
+        k.tobytes() for k in dephasing(1.0, 0.0).kraus
+    ]
 
 
 def test_numpy_integers_are_accepted():
