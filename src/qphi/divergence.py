@@ -7,19 +7,19 @@ whose Gram spectrum is reported (not asserted) by :func:`negative_type_check`.
 Every entropy in the package is :func:`entropies` of a spectrum, or of a
 stack of spectra. Small spectra are computed in stacks: ``np.linalg.eigvalsh``
 on an (m, D, D) array runs m eigensolves in one call, with the same spectra as
-m separate calls. :func:`qjsd` is :func:`_pair_divergences` on one pair,
-which eigensolves the states of two paired stacks and their midpoints in one
-stack. :func:`qjsd_gram` eigensolves its m states and all pairwise midpoints,
-and :func:`_grams` those of a stack of ensembles. A stack holds at most
-``_STACK_BYTES`` (1 MB) of matrices, so D=256 still goes one matrix at a time,
-and the code that builds a stack sizes it: a kernel that builds more matrices
-than it is given splits its input into runs, so a caller passes stacks of
-any length.
+m separate calls. Every divergence between given states comes from one kernel,
+:func:`_ensemble_entropies`: it takes m paired stacks of states and eigensolves
+each run of samples' states, then their pairwise midpoints, as one stack.
+:func:`qjsd` is its m = 2 case on one pair, :func:`qjsd_gram` its case of one
+ensemble. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256
+goes one matrix at a time, and the code that builds a stack sizes it: a
+kernel that builds more matrices than it is given splits its input into runs,
+so a caller passes stacks of any length.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -72,21 +72,36 @@ def qjsd(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(_pair_divergences(np.asarray(rho.mat)[None], np.asarray(sigma.mat)[None])[0])
 
 
-def _pair_entropies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S(a), S(b) and S((a + b)/2) of two paired (k, D, D) stacks, as rows
-    of a (3, k) array. Each run of pairs is one stacked eigensolve of its
-    states and midpoints, at most ``_STACK_BYTES`` of matrices."""
-    step = max(1, _stack_len(a.shape[-1]) // 3)
-    return np.concatenate([
-        entropies(np.linalg.eigvalsh(np.concatenate([x, y, (x + y) / 2.0]))).reshape(3, -1)
-        for x, y in ((a[i:i + step], b[i:i + step]) for i in range(0, len(a), step))
-    ], axis=1)
+def _ensemble_entropies(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """S of every state of m paired (T, D, D) stacks, as a (T, m) array, and
+    S((a_i + a_j)/2) of every pair i < j of a sample, as a (T, m(m-1)/2)
+    array in ``np.triu_indices`` order. Each run of samples is one stacked
+    eigensolve of its states, stack by stack, then its midpoints, pair by
+    pair, at most ``_STACK_BYTES`` of matrices. When one sample's matrices
+    alone are more, each sample is a run, eigensolved in stacks of as many
+    of its matrices as fit, its midpoints built as they are reached."""
+    m = len(stacks)
+    pairs = list(itertools.combinations(range(m), 2))
+    per = _stack_len(stacks[0].shape[-1])
+    step = max(1, per // (m + len(pairs)))
+    ent = []
+    for lo in range(0, len(stacks[0]), step):
+        pieces = itertools.chain(
+            (s[lo:lo + step] for s in stacks),
+            ((stacks[i][lo:lo + step] + stacks[j][lo:lo + step]) / 2.0 for i, j in pairs),
+        )
+        run = []
+        while chunk := list(itertools.islice(pieces, per // step)):
+            run.append(entropies(np.linalg.eigvalsh(np.concatenate(chunk))))
+        ent.append(np.concatenate(run).reshape(m + len(pairs), -1))
+    ent = np.concatenate(ent, axis=1)
+    return ent[:m].T, ent[m:].T
 
 
 def _pair_divergences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`qjsd` of each pair of two paired (k, D, D) stacks."""
-    s_a, s_b, s_mid = _pair_entropies(a, b)
-    return s_mid - 0.5 * s_a - 0.5 * s_b
+    s, mid = _ensemble_entropies([a, b])
+    return mid[:, 0] - 0.5 * s[:, 0] - 0.5 * s[:, 1]
 
 
 def delta(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -94,21 +109,10 @@ def delta(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.sqrt(max(qjsd(rho, sigma), 0.0)))
 
 
-@lru_cache(maxsize=None)
-def _gram_items(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j): the m diagonal pairs, then the pairs i < j."""
-    i, j = np.triu_indices(m, 1)
-    out = np.concatenate([np.arange(m), i]), np.concatenate([np.arange(m), j])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def qjsd_gram(states: Sequence[DensityMatrix]) -> np.ndarray:
     """Pairwise divergence matrix (symmetric, zero diagonal).
 
-    The states and their m(m-1)/2 midpoints are eigensolved in stacks; a
-    state is its own midpoint (a + a)/2, exactly.
+    The states and their m(m-1)/2 midpoints are eigensolved in stacks.
     """
     m = len(states)
     if m < 2:
@@ -122,23 +126,12 @@ def qjsd_gram(states: Sequence[DensityMatrix]) -> np.ndarray:
 
 def _grams(mats: np.ndarray) -> np.ndarray:
     """:func:`qjsd_gram` of each ensemble of a (T, m, D, D) stack of T
-    ensembles of m states, with every state and midpoint of every ensemble
-    eigensolved in shared stacks."""
-    t_count, m, dim = mats.shape[0], mats.shape[1], mats.shape[-1]
-    i, j = _gram_items(m)
-    # item k of the flat list is pair (ii[k], jj[k]) of ensemble tt[k]
-    tt = np.repeat(np.arange(t_count), i.size)
-    ii, jj = np.tile(i, t_count), np.tile(j, t_count)
-    step = _stack_len(dim)
-    ent = np.concatenate([
-        entropies(np.linalg.eigvalsh(
-            (mats[tt[k:k + step], ii[k:k + step]] + mats[tt[k:k + step], jj[k:k + step]]) / 2.0
-        ))
-        for k in range(0, tt.size, step)
-    ]).reshape(t_count, i.size)
-    i, j = i[m:], j[m:]
-    out = np.zeros((t_count, m, m))
-    out[:, i, j] = ent[:, m:] - 0.5 * ent[:, i] - 0.5 * ent[:, j]
+    ensembles of m states."""
+    m = mats.shape[1]
+    s, mid = _ensemble_entropies([mats[:, k] for k in range(m)])
+    i, j = np.triu_indices(m, 1)
+    out = np.zeros((len(mats), m, m))
+    out[:, i, j] = mid - 0.5 * s[:, i] - 0.5 * s[:, j]
     out[:, j, i] = out[:, i, j]
     return out
 

@@ -10,10 +10,11 @@ Each restart is an ask/tell generator that yields the points it wants scored
 and is sent their values. Every restart's share of the budget is fixed
 before the first evaluation, so the restarts run in lockstep: each round
 scores one point from every live restart as one (S, D, D) stack of channel
-outputs, through the stacked channel, validation and phi kernels. The polish
-follows on its own. The trace lists each restart's evaluations in restart
-order, so it equals a one-at-a-time search's bit for bit. The spectrum grid
-is scored in stacks too.
+outputs, through the stacked channel, validation and phi kernels; a point
+the search has scored before takes its value from a per-search memo. The
+polish follows on its own. The trace lists each restart's evaluations in
+restart order, so it equals a one-at-a-time search's bit for bit. The
+spectrum grid is scored in stacks too.
 
 The restarts are the first points of a scrambled Sobol sequence: Joe & Kuo
 (2008) direction numbers, linear matrix scrambling plus a digital shift
@@ -125,7 +126,8 @@ class ChannelFamily:
     builder: Callable[[np.ndarray], ChannelLike]
     # layouts cannot be inferred when a channel shrinks the system; families
     # that change dimensions report the output layout per parameter point
-    out_layout: Optional[Callable[[np.ndarray], tuple]] = None
+    # and input state, and raise LayoutMismatch for a state they do not take
+    out_layout: Optional[Callable[[np.ndarray, DensityMatrix], tuple]] = None
     # set by _local_family only: every site's Kraus stack built straight from
     # an (S, n_params) matrix, per site an (S, K, d, d) stack and the (S,)
     # count of leading operators each point uses
@@ -226,7 +228,7 @@ class ChannelFamily:
                 kraus = [np.asarray(c.kraus)[None] for c in ch.channels]
                 yield np.array([i]), ch.out_dims, _apply_local(kraus, mat[None], rho.dims)
             else:
-                lay = _output_layout(ch, rho, self.out_layout(p) if self.out_layout else None)
+                lay = _output_layout(ch, rho, self.out_layout(p, rho) if self.out_layout else None)
                 yield np.array([i]), lay.dims, ch.apply_raw(mat)[None]
 
 
@@ -273,7 +275,8 @@ def partial_trace_family(layout) -> ChannelFamily:
     """Discrete family over the drop sets that leave at least two subsystems.
 
     The single parameter is a continuous index rounded to the nearest choice,
-    so the same search machinery applies.
+    so the same search machinery applies. It takes states of ``layout``
+    only, and raises :class:`LayoutMismatch` for any other.
     """
     lay = as_layout(layout)
     n = lay.n
@@ -293,7 +296,8 @@ def partial_trace_family(layout) -> ChannelFamily:
     def build(p: np.ndarray) -> KrausChannel:
         return partial_trace_channel(lay, pick(p))
 
-    def kept_layout(p: np.ndarray):
+    def kept_layout(p: np.ndarray, rho: DensityMatrix):
+        _check_sites(lay.dims, rho)
         drop = set(pick(p))
         return tuple(d for i, d in enumerate(lay.dims) if i not in drop)
 
@@ -425,9 +429,10 @@ def maximize_phi(
     evaluation.
 
     The restarts run in lockstep: each round scores one point from every live
-    restart as one stack. ``trace`` lists each restart's evaluations in
-    restart order, then the polish's, and equals a one-at-a-time search's,
-    bit for bit.
+    restart as one stack. A point the search has already scored takes its
+    value from a memo, keyed by the point's bytes, but still counts as an
+    evaluation. ``trace`` lists each restart's evaluations in restart order,
+    then the polish's, and equals a one-at-a-time search's, bit for bit.
     """
     budget = _int(budget, 1, BadBudget, "budget")
     restarts = _int(restarts, 1, BadParameter, "restarts")
@@ -439,9 +444,18 @@ def maximize_phi(
     highs = np.array([b[1] for b in family.box])
 
     trace: list[tuple[tuple[float, ...], float]] = []
+    memo: dict[bytes, float] = {}
+
+    def score(points: np.ndarray) -> list:
+        # the points not scored yet, each once, in first-seen order
+        keys = [p.tobytes() for p in points]
+        new = {k: p for k, p in zip(keys, points) if k not in memo}
+        if new:
+            memo.update(zip(new, _scores(family, np.array(list(new.values())), rho, mode)))
+        return [memo[k] for k in keys]
 
     def run(chains: list) -> None:
-        for log in _lockstep(chains, lambda points: _scores(family, points, rho, mode)):
+        for log in _lockstep(chains, score):
             trace.extend(log)
 
     starts = lows + unit * (highs - lows)

@@ -667,7 +667,7 @@ def convexity_check(
     """phi(t rho1 + (1 - t) rho2) against t phi(rho1) + (1 - t) phi(rho2) for
     each t of ``t_grid``: :func:`_convexity_violations` on a stack of one pair."""
     if rho1.dims != rho2.dims:
-        raise BadParameter("states must share a layout")
+        raise LayoutMismatch("states must share a layout")
     viol = _convexity_violations(rho1.mat[None], rho2.mat[None], rho1.dims, t_grid, mode)[0]
     viol = tuple(viol.tolist())
     return ConvexityReport(tuple(float(t) for t in t_grid), viol, max(viol))
@@ -704,7 +704,7 @@ def lipschitz_check(rho1: DensityMatrix, rho2: DensityMatrix, mode: str = "margi
     """Compares the sqrt-phi gap against the state distance (1-Lipschitz
     bound); :func:`_lipschitz_sides` on a stack of one pair."""
     if rho1.dims != rho2.dims:
-        raise BadParameter("states must share a layout")
+        raise LayoutMismatch("states must share a layout")
     lhs, rhs = _lipschitz_sides(rho1.mat[None], rho2.mat[None], rho1.dims, mode)
     lhs, rhs = float(lhs[0]), float(rhs[0])
     return LipschitzReport(lhs=lhs, rhs=rhs, violation=lhs - rhs)

@@ -31,7 +31,7 @@ import numpy as np
 from .blanket import _scan, petz_recover
 from .channels import _apply_kraus, _apply_local, _random_kraus
 from .divergence import (
-    LN2, _grams, _kernel_min_eigenvalue, _negative_type, _pair_divergences, _pair_entropies,
+    LN2, _ensemble_entropies, _grams, _kernel_min_eigenvalue, _negative_type, _pair_divergences,
     _stack_len,
 )
 from .errors import ConfigInvalid
@@ -305,7 +305,7 @@ def _check_metric_axioms(cfg: VerifyConfig, rng):
     for lay in cfg.layouts:
         # sample i is the pair (state i, state i + 1)
         for _, ab, _ in _samples(rng, (lay,), count, (0, 1)):
-            s_a, s_b, s_mid = _pair_entropies(ab[:, 0], ab[:, 1])
+            (s_a, s_b), (s_mid,) = (e.T for e in _ensemble_entropies([ab[:, 0], ab[:, 1]]))
             dab = s_mid - 0.5 * s_a - 0.5 * s_b
             dba = s_mid - 0.5 * s_b - 0.5 * s_a
             # a state is its own midpoint (a + a)/2 exactly

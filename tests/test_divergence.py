@@ -215,3 +215,35 @@ def test_pair_divergences_split_their_own_stacks(monkeypatch):
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", cap)
     assert np.array_equal(divergence_module._pair_divergences(mats, mats[::-1]), want)
     assert len(sizes) == -(-len(mats) // 2) and max(sizes) <= cap
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_grams_split_many_ensembles_into_runs_of_whole_samples(m, monkeypatch):
+    # (T, 3, D, D) as the triangle check stacks them, (T, 8, D, D) as the
+    # negative-type check does
+    dims, count = (2, 2), 5
+    ensembles = [
+        [ginibre_mixed(dims, 1 + (t + k) % 4, substream(t, f"gram-runs-{k}")) for k in range(m)]
+        for t in range(count)
+    ]
+    want = np.stack([qjsd_gram(e) for e in ensembles])
+    mats = np.stack([[s.mat for s in e] for e in ensembles])
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def record(x):
+        sizes.append(x.nbytes)
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    # the bytes of one sample's m states and m(m-1)/2 midpoints
+    one = (m + m * (m - 1) // 2) * mats[0, 0].nbytes
+    for cap in (divergence_module._STACK_BYTES, 1, one, 2 * one, one // 2):
+        monkeypatch.setattr(divergence_module, "_STACK_BYTES", cap)
+        sizes.clear()
+        assert np.array_equal(divergence_module._grams(mats), want), cap
+        # every state and midpoint is eigensolved once, in stacks within the
+        # cap; a cap that holds a whole sample takes runs of whole samples
+        assert sum(sizes) == count * one
+        assert max(sizes) <= max(cap, mats[0, 0].nbytes)
+        if cap >= one:
+            assert len(sizes) == -(-count // (cap // one))

@@ -292,7 +292,7 @@ def _reference_output(family, p, rho):
     ch = family.instantiate(p)
     if isinstance(ch, LocalChannel):
         return apply_local(ch, rho)
-    lay = family.out_layout(np.asarray(p, dtype=float)) if family.out_layout else None
+    lay = family.out_layout(np.asarray(p, dtype=float), rho) if family.out_layout else None
     return apply_channel(ch, rho, lay)
 
 
@@ -390,6 +390,12 @@ def test_family_outputs_refuse_a_state_of_another_layout():
     for family in (local_depolarizing_family((3, 2)), local_dephasing_family((2, 2, 2))):
         with pytest.raises(LayoutMismatch):
             family.apply([0.5] * family.n_params, bell())
+    # a partial trace of (2, 2, 2) fits the dimension of a (4, 2) state, not its layout
+    family = partial_trace_family((2, 2, 2))
+    with pytest.raises(LayoutMismatch):
+        family.apply([0.0], ginibre_mixed((4, 2), 8, 0))
+    with pytest.raises(LayoutMismatch):
+        maximize_phi(ginibre_mixed((4, 2), 8, 0), family, budget=10, restarts=1)
 
 
 def test_search_refuses_outputs_of_one_subsystem():
@@ -522,6 +528,23 @@ def test_lockstep_search_equals_the_sequential_oracle(state, family, budget, res
     fam = SEARCH_FAMILIES[family](rho.layout)
     got = maximize_phi(rho, fam, budget, restarts, seed)
     assert _fields(got) == _fields(_sequential_search(rho, fam, budget, restarts, seed))
+
+
+def test_search_scores_each_distinct_point_once(monkeypatch):
+    scored = []
+
+    def recorder(family, params, rho, mode):
+        scored.extend(map(tuple, params.tolist()))
+        return _scores(family, params, rho, mode)
+
+    monkeypatch.setattr(observer, "_scores", recorder)
+    rho = bell()
+    res = maximize_phi(rho, local_depolarizing_family(rho.layout), 300, 8, 0)
+    distinct = {p for p, _ in res.trace}
+    # golden-section lines from the same point repeat points (240 of 296
+    # are distinct), and each repeat still counts as an evaluation
+    assert len(distinct) < res.evaluations == len(res.trace)
+    assert len(scored) == len(set(scored)) and set(scored) == distinct
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,11 @@ def test_partitions_over_another_n_are_refused():
         divergence_for_partition(rho, p4)
     with pytest.raises(LayoutMismatch):
         merge_inequality_check(rho, as_partition([[0], [1], [2, 3]], 4), 0, 1)
+    # the pair checks refuse two states of different layouts the same way
+    with pytest.raises(LayoutMismatch):
+        convexity_check(rho, ghz(4))
+    with pytest.raises(LayoutMismatch):
+        lipschitz_check(rho, ghz(4))
 
 
 def test_partition_blocks_and_probe_starts_must_be_integers():
