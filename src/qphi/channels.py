@@ -23,13 +23,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, IndexOutOfRange, LayoutMismatch
+from .errors import BadParameter, IndexOutOfRange, LayoutMismatch
 from .states import (
     DensityMatrix,
     SeedLike,
     SubsystemLayout,
+    _array,
     _indices,
     _int,
+    _pairs,
     _real,
     as_layout,
     rng_from,
@@ -52,14 +54,9 @@ class KrausChannel:
         _int(self.out_dim, 1, BadParameter, "out_dim")
         ops = []
         for k in self.kraus:
-            arr = np.asarray(k, dtype=complex)
-            if arr.shape != (self.out_dim, self.in_dim):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {arr.shape} != ({self.out_dim}, {self.in_dim})"
-                )
+            arr = _array(k, (self.out_dim, self.in_dim), "Kraus operator").copy()
             if not np.isfinite(arr).all():
                 raise BadParameter("Kraus operator has non-finite entries")
-            arr = arr.copy()
             arr.setflags(write=False)
             ops.append(arr)
         if not ops:
@@ -279,7 +276,7 @@ def _weyl_ops(d: int) -> tuple[np.ndarray, ...]:
 def depolarizing(p: float, d: int = 2) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, via the Heisenberg-Weyl twirl."""
     p = _real(p, BadParameter, "depolarizing strength")
-    d = _int(d, 1, BadParameter, "depolarizing dimension")
+    d = _int(d, 2, BadParameter, "depolarizing dimension")
     ops, count = _depolarizing_kraus(np.array([p]), d)
     return KrausChannel(d, d, tuple(ops[0, : count[0]]))
 
@@ -322,7 +319,8 @@ def partial_trace_channel(layout, drop: Sequence[int]) -> KrausChannel:
 
 
 def local_dephasing(angles: Sequence[tuple[float, float]]) -> LocalChannel:
-    return LocalChannel(tuple(dephasing(t, p) for t, p in angles))
+    pairs = _pairs(angles, "dephasing angles (theta, phi)")
+    return LocalChannel(tuple(dephasing(t, p) for t, p in pairs))
 
 
 def local_depolarizing(ps: Sequence[float], dims: Sequence[int]) -> LocalChannel:

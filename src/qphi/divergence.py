@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BadParameter, LayoutMismatch, NumericalBreakdown, TooFewStates
-from .states import DensityMatrix, _int, rng_from
+from .states import DensityMatrix, _array, _int, rng_from
 
 LN2 = float(np.log(2.0))
 
@@ -45,18 +45,18 @@ def entropies(spectra: np.ndarray) -> np.ndarray:
     with 0 ln 0 == 0.
 
     Eigenvalues in [-1e-9, 0] count as exact zeros: each adds an exact 0 to
-    its row's sum. Anything lower raises :class:`NumericalBreakdown`.
+    its row's sum. Anything lower, or NaN, raises :class:`NumericalBreakdown`.
     """
     w = np.asarray(spectra, dtype=float)
     lo = float(w.min()) if w.size else 0.0
-    if lo < -_EIG_FAIL_TOL:
-        raise NumericalBreakdown(f"eigenvalue {lo:.3e} below -{_EIG_FAIL_TOL}")
+    if not lo >= -_EIG_FAIL_TOL:  # NaN fails every comparison
+        raise NumericalBreakdown(f"eigenvalue {lo:.3e} is not at least -{_EIG_FAIL_TOL}")
     p = np.where(w > 0.0, w, 1.0)  # 1 ln 1 == 0 stands in for 0 ln 0
     return -np.sum(p * np.log(p), axis=-1)
 
 
 def von_neumann_entropy(rho: Union[DensityMatrix, np.ndarray]) -> float:
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _array(rho, (None, None), "matrix")
     return float(entropies(np.linalg.eigvalsh(mat)))
 
 

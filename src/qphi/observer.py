@@ -49,7 +49,8 @@ from .errors import BadBudget, BadParameter, GridTooLarge
 from .phi import _phis
 from .phi import phi as phi_fn
 from .search import _golden
-from .states import DensityMatrix, _indices, _int, _real, _validate_stack, as_layout, substream
+from .states import DensityMatrix, _array, _indices, _int, _pairs, _real, _validate_stack
+from .states import as_layout, substream
 
 ChannelLike = Union[KrausChannel, LocalChannel]
 
@@ -136,14 +137,8 @@ class ChannelFamily:
     )
 
     def __post_init__(self):
-        try:
-            pairs = [tuple(b) for b in self.box]
-        except TypeError:
-            raise BadParameter(f"box must be (low, high) pairs, got {self.box!r}") from None
         box = []
-        for pair in pairs:
-            if len(pair) != 2:
-                raise BadParameter(f"box must be (low, high) pairs, got {pair!r}")
+        for pair in _pairs(self.box, "box entries (low, high)"):
             lo, hi = (_real(x, BadParameter, "parameter bounds") for x in pair)
             if lo > hi:
                 raise BadParameter(f"malformed parameter interval ({lo}, {hi})")
@@ -155,10 +150,7 @@ class ChannelFamily:
         return len(self.box)
 
     def _point(self, params: Sequence[float]) -> np.ndarray:
-        p = np.asarray(params, dtype=float)
-        if p.shape != (self.n_params,):
-            raise BadParameter(f"expected {self.n_params} parameters, got shape {p.shape}")
-        return p
+        return _array(params, (self.n_params,), "parameter point", float)
 
     def _check(self, params: np.ndarray) -> None:
         """Raise unless every entry of an (S, n_params) matrix is finite and

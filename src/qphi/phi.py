@@ -70,6 +70,7 @@ from .errors import (
     BadParameter,
     InvalidPartition,
     LayoutMismatch,
+    NumericalBreakdown,
     SingleSubsystem,
 )
 from .states import (
@@ -181,6 +182,8 @@ def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
     for p in parts:
         if p.n != rho.n:
             raise LayoutMismatch(f"partition over n={p.n} applied to state with n={rho.n}")
+    if not parts:
+        return []
     return _partition_divergences(np.asarray(rho.mat)[None], rho.dims, parts)[0].tolist()
 
 
@@ -482,8 +485,10 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     states go through the cut plan together: per chunk of cuts, one partial
     trace per side gives each mixed state's marginals, stacked eigensolves
     their spectra, and the branch is chosen per state and cut; only the dense
-    branch's (state, cut) pairs are gathered in (A, B) order. No stack holds
-    more than ``_STACK_BYTES`` of matrices.
+    branch's (state, cut) pairs are gathered in (A, B) order. Callers pass
+    at most ``_stack_len(D)`` states, and no stack built here holds more than
+    ``_STACK_BYTES`` of matrices. A state of rank 0, which is neither pure nor
+    mixed, raises :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
@@ -492,57 +497,56 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     plan = _cut_plan(dims, step)
     base = np.arange(dim).reshape(dims)
     out = np.empty((count, 2 ** (len(dims) - 1) - 1))
-    for s0 in range(0, count, step):
-        chunk = mats[s0:s0 + step]
-        res = out[s0:s0 + step]
-        w, v = np.linalg.eigh(chunk)
-        rank = _rank(w)
-        s_rho = entropies(w)
-        pure = np.flatnonzero(rank == 1)
-        mixed = np.flatnonzero(rank > 1)
-        # the factor X of a pure state is its one column, and a stack of
-        # these vectors takes about D times as many cuts as one of matrices
-        psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
-        for da, index, sides in _cut_plan(dims, vstep) if pure.size else ():
-            perm = _perm(base, sides)
-            per = max(1, vstep // len(index))
-            for p0 in range(0, pure.size, per):
-                sel = pure[p0:p0 + per]
-                lam, mid = _schmidt_midpoint(psi[p0:p0 + per][:, perm], da)
-                # rho_A and rho_B of a pure state share the spectrum lam
-                s_sigma = 2.0 * entropies(lam)
-                res[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-        for _, index, sides in plan if mixed.size else ():
-            perm = _perm(base, sides)
-            per = max(1, step // len(index))
-            for m0 in range(0, mixed.size, per):
-                sel = mixed[m0:m0 + per]
-                states = chunk if sel.size == len(chunk) else chunk[sel]
-                marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
-                rho_a, rho_b = (np.stack(m, axis=1) for m in zip(*marg))
-                wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
-                s_sigma = entropies(wa) + entropies(wb)
-                s_mid = np.empty(s_sigma.shape)
-                ra, rb = _rank(wa), _rank(wb)
-                gram = rank[sel, None] + ra * rb < dim
-                # full-rank marginals, so the Gram branch does not apply
-                resolvent = (ra * rb == dim) & _resolvent_pays(dim, rank[sel, None])
-                fast = gram | resolvent
-                i, c = np.nonzero(~fast)
-                if i.size:
-                    # the dense pairs only: at most ``step`` D x D matrices
-                    p = perm[c]
-                    rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
-                    s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
-                for i, c in zip(*np.nonzero(fast)):
-                    x = _factor(w[sel[i]], v[sel[i]])[perm[c]]
-                    if gram[i, c]:
-                        s_mid[i, c] = entropies(_gram_midpoint(x, rho_a[i, c], rho_b[i, c]))
-                    else:
-                        s_mid[i, c] = _resolvent_midpoint(
-                            x, rho_a[i, c], rho_b[i, c], wa[i, c], wb[i, c]
-                        )
-                res[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
+    w, v = np.linalg.eigh(mats)
+    rank = _rank(w)
+    if not rank.all():
+        raise NumericalBreakdown("a state has no eigenvalue above the noise floor")
+    s_rho = entropies(w)
+    pure = np.flatnonzero(rank == 1)
+    mixed = np.flatnonzero(rank > 1)
+    # the factor X of a pure state is its one column, and a stack of
+    # these vectors takes about D times as many cuts as one of matrices
+    psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
+    for da, index, sides in _cut_plan(dims, vstep) if pure.size else ():
+        perm = _perm(base, sides)
+        per = max(1, vstep // len(index))
+        for p0 in range(0, pure.size, per):
+            sel = pure[p0:p0 + per]
+            lam, mid = _schmidt_midpoint(psi[p0:p0 + per][:, perm], da)
+            # rho_A and rho_B of a pure state share the spectrum lam
+            s_sigma = 2.0 * entropies(lam)
+            out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
+    for _, index, sides in plan if mixed.size else ():
+        perm = _perm(base, sides)
+        per = max(1, step // len(index))
+        for m0 in range(0, mixed.size, per):
+            sel = mixed[m0:m0 + per]
+            states = mats if sel.size == len(mats) else mats[sel]
+            marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
+            rho_a, rho_b = (np.stack(m, axis=1) for m in zip(*marg))
+            wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
+            s_sigma = entropies(wa) + entropies(wb)
+            s_mid = np.empty(s_sigma.shape)
+            ra, rb = _rank(wa), _rank(wb)
+            gram = rank[sel, None] + ra * rb < dim
+            # full-rank marginals, so the Gram branch does not apply
+            resolvent = (ra * rb == dim) & _resolvent_pays(dim, rank[sel, None])
+            fast = gram | resolvent
+            i, c = np.nonzero(~fast)
+            if i.size:
+                # the dense pairs only: at most ``step`` D x D matrices
+                p = perm[c]
+                rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
+                s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
+            for i, c in zip(*np.nonzero(fast)):
+                x = _factor(w[sel[i]], v[sel[i]])[perm[c]]
+                if gram[i, c]:
+                    s_mid[i, c] = entropies(_gram_midpoint(x, rho_a[i, c], rho_b[i, c]))
+                else:
+                    s_mid[i, c] = _resolvent_midpoint(
+                        x, rho_a[i, c], rho_b[i, c], wa[i, c], wb[i, c]
+                    )
+            out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out
 
 

@@ -10,7 +10,9 @@ policy. Dimensions, counts, indices and seeds must be integers, checked by
 :func:`_int` (a floor) and :func:`_indices` (a range): floats, bools and
 strings are refused, not truncated. Real parameters (strengths, angles,
 bounds, weights, tolerances) must be finite real numbers, checked by
-:func:`_real`: bools, strings, NaN and infinities are refused.
+:func:`_real`: bools, strings, NaN and infinities are refused. Arrays (matrices,
+vectors, Kraus operators, parameter points) must hold numbers and have the
+expected shape, checked by :func:`_array`: bools, strings and None are refused.
 """
 from __future__ import annotations
 
@@ -77,12 +79,41 @@ def _real(value, exc: type, what: str) -> float:
     return float(value)
 
 
+def _pairs(values, what: str) -> list[tuple]:
+    """``values`` as a list of 2-tuples; anything else raises BadParameter."""
+    try:
+        pairs = [tuple(v) for v in values]
+    except TypeError:
+        raise BadParameter(f"{what} must be pairs, got {values!r}") from None
+    for pair in pairs:
+        if len(pair) != 2:
+            raise BadParameter(f"{what} must be pairs, got {pair!r}")
+    return pairs
+
+
 def _int(value, lo: int, exc: type, what: str) -> int:
     """``value`` as an int of at least ``lo``; anything else raises ``exc``."""
     if not _is_int(value) or value < lo:
         floor = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
         raise exc(f"{what} must be {floor}, got {value!r}")
     return int(value)
+
+
+def _array(values, shape: tuple, what: str, dtype: type = complex) -> np.ndarray:
+    """``values`` as a ``dtype`` array of shape ``shape``, copied only to convert;
+    a None in ``shape`` is the first axis's length, so (None, None) is square.
+    Anything but numbers (real ones for a real ``dtype``) raises BadParameter,
+    another shape DimensionMismatch."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise BadParameter(f"{what} must be an array of numbers, not ragged") from None
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise BadParameter(f"{what} must be an array of numbers, got {arr.dtype} entries")
+    want = tuple(arr.shape[0] if s is None and arr.ndim else s for s in shape)
+    if arr.shape != want:
+        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {want}")
+    return arr.astype(dtype, copy=False)
 
 
 def _indices(values: Iterable, n: int, exc: type, what: str) -> list[int]:
@@ -133,9 +164,9 @@ def as_layout(layout) -> SubsystemLayout:
 class DensityMatrix:
     """A density operator together with its subsystem layout.
 
-    Construction does only the layout's checks and a shape check; use
-    :func:`validate_state` for untrusted matrices (it enforces hermiticity,
-    unit trace and positivity).
+    Construction does only the layout's checks and :func:`_array`'s (a D x D
+    array of numbers); use :func:`validate_state` for untrusted matrices (it
+    also enforces finiteness, hermiticity, unit trace and positivity).
     """
 
     layout: SubsystemLayout
@@ -144,12 +175,7 @@ class DensityMatrix:
     def __post_init__(self):
         layout = as_layout(self.layout)
         object.__setattr__(self, "layout", layout)
-        arr = np.asarray(self.mat, dtype=complex)
-        if arr.shape != (layout.dim, layout.dim):
-            raise DimensionMismatch(
-                f"matrix shape {arr.shape} does not match layout dimension {layout.dim}"
-            )
-        arr = arr.copy()
+        arr = _array(self.mat, (layout.dim, layout.dim), "density matrix").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
@@ -224,19 +250,12 @@ def enumerate_bipartitions(n_or_layout) -> list[Bipartition]:
 def validate_state(mat, layout) -> DensityMatrix:
     """Check an untrusted matrix and return a cleaned DensityMatrix.
 
-    Non-finite entries are refused. Hermiticity, trace and positivity are
-    enforced at 1e-9; eigenvalues in [-1e-9, 0) are clipped to zero and the
-    spectrum renormalized to unit trace.
+    A D x D array of numbers (:func:`_array`) with finite entries is required.
+    Hermiticity, trace and positivity are enforced at 1e-9; eigenvalues in
+    [-1e-9, 0) are clipped to zero and the spectrum renormalized to unit trace.
     """
     lay = as_layout(layout)
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != lay.dim:
-        raise DimensionMismatch(
-            f"matrix dimension {arr.shape[0]} does not match layout product {lay.dim}"
-        )
-    return DensityMatrix(lay, _validate_stack(arr[None])[0])
+    return DensityMatrix(lay, _validate_stack(_array(mat, (lay.dim,) * 2, "matrix")[None])[0])
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -413,6 +432,8 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """A named, reproducible child stream of the given seed."""
     import hashlib  # here, not at the top: only seeded generators need it
 
+    if not isinstance(name, str):
+        raise BadParameter(f"stream name must be a string, got {name!r}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = tuple(int.from_bytes(digest[4 * k : 4 * k + 4], "big") for k in range(4))
     entropy = _int(seed, 0, BadParameter, "seed")
@@ -420,22 +441,20 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 def pure_state(vec: np.ndarray, layout) -> DensityMatrix:
+    """|v><v|/<v|v> of a 1-D vector v of D finite numbers, not all zero."""
     lay = as_layout(layout)
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    if v.shape[0] != lay.dim:
-        raise DimensionMismatch(f"vector length {v.shape[0]} does not match layout {lay.dims}")
-    return DensityMatrix(lay, _pure_stack(v))
+    return DensityMatrix(lay, _pure_stack(_array(vec, (lay.dim,), "state vector")))
 
 
 def _pure_stack(v: np.ndarray) -> np.ndarray:
     """|v><v|/<v|v> of a vector, or of each row of a stack of them, kept
     exactly hermitian. The norm is taken as np.linalg.norm takes it, one
     BLAS dot per real and imaginary part, so a stack matches the per-vector
-    results bit for bit."""
+    results bit for bit. A vector whose norm is zero or not finite is refused."""
     re, im = v.real[..., None, :], v.imag[..., None, :]
     sq = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
-    if (sq == 0.0).any():
-        raise BadParameter("zero vector cannot be normalized")
+    if not (np.isfinite(sq) & (sq > 0.0)).all():
+        raise BadParameter("a vector whose norm is zero or not finite cannot be normalized")
     v = v / np.sqrt(sq)
     proj = v[..., :, None] * v.conj()[..., None, :]
     return _hermitian_part(proj)  # keep the stored matrix exactly hermitian

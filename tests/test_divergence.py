@@ -14,7 +14,13 @@ from qphi.divergence import (
     qjsd_gram,
     von_neumann_entropy,
 )
-from qphi.errors import BadParameter, LayoutMismatch, NumericalBreakdown, TooFewStates
+from qphi.errors import (
+    BadParameter,
+    DimensionMismatch,
+    LayoutMismatch,
+    NumericalBreakdown,
+    TooFewStates,
+)
 from qphi.states import (
     bell,
     ginibre_mixed,
@@ -164,6 +170,23 @@ def test_entropies_raise_on_a_row_below_the_breakdown_floor():
         entropies(rows)
     with pytest.raises(NumericalBreakdown):
         entropies(rows[1])
+
+
+def test_entropies_raise_on_nan_eigenvalues():
+    # NaN compares false against the floor, so it must not pass as a zero
+    with pytest.raises(NumericalBreakdown):
+        entropies(np.array([np.nan, 0.5]))
+    with pytest.raises(NumericalBreakdown):
+        von_neumann_entropy(np.full((2, 2), np.nan))
+
+
+def test_von_neumann_entropy_takes_a_square_matrix_of_numbers():
+    with pytest.raises(DimensionMismatch):
+        von_neumann_entropy([[1.0, 0.0]])
+    with pytest.raises(BadParameter):
+        von_neumann_entropy([["1", "0"], ["0", "0"]])
+    rho = ginibre_mixed((2, 2), 3, substream(4, "vne-array"))
+    assert von_neumann_entropy(np.asarray(rho.mat).tolist()) == von_neumann_entropy(rho)
 
 
 def _gram_ensemble(dims):

@@ -858,5 +858,6 @@ def test_closed_stdout_exits_141_without_an_error(args, stdin):
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert len(head) == 10
     assert err == ""

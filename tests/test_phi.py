@@ -9,6 +9,7 @@ from qphi.errors import (
     BadParameter,
     InvalidPartition,
     LayoutMismatch,
+    NumericalBreakdown,
     SingleSubsystem,
 )
 from qphi.phi import (
@@ -99,6 +100,11 @@ def test_phi_argument_validation():
         phi(maximally_mixed((4,)))
     with pytest.raises(BadParameter):
         phi(bell(), "fancy")
+    # the zero matrix has rank 0, neither pure nor mixed, so no branch scores it
+    with pytest.raises(NumericalBreakdown, match="noise floor"):
+        phi(DensityMatrix((2, 2, 2), np.zeros((8, 8))))
+    with pytest.raises(NumericalBreakdown, match="noise floor"):
+        phi_module._cut_divergences(np.stack([np.asarray(ghz(3).mat), np.zeros((8, 8))]), (2, 2, 2))
 
 
 def test_optimized_mode_never_exceeds_marginal():
@@ -191,6 +197,7 @@ def test_partitions_over_another_n_are_refused():
     rho = ghz(3)
     with pytest.raises(LayoutMismatch):
         partition_divergences(rho, [p4])
+    assert partition_divergences(rho, []) == []
     with pytest.raises(LayoutMismatch):
         divergence_for_partition(rho, p4)
     with pytest.raises(LayoutMismatch):

@@ -7,8 +7,9 @@ import pytest
 
 import qphi.states as states
 from qphi.blanket import blanket_scan
-from qphi.channels import KrausChannel, dephasing, depolarizing, random_channel
+from qphi.channels import KrausChannel, dephasing, depolarizing, local_dephasing, random_channel
 from qphi.dendrogram import stability_probe
+from qphi.divergence import von_neumann_entropy
 from qphi.errors import (
     BadBudget,
     BadParameter,
@@ -252,6 +253,7 @@ _DEPHASING = local_dephasing_family((2, 2))
         (lambda: random_channel(2, 2, 1.5, 0), BadParameter),
         (lambda: KrausChannel(2.0, 2.0, (np.eye(2),)), BadParameter),
         (lambda: depolarizing(0.1, 2.0), BadParameter),
+        (lambda: depolarizing(0.5, 1), BadParameter),
         (lambda: ghz(3.0), BadParameter),
         (lambda: PartitionKBlocks((frozenset({0}), frozenset({1, 2})), 3.0), InvalidPartition),
         (lambda: enumerate_bipartitions(True), BadParameter),
@@ -265,8 +267,8 @@ _DEPHASING = local_dephasing_family((2, 2))
          "budget-float", "restarts-float", "budget-bool", "axis-index-float",
          "axis-points-float", "fixed-key-float", "blanket-size-float", "blanket-size-bool",
          "rank-float", "cut-n-float", "kraus-count-float", "kraus-dims-float",
-         "depolarizing-d-float", "qubits-float", "partition-n-float", "cuts-n-bool",
-         "cut-of-n-float", "partitions-n-float", "merge-index-float"],
+         "depolarizing-d-float", "depolarizing-d-one", "qubits-float", "partition-n-float",
+         "cuts-n-bool", "cut-of-n-float", "partitions-n-float", "merge-index-float"],
 )
 def test_integers_are_checked_not_truncated(call, exc):
     with pytest.raises(exc, match="integer"):
@@ -317,10 +319,12 @@ def _no_channel(params):
         lambda: dephasing("a", 0.0),
         lambda: dephasing(0.0, float("nan")),
         lambda: observer_spectrum(bell(), _DEPHASING, [(0, 3)], fixed={1: "0.3"}),
+        lambda: local_dephasing([1.0]),
+        lambda: local_dephasing([(0.0, 0.0, 0.0)]),
     ],
     ids=["box-str", "box-single", "box-int", "box-bool", "box-inf", "family-none", "eps-str",
          "eps-nan", "t-grid-str", "t-grid-bool", "depolarizing-str", "depolarizing-bool",
-         "dephasing-str", "dephasing-nan", "fixed-str"],
+         "dephasing-str", "dephasing-nan", "fixed-str", "angles-not-pair", "angles-triple"],
 )
 def test_real_parameters_must_be_finite_real_numbers(call):
     with pytest.raises(BadParameter, match="finite real number|pairs"):
@@ -336,6 +340,62 @@ def test_real_parameters_accept_integers_and_numpy_reals():
     assert [k.tobytes() for k in dephasing(1, np.float32(0.0)).kraus] == [
         k.tobytes() for k in dephasing(1.0, 0.0).kraus
     ]
+
+
+_ARRAY_SITES = {
+    "density-matrix": (lambda x: DensityMatrix((2,), x), np.eye(3)),
+    "validate-state": (lambda x: validate_state(x, (2,)), np.eye(3) / 3),
+    "pure-state": (lambda x: pure_state(x, (2,)), np.array([[1.0], [0.0]])),
+    "kraus": (lambda x: KrausChannel(2, 2, (x,)), np.eye(2)[:1]),
+    "family-apply": (lambda x: _DEPHASING.apply(x, ghz(2)), [0.0, 0.0, 0.0]),
+    "family-instantiate": (lambda x: _DEPHASING.instantiate(x), [[0.0, 0.0, 0.0, 0.0]]),
+    "entropy": (von_neumann_entropy, [[1.0, 0.0]]),
+}
+_NOT_NUMBERS = {
+    "str": "ab",
+    "numeric-str": [["1", "0"], ["0", "1"]],
+    "none": None,
+    "ragged": [[1.0, 0.0], [0.0]],
+    "bool": np.eye(2, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ARRAY_SITES))
+@pytest.mark.parametrize("value", sorted(_NOT_NUMBERS) + ["wrong-shape"])
+def test_arrays_must_be_numbers_of_the_expected_shape(site, value):
+    call, wrong_shape = _ARRAY_SITES[site]
+    if value == "wrong-shape":
+        with pytest.raises(DimensionMismatch, match="shape"):
+            call(wrong_shape)
+    else:
+        with pytest.raises(BadParameter, match="array of numbers"):
+            call(_NOT_NUMBERS[value])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_pure_state_refuses_non_finite_entries(bad):
+    with pytest.raises(BadParameter):
+        pure_state([bad, 1.0], (2,))
+
+
+def test_array_rule_keeps_valid_inputs_bit_for_bit():
+    # a complex array of the right shape passes unconverted, and lists, ints
+    # and reals convert as np.asarray(..., dtype=complex) does
+    mat = np.asarray(ginibre_mixed((2, 2), 4, substream(5, "array-rule")).mat)
+    assert states._array(mat, (4, 4), "m") is mat
+    assert np.array_equal(validate_state(mat.tolist(), (2, 2)).mat, validate_state(mat, (2, 2)).mat)
+    assert pure_state([1, 0], (2,)).mat.tobytes() == pure_state(np.eye(2)[0], (2,)).mat.tobytes()
+    ints, reals = (_DEPHASING.instantiate(p) for p in ([0, 1, 0, 1], np.array([0.0, 1.0, 0.0, 1.0])))
+    assert [k.tobytes() for c in ints.channels for k in c.kraus] == [
+        k.tobytes() for c in reals.channels for k in c.kraus
+    ]
+    with pytest.raises(BadParameter, match="array of numbers"):
+        _DEPHASING.instantiate([0.0, 1.0j, 0.0, 0.0])
+
+
+def test_stream_names_must_be_strings():
+    with pytest.raises(BadParameter, match="string"):
+        substream(0, 5)
 
 
 def test_numpy_integers_are_accepted():
