@@ -31,6 +31,7 @@ from .states import (
     _array,
     _indices,
     _int,
+    _items,
     _pairs,
     _real,
     as_layout,
@@ -53,7 +54,7 @@ class KrausChannel:
         _int(self.in_dim, 1, BadParameter, "in_dim")
         _int(self.out_dim, 1, BadParameter, "out_dim")
         ops = []
-        for k in self.kraus:
+        for k in _items(self.kraus, BadParameter, "Kraus operators", "matrices"):
             arr = _array(k, (self.out_dim, self.in_dim), "Kraus operator").copy()
             if not np.isfinite(arr).all():
                 raise BadParameter("Kraus operator has non-finite entries")
@@ -98,9 +99,10 @@ class LocalChannel:
     channels: tuple[KrausChannel, ...]
 
     def __post_init__(self):
-        if not self.channels:
+        channels = tuple(_items(self.channels, BadParameter, "local channels", "channels"))
+        if not channels:
             raise BadParameter("local channel needs at least one site")
-        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "channels", channels)
 
     @property
     def in_dims(self) -> tuple[int, ...]:
@@ -324,6 +326,8 @@ def local_dephasing(angles: Sequence[tuple[float, float]]) -> LocalChannel:
 
 
 def local_depolarizing(ps: Sequence[float], dims: Sequence[int]) -> LocalChannel:
+    ps = _items(ps, BadParameter, "depolarizing strengths", "numbers")
+    dims = _items(dims, BadParameter, "subsystem dimensions", "integers")
     if len(ps) != len(dims):
         raise BadParameter("need one strength per subsystem")
     return LocalChannel(tuple(depolarizing(p, d) for p, d in zip(ps, dims)))

@@ -21,29 +21,26 @@ the two marginal spectra, and S(m) from one of four branches:
   Schmidt weights lambda, which are the spectrum of both marginals; m has
   eigenvalues lambda_i lambda_j / 2 for i != j and those of the r x r matrix
   (diag(lambda^2) + sqrt(lambda) sqrt(lambda)^T) / 2.
-- rank rho + rank rho_A * rank rho_B < D: m = Z Z^dag with Z = [X Y]/sqrt(2),
-  Y the Kronecker product of the marginal factors, so its non-zero spectrum
-  is that of the smaller Gram matrix Z^dag Z.
-- both marginals of full rank and r = rank rho small (:func:`_resolvent_pays`:
-  12 (r + 4) <= D and r^2 <= D): m is diag(a) + W W^dag in the eigenbasis of
-  sigma/2 = U diag(a) U^dag, U = U_A (x) U_B, with W = U^dag X / sqrt(2) of r
-  columns, and
-  S(m) = -sum_i (a_i + |w_i|^2) ln a_i - int_0^inf tr[(I + G)^-1 (H + G^2)] dt,
-  G(t) = W^dag (A + t)^-1 W, H(t) = W^dag A (A + t)^-2 W, from the integral
-  form of the matrix logarithm (Higham, Functions of Matrices, SIAM 2008)
-  and the Woodbury identity: r x r matrices only. The trapezoidal rule in
-  u = ln t, step 1/2 on [ln a_min - 37, 37], takes the integral to about
-  1e-16 (Trefethen & Weideman, SIAM Review 56, 2014); see
-  :func:`_resolvent_midpoint`.
+- rank r < D: m = diag(a) + W W^dag in the eigenbasis U = U_A (x) U_B of
+  sigma/2 = U diag(a) U^dag, with W = U^dag X / sqrt(2) (:func:`_sigma_basis`).
+  - r + rank rho_A * rank rho_B < D: m's non-zero spectrum is that of the
+    Gram matrix of [W, diag(sqrt a)] over the non-zero a, of that size.
+  - both marginals of full rank and r small (:func:`_resolvent_pays`:
+    12 (r + 4) <= D and r^2 <= D): S(m) = -sum_i (a_i + |w_i|^2) ln a_i -
+    int_0^inf tr[(I + G)^-1 (H + G^2)] dt with G(t) = W^dag (A + t)^-1 W and
+    H(t) = W^dag A (A + t)^-2 W, from the integral form of the matrix
+    logarithm (Higham, Functions of Matrices, SIAM 2008) and the Woodbury
+    identity: r x r matrices only (:func:`_resolvent_midpoint`).
 - otherwise: one dense eigensolve of m.
 
 The value of a cut does not depend on which side comes first, so each cut
 puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
 cached). A cut's marginals come straight from rho, one contraction per side
-(:func:`~qphi.states._partial_trace_raw`), with one stacked eigensolve per
-side. Only the dense branch reorders rho, gathering the cuts it scores for
-one stacked midpoint eigensolve; the others read permuted rows of psi or X.
+(:func:`~qphi.states._partial_trace_raw`), with one stacked eigvalsh per
+side, and one stacked eigh per side for the cuts in sigma's eigenbasis. Only
+the dense branch reorders rho, gathering the cuts it scores for one stacked
+midpoint eigensolve; the others read permuted rows of psi or X.
 A chunk holds at most 1 MB of D x D matrices, so D = 256 still goes one cut
 at a time. The kernel, :func:`_cut_divergences`, takes a stack of states of
 one layout and runs the plan once for all of them, choosing the branch per
@@ -257,8 +254,7 @@ def merge_inequality_check(rho: DensityMatrix, p: PartitionKBlocks, i: int, j: i
     """Divergence before and after merging two blocks; coarsening should not increase it."""
     if p.k < 3:
         raise InvalidPartition("merging requires at least 3 blocks")
-    before, after = partition_divergences(rho, [p, merge_blocks(p, i, j)])
-    return before, after
+    return tuple(partition_divergences(rho, [p, merge_blocks(p, i, j)]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +335,15 @@ def _refine_product(
 # ---------------------------------------------------------------------------
 # marginal-mode per-cut values
 
+def _kept(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of an ascending spectrum (or of each row of a stack
+    of them) lie above the eigensolver's noise floor D*eps*lambda_max."""
+    return w > w.shape[-1] * _EPS * w[..., -1:]
+
+
 def _rank(w: np.ndarray):
-    """Number of eigenvalues of an ascending spectrum (or of each row of a
-    stack of them) above the eigensolver's noise floor D*eps*lambda_max."""
-    return (w > w.shape[-1] * _EPS * w[..., -1:]).sum(axis=-1)
+    """Number of eigenvalues :func:`_kept`."""
+    return _kept(w).sum(axis=-1)
 
 
 def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -366,12 +367,23 @@ def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]
     return lam, np.concatenate([cross, core], axis=-1)
 
 
-def _gram_midpoint(x: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Non-zero spectrum of (X X^dag + Y Y^dag)/2, with Y Y^dag = rho_A (x) rho_B,
-    from the Gram matrix of [X Y]."""
-    y = _kron(_factor(*np.linalg.eigh(rho_a)), _factor(*np.linalg.eigh(rho_b)))
-    z = np.hstack([x, y])
-    return np.linalg.eigvalsh(z.conj().T @ z) / 2.0
+def _sigma_basis(x, ua, ub, wa, wb) -> tuple[np.ndarray, np.ndarray]:
+    """(W, a) with m = (X X^dag + rho_A (x) rho_B)/2 = diag(a) + W W^dag in the
+    eigenbasis U = U_A (x) U_B of the marginals' eigh (wa, ua) and (wb, ub):
+    W = U^dag X / sqrt(2), a = (w_A (x) w_B)/2, noise (:func:`_kept`) set to 0."""
+    w = ub.conj().T @ (ua.conj().T @ x.reshape(wa.size, -1)).reshape(wa.size, wb.size, -1)
+    a = np.multiply.outer(wa * _kept(wa), wb * _kept(wb)).reshape(-1) / 2.0
+    return w.reshape(x.shape) / math.sqrt(2.0), a
+
+
+def _gram_midpoint(w: np.ndarray, a: np.ndarray) -> float:
+    """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`), from
+    the Gram matrix of [W, diag(sqrt a)[:, k]], k the non-zero entries of a:
+    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k)."""
+    k = a > 0.0
+    c = w[k].conj().T * np.sqrt(a[k])
+    gram = np.block([[w.conj().T @ w, c], [c.conj().T, np.diag(a[k])]])
+    return float(entropies(np.linalg.eigvalsh(gram)))
 
 
 def _resolvent_pays(dim: int, r):
@@ -386,27 +398,21 @@ def _resolvent_pays(dim: int, r):
     return (12 * (r + 4) <= dim) & (r * r <= dim)
 
 
-def _resolvent_midpoint(
-    x: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, wa: np.ndarray, wb: np.ndarray
-) -> float:
-    """S(m) of the midpoint m = (X X^dag + rho_A (x) rho_B)/2 from r x r
-    matrices, r the columns of X, when both marginals have full rank; wa and
-    wb are their ascending spectra (the formula is in the module docstring).
+def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
+    """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`) from
+    r x r matrices, r the columns of W, when both marginals have full rank
+    (the formula is in the module docstring).
 
-    The integrand, in u = ln t, is analytic in |Im u| < pi: its poles sit at
-    t = -a_i and at minus the eigenvalues of m. The trapezoidal rule with
-    step h = 1/2 therefore errs by about exp(-2 pi^2 / h) = 7e-18 times the
-    integrand's size. The integrand is at most t / (2 a_min) and 1 / (2 t),
+    The integral is taken by the trapezoidal rule in u = ln t (Trefethen &
+    Weideman, SIAM Review 56, 2014). The integrand is analytic in
+    |Im u| < pi: its poles sit at t = -a_i and at minus the eigenvalues of m.
+    The step h = 1/2 therefore errs by about exp(-2 pi^2 / h) = 7e-18 times
+    the integrand's size. The integrand is at most t / (2 a_min) and 1 / (2 t),
     so the tails cut off below ln a_min - 37 and above 37 are each under
     e^-37 / 2 = 4e-17. The nodes go D at a time, so no table is larger than
     one D x D matrix.
     """
-    da, db = rho_a.shape[-1], rho_b.shape[-1]
-    dim, r = x.shape
-    ua, ub = np.linalg.eigh(rho_a)[1], np.linalg.eigh(rho_b)[1]
-    w = ub.conj().T @ (ua.conj().T @ x.reshape(da, db * r)).reshape(da, db, r)
-    w = w.reshape(dim, r) / math.sqrt(2.0)
-    a = np.multiply.outer(wa, wb).reshape(-1) / 2.0
+    dim, r = w.shape
     head = -float(np.dot(a + (w.real * w.real + w.imag * w.imag).sum(axis=1), np.log(a)))
     # row d holds conj(w_d)^T w_d as 2 r^2 reals, so each node's row of
     # (a_d + t)^-1, times this table, is G(t) (and of a_d (a_d + t)^-2, H(t))
@@ -477,24 +483,20 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """qjsd(rho, product_of_marginals(rho, cut)) for every state of an
     (S, D, D) stack and every canonical cut, in enumerate_bipartitions order:
     an (S, cuts) array, from one eigendecomposition of each state (the
-    branches are in the module docstring).
+    branches and the cut plan are in the module docstring).
 
-    Each cut works with its factors ordered (A, B), smaller side first, where
-    rho_A (x) rho_B is a plain Kronecker product; the reordering is a
-    permutation of the basis, which leaves every spectrum unchanged. The
-    states go through the cut plan together: per chunk of cuts, one partial
-    trace per side gives each mixed state's marginals, stacked eigensolves
-    their spectra, and the branch is chosen per state and cut; only the dense
-    branch's (state, cut) pairs are gathered in (A, B) order. Callers pass
-    at most ``_stack_len(D)`` states, and no stack built here holds more than
-    ``_STACK_BYTES`` of matrices. A state of rank 0, which is neither pure nor
-    mixed, raises :class:`NumericalBreakdown`.
+    Per chunk of cuts, the marginals' stacked eigvalsh spectra give S(sigma),
+    the ranks and each (state, cut) pair's branch. The dense pairs are
+    gathered in (A, B) order; the fast pairs take one stacked eigh per side
+    and one factor X per state. Callers pass at most ``_stack_len(D)``
+    states, and no stack built here holds more than ``_STACK_BYTES`` of
+    matrices. A state of rank 0, which is neither pure nor mixed, raises
+    :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
     step = _stack_len(dim)
     vstep = _stack_len(dim, 1)
-    plan = _cut_plan(dims, step)
     base = np.arange(dim).reshape(dims)
     out = np.empty((count, 2 ** (len(dims) - 1) - 1))
     w, v = np.linalg.eigh(mats)
@@ -516,7 +518,7 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             # rho_A and rho_B of a pure state share the spectrum lam
             s_sigma = 2.0 * entropies(lam)
             out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-    for _, index, sides in plan if mixed.size else ():
+    for _, index, sides in _cut_plan(dims, step) if mixed.size else ():
         perm = _perm(base, sides)
         per = max(1, step // len(index))
         for m0 in range(0, mixed.size, per):
@@ -527,25 +529,23 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
             s_sigma = entropies(wa) + entropies(wb)
             s_mid = np.empty(s_sigma.shape)
-            ra, rb = _rank(wa), _rank(wb)
-            gram = rank[sel, None] + ra * rb < dim
+            kept = _rank(wa) * _rank(wb)
+            gram = rank[sel, None] + kept < dim
             # full-rank marginals, so the Gram branch does not apply
-            resolvent = (ra * rb == dim) & _resolvent_pays(dim, rank[sel, None])
-            fast = gram | resolvent
+            fast = gram | ((kept == dim) & _resolvent_pays(dim, rank[sel, None]))
             i, c = np.nonzero(~fast)
             if i.size:
                 # the dense pairs only: at most ``step`` D x D matrices
                 p = perm[c]
                 rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
                 s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
-            for i, c in zip(*np.nonzero(fast)):
-                x = _factor(w[sel[i]], v[sel[i]])[perm[c]]
-                if gram[i, c]:
-                    s_mid[i, c] = entropies(_gram_midpoint(x, rho_a[i, c], rho_b[i, c]))
-                else:
-                    s_mid[i, c] = _resolvent_midpoint(
-                        x, rho_a[i, c], rho_b[i, c], wa[i, c], wb[i, c]
-                    )
+            i, c = np.nonzero(fast)
+            if i.size:
+                ua, ub = np.linalg.eigh(rho_a[i, c])[1], np.linalg.eigh(rho_b[i, c])[1]
+                x = {s: _factor(w[sel[s]], v[sel[s]]) for s in np.unique(i).tolist()}
+            for k, (s, cut) in enumerate(zip(i.tolist(), c.tolist())):
+                form = _sigma_basis(x[s][perm[cut]], ua[k], ub[k], wa[s, cut], wb[s, cut])
+                s_mid[s, cut] = (_gram_midpoint if gram[s, cut] else _resolvent_midpoint)(*form)
             out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out
 

@@ -53,13 +53,19 @@ def _is_int(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
-def _ints(values: Iterable, exc: type, what: str) -> list[int]:
-    """``values`` as ints; a string, a dict, anything not iterable, or an
-    entry that is not an integer, raises ``exc``."""
+def _items(values, exc: type, what: str, of: str) -> list:
+    """``values`` as a list; a string, a dict or anything not iterable raises
+    ``exc``, whose message names the entries wanted, ``of``."""
     # concrete types, not the slower abstract ones: layouts come through here
     if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
-        raise exc(f"{what} must be a list of integers, got {values!r}")
-    values = list(values)
+        raise exc(f"{what} must be a list of {of}, got {values!r}")
+    return list(values)
+
+
+def _ints(values: Iterable, exc: type, what: str) -> list[int]:
+    """``values`` as ints (:func:`_items`); an entry that is not an integer
+    raises ``exc``."""
+    values = _items(values, exc, what, "integers")
     for v in values:
         if not _is_int(v):
             raise exc(f"{what} must be integers, got {v!r}")
@@ -82,7 +88,7 @@ def _real(value, exc: type, what: str) -> float:
 def _pairs(values, what: str) -> list[tuple]:
     """``values`` as a list of 2-tuples; anything else raises BadParameter."""
     try:
-        pairs = [tuple(v) for v in values]
+        pairs = [tuple(v) for v in _items(values, BadParameter, what, "pairs")]
     except TypeError:
         raise BadParameter(f"{what} must be pairs, got {values!r}") from None
     for pair in pairs:

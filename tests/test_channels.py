@@ -5,6 +5,7 @@ import pytest
 
 from qphi.channels import (
     KrausChannel,
+    LocalChannel,
     apply_channel,
     apply_local,
     dephasing,
@@ -168,6 +169,24 @@ def test_kraus_operators_must_be_finite():
         k[1, 0] = bad
         with pytest.raises(BadParameter):
             KrausChannel(2, 2, (k,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KrausChannel(2, 2, None),
+        lambda: KrausChannel(2, 2, 5),
+        lambda: KrausChannel(2, 2, "ab"),
+        lambda: local_depolarizing(0.5, [2]),
+        lambda: local_depolarizing([0.5], 2),
+        lambda: local_dephasing(0.5),
+        lambda: LocalChannel(5),
+    ],
+    ids=["kraus-none", "kraus-int", "kraus-str", "strengths", "dims", "angles", "sites"],
+)
+def test_constructors_refuse_a_list_argument_that_is_not_a_list(build):
+    with pytest.raises(BadParameter, match="must be a list"):
+        build()
 
 
 def test_random_local_channel_shapes():

@@ -295,6 +295,13 @@ def test_checks_reject_an_unknown_mode_and_weights_outside_the_unit_interval():
         lipschitz_check(a, b, mode="exact")
 
 
+def _ghz_pm(n: int) -> np.ndarray:
+    """The equal mixture of the two GHZ states of n qubits."""
+    m = np.array(ghz(n).mat)
+    m[0, -1] = m[-1, 0] = 0.0
+    return m
+
+
 # States for the per-cut oracle, chosen so that every branch of the spectral
 # per-cut computation runs: label -> (state, branches its cuts take).
 def _oracle_states():
@@ -334,6 +341,9 @@ def _oracle_states():
         # rank 3 of 128: d_A = 2, 4 cuts have rank-deficient marginals, d_A = 8
         # cuts full-rank ones
         "rank3-2^7": (ginibre_mixed((2,) * 7, 3, seed("r2^7")), {"gram", "resolvent"}),
+        # GHZ+- (GHZ with its corner coherences zeroed), rank 2: every cut has
+        # the same value, so ``ties`` and ``optimal_cut`` see any round-off
+        "ghz-pm-2^5": (DensityMatrix((2,) * 5, _ghz_pm(5)), {"gram"}),
     }
 
 
@@ -457,26 +467,31 @@ def test_each_state_takes_the_expected_branches(monkeypatch):
         assert taken == branches, label
 
 
-def _resolvent_against_qjsd(rho: DensityMatrix, stride: int):
-    """(resolvent value, dense qjsd) of every stride-th cut whose marginals
-    have full rank, with the branch called directly, whatever
-    ``_resolvent_pays`` says; also the smallest ratio of a marginal
-    eigenvalue to ``_rank``'s floor."""
+def _fast_against_qjsd(rho: DensityMatrix, stride: int, branch: str):
+    """(fast-branch value, dense qjsd) of every stride-th of the cuts that
+    ``branch`` ("gram" or "resolvent") applies to, with the branch called
+    directly on the kernel's sigma-basis form, whatever ``_resolvent_pays``
+    says; also the smallest ratio of a kept marginal eigenvalue to ``_rank``'s
+    floor."""
     mat = np.asarray(rho.mat)
     w, v = np.linalg.eigh(mat)
     x = phi_module._factor(w, v)
     base = np.arange(rho.dim).reshape(rho.dims)
+    found = []
+    for cut in enumerate_bipartitions(rho.n):
+        marg = [_partial_trace_raw(mat, rho.dims, side) for side in cut.as_lists()]
+        wa, wb = (np.linalg.eigvalsh(m) for m in marg)
+        kept = phi_module._rank(wa) * phi_module._rank(wb)
+        if kept == rho.dim if branch == "resolvent" else x.shape[1] + kept < rho.dim:
+            found.append((cut, marg, wa, wb))
     pairs, margin = [], np.inf
-    for cut in enumerate_bipartitions(rho.n)[::stride]:
-        a_idx, b_idx = cut.as_lists()
-        rho_a, rho_b = (_partial_trace_raw(mat, rho.dims, side) for side in (a_idx, b_idx))
-        wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
-        if phi_module._rank(wa) * phi_module._rank(wb) < rho.dim:
-            continue
+    for cut, (rho_a, rho_b), wa, wb in found[::stride]:
         for ws in (wa, wb):
-            margin = min(margin, ws[0] / (ws.size * phi_module._EPS * ws[-1]))
-        perm = base.transpose(a_idx + b_idx).reshape(-1)
-        s_mid = phi_module._resolvent_midpoint(x[perm], rho_a, rho_b, wa, wb)
+            margin = min(margin, ws[phi_module._kept(ws)][0] / (ws.size * phi_module._EPS * ws[-1]))
+        perm = base.transpose(sum(cut.as_lists(), [])).reshape(-1)
+        ua, ub = np.linalg.eigh(rho_a)[1], np.linalg.eigh(rho_b)[1]
+        form = phi_module._sigma_basis(x[perm], ua, ub, wa, wb)
+        s_mid = getattr(phi_module, f"_{branch}_midpoint")(*form)
         got = s_mid - 0.5 * (entropies(w) + entropies(wa) + entropies(wb))
         pairs.append((got, qjsd(rho, product_of_marginals(rho, cut))))
     return pairs, margin
@@ -485,30 +500,44 @@ def _resolvent_against_qjsd(rho: DensityMatrix, stride: int):
 def _near_floor_state() -> DensityMatrix:
     """Rank 3 of 128 plus 1e-11 of a rank-8 state: the d_A = 4 marginals are
     full rank with smallest eigenvalues about 13 times ``_rank``'s floor, so
-    ln a_min, and the node range, are near their widest."""
+    ln a_min, and the node range, are near their widest; the d_A = 2 cuts
+    take the Gram branch, and the smallest marginal eigenvalues they keep are
+    about 40 times the floor."""
     low = np.asarray(ginibre_mixed((2,) * 7, 3, substream(0, "floor-low")).mat)
     fill = np.asarray(ginibre_mixed((2,) * 7, 8, substream(0, "floor-fill")).mat)
     m = (1 - 1e-11) * low + 1e-11 * fill
     return DensityMatrix((2,) * 7, (m + m.conj().T) / 2.0)
 
 
+# (dims, rank, stride) of Ginibre states whose cuts take both fast branches;
+# a Gram case's id is tagged, a resolvent case's id is pytest's plain one
+_FAST_CASES = [(dims, rank, 3) for dims in ((2,) * 7, (3, 3, 2, 2, 2, 2)) for rank in (2, 3, 4, 8)]
+# a sample of the 127 cuts at D = 256, to keep the dense references short
+_FAST_CASES.append(((2,) * 8, 4, 9))
+
+
 @pytest.mark.parametrize(
-    "dims, rank, stride",
-    [(dims, rank, 3) for dims in ((2,) * 7, (3, 3, 2, 2, 2, 2)) for rank in (2, 3, 4, 8)]
-    # a sample of the 127 cuts at D = 256, to keep the dense references short
-    + [((2,) * 8, 4, 9)],
+    "dims, rank, stride, branch",
+    [
+        pytest.param(dims, rank, stride, branch, id=f"{tag}dims{k}-{rank}-{stride}")
+        for branch, tag in (("resolvent", ""), ("gram", "gram-"))
+        for k, (dims, rank, stride) in enumerate(_FAST_CASES)
+    ],
 )
-def test_resolvent_branch_matches_dense_qjsd(dims, rank, stride):
+def test_resolvent_branch_matches_dense_qjsd(dims, rank, stride, branch):
     rho = ginibre_mixed(dims, rank, substream(rank, f"resolvent-{dims}"))
-    pairs, _ = _resolvent_against_qjsd(rho, stride)
+    pairs, _ = _fast_against_qjsd(rho, stride, branch)
     assert len(pairs) >= 3
     for got, want in pairs:
         assert abs(got - want) <= 1e-12
 
 
-def test_resolvent_branch_holds_near_the_rank_floor():
-    pairs, margin = _resolvent_against_qjsd(_near_floor_state(), 2)
-    assert 3.0 <= margin <= 30.0
+@pytest.mark.parametrize(
+    "branch, top", [("resolvent", 30.0), ("gram", 100.0)], ids=["resolvent", "gram"]
+)
+def test_fast_branches_hold_near_the_rank_floor(branch, top):
+    pairs, margin = _fast_against_qjsd(_near_floor_state(), 2, branch)
+    assert pairs and 3.0 <= margin <= top
     for got, want in pairs:
         assert abs(got - want) <= 1e-12
 
