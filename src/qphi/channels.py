@@ -102,6 +102,9 @@ class LocalChannel:
         channels = tuple(_items(self.channels, BadParameter, "local channels", "channels"))
         if not channels:
             raise BadParameter("local channel needs at least one site")
+        for ch in channels:
+            if not isinstance(ch, KrausChannel):
+                raise BadParameter(f"local channels must be KrausChannels, got {ch!r}")
         object.__setattr__(self, "channels", channels)
 
     @property

@@ -168,7 +168,15 @@ class ChannelFamily:
     def instantiate(self, params: Sequence[float]) -> ChannelLike:
         p = self._point(params)
         self._check(p[None])
-        return self.builder(p)
+        return self._channel(p)
+
+    def _channel(self, p: np.ndarray) -> ChannelLike:
+        """The builder's channel at the point p; anything else it returns
+        raises BadParameter."""
+        ch = self.builder(p)
+        if not isinstance(ch, (KrausChannel, LocalChannel)):
+            raise BadParameter(f"a family's builder must return a channel, got {ch!r}")
+        return ch
 
     def apply(self, params: Sequence[float], rho: DensityMatrix) -> DensityMatrix:
         ((_, dims, mats),) = self._outputs(self._point(params)[None], rho)
@@ -214,7 +222,7 @@ class ChannelFamily:
         applied as a stack of one."""
         mat = np.asarray(rho.mat)
         for i, p in enumerate(params):
-            ch = self.builder(p)
+            ch = self._channel(p)
             if isinstance(ch, LocalChannel):
                 _check_sites(ch.in_dims, rho)
                 kraus = [np.asarray(c.kraus)[None] for c in ch.channels]

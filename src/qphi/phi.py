@@ -13,38 +13,38 @@ The per-cut value qjsd(rho, rho_A (x) rho_B) = S(m) - S(rho)/2 - S(sigma)/2,
 with m the midpoint (rho + sigma)/2, is computed spectrally. rho is
 eigendecomposed once per call, which gives S(rho) for every cut and a factor
 X with X X^dag = rho (eigenvalues under the eigensolver's noise floor
-D*eps*lambda_max dropped). Each cut takes S(sigma) = S(rho_A) + S(rho_B) from
-the two marginal spectra, and S(m) from one of four branches:
+D*eps*lambda_max dropped). S(sigma) = S(rho_A) + S(rho_B) comes from the two
+marginal spectra, and S(m) from a form chosen by the rank r of rho:
 
-- rank 1 (pure rho): the Schmidt closed form (Nielsen & Chuang 2.5). One SVD
+- r = 1 (pure rho): the Schmidt closed form (Nielsen & Chuang 2.5). One SVD
   of the state vector, reshaped to d_A x d_B, gives the r = min(d_A, d_B)
   Schmidt weights lambda, which are the spectrum of both marginals; m has
   eigenvalues lambda_i lambda_j / 2 for i != j and those of the r x r matrix
   (diag(lambda^2) + sqrt(lambda) sqrt(lambda)^T) / 2.
-- rank r < D: m = diag(a) + W W^dag in the eigenbasis U = U_A (x) U_B of
+- r = D: one dense eigensolve of m (:func:`_dense_midpoint`).
+- 1 < r < D: m = diag(a) + W W^dag in the eigenbasis U = U_A (x) U_B of
   sigma/2 = U diag(a) U^dag, with W = U^dag X / sqrt(2) (:func:`_sigma_basis`).
-  - r + rank rho_A * rank rho_B < D: m's non-zero spectrum is that of the
-    Gram matrix of [W, diag(sqrt a)] over the non-zero a, of that size.
   - both marginals of full rank and r small (:func:`_resolvent_pays`:
     12 (r + 4) <= D and r^2 <= D): S(m) = -sum_i (a_i + |w_i|^2) ln a_i -
     int_0^inf tr[(I + G)^-1 (H + G^2)] dt with G(t) = W^dag (A + t)^-1 W and
     H(t) = W^dag A (A + t)^-2 W, from the integral form of the matrix
     logarithm (Higham, Functions of Matrices, SIAM 2008) and the Woodbury
     identity: r x r matrices only (:func:`_resolvent_midpoint`).
-- otherwise: one dense eigensolve of m.
+  - otherwise (:func:`_gram_midpoint`): m's non-zero spectrum is that of the
+    Gram matrix of [W, diag(sqrt a)] over the non-zero a, of size
+    r + rank rho_A * rank rho_B, when that is less than D; else m's own.
 
 The value of a cut does not depend on which side comes first, so each cut
 puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
 cached). A cut's marginals come straight from rho, one contraction per side
-(:func:`~qphi.states._partial_trace_raw`), with one stacked eigvalsh per
-side, and one stacked eigh per side for the cuts in sigma's eigenbasis. Only
-the dense branch reorders rho, gathering the cuts it scores for one stacked
-midpoint eigensolve; the others read permuted rows of psi or X.
-A chunk holds at most 1 MB of D x D matrices, so D = 256 still goes one cut
-at a time. The kernel, :func:`_cut_divergences`, takes a stack of states of
-one layout and runs the plan once for all of them, choosing the branch per
-state and cut; :func:`phi` calls it with a stack of one.
+(:func:`~qphi.states._partial_trace_raw`), and each side's marginals take
+one stacked eigvalsh (r = D) or eigh (1 < r < D). Only the r = D form gathers
+rho in (A, B) order; the others read permuted rows of psi or X. A chunk holds
+at most 1 MB of D x D matrices, so D = 256 still goes one cut at a time. The
+kernel, :func:`_cut_divergences`, takes a stack of states of one layout and
+runs the plan once for all of them, choosing the form per state; :func:`phi`
+calls it with a stack of one.
 
 :func:`partition_divergences` scores k-block partitions the same way, also
 on stacks of states: S(rho) once, each distinct block marginal once,
@@ -77,6 +77,7 @@ from .states import (
     _assemble_raw,
     _indices,
     _int,
+    _items,
     _kron,
     _real,
     _partial_trace_raw,
@@ -144,9 +145,10 @@ class PartitionKBlocks:
 
     def __post_init__(self):
         _int(self.n, 2, InvalidPartition, "subsystem count")
-        blocks = tuple(
-            frozenset(_indices(b, self.n, InvalidPartition, "block indices")) for b in self.blocks
-        )
+        blocks = [
+            frozenset(_indices(b, self.n, InvalidPartition, "block indices"))
+            for b in _items(self.blocks, InvalidPartition, "partition", "blocks")
+        ]
         if len(blocks) < 2:
             raise InvalidPartition("a partition needs at least 2 blocks")
         seen: set[int] = set()
@@ -169,7 +171,7 @@ class PartitionKBlocks:
 def as_partition(blocks, n: int) -> PartitionKBlocks:
     if isinstance(blocks, PartitionKBlocks):
         return blocks
-    return PartitionKBlocks(tuple(frozenset(b) for b in blocks), n)
+    return PartitionKBlocks(blocks, n)
 
 
 def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
@@ -370,17 +372,23 @@ def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]
 def _sigma_basis(x, ua, ub, wa, wb) -> tuple[np.ndarray, np.ndarray]:
     """(W, a) with m = (X X^dag + rho_A (x) rho_B)/2 = diag(a) + W W^dag in the
     eigenbasis U = U_A (x) U_B of the marginals' eigh (wa, ua) and (wb, ub):
-    W = U^dag X / sqrt(2), a = (w_A (x) w_B)/2, noise (:func:`_kept`) set to 0."""
-    w = ub.conj().T @ (ua.conj().T @ x.reshape(wa.size, -1)).reshape(wa.size, wb.size, -1)
-    a = np.multiply.outer(wa * _kept(wa), wb * _kept(wb)).reshape(-1) / 2.0
-    return w.reshape(x.shape) / math.sqrt(2.0), a
+    W = U^dag X / sqrt(2), a = (w_A (x) w_B)/2, noise (:func:`_kept`) set to 0,
+    for one cut or for a stack of them."""
+    da, db = wa.shape[-1], wb.shape[-1]
+    w = np.swapaxes(ua.conj(), -1, -2) @ x.reshape(x.shape[:-2] + (da, -1))
+    w = np.swapaxes(ub.conj(), -1, -2)[..., None, :, :] @ w.reshape(w.shape[:-2] + (da, db, -1))
+    a = (wa * _kept(wa))[..., :, None] * (wb * _kept(wb))[..., None, :] / 2.0
+    return w.reshape(x.shape) / math.sqrt(2.0), a.reshape(x.shape[:-1])
 
 
 def _gram_midpoint(w: np.ndarray, a: np.ndarray) -> float:
     """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`), from
     the Gram matrix of [W, diag(sqrt a)[:, k]], k the non-zero entries of a:
-    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k)."""
+    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k), when
+    it is smaller than m; else from m itself."""
     k = a > 0.0
+    if w.shape[1] + k.sum() >= a.size:
+        return float(entropies(np.linalg.eigvalsh(np.diag(a) + w @ w.conj().T)))
     c = w[k].conj().T * np.sqrt(a[k])
     gram = np.block([[w.conj().T @ w, c], [c.conj().T, np.diag(a[k])]])
     return float(entropies(np.linalg.eigvalsh(gram)))
@@ -482,16 +490,14 @@ def _perm(base: np.ndarray, sides) -> np.ndarray:
 def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """qjsd(rho, product_of_marginals(rho, cut)) for every state of an
     (S, D, D) stack and every canonical cut, in enumerate_bipartitions order:
-    an (S, cuts) array, from one eigendecomposition of each state (the
-    branches and the cut plan are in the module docstring).
+    an (S, cuts) array, from one eigendecomposition of each state (the forms
+    and the cut plan are in the module docstring).
 
-    Per chunk of cuts, the marginals' stacked eigvalsh spectra give S(sigma),
-    the ranks and each (state, cut) pair's branch. The dense pairs are
-    gathered in (A, B) order; the fast pairs take one stacked eigh per side
-    and one factor X per state. Callers pass at most ``_stack_len(D)``
-    states, and no stack built here holds more than ``_STACK_BYTES`` of
-    matrices. A state of rank 0, which is neither pure nor mixed, raises
-    :class:`NumericalBreakdown`.
+    Per chunk of cuts, the states of rank D take one stacked dense midpoint
+    solve, and each other mixed state one sigma-basis form of all the cuts.
+    Callers pass at most ``_stack_len(D)`` states, and no stack built here
+    holds more than ``_STACK_BYTES`` of matrices. A state of rank 0, which is
+    neither pure nor mixed, raises :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
@@ -505,7 +511,8 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         raise NumericalBreakdown("a state has no eigenvalue above the noise floor")
     s_rho = entropies(w)
     pure = np.flatnonzero(rank == 1)
-    mixed = np.flatnonzero(rank > 1)
+    full = np.flatnonzero(rank == dim)
+    low = np.flatnonzero((rank > 1) & (rank < dim))
     # the factor X of a pure state is its one column, and a stack of
     # these vectors takes about D times as many cuts as one of matrices
     psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
@@ -518,34 +525,27 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             # rho_A and rho_B of a pure state share the spectrum lam
             s_sigma = 2.0 * entropies(lam)
             out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-    for _, index, sides in _cut_plan(dims, step) if mixed.size else ():
+    for _, index, sides in _cut_plan(dims, step) if full.size + low.size else ():
         perm = _perm(base, sides)
         per = max(1, step // len(index))
-        for m0 in range(0, mixed.size, per):
-            sel = mixed[m0:m0 + per]
-            states = mats if sel.size == len(mats) else mats[sel]
+        for sel in (g[g0:g0 + per] for g in (full, low) for g0 in range(0, g.size, per)):
+            states = mats if sel.size == count else mats[sel]
             marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
             rho_a, rho_b = (np.stack(m, axis=1) for m in zip(*marg))
-            wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
+            if rank[sel[0]] == dim:
+                wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
+                rho_ab = states[:, perm[:, :, None], perm[:, None, :]]
+                s_mid = entropies(_dense_midpoint(rho_ab, rho_a, rho_b))
+            else:
+                (wa, ua), (wb, ub) = np.linalg.eigh(rho_a), np.linalg.eigh(rho_b)
+                resolvent = (_rank(wa) * _rank(wb) == dim) & _resolvent_pays(dim, rank[sel, None])
+                s_mid = np.empty(resolvent.shape)
+                for k, s in enumerate(sel.tolist()):
+                    x = _factor(w[s], v[s])[perm]
+                    forms = zip(*_sigma_basis(x, ua[k], ub[k], wa[k], wb[k]))
+                    for c, (r, form) in enumerate(zip(resolvent[k].tolist(), forms)):
+                        s_mid[k, c] = (_resolvent_midpoint if r else _gram_midpoint)(*form)
             s_sigma = entropies(wa) + entropies(wb)
-            s_mid = np.empty(s_sigma.shape)
-            kept = _rank(wa) * _rank(wb)
-            gram = rank[sel, None] + kept < dim
-            # full-rank marginals, so the Gram branch does not apply
-            fast = gram | ((kept == dim) & _resolvent_pays(dim, rank[sel, None]))
-            i, c = np.nonzero(~fast)
-            if i.size:
-                # the dense pairs only: at most ``step`` D x D matrices
-                p = perm[c]
-                rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
-                s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
-            i, c = np.nonzero(fast)
-            if i.size:
-                ua, ub = np.linalg.eigh(rho_a[i, c])[1], np.linalg.eigh(rho_b[i, c])[1]
-                x = {s: _factor(w[sel[s]], v[sel[s]]) for s in np.unique(i).tolist()}
-            for k, (s, cut) in enumerate(zip(i.tolist(), c.tolist())):
-                form = _sigma_basis(x[s][perm[cut]], ua[k], ub[k], wa[s, cut], wb[s, cut])
-                s_mid[s, cut] = (_gram_midpoint if gram[s, cut] else _resolvent_midpoint)(*form)
             out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out
 

@@ -189,6 +189,14 @@ def test_constructors_refuse_a_list_argument_that_is_not_a_list(build):
         build()
 
 
+def test_local_channel_refuses_an_entry_that_is_not_a_channel():
+    # refused when built, not when apply_local first reads the entry's dims
+    with pytest.raises(BadParameter, match="must be KrausChannels"):
+        LocalChannel((5, "x"))
+    with pytest.raises(BadParameter, match="must be KrausChannels"):
+        LocalChannel((depolarizing(0.5, 2), np.eye(2)))
+
+
 def test_random_local_channel_shapes():
     lc = random_local_channel((2, 3), 2, substream(5, "rl"))
     assert len(lc.channels) == 2

@@ -262,6 +262,16 @@ def test_search_over_no_parameters_evaluates_the_fixed_channel():
     assert res.phi_after == pytest.approx(BELL_PHI, abs=1e-9)
 
 
+def test_a_builder_that_returns_no_channel_is_bad_input():
+    fam = custom_family([(0.0, 1.0)], lambda p: np.eye(4))
+    with pytest.raises(BadParameter, match="must return a channel"):
+        fam.instantiate([0.5])
+    with pytest.raises(BadParameter, match="must return a channel"):
+        fam.apply([0.5], bell())
+    with pytest.raises(BadParameter, match="must return a channel"):
+        maximize_phi(bell(), fam, budget=10, restarts=1)
+
+
 def test_search_refuses_families_beyond_the_sobol_table():
     built = []
 

@@ -141,6 +141,13 @@ def test_partition_validation():
         as_partition([[0, 1, 2]], 3)         # single block
 
 
+def test_partition_blocks_that_are_not_lists_are_invalid():
+    with pytest.raises(InvalidPartition, match="must be a list of blocks"):
+        as_partition(5, 3)
+    with pytest.raises(InvalidPartition, match="must be a list of integers"):
+        as_partition([0, [1, 2]], 3)
+
+
 def test_bipartition_divergences_match_phi_per_cut():
     rho = ginibre_mixed((2, 2, 2), 8, substream(5, "phi-k"))
     res = phi(rho)
@@ -312,8 +319,8 @@ def _oracle_states():
         "full-222": (ginibre_mixed((2, 2, 2), 8, seed("f222")), {"dense"}),
         "full-232": (ginibre_mixed((2, 3, 2), 12, seed("f232")), {"dense"}),
         "full-2^6": (ginibre_mixed((2,) * 6, 64, seed("f2^6")), {"dense"}),
-        "rank2-222": (ginibre_mixed((2, 2, 2), 2, seed("r222")), {"dense"}),
-        "rank3-2222": (ginibre_mixed((2, 2, 2, 2), 3, seed("r2222")), {"gram", "dense"}),
+        "rank2-222": (ginibre_mixed((2, 2, 2), 2, seed("r222")), {"gram"}),
+        "rank3-2222": (ginibre_mixed((2, 2, 2, 2), 3, seed("r2222")), {"gram"}),
         # full rank, but 13 eigenvalues near 6e-11: they must not be dropped as noise
         "near-rank3-2222": (
             DensityMatrix(
@@ -335,12 +342,18 @@ def _oracle_states():
         # a pure pair times a mixed qubit: rank 2 of 8, zero on the cut {0,1}|{2}
         "pure-pair-x-mixed": (
             tensor(haar_pure((2, 2), seed("pp")), ginibre_mixed((2,), 2, seed("pm"))),
-            {"gram", "dense"},
+            {"gram"},
         ),
         "maximally-mixed": (maximally_mixed((2, 2, 2)), {"dense"}),
         # rank 3 of 128: d_A = 2, 4 cuts have rank-deficient marginals, d_A = 8
         # cuts full-rank ones
         "rank3-2^7": (ginibre_mixed((2,) * 7, 3, seed("r2^7")), {"gram", "resolvent"}),
+        # rank 5 of 64, at the Gram matrix's size boundary: the d_A = 2 cuts
+        # keep 2 x 10 marginal eigenvalues, so 5 + 20 < 64 and they take the
+        # Gram matrix; the d_A = 4 and 8 cuts have full-rank marginals, so the
+        # Gram matrix is not smaller than m, and D = 64 is too small for the
+        # resolvent, so they take m itself
+        "rank5-2^6": (ginibre_mixed((2,) * 6, 5, seed("r5-2^6")), {"gram"}),
         # GHZ+- (GHZ with its corner coherences zeroed), rank 2: every cut has
         # the same value, so ``ties`` and ``optimal_cut`` see any round-off
         "ghz-pm-2^5": (DensityMatrix((2,) * 5, _ghz_pm(5)), {"gram"}),

@@ -416,6 +416,12 @@ def test_permute_subsystems_roundtrip():
     assert np.allclose(np.asarray(back.mat), np.asarray(rho.mat), atol=1e-14)
 
 
+def test_permute_subsystems_refuses_an_order_of_non_integers():
+    # (1.0, 0) sorts equal to [0, 1], so only the integer rule catches it
+    with pytest.raises(BadParameter, match="order must be integers"):
+        permute_subsystems(bell(), (1.0, 0))
+
+
 def test_assemble_on_subsets_matches_plain_kron():
     a = ginibre_mixed((2,), 2, substream(9, "x"))
     b = ginibre_mixed((2,), 2, substream(9, "y"))
