@@ -21,30 +21,31 @@ marginal spectra, and S(m) from a form chosen by the rank r of rho:
   Schmidt weights lambda, which are the spectrum of both marginals; m has
   eigenvalues lambda_i lambda_j / 2 for i != j and those of the r x r matrix
   (diag(lambda^2) + sqrt(lambda) sqrt(lambda)^T) / 2.
-- r = D: one dense eigensolve of m (:func:`_dense_midpoint`).
-- 1 < r < D: m = diag(a) + W W^dag in the eigenbasis U = U_A (x) U_B of
-  sigma/2 = U diag(a) U^dag, with W = U^dag X / sqrt(2) (:func:`_sigma_basis`).
+- 1 < r < D/2: in the eigenbasis U = U_A (x) U_B of sigma/2 = U diag(a) U^dag,
+  m = diag(a) + W W^dag with W = U^dag X / sqrt(2) (:func:`_sigma_basis`).
+  - r + rank rho_A * rank rho_B < D: m's non-zero spectrum is that of the
+    Gram matrix of [W, diag(sqrt a)] over the non-zero a, of that size
+    (:func:`_gram_midpoint`).
   - both marginals of full rank and r small (:func:`_resolvent_pays`:
     12 (r + 4) <= D and r^2 <= D): S(m) = -sum_i (a_i + |w_i|^2) ln a_i -
     int_0^inf tr[(I + G)^-1 (H + G^2)] dt with G(t) = W^dag (A + t)^-1 W and
     H(t) = W^dag A (A + t)^-2 W, from the integral form of the matrix
     logarithm (Higham, Functions of Matrices, SIAM 2008) and the Woodbury
     identity: r x r matrices only (:func:`_resolvent_midpoint`).
-  - otherwise (:func:`_gram_midpoint`): m's non-zero spectrum is that of the
-    Gram matrix of [W, diag(sqrt a)] over the non-zero a, of size
-    r + rank rho_A * rank rho_B, when that is less than D; else m's own.
+- otherwise: one dense eigensolve of m (:func:`_dense_midpoint`), the only
+  form when 2r >= D, as rank rho_A * rank rho_B >= r on every cut.
 
 The value of a cut does not depend on which side comes first, so each cut
 puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
 cached). A cut's marginals come straight from rho, one contraction per side
 (:func:`~qphi.states._partial_trace_raw`), and each side's marginals take
-one stacked eigvalsh (r = D) or eigh (1 < r < D). Only the r = D form gathers
-rho in (A, B) order; the others read permuted rows of psi or X. A chunk holds
-at most 1 MB of D x D matrices, so D = 256 still goes one cut at a time. The
-kernel, :func:`_cut_divergences`, takes a stack of states of one layout and
-runs the plan once for all of them, choosing the form per state; :func:`phi`
-calls it with a stack of one.
+one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2). Only the dense form
+gathers rho in (A, B) order; the others read permuted rows of psi or X. A
+chunk holds at most 1 MB of D x D matrices, so D = 256 still goes one cut at
+a time. The kernel, :func:`_cut_divergences`, takes a stack of states of one
+layout and runs the plan once for all of them, choosing the form per state
+and cut; :func:`phi` calls it with a stack of one.
 
 :func:`partition_divergences` scores k-block partitions the same way, also
 on stacks of states: S(rho) once, each distinct block marginal once,
@@ -348,13 +349,6 @@ def _rank(w: np.ndarray):
     return _kept(w).sum(axis=-1)
 
 
-def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A factor X with X X^dag equal to the density matrix whose
-    eigendecomposition is (w, v), save the eigenvalues under the noise floor."""
-    k = w.size - int(_rank(w))
-    return v[:, k:] * np.sqrt(w[k:])
-
-
 def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt weights of pure states, a stack of vectors whose factors are
     ordered (A, B), and the spectra of the midpoints between them and the
@@ -384,11 +378,8 @@ def _sigma_basis(x, ua, ub, wa, wb) -> tuple[np.ndarray, np.ndarray]:
 def _gram_midpoint(w: np.ndarray, a: np.ndarray) -> float:
     """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`), from
     the Gram matrix of [W, diag(sqrt a)[:, k]], k the non-zero entries of a:
-    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k), when
-    it is smaller than m; else from m itself."""
+    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k)."""
     k = a > 0.0
-    if w.shape[1] + k.sum() >= a.size:
-        return float(entropies(np.linalg.eigvalsh(np.diag(a) + w @ w.conj().T)))
     c = w[k].conj().T * np.sqrt(a[k])
     gram = np.block([[w.conj().T @ w, c], [c.conj().T, np.diag(a[k])]])
     return float(entropies(np.linalg.eigvalsh(gram)))
@@ -493,11 +484,12 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     an (S, cuts) array, from one eigendecomposition of each state (the forms
     and the cut plan are in the module docstring).
 
-    Per chunk of cuts, the states of rank D take one stacked dense midpoint
-    solve, and each other mixed state one sigma-basis form of all the cuts.
-    Callers pass at most ``_stack_len(D)`` states, and no stack built here
-    holds more than ``_STACK_BYTES`` of matrices. A state of rank 0, which is
-    neither pure nor mixed, raises :class:`NumericalBreakdown`.
+    Per chunk of cuts, the mixed states go in runs: those with 2r >= D, and
+    each smaller rank r apart. A run gathers its dense (state, cut) pairs for
+    one stacked midpoint solve, and the others take one stacked sigma-basis
+    form. Callers pass at most ``_stack_len(D)`` states, and no stack built
+    here holds more than ``_STACK_BYTES`` of matrices; a state of rank 0
+    raises :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
@@ -511,8 +503,9 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         raise NumericalBreakdown("a state has no eigenvalue above the noise floor")
     s_rho = entropies(w)
     pure = np.flatnonzero(rank == 1)
-    full = np.flatnonzero(rank == dim)
-    low = np.flatnonzero((rank > 1) & (rank < dim))
+    # a state with 2r >= D takes the forms of rank D (module docstring)
+    form_rank = np.where(2 * rank >= dim, dim, rank)
+    mixed = [np.flatnonzero(form_rank == r) for r in sorted(set(form_rank[rank > 1].tolist()))]
     # the factor X of a pure state is its one column, and a stack of
     # these vectors takes about D times as many cuts as one of matrices
     psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
@@ -525,26 +518,33 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             # rho_A and rho_B of a pure state share the spectrum lam
             s_sigma = 2.0 * entropies(lam)
             out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-    for _, index, sides in _cut_plan(dims, step) if full.size + low.size else ():
+    for _, index, sides in _cut_plan(dims, step) if mixed else ():
         perm = _perm(base, sides)
         per = max(1, step // len(index))
-        for sel in (g[g0:g0 + per] for g in (full, low) for g0 in range(0, g.size, per)):
+        for sel in (g[g0:g0 + per] for g in mixed for g0 in range(0, g.size, per)):
+            r = int(form_rank[sel[0]])
             states = mats if sel.size == count else mats[sel]
             marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
             rho_a, rho_b = (np.stack(m, axis=1) for m in zip(*marg))
-            if rank[sel[0]] == dim:
+            if r == dim:
                 wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
-                rho_ab = states[:, perm[:, :, None], perm[:, None, :]]
-                s_mid = entropies(_dense_midpoint(rho_ab, rho_a, rho_b))
             else:
                 (wa, ua), (wb, ub) = np.linalg.eigh(rho_a), np.linalg.eigh(rho_b)
-                resolvent = (_rank(wa) * _rank(wb) == dim) & _resolvent_pays(dim, rank[sel, None])
-                s_mid = np.empty(resolvent.shape)
-                for k, s in enumerate(sel.tolist()):
-                    x = _factor(w[s], v[s])[perm]
-                    forms = zip(*_sigma_basis(x, ua[k], ub[k], wa[k], wb[k]))
-                    for c, (r, form) in enumerate(zip(resolvent[k].tolist(), forms)):
-                        s_mid[k, c] = (_resolvent_midpoint if r else _gram_midpoint)(*form)
+            kept = _rank(wa) * _rank(wb)
+            gram = r + kept < dim
+            fast = gram | ((kept == dim) & _resolvent_pays(dim, r))
+            s_mid = np.empty(kept.shape)
+            i, c = np.nonzero(~fast)
+            if i.size:
+                p = perm[c]
+                rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
+                s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
+            i, c = np.nonzero(fast)
+            if i.size:
+                x = (v[sel, :, -r:] * np.sqrt(w[sel, None, -r:]))[i[:, None], perm[c]]
+                forms = zip(*_sigma_basis(x, ua[i, c], ub[i, c], wa[i, c], wb[i, c]))
+                for k, cut, form in zip(i.tolist(), c.tolist(), forms):
+                    s_mid[k, cut] = (_gram_midpoint if gram[k, cut] else _resolvent_midpoint)(*form)
             s_sigma = entropies(wa) + entropies(wb)
             out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out

@@ -319,8 +319,8 @@ def _oracle_states():
         "full-222": (ginibre_mixed((2, 2, 2), 8, seed("f222")), {"dense"}),
         "full-232": (ginibre_mixed((2, 3, 2), 12, seed("f232")), {"dense"}),
         "full-2^6": (ginibre_mixed((2,) * 6, 64, seed("f2^6")), {"dense"}),
-        "rank2-222": (ginibre_mixed((2, 2, 2), 2, seed("r222")), {"gram"}),
-        "rank3-2222": (ginibre_mixed((2, 2, 2, 2), 3, seed("r2222")), {"gram"}),
+        "rank2-222": (ginibre_mixed((2, 2, 2), 2, seed("r222")), {"dense"}),
+        "rank3-2222": (ginibre_mixed((2, 2, 2, 2), 3, seed("r2222")), {"gram", "dense"}),
         # full rank, but 13 eigenvalues near 6e-11: they must not be dropped as noise
         "near-rank3-2222": (
             DensityMatrix(
@@ -342,7 +342,7 @@ def _oracle_states():
         # a pure pair times a mixed qubit: rank 2 of 8, zero on the cut {0,1}|{2}
         "pure-pair-x-mixed": (
             tensor(haar_pure((2, 2), seed("pp")), ginibre_mixed((2,), 2, seed("pm"))),
-            {"gram"},
+            {"gram", "dense"},
         ),
         "maximally-mixed": (maximally_mixed((2, 2, 2)), {"dense"}),
         # rank 3 of 128: d_A = 2, 4 cuts have rank-deficient marginals, d_A = 8
@@ -352,8 +352,8 @@ def _oracle_states():
         # keep 2 x 10 marginal eigenvalues, so 5 + 20 < 64 and they take the
         # Gram matrix; the d_A = 4 and 8 cuts have full-rank marginals, so the
         # Gram matrix is not smaller than m, and D = 64 is too small for the
-        # resolvent, so they take m itself
-        "rank5-2^6": (ginibre_mixed((2,) * 6, 5, seed("r5-2^6")), {"gram"}),
+        # resolvent, so they take the dense midpoint
+        "rank5-2^6": (ginibre_mixed((2,) * 6, 5, seed("r5-2^6")), {"gram", "dense"}),
         # GHZ+- (GHZ with its corner coherences zeroed), rank 2: every cut has
         # the same value, so ``ties`` and ``optimal_cut`` see any round-off
         "ghz-pm-2^5": (DensityMatrix((2,) * 5, _ghz_pm(5)), {"gram"}),
@@ -488,21 +488,21 @@ def _fast_against_qjsd(rho: DensityMatrix, stride: int, branch: str):
     floor."""
     mat = np.asarray(rho.mat)
     w, v = np.linalg.eigh(mat)
-    x = phi_module._factor(w, v)
+    r = int(phi_module._rank(w))
+    x = v[:, -r:] * np.sqrt(w[-r:])
     base = np.arange(rho.dim).reshape(rho.dims)
     found = []
     for cut in enumerate_bipartitions(rho.n):
-        marg = [_partial_trace_raw(mat, rho.dims, side) for side in cut.as_lists()]
-        wa, wb = (np.linalg.eigvalsh(m) for m in marg)
+        marg = (_partial_trace_raw(mat, rho.dims, side) for side in cut.as_lists())
+        (wa, ua), (wb, ub) = (np.linalg.eigh(m) for m in marg)
         kept = phi_module._rank(wa) * phi_module._rank(wb)
-        if kept == rho.dim if branch == "resolvent" else x.shape[1] + kept < rho.dim:
-            found.append((cut, marg, wa, wb))
+        if kept == rho.dim if branch == "resolvent" else r + kept < rho.dim:
+            found.append((cut, wa, ua, wb, ub))
     pairs, margin = [], np.inf
-    for cut, (rho_a, rho_b), wa, wb in found[::stride]:
+    for cut, wa, ua, wb, ub in found[::stride]:
         for ws in (wa, wb):
             margin = min(margin, ws[phi_module._kept(ws)][0] / (ws.size * phi_module._EPS * ws[-1]))
         perm = base.transpose(sum(cut.as_lists(), [])).reshape(-1)
-        ua, ub = np.linalg.eigh(rho_a)[1], np.linalg.eigh(rho_b)[1]
         form = phi_module._sigma_basis(x[perm], ua, ub, wa, wb)
         s_mid = getattr(phi_module, f"_{branch}_midpoint")(*form)
         got = s_mid - 0.5 * (entropies(w) + entropies(wa) + entropies(wb))
