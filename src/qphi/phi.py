@@ -40,8 +40,9 @@ puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
 cached). A cut's marginals come straight from rho, one contraction per side
 (:func:`~qphi.states._partial_trace_raw`), and each side's marginals take
-one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2). Only the dense form
-gathers rho in (A, B) order; the others read permuted rows of psi or X. A
+one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2). No form reorders rho:
+the dense form assembles sigma in rho's own subsystem order, as the
+partition scorer does, and the others read permuted rows of psi or X. A
 chunk holds at most 1 MB of D x D matrices, so D = 256 still goes one cut at
 a time. The kernel, :func:`_cut_divergences`, takes a stack of states of one
 layout and runs the plan once for all of them, choosing the form per state
@@ -209,7 +210,7 @@ def _partition_divergences(
     cols = []
     for p in parts:
         sigma = _assemble_raw([marg[b] for b in p.blocks], [sorted(b) for b in p.blocks], dims)
-        s_mid = entropies(np.linalg.eigvalsh((mats + sigma) / 2.0))
+        s_mid = entropies(_dense_midpoint(mats, sigma))
         cols.append(s_mid - 0.5 * s_rho - 0.5 * sum(ent[b] for b in p.blocks))
     return np.stack(cols, axis=1)
 
@@ -413,40 +414,34 @@ def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
     """
     dim, r = w.shape
     head = -float(np.dot(a + (w.real * w.real + w.imag * w.imag).sum(axis=1), np.log(a)))
-    # row d holds conj(w_d)^T w_d as 2 r^2 reals, so each node's row of
-    # (a_d + t)^-1, times this table, is G(t) (and of a_d (a_d + t)^-2, H(t))
-    rows = (w.conj()[:, :, None] * w[:, None, :]).reshape(dim, r * r).view(float)
+    # row d holds conj(w_d)^T w_d, read as reals for the product, so each
+    # node's row of (a_d + t)^-1, times this table, is G(t) (and of
+    # a_d (a_d + t)^-2, H(t))
+    rows = (w.conj()[:, :, None] * w[:, None, :]).reshape(dim, r * r)
     t = np.exp(np.arange(math.log(a.min()) - _NODE_SPAN, _NODE_SPAN + _NODE_STEP / 2, _NODE_STEP))
     diag = np.arange(r)
     integral = 0.0
     for k in range(0, t.size, dim):
         tk = t[k:k + dim]
         res = 1.0 / (a + tk[:, None])
-        g = (res @ rows).view(complex).reshape(-1, r, r)
+        g = (res @ rows.view(float)).view(rows.dtype).reshape(-1, r, r)
         res *= res
         res *= a
-        h = (res @ rows).view(complex).reshape(-1, r, r) + g @ g
+        h = (res @ rows.view(float)).view(rows.dtype).reshape(-1, r, r) + g @ g
         g[:, diag, diag] += 1.0
         integral += float(np.dot(tk, np.trace(np.linalg.solve(g, h), axis1=1, axis2=2).real))
     return head - _NODE_STEP * integral
 
 
-def _dense_midpoint(rho: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Spectra of a stack of midpoints (rho + rho_A (x) rho_B)/2, by one
-    stacked dense eigensolve. The midpoints are built in one buffer: the
-    Kronecker products are written into it, then rho is added and the sum
-    halved in place. Addition commutes and halving is exact, so the bits are
-    those of (rho + rho_A (x) rho_B) / 2 without its two temporaries."""
-    da, db = rho_a.shape[-1], rho_b.shape[-1]
-    mid = np.empty(rho.shape, np.result_type(rho, rho_a, rho_b))
-    np.multiply(
-        rho_a[..., :, None, :, None],
-        rho_b[..., None, :, None, :],
-        out=mid.reshape(mid.shape[:-2] + (da, db, da, db)),
-    )
-    mid += rho
-    mid /= 2.0
-    return np.linalg.eigvalsh(mid)
+def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Spectra of a stack of midpoints (rho + sigma)/2, by one stacked dense
+    eigensolve, both in the layout's subsystem order; rho may broadcast
+    against sigma. The midpoints are formed in sigma's buffer, which the
+    caller gives up: addition commutes and halving is exact, so the bits
+    are those of (rho + sigma) / 2.0 without its two temporaries."""
+    sigma += rho
+    sigma /= 2.0
+    return np.linalg.eigvalsh(sigma)
 
 
 @lru_cache(maxsize=32)
@@ -485,11 +480,12 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     and the cut plan are in the module docstring).
 
     Per chunk of cuts, the mixed states go in runs: those with 2r >= D, and
-    each smaller rank r apart. A run gathers its dense (state, cut) pairs for
-    one stacked midpoint solve, and the others take one stacked sigma-basis
-    form. Callers pass at most ``_stack_len(D)`` states, and no stack built
-    here holds more than ``_STACK_BYTES`` of matrices; a state of rank 0
-    raises :class:`NumericalBreakdown`.
+    each smaller rank r apart. A run's dense (state, cut) pairs take one
+    stacked midpoint solve, with sigma assembled from the marginals in rho's
+    own order, and the others take one stacked sigma-basis form of permuted
+    rows of X. Callers pass at most ``_stack_len(D)`` states, and no stack
+    built here holds more than ``_STACK_BYTES`` of matrices; a state of rank
+    0 raises :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
@@ -519,7 +515,6 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             s_sigma = 2.0 * entropies(lam)
             out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     for _, index, sides in _cut_plan(dims, step) if mixed else ():
-        perm = _perm(base, sides)
         per = max(1, step // len(index))
         for sel in (g[g0:g0 + per] for g in mixed for g0 in range(0, g.size, per)):
             r = int(form_rank[sel[0]])
@@ -534,14 +529,18 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             gram = r + kept < dim
             fast = gram | ((kept == dim) & _resolvent_pays(dim, r))
             s_mid = np.empty(kept.shape)
-            i, c = np.nonzero(~fast)
-            if i.size:
-                p = perm[c]
-                rho_ab = states[i[:, None, None], p[:, :, None], p[:, None, :]]
-                s_mid[i, c] = entropies(_dense_midpoint(rho_ab, rho_a[i, c], rho_b[i, c]))
+            dense = np.flatnonzero(~fast.all(axis=0))
+            if dense.size:
+                # a cut with a dense pair is solved densely for every state of
+                # the run, so rho is not copied; the fast pairs are set below
+                sigma = np.empty((sel.size, dense.size, dim, dim), states.dtype)
+                for j, k in enumerate(dense.tolist()):
+                    sigma[:, j] = _assemble_raw([rho_a[:, k], rho_b[:, k]], sides[k], dims)
+                s_mid[:, dense] = entropies(_dense_midpoint(states[:, None], sigma))
             i, c = np.nonzero(fast)
             if i.size:
-                x = (v[sel, :, -r:] * np.sqrt(w[sel, None, -r:]))[i[:, None], perm[c]]
+                perm = _perm(base, sides)[c]
+                x = (v[sel, :, -r:] * np.sqrt(w[sel, None, -r:]))[i[:, None], perm]
                 forms = zip(*_sigma_basis(x, ua[i, c], ub[i, c], wa[i, c], wb[i, c]))
                 for k, cut, form in zip(i.tolist(), c.tolist(), forms):
                     s_mid[k, cut] = (_gram_midpoint if gram[k, cut] else _resolvent_midpoint)(*form)

@@ -331,7 +331,7 @@ def _permute_raw(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> 
     b = len(lead)
     t = mat.reshape(lead + tuple(dims) * 2)
     axes = list(range(b)) + [b + i for i in order] + [b + n + i for i in order]
-    d = int(np.prod([dims[i] for i in order]))
+    d = math.prod(dims[i] for i in order)
     return np.ascontiguousarray(t.transpose(axes)).reshape(lead + (d, d))
 
 

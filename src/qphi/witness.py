@@ -18,6 +18,7 @@ from .states import (
     Bipartition,
     DensityMatrix,
     SubsystemLayout,
+    _array,
     _int,
     assemble_on_subsets,
     ginibre_mixed,
@@ -36,7 +37,7 @@ class Witness:
     phi_at_construction: float
 
     def __post_init__(self):
-        arr = np.asarray(self.op, dtype=complex).copy()
+        arr = _array(self.op, (self.layout.dim,) * 2, "witness operator").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "op", arr)
 

@@ -149,11 +149,17 @@ def test_partition_blocks_that_are_not_lists_are_invalid():
 
 
 def test_bipartition_divergences_match_phi_per_cut():
-    rho = ginibre_mixed((2, 2, 2), 8, substream(5, "phi-k"))
-    res = phi(rho)
-    for cut, val in res.per_cut:
-        p = as_partition(cut.as_lists(), 3)
-        assert divergence_for_partition(rho, p) == pytest.approx(val, abs=1e-12)
+    # full rank, so every cut takes the dense form; the last three layouts
+    # put 2- and 3-dimensional factors on both sides of some cut
+    states = [ginibre_mixed((2, 2, 2), 8, substream(5, "phi-k"))] + [
+        ginibre_mixed(dims, int(np.prod(dims)), substream(5, f"phi-k-{dims}"))
+        for dims in ((2, 3, 2), (3, 2, 2, 2), (2, 3, 2, 3))
+    ]
+    for rho in states:
+        res = phi(rho)
+        for cut, val in res.per_cut:
+            p = as_partition(cut.as_lists(), rho.n)
+            assert divergence_for_partition(rho, p) == pytest.approx(val, abs=1e-12), rho.dims
 
 
 def test_kblock_minimum_equals_bipartition_minimum():
@@ -800,6 +806,32 @@ def test_mixed_stack_rows_equal_their_one_state_calls(stack_bytes, monkeypatch):
     # the dense-only gather stays within the stack cap
     one = mats[0].nbytes
     assert dense_sizes and max(dense_sizes) <= max(divergence_module._STACK_BYTES, one)
+
+
+def test_real_states_take_every_form_in_real_arithmetic(monkeypatch):
+    # real symmetric states of rank 1 (Schmidt), 3 (Gram and resolvent), 100
+    # and 128 (dense), scored as float64 and as the same matrices cast to complex
+    dims = (2,) * 7
+    rng = substream(0, "real-2^7")
+    factors = [rng.standard_normal((128, r)) for r in (1, 3, 100, 128)]
+    mats = np.stack([g @ g.T / np.sum(g * g) for g in factors])
+    assert mats.dtype == np.float64
+    taken = set()
+    for name in ("schmidt", "gram", "resolvent", "dense"):
+        fn = getattr(phi_module, f"_{name}_midpoint")
+
+        def spy(*args, _fn=fn, _name=name):
+            taken.add(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
+    got = phi_module._cut_divergences(mats, dims)
+    assert taken == {"schmidt", "gram", "resolvent", "dense"}
+    as_complex = phi_module._cut_divergences(mats.astype(complex), dims)
+    assert np.max(np.abs(got - as_complex)) <= 1e-12
+    for mat, row in zip(mats, got):
+        dense = _dense_per_cut(DensityMatrix(dims, mat))
+        assert np.max(np.abs(row - dense)) <= 1e-12
 
 
 def test_stacked_partition_divergences_match_per_state(monkeypatch):

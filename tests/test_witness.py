@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qphi.errors import BadParameter
+from qphi.errors import BadParameter, DimensionMismatch
 from qphi.phi import phi
 from qphi.states import (
     bell,
@@ -12,6 +12,7 @@ from qphi.states import (
     tensor,
 )
 from qphi.witness import (
+    Witness,
     build_witness,
     expectation,
     phi_comparison,
@@ -54,6 +55,22 @@ def test_comparison_record_documents_the_gap(bell_witness):
     # the two quantities genuinely differ; the record keeps both
     assert rec["gap"] == pytest.approx(rec["expectation_on_state"] - rec["minus_phi"], abs=1e-12)
     assert abs(rec["gap"]) > 0.1
+
+
+@pytest.mark.parametrize(
+    "op, error",
+    [
+        (np.full(4, 0.25), DimensionMismatch),
+        (np.eye(2) / 2, DimensionMismatch),
+        (np.eye(4, dtype=bool), BadParameter),
+        ("w", BadParameter),
+    ],
+    ids=["vector", "2x2", "bool", "string"],
+)
+def test_witness_operator_must_be_a_numeric_matrix_of_the_layout(bell_witness, op, error):
+    w, _ = bell_witness
+    with pytest.raises(error, match="witness operator"):
+        Witness(op=op, cut=w.cut, layout=w.layout, phi_at_construction=w.phi_at_construction)
 
 
 def test_product_scan_finds_negative_expectations(bell_witness):
