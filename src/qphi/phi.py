@@ -434,11 +434,11 @@ def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
 
 
 def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Spectra of a stack of midpoints (rho + sigma)/2, by one stacked dense
-    eigensolve, both in the layout's subsystem order; rho may broadcast
-    against sigma. The midpoints are formed in sigma's buffer, which the
-    caller gives up: addition commutes and halving is exact, so the bits
-    are those of (rho + sigma) / 2.0 without its two temporaries."""
+    """Spectra of a stack of midpoints (rho + sigma)/2, both in the layout's
+    subsystem order, by one stacked eigensolve; rho may broadcast. The sum is
+    formed in sigma, which must be a new array read by no one else (the
+    kernel's stack, or a product of two or more blocks); addition commutes
+    and halving is exact, so the bits are those of (rho + sigma) / 2.0."""
     sigma += rho
     sigma /= 2.0
     return np.linalg.eigvalsh(sigma)
@@ -535,7 +535,7 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
                 # the run, so rho is not copied; the fast pairs are set below
                 sigma = np.empty((sel.size, dense.size, dim, dim), states.dtype)
                 for j, k in enumerate(dense.tolist()):
-                    sigma[:, j] = _assemble_raw([rho_a[:, k], rho_b[:, k]], sides[k], dims)
+                    sigma[:, j] = _assemble_raw(marg[k], sides[k], dims)
                 s_mid[:, dense] = entropies(_dense_midpoint(states[:, None], sigma))
             i, c = np.nonzero(fast)
             if i.size:

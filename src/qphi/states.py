@@ -394,18 +394,22 @@ def _assemble_raw(
     factors: Sequence[np.ndarray], subsets: Sequence[Sequence[int]], dims: Sequence[int]
 ) -> np.ndarray:
     """:func:`assemble_on_subsets` on bare matrices; each factor may be a stack
-    of matrices (the stacks are paired up, not crossed)."""
+    of matrices (the stacks are paired up, not crossed). Each factor is read
+    as a tensor over the whole layout, of size 1 on the subsystems it does
+    not hold, so the product of these comes out in ascending subsystem order
+    with no transpose; a factor on an unsorted subset is first put in order."""
     n = len(dims)
-    cur: list[int] = []
-    big = None
-    for f, sub in zip(factors, subsets):
-        big = f if big is None else _kron(big, f)
-        cur.extend(sub)
-    if sorted(cur) != list(range(n)):
+    if sorted(i for sub in subsets for i in sub) != list(range(n)):
         raise BadParameter("subsets must partition the full index range")
-    dims_cur = [dims[i] for i in cur]
-    order = [cur.index(k) for k in range(n)]
-    return _permute_raw(big, dims_cur, order)
+    out = None
+    for f, sub in zip(factors, subsets):
+        if list(sub) != sorted(sub):
+            f, sub = _permute_raw(f, [dims[i] for i in sub], np.argsort(sub)), sorted(sub)
+        shape = tuple(d if i in sub else 1 for i, d in enumerate(dims)) * 2
+        t = f.reshape(f.shape[:-2] + shape)
+        out = t if out is None else out * t
+    dim = math.prod(dims)
+    return out.reshape(out.shape[:-2 * n] + (dim, dim))
 
 
 def product_of_block_marginals(rho: DensityMatrix, blocks: Sequence[Iterable[int]]) -> DensityMatrix:

@@ -775,14 +775,16 @@ def test_cut_divergences_do_not_depend_on_the_chunk_size(per_chunk, monkeypatch)
 
 @pytest.mark.parametrize("stack_bytes", [None, 1])
 def test_mixed_stack_rows_equal_their_one_state_calls(stack_bytes, monkeypatch):
-    # rank 3, pure and full rank on (2,)^7: the Gram, resolvent, Schmidt and
-    # dense branches in one stack, the pure state between the two mixed
-    # ones, so that the dense branch gathers from a subset of the stack
+    # rank 3, pure and twice full rank on (2,)^7: the Gram, resolvent,
+    # Schmidt and dense branches in one stack, the pure state between the
+    # mixed ones, so that the dense branch solves a subset of the stack, and
+    # two full-rank states, so that one run could outgrow the stack cap
     dims = (2,) * 7
     group = [
         ginibre_mixed(dims, 3, substream(0, "mixed-stack-r3")),
         haar_pure(dims, substream(0, "mixed-stack-pure")),
         ginibre_mixed(dims, 128, substream(0, "mixed-stack-full")),
+        ginibre_mixed(dims, 128, substream(1, "mixed-stack-full")),
     ]
     mats = np.stack([np.asarray(rho.mat) for rho in group])
     if stack_bytes is not None:
@@ -795,7 +797,7 @@ def test_mixed_stack_rows_equal_their_one_state_calls(stack_bytes, monkeypatch):
         def spy(*args, _fn=fn, _name=name):
             taken.add(_name)
             if _name == "dense":
-                dense_sizes.append(args[0].nbytes)
+                dense_sizes.append(args[1].nbytes)
             return _fn(*args)
 
         monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
@@ -803,7 +805,7 @@ def test_mixed_stack_rows_equal_their_one_state_calls(stack_bytes, monkeypatch):
     assert taken == {"schmidt", "gram", "resolvent", "dense"}
     for row, want in zip(got, alone):
         assert np.array_equal(row, want)
-    # the dense-only gather stays within the stack cap
+    # the stack of sigmas solved in one dense call stays within the stack cap
     one = mats[0].nbytes
     assert dense_sizes and max(dense_sizes) <= max(divergence_module._STACK_BYTES, one)
 

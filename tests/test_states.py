@@ -433,6 +433,13 @@ def test_assemble_on_subsets_matches_plain_kron():
         SubsystemLayout((2, 2, 2)),
     )
     assert np.allclose(np.asarray(assembled.mat), direct, atol=1e-14)
+    # a factor on an unsorted subset holds its subsystems in the listed order
+    unsorted = assemble_on_subsets(
+        [np.kron(np.asarray(c.mat), np.asarray(a.mat)), np.asarray(b.mat)],
+        [[2, 0], [1]],
+        SubsystemLayout((2, 2, 2)),
+    )
+    assert np.allclose(np.asarray(unsorted.mat), direct, atol=1e-14)
 
 
 def test_product_of_marginals_factorizes_products():
