@@ -33,32 +33,32 @@ from .phi import PhiResult, phi as phi_fn
 from .states import (
     Bipartition,
     DensityMatrix,
-    SubsystemLayout,
     _assemble_raw,
     _indices,
     _int,
+    _partial_trace_raw,
     _spectral,
-    partial_trace,
-    validate_state,
+    _validate_stack,
 )
 
 PINV_CUTOFF = 1e-12
 TRACE_DRIFT_TOL = 1e-8
 
 
-def _embed(op: np.ndarray, op_idx: list[int], space_idx: list[int], layout: SubsystemLayout) -> np.ndarray:
-    """Operator acting as ``op`` on op_idx and identity on the rest of space_idx.
+def _embed(op: np.ndarray, op_idx: list[int], space_idx: list[int], dims) -> np.ndarray:
+    """Operator acting as ``op`` (a matrix or a stack of them) on op_idx and
+    identity on the rest of space_idx.
 
     Both index lists hold original subsystem labels in ascending order; the
     result is assembled on the sub-layout of space_idx.
     """
     pos = {s: k for k, s in enumerate(space_idx)}
     rest = [pos[i] for i in space_idx if i not in op_idx]
-    d_rest = math.prod(layout.dims[space_idx[k]] for k in rest)
+    d_rest = math.prod(dims[space_idx[k]] for k in rest)
     return _assemble_raw(
         [op, np.eye(d_rest, dtype=complex)],
         [[pos[i] for i in op_idx], rest],
-        [layout.dims[i] for i in space_idx],
+        [dims[i] for i in space_idx],
     )
 
 
@@ -85,32 +85,36 @@ def petz_recover(
     renormalized when its trace drifts by at most 1e-8 and rejected otherwise.
     """
     z, y = _check_subsets(rho, blanket, rebuild)
-    n = rho.n
+    return DensityMatrix(rho.layout, _petz_stack(np.asarray(rho.mat)[None], rho.dims, z, y)[0])
+
+
+def _petz_stack(mats: np.ndarray, dims, z: list[int], y: list[int]) -> np.ndarray:
+    """:func:`petz_recover` of every state of an (S, D, D) stack with layout
+    ``dims``, through the sorted, disjoint, non-empty subsystem lists z
+    (blanket) and y (rebuild): each product and eigensolve is one stacked
+    call. The outputs are cleaned as :func:`~qphi.states.validate_state`
+    cleans a matrix; the first trace that drifts raises."""
+    n = len(dims)
     a = [i for i in range(n) if i not in z and i not in y]
     az = sorted(a + z)
     yz = sorted(y + z)
-    lay = rho.layout
 
-    rho_z = np.asarray(partial_trace(rho, z).mat)
-    rho_yz = np.asarray(partial_trace(rho, yz).mat)
-    rho_az = np.asarray(partial_trace(rho, az).mat)
-
-    w, v = np.linalg.eigh(rho_z)
+    w, v = np.linalg.eigh(_partial_trace_raw(mats, dims, z))
     inv = np.where(w > PINV_CUTOFF, 1.0 / np.sqrt(np.clip(w, PINV_CUTOFF, None)), 0.0)
-    inv_on_az = _embed(_spectral(v, inv), z, az, lay)
-    mid_az = inv_on_az @ rho_az @ inv_on_az
-    mid_full = _embed(mid_az, az, list(range(n)), lay)
-    w, v = np.linalg.eigh(rho_yz)
-    sq_full = _embed(_spectral(v, np.sqrt(np.clip(w, 0.0, None))), yz, list(range(n)), lay)
+    inv_on_az = _embed(_spectral(v, inv), z, az, dims)
+    mid_az = inv_on_az @ _partial_trace_raw(mats, dims, az) @ inv_on_az
+    mid_full = _embed(mid_az, az, list(range(n)), dims)
+    w, v = np.linalg.eigh(_partial_trace_raw(mats, dims, yz))
+    sq_full = _embed(_spectral(v, np.sqrt(np.clip(w, 0.0, None))), yz, list(range(n)), dims)
     out = sq_full @ mid_full @ sq_full
 
-    tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > TRACE_DRIFT_TOL:
+    tr = np.real(np.trace(out, axis1=-2, axis2=-1))
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_DRIFT_TOL)
+    if bad.size:
         raise SupportBreakdown(
-            f"recovered trace {tr} drifted more than {TRACE_DRIFT_TOL} from 1"
+            f"recovered trace {float(tr[bad[0]])} drifted more than {TRACE_DRIFT_TOL} from 1"
         )
-    out = out / tr
-    return validate_state(out, lay)
+    return _validate_stack(out / tr[:, None, None])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """CPTP maps in Kraus form: application, random draws, and named families.
 
-Random channels are sampled by slicing a Haar unitary on dimension
-out_dim * kraus_count into block isometries (Stinespring picture), so the
-completeness relation holds by construction up to orthogonality round-off.
+Random channels are sampled by slicing the first in_dim columns of a Haar
+unitary on dimension out_dim * kraus_count into block isometries
+(Stinespring picture), so the completeness relation holds by construction up
+to orthogonality round-off. Those columns are factored from the same columns
+of the unitary's Ginibre draw alone, one out_dim * kraus_count x in_dim QR.
 
 :func:`apply_local` applies each site's channel as one superoperator,
 sum_k K (x) conj(K), contracted with the state in a single matrix product
@@ -205,7 +207,10 @@ def haar_unitary(d: int, seed: SeedLike) -> np.ndarray:
 def _haar_from_normals(x: np.ndarray) -> np.ndarray:
     """The unitary :func:`haar_unitary` makes from the standard normals
     x[..., 0, :, :] (real parts) and x[..., 1, :, :] (imaginary parts); a
-    stack of draws goes through one stacked QR."""
+    stack of draws goes through one stacked QR. Given only the first k
+    columns of a draw, it gives the first k columns of that unitary, from a
+    QR of those columns alone: column j of Q and the diagonal entry j of R
+    depend on the draw's columns up to j only."""
     z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
@@ -223,8 +228,10 @@ def _isometry_kraus(u: np.ndarray, in_dim: int, out_dim: int, kraus_count: int) 
 def _random_kraus(x: np.ndarray, in_dim: int, out_dim: int, kraus_count: int) -> np.ndarray:
     """The Kraus families :func:`random_channel` builds from a stack of draws
     x of shape (S, 2, d, d), d = out_dim * kraus_count, as one
-    (S, kraus_count, out_dim, in_dim) stack, checked for completeness."""
-    kraus = _isometry_kraus(_haar_from_normals(x), in_dim, out_dim, kraus_count)
+    (S, kraus_count, out_dim, in_dim) stack, checked for completeness. The
+    isometry is factored from the in_dim columns of each draw it keeps, so
+    the QR is d x in_dim, not d x d."""
+    kraus = _isometry_kraus(_haar_from_normals(x[..., :in_dim]), in_dim, out_dim, kraus_count)
     _check_completeness(kraus)
     return kraus
 
@@ -237,8 +244,9 @@ def random_channel(in_dim: int, out_dim: int, kraus_count: int, seed: SeedLike) 
         raise BadParameter(
             f"out_dim*kraus_count = {big} must be >= in_dim = {in_dim} for an isometry"
         )
-    u = haar_unitary(big, seed)
-    return KrausChannel(in_dim, out_dim, tuple(_isometry_kraus(u, in_dim, out_dim, kraus_count)))
+    # the draw of haar_unitary(big, seed), of which the isometry keeps in_dim columns
+    x = rng_from(seed).standard_normal((1, 2, big, big))
+    return KrausChannel(in_dim, out_dim, tuple(_random_kraus(x, in_dim, out_dim, kraus_count)[0]))
 
 
 def dephasing(theta: float, phi: float) -> KrausChannel:

@@ -3,11 +3,14 @@
 Phi is the minimum quantum Jensen-Shannon divergence between the state and a
 product state across a bipartition. ``marginal`` mode scores every cut with
 the literal product of its marginals. ``optimized`` mode refines the product
-factors on every cut by matrix exponentiated-gradient descent in log space
-(:func:`_refine_product`), starting from the marginals, and reports the
-minimum over cuts of the refined values; no cut reports more than its
-marginal value, so phi <= phi_marginal. ``ties`` and ``per_cut`` are the
-marginal-mode values in both modes.
+factors on every cut by matrix exponentiated-gradient descent in log space,
+starting from the marginals, and reports the minimum over cuts of the
+refined values; no cut reports more than its marginal value, so
+phi <= phi_marginal. ``ties`` and ``per_cut`` are the marginal-mode values in
+both modes. The descent, :func:`_refine_products`, runs one chain per state
+of a stack on one cut, all chains advancing together through stacked
+eigensolves; :func:`phi` runs it once per cut on a stack of one
+(:func:`_refine_product`), and :func:`_phis` once per cut on a whole stack.
 
 The per-cut value qjsd(rho, rho_A (x) rho_B) = S(m) - S(rho)/2 - S(sigma)/2,
 with m the midpoint (rho + sigma)/2, is computed spectrally. rho is
@@ -265,75 +268,131 @@ def merge_inequality_check(rho: DensityMatrix, p: PartitionKBlocks, i: int, j: i
 # optimized-mode refinement
 
 def _exp_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-spectrum, spectrum and eigenvectors of exp(H)/tr exp(H). The
-    log-spectrum comes from H, so it stays finite where the spectrum underflows."""
+    """Log-spectra, spectra and eigenvectors of exp(H)/tr exp(H) for each H of
+    a stack. A log-spectrum comes from H, so it stays finite where the
+    spectrum underflows; each normalizer is taken by ``math.log``, one row at
+    a time, whose last bit a stacked ``np.log`` does not always match."""
     w, v = np.linalg.eigh(h)
-    logp = w - w.max()
-    logp -= math.log(float(np.sum(np.exp(logp))))
+    logp = w - w[:, -1:]  # eigh's spectra ascend
+    logp -= np.array([math.log(s) for s in np.sum(np.exp(logp), axis=-1).tolist()])[:, None]
     return logp, np.exp(logp), v
 
 
 def _refine_product(
     rho: DensityMatrix, cut: Bipartition, start: Optional[tuple[np.ndarray, np.ndarray]] = None
 ):
-    """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states on the cut.
-
-    Matrix exponentiated-gradient (mirror) descent (Tsuda, Raetsch & Warmuth,
-    JMLR 2005). Each factor is sigma = exp(H)/tr exp(H), and H starts at the
-    log of the marginal (eigenvalues floored at 1e-12) unless ``start`` gives
-    (H_A, H_B). The gradient of qjsd in sigma is G = (log sigma - log m)/2,
-    with m = (rho + sigma)/2; its partial traces G_A = tr_B[(1 (x) sigma_B) G]
-    and G_B = tr_A[(sigma_A (x) 1) G] give the step H_A <- H_A - eta G_A,
-    H_B <- H_B - eta G_B. eta is halved until the value does not rise and
-    doubled after every accepted step. Each trial costs one eigensolve of m,
-    which gives both S(m) and log m; S(rho) is computed once. The descent stops
-    when a step gains less than REFINE_IMPROVEMENT_TOL, or after
-    REFINE_MAX_STEPS steps.
+    """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states on the cut:
+    :func:`_refine_products` on a stack of one, with ``start`` (H_A, H_B)
+    where given.
 
     Returns (value, sigma, steps, (H_A, H_B)).
     """
     a_idx, b_idx = cut.as_lists()
-    da = math.prod(rho.dims[i] for i in a_idx)
-    db = rho.dim // da
+    start = None if start is None else tuple(np.asarray(h)[None] for h in start)
+    mats = np.asarray(rho.mat)[None]
+    value, sa, sb, steps, h = _refine_products(mats, rho.dims, a_idx, b_idx, start)
+    sigma = assemble_on_subsets([sa[0], sb[0]], [a_idx, b_idx], rho.layout)
+    return float(value[0]), sigma, int(steps[0]), (h[0][0], h[1][0])
+
+
+def _refine_products(mats: np.ndarray, dims: tuple[int, ...], a_idx, b_idx, start=None):
+    """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states on the cut
+    (a_idx, b_idx), for every state rho of an (S, D, D) stack, each by its
+    own chain.
+
+    Matrix exponentiated-gradient (mirror) descent (Tsuda, Raetsch & Warmuth,
+    JMLR 2005). Each factor is sigma = exp(H)/tr exp(H), and H starts at the
+    log of the marginal (eigenvalues floored at 1e-12) unless ``start`` gives
+    the stacks (H_A, H_B). The gradient of qjsd in sigma is
+    G = (log sigma - log m)/2, with m = (rho + sigma)/2; its partial traces
+    G_A = tr_B[(1 (x) sigma_B) G] and G_B = tr_A[(sigma_A (x) 1) G] give the
+    step H_A <- H_A - eta G_A, H_B <- H_B - eta G_B. eta is halved until the
+    value does not rise and doubled after every accepted step. Each trial
+    costs one eigensolve of m, which gives both S(m) and log m; S(rho) is
+    computed once. A chain stops when a step gains less than
+    REFINE_IMPROVEMENT_TOL, after REFINE_MAX_STEPS steps, or when
+    ``_MAX_HALVINGS`` halvings find no step that does not rise.
+
+    The chains advance together: each trial is one stacked eigensolve over
+    the chains still halving, while each chain keeps its own eta, halvings
+    and stop, so every chain takes the steps, and gives the bits, it would
+    take alone.
+
+    Returns the (S,) values, the factor stacks sigma_A and sigma_B, the (S,)
+    step counts and the stacks (H_A, H_B).
+    """
+    count = len(mats)
+    da = math.prod(dims[i] for i in a_idx)
+    db = mats.shape[-1] // da
     # with the factors ordered (A, B), sigma is a plain Kronecker product
-    rho_ab = _permute_raw(np.asarray(rho.mat), rho.dims, a_idx + b_idx)
+    rho_ab = _permute_raw(mats, dims, a_idx + b_idx)
     s_rho = entropies(np.linalg.eigvalsh(rho_ab))
     if start is None:
-        eigs = (np.linalg.eigh(_partial_trace_raw(rho.mat, rho.dims, s)) for s in (a_idx, b_idx))
+        eigs = (np.linalg.eigh(_partial_trace_raw(mats, dims, s)) for s in (a_idx, b_idx))
         start = tuple(_spectral(v, np.log(np.clip(w, _LOG_FLOOR, None))) for w, v in eigs)
 
-    def evaluate(h):
+    def evaluate(rho, s_rho, h):
+        # S(m) - S(rho)/2 - S(sigma)/2 at the points h, a stack per factor,
+        # and the points: [H_A, H_B, the log-spectra and eigenvectors of
+        # sigma_A and sigma_B, sigma_A, sigma_B, the eigh of m]
         (la, pa, va), (lb, pb, vb) = _exp_factor(h[0]), _exp_factor(h[1])
         sa, sb = _spectral(va, pa), _spectral(vb, pb)
-        wm, vm = np.linalg.eigh((rho_ab + _kron(sa, sb)) / 2.0)
+        wm, vm = np.linalg.eigh((rho + _kron(sa, sb)) / 2.0)
         s_sigma = entropies(pa) + entropies(pb)
-        value = float(entropies(wm) - 0.5 * s_rho - 0.5 * s_sigma)
-        return value, h, (la, va, lb, vb, sa, sb, wm, vm)
+        return entropies(wm) - 0.5 * s_rho - 0.5 * s_sigma, [*h, la, va, lb, vb, sa, sb, wm, vm]
 
-    value, h, point = evaluate(start)
-    eta, steps = 1.0, 0
-    while steps < REFINE_MAX_STEPS:
-        la, va, lb, vb, sa, sb, wm, vm = point
+    # a chain's results (value, H_A, H_B, sigma_A, sigma_B) are written into
+    # the first point's arrays when it stops, so a given start is copied
+    value, point = evaluate(rho_ab, s_rho, [np.array(h, np.result_type(h, mats)) for h in start])
+    out = [value, *point[:2], *point[6:8]]
+    steps = np.zeros(count, dtype=int)
+    # the chains still running, and their values, points, eta and states
+    live, eta = np.arange(count), np.ones(count)
+    while live.size:
+        _, _, la, va, lb, vb, sa, sb, wm, vm = point
         # G_A and G_B up to multiples of the identity, which exp(H)/tr exp(H)
         # does not see
-        log_m = _spectral(vm, np.log(np.clip(wm, _TINY, None))).reshape(da, db, da, db)
-        ga = 0.5 * (_spectral(va, la) - np.einsum("jm,imkj->ik", sb, log_m))
-        gb = 0.5 * (_spectral(vb, lb) - np.einsum("im,mjil->jl", sa, log_m))
-        for _ in range(_MAX_HALVINGS):
-            trial = evaluate((h[0] - eta * ga, h[1] - eta * gb))
-            if trial[0] <= value:
+        log_m = _spectral(vm, np.log(np.clip(wm, _TINY, None))).reshape(-1, da, db, da, db)
+        ga = 0.5 * (_spectral(va, la) - np.einsum("sjm,simkj->sik", sb, log_m))
+        gb = 0.5 * (_spectral(vb, lb) - np.einsum("sim,smjil->sjl", sa, log_m))
+        # each trial's accepted chains, as (positions in live, values, points)
+        pending, taken = np.arange(live.size), []
+        for halving in range(_MAX_HALVINGS):
+            # the first trial takes every live chain, with no copy
+            sub = pending if halving else slice(None)
+            step = eta[sub, None, None]
+            h = (point[0][sub] - step * ga[sub], point[1][sub] - step * gb[sub])
+            trial, at = evaluate(rho_ab[sub], s_rho[sub], h)
+            ok = trial <= value[sub]
+            if ok.all():
+                taken.append((pending, trial, at))
+            elif ok.any():
+                taken.append((pending[ok], trial[ok], [q[ok] for q in at]))
+            pending = pending[~ok]
+            if not pending.size:
                 break
-            eta *= 0.5
+            eta[pending] *= 0.5
         else:
-            break
-        steps += 1
-        gain = value - trial[0]
-        value, h, point = trial
+            # a chain whose every halving rose keeps its point and takes no
+            # step; with a gain of 0, it stops
+            taken.append((pending, value[pending], [p[pending] for p in point]))
+            steps[live[pending]] -= 1
+        if len(taken) == 1:
+            new_value, new_point = taken[0][1:]
+        else:
+            order = np.argsort(np.concatenate([k for k, _, _ in taken]))
+            new_value = np.concatenate([v for _, v, _ in taken])[order]
+            new_point = [np.concatenate(rows)[order] for rows in zip(*(q for _, _, q in taken))]
+        steps[live] += 1
         eta *= 2.0
-        if gain < REFINE_IMPROVEMENT_TOL:
-            break
-    sigma = assemble_on_subsets([point[4], point[5]], [a_idx, b_idx], rho.layout)
-    return value, sigma, steps, h
+        gain, value, point = value - new_value, new_value, new_point
+        go = (gain >= REFINE_IMPROVEMENT_TOL) & (steps[live] < REFINE_MAX_STEPS)
+        if not go.all():
+            for o, p in zip(out, [value, *point[:2], *point[6:8]]):
+                o[live[~go]] = p[~go]
+            live, value, eta, rho_ab, s_rho = live[go], value[go], eta[go], rho_ab[go], s_rho[go]
+            point = [p[go] for p in point]
+    return out[0], out[3], out[4], steps, (out[1], out[2])
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +698,23 @@ def min_over_partitions(rho: DensityMatrix):
 
 
 def _phis(mats: np.ndarray, dims: tuple[int, ...], mode: str = "marginal") -> np.ndarray:
-    """phi of every state of an (S, D, D) stack: one :func:`_cut_divergences`
-    pass in marginal mode, else one :func:`phi` call per state (which rejects
-    an unknown mode). Raises as :func:`phi` does on a layout of one subsystem;
-    ``dims`` passes the size rule of :class:`~qphi.states.SubsystemLayout`
-    here, before scoring, as a custom channel family's outputs may exceed it."""
+    """phi of every state of an (S, D, D) stack, as :func:`phi` gives it: the
+    marginal per-cut values of one :func:`_cut_divergences` pass, and in
+    optimized mode one :func:`_refine_products` over the stack per cut, each
+    cut's value capped at its marginal one. Raises as :func:`phi` does on an
+    unknown mode or a layout of one subsystem; ``dims`` passes the size rule
+    of :class:`~qphi.states.SubsystemLayout` here, before scoring, as a
+    custom channel family's outputs may exceed it."""
+    if mode not in ("marginal", "optimized"):
+        raise BadParameter(f"unknown mode {mode!r}")
     layout = SubsystemLayout(dims)
     _check_cuttable(layout.n)
-    if mode == "marginal":
-        return _cut_divergences(mats, layout.dims).min(axis=1)
-    return np.array([phi(DensityMatrix(layout, m), mode).phi for m in mats])
+    values = _cut_divergences(mats, layout.dims)
+    if mode == "optimized":
+        for c, cut in enumerate(enumerate_bipartitions(layout.n)):
+            refined = _refine_products(mats, layout.dims, *cut.as_lists())[0]
+            values[:, c] = np.minimum(values[:, c], refined)
+    return values.min(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ Checks draw and score their states in stacks of at most 1 MB of matrices
 (``divergence._STACK_BYTES``), each sized by the code that builds it. One
 sampler, :func:`_samples`, takes the draws of every check but the Petz one
 (sample t draws its states, then any Kraus count and channel) and sizes its
-runs from those draws. The Petz products and Markov chains loop, as what
-they draw changes shape with the cut drawn just before. A kernel that
-builds more matrices than it is given splits its input itself, so no check
-works out a run length. The stacked kernels
-(:func:`qphi.phi._cut_divergences`, :func:`qphi.phi._partition_divergences`,
-:func:`qphi.divergence._grams`, the stacked channel application and
-validation) give the values of per-state scoring to round-off. Divergence,
-convexity, Lipschitz and blanket scores come from the stacked bodies behind
-the library's public functions. A statistic over no samples is null.
+runs from those draws. The Petz products draw sample by sample, as what they
+draw changes shape with the cut drawn just before, and are built and scored
+in stacks, one per layout and cut; the Markov chains are drawn as one block
+and recovered as one stack. A kernel that builds more matrices than it is
+given splits its input itself, so no check works out a run length. The
+stacked kernels (:func:`qphi.phi._cut_divergences`,
+:func:`qphi.phi._partition_divergences`, :func:`qphi.phi._refine_products`,
+:func:`qphi.divergence._grams`, :func:`qphi.blanket._petz_stack`, the
+stacked channel application and validation) give the values of per-state
+scoring to round-off. Divergence, convexity, Lipschitz, Petz and blanket
+scores come from the stacked bodies behind the library's public functions.
+A statistic over no samples is null.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blanket import _scan, petz_recover
+from .blanket import _petz_stack, _scan
 from .channels import _apply_kraus, _apply_local, _random_kraus
 from .divergence import (
     LN2, _ensemble_entropies, _grams, _kernel_min_eigenvalue, _negative_type, _pair_divergences,
@@ -48,15 +51,15 @@ from .phi import (
 from .states import (
     DensityMatrix,
     SubsystemLayout,
+    _assemble_raw,
     _ginibre_stack,
     _int,
     _ints,
+    _partial_trace_raw,
     _pure_stack,
     _real,
     _validate_stack,
     enumerate_bipartitions,
-    product_of_marginals,
-    random_product,
     substream,
 )
 from .witness import build_witness, expectation
@@ -434,45 +437,46 @@ def _check_shifted_kernel(cfg: VerifyConfig, rng):
     return None, len(grams), {"kernel_min_eigenvalue": _sampled(min_eig, len(grams))}
 
 
-def _random_markov_chain(rng) -> DensityMatrix:
-    p0 = rng.uniform(0.05, 0.95)
-    t1 = rng.uniform(0.05, 0.95, size=2)
-    t2 = rng.uniform(0.05, 0.95, size=2)
-    diag = np.zeros(8)
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            for x2 in (0, 1):
-                pr = (p0 if x0 == 0 else 1 - p0)
-                pr *= t1[x0] if x1 == 0 else 1 - t1[x0]
-                pr *= t2[x1] if x2 == 0 else 1 - t2[x1]
-                diag[(x0 << 2) | (x1 << 1) | x2] = pr
-    return DensityMatrix(SubsystemLayout((2, 2, 2)), np.diag(diag).astype(complex))
+def _markov_chains(rng, count: int) -> np.ndarray:
+    """A (count, 8, 8) stack of diagonal 3-bit states whose bit chain is
+    0 -> 1 -> 2: chain c draws, as one row of uniforms in [0.05, 0.95),
+    P(x0 = 0), then P(x1 = 0 | x0) and P(x2 = 0 | x1) for each parent bit."""
+    u = rng.uniform(0.05, 0.95, size=(count, 5))
+    q = np.stack([u, 1 - u], axis=-1)  # the probabilities of bit values 0 and 1
+    p0, t1, t2 = q[:, 0], q[:, 1:3], q[:, 3:5]  # [c, x0], then [c, parent, child]
+    pr = p0[:, :, None, None] * t1[:, :, :, None] * t2[:, None, :, :]
+    mats = np.zeros((count, 8, 8), dtype=complex)
+    mats[:, np.arange(8), np.arange(8)] = pr.reshape(count, 8)
+    return mats
 
 
 def _check_petz(cfg: VerifyConfig, rng):
     count = int(cfg.counts["petz_product_exactness"])
     chains = int(cfg.counts["petz_markov_chains"])
     worst = -np.inf
-    # a run's states and their products; what is drawn for a sample depends
-    # on the cut drawn just before, so the runs are built sample by sample
+    # sample t draws a cut of its layout, then the Ginibre factors of a
+    # full-rank product state across it, as random_product draws them
     per = _stack_len(max(math.prod(lay) for lay in cfg.layouts)) // 2
     for ts in _chunks(count, per):
-        pairs: dict = {}
-        for t in ts:
+        groups: dict = {}
+        for t in ts.tolist():
             lay = cfg.layouts[t % len(cfg.layouts)]
             cuts = enumerate_bipartitions(len(lay))
-            cut = cuts[int(rng.integers(0, len(cuts)))]
-            rho = random_product(lay, cut, rng)
-            pairs.setdefault(lay, []).append((rho.mat, product_of_marginals(rho, cut).mat))
-        for group in pairs.values():
+            c = int(rng.integers(0, len(cuts)))
+            factors = []
+            for side in cuts[c].as_lists():
+                d = math.prod(lay[i] for i in side)
+                factors.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            groups.setdefault((lay, c), []).append(factors)
+        for (lay, c), group in groups.items():
+            sides = enumerate_bipartitions(len(lay))[c].as_lists()
+            rho = _assemble_raw([_ginibre_stack(np.stack(g)) for g in zip(*group)], sides, lay)
+            marg = [_partial_trace_raw(rho, lay, side) for side in sides]
             # the blanket score of either side of the cut; zero on a product state
-            rho, sigma = (np.stack(m) for m in zip(*group))
-            worst = max(worst, np.max(_pair_divergences(rho, sigma)))
-    chain_worst = -np.inf
-    for _ in range(chains):
-        mc = _random_markov_chain(rng)
-        rec = petz_recover(mc, [1], [2])
-        chain_worst = max(chain_worst, float(np.max(np.abs(rec.mat - mc.mat))))
+            worst = max(worst, np.max(_pair_divergences(rho, _assemble_raw(marg, sides, lay))))
+    mats = _markov_chains(rng, chains)
+    errors = np.abs(_petz_stack(mats, (2, 2, 2), [1], [2]) - mats)
+    chain_worst = float(np.max(errors, initial=-np.inf))
     worst = max(worst, chain_worst)
     return worst, count + chains, {"markov_chain_worst_error": _sampled(chain_worst, chains)}
 

@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +25,8 @@ from qphi.states import (
     substream,
     tensor,
 )
+
+blanket_module = importlib.import_module("qphi.blanket")
 
 # qjsd between GHZ3 and its blanket reconstruction (coherence across the
 # rebuilt leg is lost); frozen from an independent evaluation
@@ -86,6 +89,20 @@ def test_petz_indices_are_checked_not_truncated():
         petz_recover(rho, blanket=[1.9], rebuild=[0])
     same = petz_recover(rho, blanket=[np.int64(1)], rebuild=[np.int64(0)])
     assert np.array_equal(same.mat, petz_recover(rho, blanket=[1], rebuild=[0]).mat)
+
+
+@pytest.mark.parametrize("blanket, rebuild", [([1], [2]), ([0, 1], [2]), ([2], [0])])
+def test_stacked_petz_rows_equal_their_one_state_calls(blanket, rebuild):
+    states = [
+        classical_markov_chain(),
+        random_product((2, 2, 2), Bipartition.of([0, 1], 3), substream(3, "bl-stack")),
+        ghz(3),
+        ginibre_mixed((2, 2, 2), 8, substream(3, "bl-stack")),
+    ]
+    mats = np.stack([np.asarray(rho.mat) for rho in states])
+    got = blanket_module._petz_stack(mats, (2, 2, 2), blanket, rebuild)
+    for rho, row in zip(states, got):
+        assert np.array_equal(row, petz_recover(rho, blanket, rebuild).mat)
 
 
 def test_blanket_scan_on_product_finds_the_spectator():

@@ -273,12 +273,26 @@ def test_stacked_channels_match_per_state_application(kraus_count):
 
 
 def test_stacked_random_kraus_matches_random_channel():
-    x = substream(10, "kraus").standard_normal((5, 2, 6, 6))
-    got = channels_module._random_kraus(x, 3, 2, 3)
-    rng = substream(10, "kraus")
-    for ks in got:
-        want = random_channel(3, 2, 3, rng).kraus
-        assert all(np.max(np.abs(g - w)) <= 1e-15 for g, w in zip(ks, want))
+    # in_dim < out_dim, in_dim > out_dim, one Kraus operator, a square
+    # isometry, and a draw of 128 x 128, where LAPACK's QR goes blocked
+    shapes = [(3, 2, 3), (2, 3, 1), (4, 2, 2), (3, 3, 1), (4, 4, 4), (8, 8, 16)]
+    for in_dim, out_dim, kraus_count in shapes:
+        big = out_dim * kraus_count
+        x = substream(10, "kraus").standard_normal((3, 2, big, big))
+        got = channels_module._random_kraus(x, in_dim, out_dim, kraus_count)
+        # the isometry cut from the whole unitary of each draw
+        full = channels_module._isometry_kraus(
+            channels_module._haar_from_normals(x), in_dim, out_dim, kraus_count
+        )
+        if big < 128:
+            assert np.array_equal(got, full)
+        else:
+            # the blocked QR of the whole draw orders its updates differently
+            assert np.max(np.abs(got - full)) <= 1e-15
+        rng = substream(10, "kraus")
+        for ks in got:
+            want = random_channel(in_dim, out_dim, kraus_count, rng).kraus
+            assert np.array_equal(ks, np.asarray(want))
 
 
 def test_stacked_validation_checks_every_state():

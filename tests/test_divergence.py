@@ -134,6 +134,31 @@ def test_negative_type_needs_two_states():
 divergence_module = importlib.import_module("qphi.divergence")
 
 
+def _negative_type_max(dmat, trials, rng):
+    """max a.D.a trial by trial: each trial draws its own m normals."""
+    worst = -np.inf
+    for _ in range(trials):
+        a = rng.standard_normal(dmat.shape[0])
+        a -= a.mean()
+        nrm = float(np.linalg.norm(a))
+        if nrm < 1e-12:
+            continue
+        a /= nrm
+        worst = max(worst, float(a @ dmat @ a))
+    return worst if np.isfinite(worst) else 0.0
+
+
+@pytest.mark.parametrize("m, trials", [(6, 500), (2, 40), (1, 5), (3, 0)])
+def test_stacked_negative_type_matches_trial_by_trial(m, trials):
+    # m = 1 centers every vector to zero, so every trial is skipped
+    states = [ginibre_mixed((2, 2), 4, substream(k, "neg-stack")) for k in range(m)]
+    dmat = divergence_module._grams(np.stack([np.asarray(s.mat) for s in states])[None])[0]
+    got = divergence_module._negative_type(dmat, trials, substream(0, "neg-stack-coef"))
+    want = _negative_type_max(dmat, trials, substream(0, "neg-stack-coef"))
+    assert abs(got.negative_type_max - want) <= 1e-15
+    assert got.trials == trials and got.size == m
+
+
 def _entropy_of_spectrum(w):
     """The row-by-row formula: -sum(p ln p) over the positive eigenvalues only."""
     pos = w[w > 0.0]

@@ -677,6 +677,28 @@ def test_probe_starts_report_a_refinement_spread():
     assert 0.0 <= probed.refinement_spread <= 1e-4
 
 
+def test_stacked_refinement_rows_equal_their_one_state_calls():
+    # full rank, rank 2 and pure on (2,2,2): their chains stop after
+    # different step counts, and GHZ's refined values end a round-off above
+    # its marginal ones
+    dims = (2, 2, 2)
+    group = [
+        ginibre_mixed(dims, 8, substream(0, "stacked-refine-full")),
+        ginibre_mixed(dims, 2, substream(0, "stacked-refine-rank2")),
+        haar_pure(dims, substream(0, "stacked-refine-pure")),
+        ghz(3),
+    ]
+    mats = np.stack([np.asarray(rho.mat) for rho in group])
+    marginal = phi_module._cut_divergences(mats, dims)
+    values, _, _, steps, _ = phi_module._refine_products(mats, dims, [0], [1, 2])
+    assert len(set(steps.tolist())) == len(group)
+    assert values[3] > marginal[3, 0]
+    got = phi_module._phis(mats, dims, "optimized")
+    for rho, value in zip(group, got):
+        assert value == phi(DensityMatrix(dims, rho.mat), "optimized").phi
+    assert np.all(got <= phi_module._phis(mats, dims, "marginal"))
+
+
 @pytest.mark.parametrize("mode, starts", [("optimized", -1), ("marginal", -1), ("marginal", 1)])
 def test_probe_starts_are_refused_before_any_work(mode, starts, monkeypatch):
     def unreachable(*args):

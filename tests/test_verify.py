@@ -6,11 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qphi.blanket import blanket_scan
-from qphi.divergence import _STACK_BYTES as STACK_BYTES, qjsd_gram
+from qphi.blanket import blanket_scan, petz_recover
+from qphi.divergence import _STACK_BYTES as STACK_BYTES, qjsd, qjsd_gram
 from qphi.errors import ConfigInvalid
 from qphi.channels import random_channel, random_local_channel
-from qphi.states import SubsystemLayout, ginibre_mixed, haar_pure, substream
+from qphi.states import (
+    DensityMatrix,
+    SubsystemLayout,
+    enumerate_bipartitions,
+    ginibre_mixed,
+    haar_pure,
+    product_of_marginals,
+    random_product,
+    substream,
+)
 from qphi.verify import DEFAULT_COUNTS, DEFAULT_LAYOUTS, VerifyConfig, run_suite
 
 verify = importlib.import_module("qphi.verify")
@@ -326,6 +335,46 @@ def test_ensembles_match_per_state_generators():
         ]
         assert np.max(np.abs(dmat - qjsd_gram(states))) <= 1e-15
     assert len(got) == 3
+
+
+def _markov_chain(rng) -> np.ndarray:
+    """A diagonal 3-bit chain 0 -> 1 -> 2, drawn as one chain at a time."""
+    p0 = rng.uniform(0.05, 0.95)
+    t1 = rng.uniform(0.05, 0.95, size=2)
+    t2 = rng.uniform(0.05, 0.95, size=2)
+    diag = np.zeros(8)
+    for x0 in (0, 1):
+        for x1 in (0, 1):
+            for x2 in (0, 1):
+                pr = p0 if x0 == 0 else 1 - p0
+                pr *= t1[x0] if x1 == 0 else 1 - t1[x0]
+                pr *= t2[x1] if x2 == 0 else 1 - t2[x1]
+                diag[(x0 << 2) | (x1 << 1) | x2] = pr
+    return np.diag(diag).astype(complex)
+
+
+def test_stacked_petz_check_matches_sample_by_sample():
+    cfg = VerifyConfig(
+        seed=6, layouts=((2, 2), (2, 3, 2)),
+        counts={"petz_product_exactness": 40, "petz_markov_chains": 12},
+    )
+    worst, samples, details = verify._check_petz(cfg, substream(6, "petz"))
+    # each sample as one DensityMatrix, recovered and scored on its own
+    rng = substream(6, "petz")
+    want = -np.inf
+    for t in range(40):
+        lay = cfg.layouts[t % 2]
+        cuts = enumerate_bipartitions(len(lay))
+        cut = cuts[int(rng.integers(0, len(cuts)))]
+        rho = random_product(lay, cut, rng)
+        want = max(want, qjsd(rho, product_of_marginals(rho, cut)))
+    chain_want = -np.inf
+    for _ in range(12):
+        mc = DensityMatrix((2, 2, 2), _markov_chain(rng))
+        chain_want = max(chain_want, float(np.max(np.abs(petz_recover(mc, [1], [2]).mat - mc.mat))))
+    assert samples == 52
+    assert details["markov_chain_worst_error"] == chain_want
+    assert worst == max(want, chain_want)
 
 
 def test_stacked_blanket_agreement_matches_blanket_scan_state_by_state(monkeypatch):
