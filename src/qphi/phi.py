@@ -7,10 +7,10 @@ factors on every cut by matrix exponentiated-gradient descent in log space,
 starting from the marginals, and reports the minimum over cuts of the
 refined values; no cut reports more than its marginal value, so
 phi <= phi_marginal. ``ties`` and ``per_cut`` are the marginal-mode values in
-both modes. The descent, :func:`_refine_products`, runs one chain per state
-of a stack on one cut, all chains advancing together through stacked
-eigensolves; :func:`phi` runs it once per cut on a stack of one
-(:func:`_refine_product`), and :func:`_phis` once per cut on a whole stack.
+both modes. The descent, :func:`_refine_products`, runs one chain per
+(state, cut) pair, all advancing together through stacked eigensolves;
+:func:`_refine_cuts` runs it on every cut, in groups of one A-side
+dimension, for :func:`phi` and :func:`_phis` alike.
 
 The per-cut value qjsd(rho, rho_A (x) rho_B) = S(m) - S(rho)/2 - S(sigma)/2,
 with m the midpoint (rho + sigma)/2, is computed spectrally. rho is
@@ -61,7 +61,7 @@ every branch to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
@@ -278,32 +278,16 @@ def _exp_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return logp, np.exp(logp), v
 
 
-def _refine_product(
-    rho: DensityMatrix, cut: Bipartition, start: Optional[tuple[np.ndarray, np.ndarray]] = None
-):
-    """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states on the cut:
-    :func:`_refine_products` on a stack of one, with ``start`` (H_A, H_B)
-    where given.
-
-    Returns (value, sigma, steps, (H_A, H_B)).
-    """
-    a_idx, b_idx = cut.as_lists()
-    start = None if start is None else tuple(np.asarray(h)[None] for h in start)
-    mats = np.asarray(rho.mat)[None]
-    value, sa, sb, steps, h = _refine_products(mats, rho.dims, a_idx, b_idx, start)
-    sigma = assemble_on_subsets([sa[0], sb[0]], [a_idx, b_idx], rho.layout)
-    return float(value[0]), sigma, int(steps[0]), (h[0][0], h[1][0])
-
-
-def _refine_products(mats: np.ndarray, dims: tuple[int, ...], a_idx, b_idx, start=None):
-    """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states on the cut
-    (a_idx, b_idx), for every state rho of an (S, D, D) stack, each by its
-    own chain.
+def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
+    """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states, for every
+    state rho of an (S, D, D) stack on every cut of ``cuts``, each given as
+    its sorted sides (A, B), all A sides of one dimension: each (state, cut)
+    pair by its own chain.
 
     Matrix exponentiated-gradient (mirror) descent (Tsuda, Raetsch & Warmuth,
     JMLR 2005). Each factor is sigma = exp(H)/tr exp(H), and H starts at the
     log of the marginal (eigenvalues floored at 1e-12) unless ``start`` gives
-    the stacks (H_A, H_B). The gradient of qjsd in sigma is
+    the stacks (H_A, H_B), chain by chain. The gradient of qjsd in sigma is
     G = (log sigma - log m)/2, with m = (rho + sigma)/2; its partial traces
     G_A = tr_B[(1 (x) sigma_B) G] and G_B = tr_A[(sigma_A (x) 1) G] give the
     step H_A <- H_A - eta G_A, H_B <- H_B - eta G_B. eta is halved until the
@@ -316,19 +300,22 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], a_idx, b_idx, star
     The chains advance together: each trial is one stacked eigensolve over
     the chains still halving, while each chain keeps its own eta, halvings
     and stop, so every chain takes the steps, and gives the bits, it would
-    take alone.
-
-    Returns the (S,) values, the factor stacks sigma_A and sigma_B, the (S,)
-    step counts and the stacks (H_A, H_B).
+    take alone. Chain s * len(cuts) + c is state s on cut c, and the values,
+    factor stacks sigma_A and sigma_B, step counts and stacks H_A and H_B
+    are returned chain by chain.
     """
-    count = len(mats)
-    da = math.prod(dims[i] for i in a_idx)
-    db = mats.shape[-1] // da
+    def chains(per_cut):
+        # one (S, ...) array per cut, as one array of chains, state-major
+        return np.stack(per_cut, axis=1).reshape(-1, *per_cut[0].shape[1:])
+
     # with the factors ordered (A, B), sigma is a plain Kronecker product
-    rho_ab = _permute_raw(mats, dims, a_idx + b_idx)
+    rho_ab = chains([_permute_raw(mats, dims, a + b) for a, b in cuts])
+    da = math.prod(dims[i] for i in cuts[0][0])
+    db = mats.shape[-1] // da
     s_rho = entropies(np.linalg.eigvalsh(rho_ab))
     if start is None:
-        eigs = (np.linalg.eigh(_partial_trace_raw(mats, dims, s)) for s in (a_idx, b_idx))
+        marg = ([_partial_trace_raw(mats, dims, c[i]) for c in cuts] for i in (0, 1))
+        eigs = (np.linalg.eigh(chains(m)) for m in marg)
         start = tuple(_spectral(v, np.log(np.clip(w, _LOG_FLOOR, None))) for w, v in eigs)
 
     def evaluate(rho, s_rho, h):
@@ -345,9 +332,9 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], a_idx, b_idx, star
     # the first point's arrays when it stops, so a given start is copied
     value, point = evaluate(rho_ab, s_rho, [np.array(h, np.result_type(h, mats)) for h in start])
     out = [value, *point[:2], *point[6:8]]
-    steps = np.zeros(count, dtype=int)
+    steps = np.zeros(len(value), dtype=int)
     # the chains still running, and their values, points, eta and states
-    live, eta = np.arange(count), np.ones(count)
+    live, eta = np.arange(len(value)), np.ones(len(value))
     while live.size:
         _, _, la, va, lb, vb, sa, sb, wm, vm = point
         # G_A and G_B up to multiples of the identity, which exp(H)/tr exp(H)
@@ -392,7 +379,24 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], a_idx, b_idx, star
                 o[live[~go]] = p[~go]
             live, value, eta, rho_ab, s_rho = live[go], value[go], eta[go], rho_ab[go], s_rho[go]
             point = [p[go] for p in point]
-    return out[0], out[3], out[4], steps, (out[1], out[2])
+    return out[0], out[3], out[4], steps, out[1], out[2]
+
+
+def _refine_cuts(mats: np.ndarray, dims: tuple[int, ...]) -> list[list[np.ndarray]]:
+    """:func:`_refine_products` for every state of an (S, D, D) stack on every
+    canonical cut, in enumerate_bipartitions order: entry k is what a call on
+    cut k alone returns. The cuts go as :func:`_cut_plan` groups them, but
+    each in its canonical A|B order, and each call takes at most
+    ``_stack_len(D)`` chains, so D = 256 goes one chain at a time."""
+    step = _stack_len(mats.shape[-1])
+    parts: list[list] = [[] for _ in range(2 ** (len(dims) - 1) - 1)]
+    for _, index, sides in _cut_plan(dims, step, False):
+        per = max(1, step // len(index))
+        for s in range(0, len(mats), per):
+            got = _refine_products(mats[s:s + per], dims, sides)
+            for j, k in enumerate(index):
+                parts[k].append([a[j::len(index)] for a in got])
+    return [[np.concatenate(a) for a in zip(*p)] for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +508,18 @@ def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _cut_plan(dims: tuple[int, ...], step: int):
-    """The canonical cuts of a layout, each with its smaller side first,
-    grouped by that side's dimension d in chunks of at most ``step`` cuts:
-    (d, the cuts' positions in enumerate_bipartitions order, each cut's two
-    sorted sides, first then second). Only the sides are kept, not the D-long
-    basis permutations they give."""
+def _cut_plan(dims: tuple[int, ...], step: int, smaller_first: bool = True):
+    """The canonical cuts of a layout, each with its smaller side first (side
+    A, if not ``smaller_first``), grouped by that side's dimension d in chunks
+    of at most ``step`` cuts: (d, the cuts' positions in enumerate_bipartitions
+    order, each cut's two sorted sides, first then second). Only the sides are
+    kept, not the D-long basis permutations they give."""
     dim = math.prod(dims)
     groups: dict[int, list] = {}
     for k, cut in enumerate(enumerate_bipartitions(len(dims))):
         a_idx, b_idx = cut.as_lists()
         da = math.prod(dims[i] for i in a_idx)
-        if da * da > dim:
+        if smaller_first and da * da > dim:
             a_idx, b_idx, da = b_idx, a_idx, dim // da
         groups.setdefault(da, []).append((k, (tuple(a_idx), tuple(b_idx))))
     plan = []
@@ -650,39 +654,37 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
     if probe_starts > 0 and mode != "optimized":
         raise BadParameter("probe_starts needs mode 'optimized'")
     _check_cuttable(rho.n)
-    marg = _marginal_result(rho, _cut_divergences(np.asarray(rho.mat)[None], rho.dims)[0])
+    mats = np.asarray(rho.mat)[None]
+    marginal = _cut_divergences(mats, rho.dims)[0]
+    marg = _marginal_result(rho, marginal)
     if mode == "marginal":
         return marg
-    best = None
-    for cut, marginal in marg.per_cut:
-        val, sigma, _steps, h = _refine_product(rho, cut)
-        # the descent starts from the marginals floored at 1e-12, so it can
-        # end a round-off above the marginal value
-        if marginal < val:
-            val, sigma = marginal, product_of_marginals(rho, cut)
-        if best is None or val < best[0]:
-            best = (val, cut, sigma, h)
-    val, cut, sigma, hopt = best
-    spread = None
-    if probe_starts > 0:
-        rng = np.random.default_rng(0)
-        devs = []
-        for _ in range(probe_starts):
-            z = [rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape) for h in hopt]
-            h_init = tuple(h + 0.025 * (g + g.conj().T) for h, g in zip(hopt, z))
-            _, s2, _, _ = _refine_product(rho, cut, start=h_init)
-            devs.append(float(np.max(np.abs(np.asarray(s2.mat) - np.asarray(sigma.mat)))))
-        spread = max(devs)
-    return PhiResult(
-        phi=val,
-        optimal_cut=cut,
-        per_cut=marg.per_cut,
-        ties=marg.ties,
-        mode=mode,
-        phi_marginal=marg.phi,
-        refinement_spread=spread,
-        sigma=sigma,
-    )
+    refined = _refine_cuts(mats, rho.dims)
+    # the descent starts from the marginals floored at 1e-12, so it can end
+    # a round-off above the marginal value; the first lowest cut wins
+    capped = np.minimum([r[0][0] for r in refined], marginal)
+    k = int(np.argmin(capped))
+    cut = marg.per_cut[k][0]
+    sides = cut.as_lists()
+    value, sa, sb, _, *hopt = (r[0] for r in refined[k])
+    if marginal[k] < value:
+        sigma = product_of_marginals(rho, cut)
+    else:
+        sigma = assemble_on_subsets([sa, sb], sides, rho.layout)
+    res = replace(marg, phi=float(capped[k]), optimal_cut=cut, mode=mode, sigma=sigma)
+    if probe_starts == 0:
+        return res
+    # per start, the real then the imaginary part of H_A's perturbation, then
+    # H_B's, from one seeded stream; at most _stack_len(D) starts a call
+    rng, step, spread = np.random.default_rng(0), _stack_len(rho.dim), 0.0
+    for p in range(0, probe_starts, step):
+        draws = rng.standard_normal((min(step, probe_starts - p), 2 * (sa.size + sb.size)))
+        x = np.split(draws, np.cumsum([sa.size, sa.size, sb.size]), axis=1)
+        z = [(x[2 * i] + 1j * x[2 * i + 1]).reshape(-1, *h.shape) for i, h in enumerate(hopt)]
+        start = [h + 0.025 * (g + np.swapaxes(g.conj(), -1, -2)) for h, g in zip(hopt, z)]
+        found = _refine_products(np.repeat(mats, len(draws), 0), rho.dims, [sides], start)[1:3]
+        spread = max(spread, float(np.abs(_assemble_raw(found, sides, rho.dims) - sigma.mat).max()))
+    return replace(res, refinement_spread=spread)
 
 
 def min_over_partitions(rho: DensityMatrix):
@@ -700,20 +702,18 @@ def min_over_partitions(rho: DensityMatrix):
 def _phis(mats: np.ndarray, dims: tuple[int, ...], mode: str = "marginal") -> np.ndarray:
     """phi of every state of an (S, D, D) stack, as :func:`phi` gives it: the
     marginal per-cut values of one :func:`_cut_divergences` pass, and in
-    optimized mode one :func:`_refine_products` over the stack per cut, each
-    cut's value capped at its marginal one. Raises as :func:`phi` does on an
-    unknown mode or a layout of one subsystem; ``dims`` passes the size rule
-    of :class:`~qphi.states.SubsystemLayout` here, before scoring, as a
-    custom channel family's outputs may exceed it."""
+    optimized mode those of one :func:`_refine_cuts` pass, each capped at
+    its marginal one. Raises as :func:`phi` does on an unknown mode or a
+    layout of one subsystem; ``dims`` passes the size rule of
+    :class:`~qphi.states.SubsystemLayout` here, before scoring, as a custom
+    channel family's outputs may exceed it."""
     if mode not in ("marginal", "optimized"):
         raise BadParameter(f"unknown mode {mode!r}")
     layout = SubsystemLayout(dims)
     _check_cuttable(layout.n)
     values = _cut_divergences(mats, layout.dims)
     if mode == "optimized":
-        for c, cut in enumerate(enumerate_bipartitions(layout.n)):
-            refined = _refine_products(mats, layout.dims, *cut.as_lists())[0]
-            values[:, c] = np.minimum(values[:, c], refined)
+        values = np.minimum(values, np.stack([r[0] for r in _refine_cuts(mats, layout.dims)], 1))
     return values.min(axis=1)
 
 

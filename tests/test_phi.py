@@ -31,6 +31,7 @@ from qphi.states import (
     DensityMatrix,
     _partial_trace_raw,
     _permute_raw,
+    assemble_on_subsets,
     bell,
     enumerate_bipartitions,
     ghz,
@@ -594,12 +595,20 @@ def _opt_states():
 OPT_STATES = _opt_states()
 
 
+def _refine_one(rho: DensityMatrix, cut: Bipartition):
+    """(value, sigma, steps) of one refinement chain: rho on the cut."""
+    sides = cut.as_lists()
+    mats = np.asarray(rho.mat)[None]
+    value, sa, sb, steps, _, _ = phi_module._refine_products(mats, rho.dims, [sides])
+    return float(value[0]), assemble_on_subsets([sa[0], sb[0]], sides, rho.layout), int(steps[0])
+
+
 @pytest.mark.parametrize("label", sorted(OPT_STATES))
 def test_optimized_phi_is_the_minimum_over_every_refined_cut(label):
     rho = OPT_STATES[label]
     res = phi(rho, "optimized")
     assert res.phi <= res.phi_marginal
-    refined = [phi_module._refine_product(rho, cut)[0] for cut in enumerate_bipartitions(rho.n)]
+    refined = [_refine_one(rho, cut)[0] for cut in enumerate_bipartitions(rho.n)]
     marginal = [v for _, v in res.per_cut]
     # no cut reports more than its marginal value
     capped = [min(r, m) for r, m in zip(refined, marginal)]
@@ -616,7 +625,7 @@ def test_optimized_mode_reports_a_lower_untied_cut():
     res = phi(rho, "optimized")
     assert res.ties == (Bipartition.of([0, 2], 3),)
     assert res.optimal_cut == Bipartition.of([0], 3)
-    tied = phi_module._refine_product(rho, res.ties[0])[0]
+    tied = _refine_one(rho, res.ties[0])[0]
     assert res.phi < tied - 0.01
 
 
@@ -659,7 +668,7 @@ def test_optimized_sigma_is_stationary(label):
 def test_refinement_of_a_pure_state_is_fast_and_lower():
     rho = haar_pure((2, 2, 2), substream(0, "bl-oracle-pure"))
     t0 = time.perf_counter()
-    val, sigma, steps, _ = phi_module._refine_product(rho, Bipartition.of([0], 3))
+    val, sigma, steps = _refine_one(rho, Bipartition.of([0], 3))
     assert time.perf_counter() - t0 < 1.0
     # the former coordinate descent stopped at 0.19778516357 after 500 passes
     assert val < 0.19778516357
@@ -690,13 +699,83 @@ def test_stacked_refinement_rows_equal_their_one_state_calls():
     ]
     mats = np.stack([np.asarray(rho.mat) for rho in group])
     marginal = phi_module._cut_divergences(mats, dims)
-    values, _, _, steps, _ = phi_module._refine_products(mats, dims, [0], [1, 2])
+    values, _, _, steps, _, _ = phi_module._refine_products(mats, dims, [([0], [1, 2])])
     assert len(set(steps.tolist())) == len(group)
     assert values[3] > marginal[3, 0]
     got = phi_module._phis(mats, dims, "optimized")
     for rho, value in zip(group, got):
         assert value == phi(DensityMatrix(dims, rho.mat), "optimized").phi
     assert np.all(got <= phi_module._phis(mats, dims, "marginal"))
+    # on (2,2,2,2) the driver runs the cuts of one A-side dimension in one
+    # call, and every (state, cut) chain of it gives its one-chain call's
+    # value, sigma_A, sigma_B, step count, H_A and H_B
+    dims = (2, 2, 2, 2)
+    mats = np.stack([np.asarray(rho.mat) for rho in OPT_STATES.values() if rho.dims == dims])
+    refined = phi_module._refine_cuts(mats, dims)
+    for k, cut in enumerate(enumerate_bipartitions(len(dims))):
+        for i in range(len(mats)):
+            one = phi_module._refine_products(mats[i:i + 1], dims, [cut.as_lists()])
+            assert all(np.array_equal(got[i:i + 1], want) for got, want in zip(refined[k], one))
+    # a group of three cuts whose chains on one state stop at three step counts
+    steps = np.stack([r[3] for r in refined], axis=1)
+    plan = phi_module._cut_plan(dims, divergence_module._stack_len(16), False)
+    assert any(
+        len(index) >= 3 and len(set(steps[i, list(index)].tolist())) == len(index)
+        for _, index, _ in plan
+        for i in range(len(mats))
+    )
+
+
+def test_optimized_mode_refines_each_group_of_cuts_in_one_call(monkeypatch):
+    refine, calls = phi_module._refine_products, []
+
+    def record(mats, dims, cuts, start=None):
+        calls.append((len(mats), [int(np.prod([dims[i] for i in a])) for a, _ in cuts]))
+        return refine(mats, dims, cuts, start)
+
+    monkeypatch.setattr(phi_module, "_refine_products", record)
+    # full-rank 2^5: 15 cuts, one call per A-side dimension 2, 4, 8 and 16
+    phi(ginibre_mixed((2,) * 5, 32, substream(0, "call-shape-2^5")), "optimized")
+    assert sorted(calls) == [(1, [2]), (1, [4] * 4), (1, [8] * 6), (1, [16] * 4)]
+    # a cap of one chain a call, and of two, which splits the three-cut
+    # groups into two calls and the one-cut group's states into two: no call
+    # takes more chains than the cap, and the values stay bit-equal
+    dims = (2, 2, 2, 2)
+    mats = np.stack([np.asarray(rho.mat) for rho in OPT_STATES.values() if rho.dims == dims])
+    want = phi_module._phis(mats, dims, "optimized")
+    for chains in (1, 2):
+        monkeypatch.setattr(divergence_module, "_STACK_BYTES", chains * 16 * 16 * 16)
+        calls.clear()
+        assert np.array_equal(phi_module._phis(mats, dims, "optimized"), want)
+        assert divergence_module._stack_len(16) == chains
+        assert max(s * len(d) for s, d in calls) == chains
+        # 7 cuts x 3 states; or 2 calls for the one-cut group and, for each
+        # three-cut group, 3 for its first two cuts and 2 for its last
+        assert len(calls) == (21 if chains == 1 else 2 + 2 * (3 + 2))
+
+
+@pytest.mark.parametrize("label", ["full-222", "rank2-222"])
+def test_probe_start_spread_equals_its_one_chain_reruns(label, monkeypatch):
+    rho = OPT_STATES[label]
+    res = phi(rho, "optimized")
+    sides = res.optimal_cut.as_lists()
+    mats = np.asarray(rho.mat)[None]
+    hopt = phi_module._refine_products(mats, rho.dims, [sides])[4:]
+    # each start perturbs H_A, then H_B, by a hermitian draw: the real part,
+    # then the imaginary part, from one stream seeded 0
+    rng, devs = np.random.default_rng(0), []
+    for _ in range(3):
+        start = []
+        for h in hopt:
+            g = rng.standard_normal(h.shape[1:]) + 1j * rng.standard_normal(h.shape[1:])
+            start.append(h + 0.025 * (g + g.conj().T))
+        _, sa, sb, _, _, _ = phi_module._refine_products(mats, rho.dims, [sides], start)
+        sigma = assemble_on_subsets([sa[0], sb[0]], sides, rho.layout)
+        devs.append(np.max(np.abs(sigma.mat - res.sigma_star.mat)))
+    assert phi(rho, "optimized", probe_starts=3).refinement_spread == max(devs)
+    # a cap of two chains a call puts the third start in a call of its own
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 2 * 16 * 8 * 8)
+    assert phi(rho, "optimized", probe_starts=3).refinement_spread == max(devs)
 
 
 @pytest.mark.parametrize("mode, starts", [("optimized", -1), ("marginal", -1), ("marginal", 1)])
