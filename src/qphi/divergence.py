@@ -79,21 +79,31 @@ def _ensemble_entropies(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nd
     eigensolve of its states, stack by stack, then its midpoints, pair by
     pair, at most ``_STACK_BYTES`` of matrices. When one sample's matrices
     alone are more, each sample is a run, eigensolved in stacks of as many
-    of its matrices as fit, its midpoints built as they are reached."""
-    m = len(stacks)
-    pairs = list(itertools.combinations(range(m), 2))
-    per = _stack_len(stacks[0].shape[-1])
-    step = max(1, per // (m + len(pairs)))
+    of its matrices as fit, its midpoints built as they are reached.
+
+    The stacks are written into one buffer, allocated once: a midpoint is
+    a_i + a_j added into it and halved in place, the bits of
+    (a_i + a_j) / 2.0."""
+    m, count, dim = len(stacks), len(stacks[0]), stacks[0].shape[-1]
+    items = [(i, None) for i in range(m)] + list(itertools.combinations(range(m), 2))
+    per = _stack_len(dim)
+    step = max(1, per // len(items))
+    fits = min(per // step, len(items))  # a run's stacks per eigensolve
+    buf = np.empty((fits * min(step, count), dim, dim), np.result_type(*stacks))
     ent = []
-    for lo in range(0, len(stacks[0]), step):
-        pieces = itertools.chain(
-            (s[lo:lo + step] for s in stacks),
-            ((stacks[i][lo:lo + step] + stacks[j][lo:lo + step]) / 2.0 for i, j in pairs),
-        )
+    for lo in range(0, count, step):
+        size = min(step, count - lo)
         run = []
-        while chunk := list(itertools.islice(pieces, per // step)):
-            run.append(entropies(np.linalg.eigvalsh(np.concatenate(chunk))))
-        ent.append(np.concatenate(run).reshape(m + len(pairs), -1))
+        for c in range(0, len(items), fits):
+            chunk = buf[:len(items[c:c + fits]) * size].reshape(-1, size, dim, dim)
+            for dst, (i, j) in zip(chunk, items[c:c + fits]):
+                if j is None:
+                    dst[...] = stacks[i][lo:lo + size]
+                else:
+                    np.add(stacks[i][lo:lo + size], stacks[j][lo:lo + size], out=dst)
+                    dst /= 2.0
+            run.append(entropies(np.linalg.eigvalsh(chunk)).reshape(-1))
+        ent.append(np.concatenate(run).reshape(len(items), -1))
     ent = np.concatenate(ent, axis=1)
     return ent[:m].T, ent[m:].T
 

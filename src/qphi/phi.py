@@ -26,6 +26,11 @@ marginal spectra, and S(m) from a form chosen by the rank r of rho:
   (diag(lambda^2) + sqrt(lambda) sqrt(lambda)^T) / 2.
 - 1 < r < D/2: in the eigenbasis U = U_A (x) U_B of sigma/2 = U diag(a) U^dag,
   m = diag(a) + W W^dag with W = U^dag X / sqrt(2) (:func:`_sigma_basis`).
+  A side B with r d_A < d_B is thin: rho_B = Y Y^dag for Y the d_B x r d_A
+  matrix of X's rows, so its non-zero spectrum and X's coordinates in its
+  eigenbasis, U_B^dag Y = sqrt(lambda) V^dag, come from the eigh of the
+  (r d_A)^2 Gram matrix Y^dag Y = V diag(lambda) V^dag, and rho_B is never
+  formed at full size.
   - r + rank rho_A * rank rho_B < D: m's non-zero spectrum is that of the
     Gram matrix of [W, diag(sqrt a)] over the non-zero a, of that size
     (:func:`_gram_midpoint`).
@@ -42,14 +47,18 @@ The value of a cut does not depend on which side comes first, so each cut
 puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
 cached). A cut's marginals come straight from rho, one contraction per side
-(:func:`~qphi.states._partial_trace_raw`), and each side's marginals take
-one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2). No form reorders rho:
-the dense form assembles sigma in rho's own subsystem order, as the
-partition scorer does, and the others read permuted rows of psi or X. A
-chunk holds at most 1 MB of D x D matrices, so D = 256 still goes one cut at
-a time. The kernel, :func:`_cut_divergences`, takes a stack of states of one
-layout and runs the plan once for all of them, choosing the form per state
-and cut; :func:`phi` calls it with a stack of one.
+(:func:`~qphi.states._partial_trace_raw`), unless the side is thin, and each
+side's marginals take one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2).
+No form reorders rho: the dense form multiplies sigma, in rho's own
+subsystem order, straight into a midpoint buffer allocated once per run of
+states, as the partition scorer does, and the others read permuted rows of
+psi or X. Each run's chunks are sized by the arrays that run builds, at most
+1 MB each: D x D midpoints when 2r >= D, so D = 256 goes one cut at a time,
+and D x r factor rows otherwise, so a rank-4 state at D = 256 scores 16
+cuts a chunk, each form stacked over them. The kernel,
+:func:`_cut_divergences`, takes a stack of states of one layout and runs the
+plans once for all of them, choosing the form per state and cut;
+:func:`phi` calls it with a stack of one.
 
 :func:`partition_divergences` scores k-block partitions the same way, also
 on stacks of states: S(rho) once, each distinct block marginal once,
@@ -62,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -104,6 +113,7 @@ _TINY = float(np.finfo(float).tiny)
 # trapezoidal nodes of the resolvent branch, in u = ln t (see _resolvent_midpoint)
 _NODE_STEP = 0.5
 _NODE_SPAN = 37.0
+_NODE_BLOCK = 32  # nodes per matrix product
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,8 @@ def _partition_divergences(
     by one batched partial trace over the stack; S(sigma) is the sum of the
     block entropies, since S is additive over a product. Each eigensolve is
     one stacked call over the S states: one for the states, one per distinct
-    block and one per partition's midpoints (rho + sigma)/2.
+    block and one per partition's midpoints (rho + sigma)/2, each partition's
+    sigma assembled into the same (S, D, D) buffer.
     """
     marg = {}
     for p in parts:
@@ -210,9 +221,10 @@ def _partition_divergences(
                 marg[b] = _partial_trace_raw(mats, dims, sorted(b))
     ent = {b: entropies(np.linalg.eigvalsh(m)) for b, m in marg.items()}
     s_rho = entropies(np.linalg.eigvalsh(mats))
+    sigma = np.empty(mats.shape, mats.dtype)
     cols = []
     for p in parts:
-        sigma = _assemble_raw([marg[b] for b in p.blocks], [sorted(b) for b in p.blocks], dims)
+        _assemble_raw([marg[b] for b in p.blocks], [sorted(b) for b in p.blocks], dims, out=sigma)
         s_mid = entropies(_dense_midpoint(mats, sigma))
         cols.append(s_mid - 0.5 * s_rho - 0.5 * sum(ent[b] for b in p.blocks))
     return np.stack(cols, axis=1)
@@ -402,15 +414,16 @@ def _refine_cuts(mats: np.ndarray, dims: tuple[int, ...]) -> list[list[np.ndarra
 # ---------------------------------------------------------------------------
 # marginal-mode per-cut values
 
-def _kept(w: np.ndarray) -> np.ndarray:
+def _kept(w: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     """Which eigenvalues of an ascending spectrum (or of each row of a stack
-    of them) lie above the eigensolver's noise floor D*eps*lambda_max."""
-    return w > w.shape[-1] * _EPS * w[..., -1:]
+    of them) lie above the eigensolver's noise floor D*eps*lambda_max, D the
+    spectrum's length, or ``dim`` for the thin spectrum of a larger matrix."""
+    return w > (w.shape[-1] if dim is None else dim) * _EPS * w[..., -1:]
 
 
-def _rank(w: np.ndarray):
+def _rank(w: np.ndarray, dim: Optional[int] = None):
     """Number of eigenvalues :func:`_kept`."""
-    return _kept(w).sum(axis=-1)
+    return _kept(w, dim).sum(axis=-1)
 
 
 def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]:
@@ -431,22 +444,43 @@ def _sigma_basis(x, ua, ub, wa, wb) -> tuple[np.ndarray, np.ndarray]:
     """(W, a) with m = (X X^dag + rho_A (x) rho_B)/2 = diag(a) + W W^dag in the
     eigenbasis U = U_A (x) U_B of the marginals' eigh (wa, ua) and (wb, ub):
     W = U^dag X / sqrt(2), a = (w_A (x) w_B)/2, noise (:func:`_kept`) set to 0,
-    for one cut or for a stack of them."""
+    for one cut or for a stack of them. With ``ub`` None, X's B index already
+    runs over the B basis, whose spectrum wb may be thin: the non-zero part
+    of rho_B's, from the Gram matrix of X's rows."""
     da, db = wa.shape[-1], wb.shape[-1]
     w = np.swapaxes(ua.conj(), -1, -2) @ x.reshape(x.shape[:-2] + (da, -1))
-    w = np.swapaxes(ub.conj(), -1, -2)[..., None, :, :] @ w.reshape(w.shape[:-2] + (da, db, -1))
+    if ub is not None:
+        w = np.swapaxes(ub.conj(), -1, -2)[..., None, :, :] @ w.reshape(w.shape[:-2] + (da, db, -1))
     a = (wa * _kept(wa))[..., :, None] * (wb * _kept(wb))[..., None, :] / 2.0
     return w.reshape(x.shape) / math.sqrt(2.0), a.reshape(x.shape[:-1])
 
 
-def _gram_midpoint(w: np.ndarray, a: np.ndarray) -> float:
-    """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`), from
-    the Gram matrix of [W, diag(sqrt a)[:, k]], k the non-zero entries of a:
-    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k)."""
+def _gram_midpoint(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`), for
+    one midpoint or a stack of them, from the Gram matrix of
+    [W, diag(sqrt a)[:, k]], k the non-zero entries of a:
+    [[W^dag W, C], [C^dag, diag(a_k)]] with C = W_k^dag diag(sqrt a_k). The
+    Gram matrices of one size are built and eigensolved in stacks of at most
+    ``_STACK_BYTES``."""
+    lead, (dim, r) = a.shape[:-1], w.shape[-2:]
+    w, a = w.reshape(-1, dim, r), a.reshape(-1, dim)
     k = a > 0.0
-    c = w[k].conj().T * np.sqrt(a[k])
-    gram = np.block([[w.conj().T @ w, c], [c.conj().T, np.diag(a[k])]])
-    return float(entropies(np.linalg.eigvalsh(gram)))
+    sizes = k.sum(axis=-1)
+    out = np.empty(len(a))
+    for n in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == n)
+        step = _stack_len(r + n)
+        for sel in (group[s:s + step] for s in range(0, group.size, step)):
+            ws, ks = w[sel], k[sel]
+            ak = a[sel][ks].reshape(-1, n)
+            c = np.swapaxes(ws[ks].reshape(-1, n, r).conj(), -1, -2) * np.sqrt(ak)[:, None, :]
+            gram = np.zeros((sel.size, r + n, r + n), w.dtype)
+            gram[:, :r, :r] = np.swapaxes(ws.conj(), -1, -2) @ ws
+            gram[:, :r, r:] = c
+            gram[:, r:, :r] = np.swapaxes(c.conj(), -1, -2)
+            gram[:, np.arange(r, r + n), np.arange(r, r + n)] = ak
+            out[sel] = entropies(np.linalg.eigvalsh(gram))
+    return out.reshape(lead)
 
 
 def _resolvent_pays(dim: int, r):
@@ -461,10 +495,11 @@ def _resolvent_pays(dim: int, r):
     return (12 * (r + 4) <= dim) & (r * r <= dim)
 
 
-def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
+def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`) from
     r x r matrices, r the columns of W, when both marginals have full rank
-    (the formula is in the module docstring).
+    (the formula is in the module docstring), for one midpoint or a stack of
+    them.
 
     The integral is taken by the trapezoidal rule in u = ln t (Trefethen &
     Weideman, SIAM Review 56, 2014). The integrand is analytic in
@@ -472,39 +507,82 @@ def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
     The step h = 1/2 therefore errs by about exp(-2 pi^2 / h) = 7e-18 times
     the integrand's size. The integrand is at most t / (2 a_min) and 1 / (2 t),
     so the tails cut off below ln a_min - 37 and above 37 are each under
-    e^-37 / 2 = 4e-17. The nodes go D at a time, so no table is larger than
-    one D x D matrix.
+    e^-37 / 2 = 4e-17.
+
+    Each midpoint's nodes run from its own ln a_min - 37 in blocks of
+    ``_NODE_BLOCK``, the last block's nodes above 37 weighted 0, and its
+    block sums are added in order, so its value does not depend on the
+    midpoints it is stacked with. The midpoints go in order of block count,
+    as many blocks at a time as keep the D-wide node table within half of
+    ``_STACK_BYTES``, and so, as r^2 <= D, the stack of r x r solves within
+    all of it.
     """
-    dim, r = w.shape
-    head = -float(np.dot(a + (w.real * w.real + w.imag * w.imag).sum(axis=1), np.log(a)))
-    # row d holds conj(w_d)^T w_d, read as reals for the product, so each
-    # node's row of (a_d + t)^-1, times this table, is G(t) (and of
-    # a_d (a_d + t)^-2, H(t))
-    rows = (w.conj()[:, :, None] * w[:, None, :]).reshape(dim, r * r)
-    t = np.exp(np.arange(math.log(a.min()) - _NODE_SPAN, _NODE_SPAN + _NODE_STEP / 2, _NODE_STEP))
+    lead, (dim, r) = a.shape[:-1], w.shape[-2:]
+    w, a = w.reshape(-1, dim, r), a.reshape(-1, dim)
+    log_a = np.log(a)
+    head = -np.sum((a + (w.real * w.real + w.imag * w.imag).sum(axis=-1)) * log_a, axis=-1)
+    top = _NODE_SPAN + _NODE_STEP / 2
+    start = log_a.min(axis=-1) - _NODE_SPAN
+    blocks = np.ceil((top - start) / (_NODE_STEP * _NODE_BLOCK)).astype(int)
+    order = sorted(range(len(a)), key=blocks.tolist().__getitem__)
+    cap = max(1, _stack_len(dim, 1) // _NODE_BLOCK)
+    per = max(1, cap // int(blocks.max(initial=1)))
     diag = np.arange(r)
-    integral = 0.0
-    for k in range(0, t.size, dim):
-        tk = t[k:k + dim]
-        res = 1.0 / (a + tk[:, None])
-        g = (res @ rows.view(float)).view(rows.dtype).reshape(-1, r, r)
-        res *= res
-        res *= a
-        h = (res @ rows.view(float)).view(rows.dtype).reshape(-1, r, r) + g @ g
-        g[:, diag, diag] += 1.0
-        integral += float(np.dot(tk, np.trace(np.linalg.solve(g, h), axis1=1, axis2=2).real))
-    return head - _NODE_STEP * integral
+    integral = np.zeros(len(a))
+    for s in range(0, len(a), per):
+        sel = order[s:s + per]
+        # row d holds conj(w_d)^T w_d, read as reals for the product, so each
+        # node's row of (a_d + t)^-1, times this table, is G(t) (and of
+        # a_d (a_d + t)^-2, H(t))
+        ws = w[sel, None]
+        table = (ws.conj()[..., :, None] * ws[..., None, :]).reshape(ws.shape[:-1] + (r * r,))
+        span = max(1, cap // len(sel))
+        for b in range(0, int(blocks[sel].max()), span):
+            k = np.arange(b * _NODE_BLOCK, (b + min(span, blocks[sel].max() - b)) * _NODE_BLOCK)
+            u = start[sel, None] + _NODE_STEP * k
+            t = np.exp(u)
+            res = a[sel, None, :] + t[..., None]
+            res = np.divide(1.0, res, out=res).reshape(len(sel), -1, _NODE_BLOCK, dim)
+            g = (res @ table.view(float)).view(w.dtype).reshape(res.shape[:-1] + (r, r))
+            res *= res
+            res *= a[sel, None, None, :]
+            h = (res @ table.view(float)).view(w.dtype).reshape(g.shape) + g @ g
+            g[..., diag, diag] += 1.0
+            tr = np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1).real
+            sums = (np.where(u < top, t, 0.0).reshape(tr.shape) * tr).sum(axis=-1)
+            integral[sel] = np.cumsum(np.concatenate([integral[sel, None], sums], 1), 1)[:, -1]
+    return (head - _NODE_STEP * integral).reshape(lead)
 
 
 def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Spectra of a stack of midpoints (rho + sigma)/2, both in the layout's
     subsystem order, by one stacked eigensolve; rho may broadcast. The sum is
-    formed in sigma, which must be a new array read by no one else (the
-    kernel's stack, or a product of two or more blocks); addition commutes
-    and halving is exact, so the bits are those of (rho + sigma) / 2.0."""
+    formed in sigma, which must be a buffer read by no one else (the
+    kernels' reused stacks); addition commutes and halving is exact, so the
+    bits are those of (rho + sigma) / 2.0."""
     sigma += rho
     sigma /= 2.0
     return np.linalg.eigvalsh(sigma)
+
+
+def _dense_entropies(states, marg, sides, cols, dims, buf) -> np.ndarray:
+    """S((rho + sigma)/2) of every state of an (S, D, D) stack on the cuts
+    ``cols`` (positions in ``sides``), an (S, len(cols)) array. Each sigma is
+    multiplied from the cut's two marginal stacks ``marg[c]`` straight into
+    the buffer ``buf``, and each filling of it, as many (state, cut) pairs as
+    it holds, is one :func:`_dense_midpoint` call with rho broadcast."""
+    count, dim = len(states), states.shape[-1]
+    cuts, size = max(1, len(buf) // count), min(count, len(buf))  # per solve
+    out = np.empty((count, len(cols)))
+    for c0 in range(0, len(cols), cuts):
+        part = cols[c0:c0 + cuts]
+        for s0 in range(0, count, size):
+            rows = slice(s0, min(count, s0 + size))
+            sigma = buf[:len(part) * (rows.stop - s0)].reshape(len(part), -1, dim, dim)
+            for j, c in enumerate(part):
+                _assemble_raw([m[rows] for m in marg[c]], sides[c], dims, out=sigma[j])
+            out[rows, c0:c0 + len(part)] = entropies(_dense_midpoint(states[rows], sigma)).T
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -536,23 +614,86 @@ def _perm(base: np.ndarray, sides) -> np.ndarray:
     return np.stack([base.transpose(a + b).reshape(-1) for a, b in sides])
 
 
+def _dense_cuts(states, dims, sides, stack):
+    """(S(m), S(sigma)) of every state of a stack with 2r >= D on every cut
+    of ``sides``, two (S, cuts) arrays: eigvalsh marginals, and every
+    midpoint dense (:func:`_dense_entropies`, in the buffer ``stack()``)."""
+    marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
+    wa, wb = (np.linalg.eigvalsh(np.stack(m, axis=1)) for m in zip(*marg))
+    s_mid = _dense_entropies(states, marg, sides, range(len(sides)), dims, stack())
+    return s_mid, entropies(wa) + entropies(wb)
+
+
+def _low_rank_cuts(states, x, dims, sides, stack):
+    """(S(m), S(sigma)) of every state of a stack of rank 1 < r < D/2 on every
+    cut of ``sides``, all with one dimension d_A of the first side, two
+    (S, cuts) arrays, given X's rows permuted into each cut's (A, B) order,
+    an (S, cuts, D, r) stack. The marginals take one stacked eigh per side,
+    a thin side B (r d_A < d_B) the eigh of the Gram matrices of X's rows
+    instead (module docstring), and the Gram and resolvent pairs one
+    stacked sigma-basis form each; the other pairs' cuts are solved densely,
+    in the buffer ``stack()``."""
+    count, cuts, dim, r = x.shape
+    da = math.prod(dims[i] for i in sides[0][0])
+    db = dim // da
+    marg = [[_partial_trace_raw(states, dims, a)] for a, _ in sides]
+    wa, ua = np.linalg.eigh(np.stack([m[0] for m in marg], axis=1))
+    if r * da < db:
+        # rho_B = Y Y^dag for Y the d_B x r d_A matrix of X's rows, so
+        # U_B^dag Y = sqrt(lam) V^dag from the eigh of Y^dag Y
+        y = np.swapaxes(x.reshape(count, cuts, da, db, r), 2, 3).reshape(count, cuts, db, da * r)
+        wb, vb = np.linalg.eigh(np.swapaxes(y.conj(), -1, -2) @ y)
+        kept_b = _kept(wb, db)
+        lam, ub = wb * kept_b, None
+        xb = (vb * np.sqrt(lam)[..., None, :]).conj().reshape(count, cuts, da, r, -1)
+        xb = np.swapaxes(xb, -1, -2).reshape(count, cuts, -1, r)
+    else:
+        for m, (_, b) in zip(marg, sides):
+            m.append(_partial_trace_raw(states, dims, b))
+        wb, ub = np.linalg.eigh(np.stack([m[1] for m in marg], axis=1))
+        kept_b, lam, xb = _kept(wb), wb, x
+    kept = _rank(wa) * kept_b.sum(axis=-1)
+    gram = r + kept < dim
+    resolvent = ~gram & (kept == dim) & _resolvent_pays(dim, r)
+    s_mid = np.empty(kept.shape)
+    for branch, fast in ((_gram_midpoint, gram), (_resolvent_midpoint, resolvent)):
+        i, c = np.nonzero(fast)
+        if i.size:
+            ubi = None if ub is None else ub[i, c]
+            s_mid[i, c] = branch(*_sigma_basis(xb[i, c], ua[i, c], ubi, wa[i, c], lam[i, c]))
+    slow = ~(gram | resolvent)
+    dense = np.flatnonzero(slow.any(axis=0))
+    if dense.size:
+        # a cut with a dense pair is solved densely for every state, so rho
+        # is not copied; a thin side's marginal is Y Y^dag
+        for c in dense.tolist() if ub is None else ():
+            marg[c].append(y[:, c] @ np.swapaxes(y[:, c].conj(), -1, -2))
+        got = _dense_entropies(states, marg, sides, dense, dims, stack())
+        s_mid[:, dense] = np.where(slow[:, dense], got, s_mid[:, dense])
+    return s_mid, entropies(wa) + entropies(wb)
+
+
 def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """qjsd(rho, product_of_marginals(rho, cut)) for every state of an
     (S, D, D) stack and every canonical cut, in enumerate_bipartitions order:
     an (S, cuts) array, from one eigendecomposition of each state (the forms
     and the cut plan are in the module docstring).
 
-    Per chunk of cuts, the mixed states go in runs: those with 2r >= D, and
-    each smaller rank r apart. A run's dense (state, cut) pairs take one
-    stacked midpoint solve, with sigma assembled from the marginals in rho's
-    own order, and the others take one stacked sigma-basis form of permuted
-    rows of X. Callers pass at most ``_stack_len(D)`` states, and no stack
-    built here holds more than ``_STACK_BYTES`` of matrices; a state of rank
-    0 raises :class:`NumericalBreakdown`.
+    The mixed states go in runs: those with 2r >= D, and each smaller rank r
+    apart. Each run has its own cut plan, sized by the arrays it builds: D x D
+    midpoints for the first, D x r factor rows for the others. Each run
+    allocates its dense midpoint stack once, at most ``_STACK_BYTES``, and
+    :func:`_dense_entropies` multiplies every sigma into it. In a run of
+    rank r, each chunk's side B with r d_A < d_B is thin: its spectrum and
+    X's coordinates in its eigenbasis come from the (r d_A)^2 Gram matrix of
+    X's rows, and it is neither traced nor eigensolved at full size. The
+    chunk's Gram and resolvent pairs then take one stacked sigma-basis form
+    each (:func:`_low_rank_cuts`). Callers pass at most ``_stack_len(D)``
+    states, and no stack built here holds more than ``_STACK_BYTES`` of
+    matrices; a state of rank 0 raises :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
-    step = _stack_len(dim)
     vstep = _stack_len(dim, 1)
     base = np.arange(dim).reshape(dims)
     out = np.empty((count, 2 ** (len(dims) - 1) - 1))
@@ -564,7 +705,6 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     pure = np.flatnonzero(rank == 1)
     # a state with 2r >= D takes the forms of rank D (module docstring)
     form_rank = np.where(2 * rank >= dim, dim, rank)
-    mixed = [np.flatnonzero(form_rank == r) for r in sorted(set(form_rank[rank > 1].tolist()))]
     # the factor X of a pure state is its one column, and a stack of
     # these vectors takes about D times as many cuts as one of matrices
     psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
@@ -577,38 +717,28 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             # rho_A and rho_B of a pure state share the spectrum lam
             s_sigma = 2.0 * entropies(lam)
             out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-    for _, index, sides in _cut_plan(dims, step) if mixed else ():
-        per = max(1, step // len(index))
-        for sel in (g[g0:g0 + per] for g in mixed for g0 in range(0, g.size, per)):
-            r = int(form_rank[sel[0]])
-            states = mats if sel.size == count else mats[sel]
-            marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
-            rho_a, rho_b = (np.stack(m, axis=1) for m in zip(*marg))
-            if r == dim:
-                wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
-            else:
-                (wa, ua), (wb, ub) = np.linalg.eigh(rho_a), np.linalg.eigh(rho_b)
-            kept = _rank(wa) * _rank(wb)
-            gram = r + kept < dim
-            fast = gram | ((kept == dim) & _resolvent_pays(dim, r))
-            s_mid = np.empty(kept.shape)
-            dense = np.flatnonzero(~fast.all(axis=0))
-            if dense.size:
-                # a cut with a dense pair is solved densely for every state of
-                # the run, so rho is not copied; the fast pairs are set below
-                sigma = np.empty((sel.size, dense.size, dim, dim), states.dtype)
-                for j, k in enumerate(dense.tolist()):
-                    sigma[:, j] = _assemble_raw(marg[k], sides[k], dims)
-                s_mid[:, dense] = entropies(_dense_midpoint(states[:, None], sigma))
-            i, c = np.nonzero(fast)
-            if i.size:
-                perm = _perm(base, sides)[c]
-                x = (v[sel, :, -r:] * np.sqrt(w[sel, None, -r:]))[i[:, None], perm]
-                forms = zip(*_sigma_basis(x, ua[i, c], ub[i, c], wa[i, c], wb[i, c]))
-                for k, cut, form in zip(i.tolist(), c.tolist(), forms):
-                    s_mid[k, cut] = (_gram_midpoint if gram[k, cut] else _resolvent_midpoint)(*form)
-            s_sigma = entropies(wa) + entropies(wb)
-            out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
+    for r in sorted(set(form_rank[rank > 1].tolist())):
+        run = np.flatnonzero(form_rank == r)
+        # cuts a chunk, by what the run builds per (state, cut) pair: a D x D
+        # midpoint, or four D x r arrays (X's rows, W and its intermediates)
+        step = _stack_len(dim, dim if r == dim else 4 * r)
+        plan = _cut_plan(dims, step)
+        # the run's dense midpoint stack, allocated once, when first needed
+        cap = min(_stack_len(dim), run.size * max(len(index) for _, index, _ in plan))
+        stack = cache(lambda cap=cap: np.empty((cap, dim, dim), mats.dtype))
+        # that of a state of rank r < D/2 is its r top eigenvectors, scaled
+        x = v[run, :, -r:] * np.sqrt(w[run, None, -r:]) if r < dim else None
+        for _, index, sides in plan:
+            per = max(1, step // len(index))
+            for g0 in range(0, run.size, per):
+                sel = run[g0:g0 + per]
+                states = mats if sel.size == count else mats[sel]
+                if r == dim:
+                    s_mid, s_sigma = _dense_cuts(states, dims, sides, stack)
+                else:
+                    xs = x[g0:g0 + per][:, _perm(base, sides)]
+                    s_mid, s_sigma = _low_rank_cuts(states, xs, dims, sides, stack)
+                out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out
 
 

@@ -391,25 +391,40 @@ def assemble_on_subsets(
 
 
 def _assemble_raw(
-    factors: Sequence[np.ndarray], subsets: Sequence[Sequence[int]], dims: Sequence[int]
+    factors: Sequence[np.ndarray],
+    subsets: Sequence[Sequence[int]],
+    dims: Sequence[int],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`assemble_on_subsets` on bare matrices; each factor may be a stack
     of matrices (the stacks are paired up, not crossed). Each factor is read
     as a tensor over the whole layout, of size 1 on the subsystems it does
     not hold, so the product of these comes out in ascending subsystem order
-    with no transpose; a factor on an unsorted subset is first put in order."""
+    with no transpose; a factor on an unsorted subset is first put in order.
+    The last product is written into ``out`` if given, a C-contiguous array
+    of the result's shape, with the same bits."""
     n = len(dims)
     if sorted(i for sub in subsets for i in sub) != list(range(n)):
         raise BadParameter("subsets must partition the full index range")
-    out = None
+    tensors = []
     for f, sub in zip(factors, subsets):
         if list(sub) != sorted(sub):
             f, sub = _permute_raw(f, [dims[i] for i in sub], np.argsort(sub)), sorted(sub)
         shape = tuple(d if i in sub else 1 for i, d in enumerate(dims)) * 2
-        t = f.reshape(f.shape[:-2] + shape)
-        out = t if out is None else out * t
+        tensors.append(f.reshape(f.shape[:-2] + shape))
+    prod = tensors[0]
+    for t in tensors[1:-1]:
+        prod = prod * t
     dim = math.prod(dims)
-    return out.reshape(out.shape[:-2 * n] + (dim, dim))
+    if out is None:
+        prod = prod * tensors[-1] if len(tensors) > 1 else prod
+        return prod.reshape(prod.shape[:-2 * n] + (dim, dim))
+    target = out.reshape(out.shape[:-2] + tuple(dims) * 2)
+    if len(tensors) > 1:
+        np.multiply(prod, tensors[-1], out=target)
+    else:
+        np.copyto(target, prod)
+    return out
 
 
 def product_of_block_marginals(rho: DensityMatrix, blocks: Sequence[Iterable[int]]) -> DensityMatrix:

@@ -295,3 +295,23 @@ def test_grams_split_many_ensembles_into_runs_of_whole_samples(m, monkeypatch):
         assert max(sizes) <= max(cap, mats[0, 0].nbytes)
         if cap >= one:
             assert len(sizes) == -(-count // (cap // one))
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1, 3 * 16 * 64 * 64])
+def test_ensemble_midpoints_built_in_place_equal_the_out_of_place_ones(stack_bytes, monkeypatch):
+    # three samples of three states: full rank on (2,3,2,3), and rank 40,
+    # full rank and pure on (2,)^6
+    for dims, kinds in (((2, 3, 2, 3), (36, 36, 36)), ((2,) * 6, (40, 64, 1))):
+        stacks = [
+            np.stack([np.asarray(ginibre_mixed(dims, k, substream(t, f"ens-{dims}-{i}")).mat)
+                      for t in range(3)])
+            for i, k in enumerate(kinds)
+        ]
+        if stack_bytes is not None:
+            monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
+        s, mid = divergence_module._ensemble_entropies(stacks)
+        monkeypatch.undo()
+        assert np.array_equal(s.T, [entropies(np.linalg.eigvalsh(a)) for a in stacks])
+        want = [entropies(np.linalg.eigvalsh((stacks[i] + stacks[j]) / 2.0))
+                for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert np.array_equal(mid.T, want)

@@ -29,6 +29,7 @@ from qphi.phi import (
 from qphi.states import (
     Bipartition,
     DensityMatrix,
+    _assemble_raw,
     _partial_trace_raw,
     _permute_raw,
     assemble_on_subsets,
@@ -562,6 +563,94 @@ def test_fast_branches_hold_near_the_rank_floor(branch, top):
         assert abs(got - want) <= 1e-12
 
 
+# low-rank states whose smaller sides' partners are thin (r d_A < d_B): the
+# (2,)^7 layout's d_A = 2 and 4 cuts, and (3,3,2,2,2,2)'s d_A = 2, 3, 4 and 6
+# cuts at rank 2 and 3 (2, 3 and 4 at rank 4); the oracle's rank-3 state
+# shares its cached dense references
+THIN_STATES = {
+    f"rank{rank}-{tag}": ginibre_mixed(dims, rank, substream(rank, f"thin-{dims}"))
+    for tag, dims in (("2^7", (2,) * 7), ("332222", (3, 3, 2, 2, 2, 2)))
+    for rank in (2, 3, 4)
+    if (tag, rank) != ("2^7", 3)
+}
+THIN_STATES["rank3-2^7"] = ORACLE_STATES["rank3-2^7"][0]
+THIN_STATES["near-floor"] = _near_floor_state()
+# rank 14 of (2,)^6: the d_A = 2 cuts have a thin side of 32, but
+# 14 + 2 * 28 >= 64, so they take the dense form, with rho_B = Y Y^dag
+THIN_STATES["rank14-2^6"] = ginibre_mixed((2,) * 6, 14, substream(0, "thin-dense"))
+
+
+@pytest.mark.parametrize("label", sorted(THIN_STATES))
+def test_thin_sides_match_dense_qjsd_and_are_never_formed(label, monkeypatch):
+    rho = THIN_STATES[label]
+    mat, dim = np.asarray(rho.mat), rho.dim
+    dense = _dense_per_cut(rho)
+    r = int(phi_module._rank(np.linalg.eigh(mat)[0]))
+    traced, solved = [], []
+    trace, eigh = phi_module._partial_trace_raw, np.linalg.eigh
+
+    def trace_spy(m, dims, keep):
+        traced.append(int(np.prod([dims[i] for i in keep])))
+        return trace(m, dims, keep)
+
+    def eigh_spy(a):
+        solved.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(phi_module, "_partial_trace_raw", trace_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    got = phi_module._cut_divergences(mat[None], rho.dims)[0]
+    monkeypatch.undo()
+    assert np.max(np.abs(got - dense)) <= 1e-12
+
+    def thin(d):
+        return r * (dim // d) < d
+
+    sides = {int(np.prod([rho.dims[i] for i in side])) for c in enumerate_bipartitions(rho.n)
+             for side in c.as_lists()}
+    assert any(thin(d) for d in sides)
+    # no thin side is traced or eigensolved; the state itself is, at size D
+    assert traced and not any(thin(d) for d in traced)
+    assert solved.count(dim) == 1 and not any(thin(d) for d in solved if d < dim)
+    # each thin side's spectrum comes from the Gram matrices of size r d_A
+    assert {r * (dim // d) for d in sides if thin(d)} <= set(solved)
+
+
+def test_low_rank_runs_at_d256_score_many_cuts_a_chunk_within_the_stack_cap(monkeypatch):
+    # the benchmark's low-rank layout: rank 4 of (2,)^8
+    rho = ginibre_mixed((2,) * 8, 4, substream(0, "chunks-2^8"))
+    mat = np.asarray(rho.mat)
+    want = phi_module._cut_divergences(mat[None], rho.dims)
+    chunks, sizes, eigh_dims = [], [], []
+    low_rank = phi_module._low_rank_cuts
+
+    def chunk_spy(states, x, *args):
+        chunks.append(x.shape[1])
+        return low_rank(states, x, *args)
+
+    monkeypatch.setattr(phi_module, "_low_rank_cuts", chunk_spy)
+    for name in ("eigh", "eigvalsh", "solve"):
+
+        def spy(*arrays, _fn=getattr(np.linalg, name), _name=name):
+            sizes.extend(a.nbytes for a in arrays)
+            if _name == "eigh":
+                eigh_dims.append(arrays[0].shape[-1])
+            return _fn(*arrays)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    got = phi_module._cut_divergences(mat[None], rho.dims)
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+    assert sum(chunks) == 127 and max(chunks) > 1
+    assert max(sizes) <= divergence_module._STACK_BYTES
+    # the d_B = 128 and 64 sides of the d_A = 2 and 4 cuts are thin
+    assert not {64, 128} & set(eigh_dims)
+    cuts = enumerate_bipartitions(rho.n)
+    thin = [k for k, c in enumerate(cuts) if min(len(c.as_lists()[0]), 8 - len(c.as_lists()[0])) <= 2]
+    for k in thin[::4]:
+        assert abs(got[0, k] - qjsd(rho, product_of_marginals(rho, cuts[k]))) <= 1e-12
+
+
 def test_full_rank_and_small_states_never_take_the_resolvent_branch(monkeypatch):
     assert not any(phi_module._resolvent_pays(dim, dim) for dim in range(2, 4097))
     assert not any(
@@ -935,6 +1024,78 @@ def test_real_states_take_every_form_in_real_arithmetic(monkeypatch):
     for mat, row in zip(mats, got):
         dense = _dense_per_cut(DensityMatrix(dims, mat))
         assert np.max(np.abs(row - dense)) <= 1e-12
+
+
+def _dense_reference(mats: np.ndarray, dims, states) -> np.ndarray:
+    """The per-cut values of the given states of a stack, each midpoint
+    formed out of place as (rho + sigma) / 2.0, sigma multiplied in the
+    kernel's factor order; the spectra as the kernel takes them."""
+    s_rho = entropies(np.linalg.eigh(mats)[0])
+    out = np.empty((len(states), 2 ** (len(dims) - 1) - 1))
+    for _, index, sides in phi_module._cut_plan(tuple(dims), 1 << 20):
+        for k, cut in zip(index, sides):
+            for j, s in enumerate(states):
+                marg = [_partial_trace_raw(mats[s], dims, side) for side in cut]
+                sigma = _assemble_raw(marg, cut, dims)
+                s_mid = entropies(np.linalg.eigvalsh((mats[s] + sigma) / 2.0))
+                s_sigma = entropies(np.linalg.eigvalsh(marg[0])) + entropies(np.linalg.eigvalsh(marg[1]))
+                out[j, k] = s_mid - 0.5 * s_rho[s] - 0.5 * s_sigma
+    return out
+
+
+# stacks whose states take the dense form on every cut (2r >= D), with the
+# indices of those states: full rank on (2,3,2,3), rank 40 of 64, and rank 40
+# and full rank beside a pure and a rank-3 state, so that the dense run
+# covers only some of the stack
+IN_PLACE_STACKS = {
+    "full-2323": ([ginibre_mixed((2, 3, 2, 3), 36, substream(0, "in-place-2323"))], [0]),
+    "rank40-2^6": ([ginibre_mixed((2,) * 6, 40, substream(0, "in-place-r40"))], [0]),
+    "partial-run-2^6": (
+        [
+            haar_pure((2,) * 6, substream(0, "in-place-pure")),
+            ginibre_mixed((2,) * 6, 40, substream(1, "in-place-r40")),
+            ginibre_mixed((2,) * 6, 3, substream(0, "in-place-r3")),
+            ginibre_mixed((2,) * 6, 64, substream(0, "in-place-full")),
+        ],
+        [1, 3],
+    ),
+}
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 64 * 64])
+@pytest.mark.parametrize("label", sorted(IN_PLACE_STACKS))
+def test_dense_midpoints_built_in_place_equal_the_out_of_place_ones(label, stack_bytes, monkeypatch):
+    group, dense = IN_PLACE_STACKS[label]
+    dims = group[0].dims
+    mats = np.stack([np.asarray(rho.mat) for rho in group])
+    if stack_bytes is not None:
+        monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
+    buffers = set()
+    real = phi_module._dense_midpoint
+
+    def spy(rho, sigma):
+        buffers.add(id(sigma.base))
+        return real(rho, sigma)
+
+    monkeypatch.setattr(phi_module, "_dense_midpoint", spy)
+    got = phi_module._cut_divergences(mats, dims)
+    assert np.array_equal(got[dense], _dense_reference(mats, dims, dense))
+    # one buffer for the dense run, and one for the rank-3 run's dense cuts
+    assert len(buffers) == (2 if label.startswith("partial") else 1)
+    # partitions: every sigma multiplied into one (S, D, D) buffer
+    parts = enumerate_partitions(len(dims))
+    buffers.clear()
+    table = phi_module._partition_divergences(mats[dense], dims, parts)
+    assert len(buffers) == 1
+    states = mats[dense]
+    s_rho = entropies(np.linalg.eigvalsh(states))
+    for p, col in zip(parts, table.T):
+        blocks = [sorted(b) for b in p.blocks]
+        marg = [_partial_trace_raw(states, dims, b) for b in blocks]
+        sigma = _assemble_raw(marg, blocks, dims)
+        s_mid = entropies(np.linalg.eigvalsh((states + sigma) / 2.0))
+        want = s_mid - 0.5 * s_rho - 0.5 * sum(entropies(np.linalg.eigvalsh(m)) for m in marg)
+        assert np.array_equal(col, want), blocks
 
 
 def test_stacked_partition_divergences_match_per_state(monkeypatch):
