@@ -55,7 +55,7 @@ states, as the partition scorer does, and the others read permuted rows of
 psi or X. Each run's chunks are sized by the arrays that run builds, at most
 1 MB each: D x D midpoints when 2r >= D, so D = 256 goes one cut at a time,
 and D x r factor rows otherwise, so a rank-4 state at D = 256 scores 16
-cuts a chunk, each form stacked over them. The kernel,
+cuts a chunk, the Gram form stacked over them. The kernel,
 :func:`_cut_divergences`, takes a stack of states of one layout and runs the
 plans once for all of them, choosing the form per state and cut;
 :func:`phi` calls it with a stack of one.
@@ -113,7 +113,6 @@ _TINY = float(np.finfo(float).tiny)
 # trapezoidal nodes of the resolvent branch, in u = ln t (see _resolvent_midpoint)
 _NODE_STEP = 0.5
 _NODE_SPAN = 37.0
-_NODE_BLOCK = 32  # nodes per matrix product
 
 
 @dataclass(frozen=True)
@@ -421,9 +420,9 @@ def _kept(w: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     return w > (w.shape[-1] if dim is None else dim) * _EPS * w[..., -1:]
 
 
-def _rank(w: np.ndarray, dim: Optional[int] = None):
+def _rank(w: np.ndarray):
     """Number of eigenvalues :func:`_kept`."""
-    return _kept(w, dim).sum(axis=-1)
+    return _kept(w).sum(axis=-1)
 
 
 def _schmidt_midpoint(psi: np.ndarray, da: int) -> tuple[np.ndarray, np.ndarray]:
@@ -495,11 +494,10 @@ def _resolvent_pays(dim: int, r):
     return (12 * (r + 4) <= dim) & (r * r <= dim)
 
 
-def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
     """S(m) of the midpoint m = diag(a) + W W^dag (:func:`_sigma_basis`) from
     r x r matrices, r the columns of W, when both marginals have full rank
-    (the formula is in the module docstring), for one midpoint or a stack of
-    them.
+    (the formula is in the module docstring).
 
     The integral is taken by the trapezoidal rule in u = ln t (Trefethen &
     Weideman, SIAM Review 56, 2014). The integrand is analytic in
@@ -507,51 +505,28 @@ def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     The step h = 1/2 therefore errs by about exp(-2 pi^2 / h) = 7e-18 times
     the integrand's size. The integrand is at most t / (2 a_min) and 1 / (2 t),
     so the tails cut off below ln a_min - 37 and above 37 are each under
-    e^-37 / 2 = 4e-17.
-
-    Each midpoint's nodes run from its own ln a_min - 37 in blocks of
-    ``_NODE_BLOCK``, the last block's nodes above 37 weighted 0, and its
-    block sums are added in order, so its value does not depend on the
-    midpoints it is stacked with. The midpoints go in order of block count,
-    as many blocks at a time as keep the D-wide node table within half of
-    ``_STACK_BYTES``, and so, as r^2 <= D, the stack of r x r solves within
-    all of it.
+    e^-37 / 2 = 4e-17. The nodes go D at a time, so no table is larger than
+    one D x D matrix.
     """
-    lead, (dim, r) = a.shape[:-1], w.shape[-2:]
-    w, a = w.reshape(-1, dim, r), a.reshape(-1, dim)
-    log_a = np.log(a)
-    head = -np.sum((a + (w.real * w.real + w.imag * w.imag).sum(axis=-1)) * log_a, axis=-1)
-    top = _NODE_SPAN + _NODE_STEP / 2
-    start = log_a.min(axis=-1) - _NODE_SPAN
-    blocks = np.ceil((top - start) / (_NODE_STEP * _NODE_BLOCK)).astype(int)
-    order = sorted(range(len(a)), key=blocks.tolist().__getitem__)
-    cap = max(1, _stack_len(dim, 1) // _NODE_BLOCK)
-    per = max(1, cap // int(blocks.max(initial=1)))
+    dim, r = w.shape
+    head = -float(np.dot(a + (w.real * w.real + w.imag * w.imag).sum(axis=1), np.log(a)))
+    # row d holds conj(w_d)^T w_d, read as reals for the product, so each
+    # node's row of (a_d + t)^-1, times this table, is G(t) (and of
+    # a_d (a_d + t)^-2, H(t))
+    rows = (w.conj()[:, :, None] * w[:, None, :]).reshape(dim, r * r)
+    t = np.exp(np.arange(math.log(a.min()) - _NODE_SPAN, _NODE_SPAN + _NODE_STEP / 2, _NODE_STEP))
     diag = np.arange(r)
-    integral = np.zeros(len(a))
-    for s in range(0, len(a), per):
-        sel = order[s:s + per]
-        # row d holds conj(w_d)^T w_d, read as reals for the product, so each
-        # node's row of (a_d + t)^-1, times this table, is G(t) (and of
-        # a_d (a_d + t)^-2, H(t))
-        ws = w[sel, None]
-        table = (ws.conj()[..., :, None] * ws[..., None, :]).reshape(ws.shape[:-1] + (r * r,))
-        span = max(1, cap // len(sel))
-        for b in range(0, int(blocks[sel].max()), span):
-            k = np.arange(b * _NODE_BLOCK, (b + min(span, blocks[sel].max() - b)) * _NODE_BLOCK)
-            u = start[sel, None] + _NODE_STEP * k
-            t = np.exp(u)
-            res = a[sel, None, :] + t[..., None]
-            res = np.divide(1.0, res, out=res).reshape(len(sel), -1, _NODE_BLOCK, dim)
-            g = (res @ table.view(float)).view(w.dtype).reshape(res.shape[:-1] + (r, r))
-            res *= res
-            res *= a[sel, None, None, :]
-            h = (res @ table.view(float)).view(w.dtype).reshape(g.shape) + g @ g
-            g[..., diag, diag] += 1.0
-            tr = np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1).real
-            sums = (np.where(u < top, t, 0.0).reshape(tr.shape) * tr).sum(axis=-1)
-            integral[sel] = np.cumsum(np.concatenate([integral[sel, None], sums], 1), 1)[:, -1]
-    return (head - _NODE_STEP * integral).reshape(lead)
+    integral = 0.0
+    for k in range(0, t.size, dim):
+        tk = t[k:k + dim]
+        res = 1.0 / (a + tk[:, None])
+        g = (res @ rows.view(float)).view(rows.dtype).reshape(-1, r, r)
+        res *= res
+        res *= a
+        h = (res @ rows.view(float)).view(rows.dtype).reshape(-1, r, r) + g @ g
+        g[:, diag, diag] += 1.0
+        integral += float(np.dot(tk, np.trace(np.linalg.solve(g, h), axis1=1, axis2=2).real))
+    return head - _NODE_STEP * integral
 
 
 def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -631,8 +606,9 @@ def _low_rank_cuts(states, x, dims, sides, stack):
     an (S, cuts, D, r) stack. The marginals take one stacked eigh per side,
     a thin side B (r d_A < d_B) the eigh of the Gram matrices of X's rows
     instead (module docstring), and the Gram and resolvent pairs one
-    stacked sigma-basis form each; the other pairs' cuts are solved densely,
-    in the buffer ``stack()``."""
+    stacked sigma-basis form each, the Gram pairs' then eigensolved in
+    stacks and the resolvent pairs' integrated one pair at a time; the other
+    pairs' cuts are solved densely, in the buffer ``stack()``."""
     count, cuts, dim, r = x.shape
     da = math.prod(dims[i] for i in sides[0][0])
     db = dim // da
@@ -656,11 +632,15 @@ def _low_rank_cuts(states, x, dims, sides, stack):
     gram = r + kept < dim
     resolvent = ~gram & (kept == dim) & _resolvent_pays(dim, r)
     s_mid = np.empty(kept.shape)
-    for branch, fast in ((_gram_midpoint, gram), (_resolvent_midpoint, resolvent)):
+    for fast in (gram, resolvent):
         i, c = np.nonzero(fast)
         if i.size:
             ubi = None if ub is None else ub[i, c]
-            s_mid[i, c] = branch(*_sigma_basis(xb[i, c], ua[i, c], ubi, wa[i, c], lam[i, c]))
+            w, a = _sigma_basis(xb[i, c], ua[i, c], ubi, wa[i, c], lam[i, c])
+            if fast is gram:
+                s_mid[i, c] = _gram_midpoint(w, a)
+            else:
+                s_mid[i, c] = [_resolvent_midpoint(*pair) for pair in zip(w, a)]
     slow = ~(gram | resolvent)
     dense = np.flatnonzero(slow.any(axis=0))
     if dense.size:
