@@ -186,16 +186,6 @@ def apply_local(lc: LocalChannel, rho: DensityMatrix) -> DensityMatrix:
     return validate_state(out, SubsystemLayout(lc.out_dims))
 
 
-def tensored(lc: LocalChannel) -> KrausChannel:
-    """Collapse a local channel into one monolithic Kraus family (small n only)."""
-    ops = [np.eye(1, dtype=complex)]
-    for ch in lc.channels:
-        ops = [np.kron(a, k) for a in ops for k in ch.kraus]
-    din = int(np.prod(lc.in_dims))
-    dout = int(np.prod(lc.out_dims))
-    return KrausChannel(din, dout, tuple(ops))
-
-
 # ---------------------------------------------------------------------------
 # draws and named families
 

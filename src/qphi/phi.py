@@ -51,18 +51,21 @@ cached). A cut's marginals come straight from rho, one contraction per side
 side's marginals take one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2).
 No form reorders rho: the dense form multiplies sigma, in rho's own
 subsystem order, straight into a midpoint buffer allocated once per run of
-states, as the partition scorer does, and the others read permuted rows of
-psi or X. Each run's chunks are sized by the arrays that run builds, at most
-1 MB each: D x D midpoints when 2r >= D, so D = 256 goes one cut at a time,
-and D x r factor rows otherwise, so a rank-4 state at D = 256 scores 16
-cuts a chunk, the Gram form stacked over them. The kernel,
-:func:`_cut_divergences`, takes a stack of states of one layout and runs the
-plans once for all of them, choosing the form per state and cut;
+states (:func:`_dense_entropies`, shared with the partition scorer), and
+the others read permuted rows of X, whose one column is psi when r = 1.
+The states go in runs of one form rank (each r < D/2, pure states included,
+or D), each run's chunks sized by the arrays it builds, at most 1 MB each:
+D x D midpoints for rank D, so D = 256 goes one cut at a time, and four
+D x r arrays otherwise, so at D = 256 a rank-4 state scores 16 cuts a
+chunk, the Gram form stacked over them, and a pure one 64. The kernel,
+:func:`_cut_divergences`, takes a stack of states of one layout and runs
+every run through one plan loop, choosing the form per state and cut;
 :func:`phi` calls it with a stack of one.
 
 :func:`partition_divergences` scores k-block partitions the same way, also
 on stacks of states: S(rho) once, each distinct block marginal once,
-S(sigma) as the sum of the block entropies, and the midpoints in stacks.
+S(sigma) as the sum of the block entropies, and the midpoints by the cut
+kernel's dense body, in one buffer of at most 1 MB.
 
 The dense qjsd of :mod:`qphi.divergence` is the reference the tests hold
 every branch to.
@@ -208,10 +211,10 @@ def _partition_divergences(
 
     S(rho) is computed once per state and each distinct block marginal once,
     by one batched partial trace over the stack; S(sigma) is the sum of the
-    block entropies, since S is additive over a product. Each eigensolve is
-    one stacked call over the S states: one for the states, one per distinct
-    block and one per partition's midpoints (rho + sigma)/2, each partition's
-    sigma assembled into the same (S, D, D) buffer.
+    block entropies, since S is additive over a product. The states and each
+    distinct block take one stacked eigensolve each, and the midpoints
+    (rho + sigma)/2 the cut kernel's dense body (:func:`_dense_entropies`),
+    in one buffer of at most ``_stack_len(D)`` matrices.
     """
     marg = {}
     for p in parts:
@@ -220,13 +223,13 @@ def _partition_divergences(
                 marg[b] = _partial_trace_raw(mats, dims, sorted(b))
     ent = {b: entropies(np.linalg.eigvalsh(m)) for b, m in marg.items()}
     s_rho = entropies(np.linalg.eigvalsh(mats))
-    sigma = np.empty(mats.shape, mats.dtype)
-    cols = []
-    for p in parts:
-        _assemble_raw([marg[b] for b in p.blocks], [sorted(b) for b in p.blocks], dims, out=sigma)
-        s_mid = entropies(_dense_midpoint(mats, sigma))
-        cols.append(s_mid - 0.5 * s_rho - 0.5 * sum(ent[b] for b in p.blocks))
-    return np.stack(cols, axis=1)
+    dim = mats.shape[-1]
+    buf = np.empty((min(_stack_len(dim), len(mats) * len(parts)), dim, dim), mats.dtype)
+    factors = [[marg[b] for b in p.blocks] for p in parts]
+    sides = [[sorted(b) for b in p.blocks] for p in parts]
+    s_mid = _dense_entropies(mats, factors, sides, range(len(parts)), dims, buf)
+    s_sigma = np.stack([sum(ent[b] for b in p.blocks) for p in parts], axis=1)
+    return s_mid - 0.5 * s_rho[:, None] - 0.5 * s_sigma
 
 
 def divergence_for_partition(rho: DensityMatrix, blocks) -> float:
@@ -542,10 +545,11 @@ def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def _dense_entropies(states, marg, sides, cols, dims, buf) -> np.ndarray:
     """S((rho + sigma)/2) of every state of an (S, D, D) stack on the cuts
-    ``cols`` (positions in ``sides``), an (S, len(cols)) array. Each sigma is
-    multiplied from the cut's two marginal stacks ``marg[c]`` straight into
-    the buffer ``buf``, and each filling of it, as many (state, cut) pairs as
-    it holds, is one :func:`_dense_midpoint` call with rho broadcast."""
+    ``cols`` (positions in ``sides``; a partition's sides are its blocks), an
+    (S, len(cols)) array. Each sigma is multiplied from the cut's marginal
+    stacks ``marg[c]`` straight into the buffer ``buf``, and each filling of
+    it, as many (state, cut) pairs as it holds, is one :func:`_dense_midpoint`
+    call with rho broadcast."""
     count, dim = len(states), states.shape[-1]
     cuts, size = max(1, len(buf) // count), min(count, len(buf))  # per solve
     out = np.empty((count, len(cols)))
@@ -659,22 +663,20 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     an (S, cuts) array, from one eigendecomposition of each state (the forms
     and the cut plan are in the module docstring).
 
-    The mixed states go in runs: those with 2r >= D, and each smaller rank r
-    apart. Each run has its own cut plan, sized by the arrays it builds: D x D
-    midpoints for the first, D x r factor rows for the others. Each run
-    allocates its dense midpoint stack once, at most ``_STACK_BYTES``, and
-    :func:`_dense_entropies` multiplies every sigma into it. In a run of
-    rank r, each chunk's side B with r d_A < d_B is thin: its spectrum and
-    X's coordinates in its eigenbasis come from the (r d_A)^2 Gram matrix of
-    X's rows, and it is neither traced nor eigensolved at full size. The
-    chunk's Gram and resolvent pairs then take one stacked sigma-basis form
-    each (:func:`_low_rank_cuts`). Callers pass at most ``_stack_len(D)``
-    states, and no stack built here holds more than ``_STACK_BYTES`` of
-    matrices; a state of rank 0 raises :class:`NumericalBreakdown`.
+    The states go in runs of one form rank, pure states (r = 1) included,
+    all through one plan loop, each run's cut plan sized by the arrays it
+    builds. A chunk takes :func:`_dense_cuts` for 2r >= D, the Schmidt form
+    of X's one column for r = 1, and :func:`_low_rank_cuts` otherwise; only
+    the first and last read rho. Each run allocates its dense midpoint stack
+    once, when first needed, at most ``_STACK_BYTES``. In a run of
+    1 < r < D/2, a side B with r d_A < d_B is thin: its spectrum and X's
+    coordinates in its eigenbasis come from the (r d_A)^2 Gram matrix of X's
+    rows. Callers pass at most ``_stack_len(D)`` states, and no stack built
+    here holds more than ``_STACK_BYTES`` of matrices; a state of rank 0
+    raises :class:`NumericalBreakdown`.
     """
     dims = tuple(dims)
     count, dim = mats.shape[0], mats.shape[-1]
-    vstep = _stack_len(dim, 1)
     base = np.arange(dim).reshape(dims)
     out = np.empty((count, 2 ** (len(dims) - 1) - 1))
     w, v = np.linalg.eigh(mats)
@@ -682,22 +684,9 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     if not rank.all():
         raise NumericalBreakdown("a state has no eigenvalue above the noise floor")
     s_rho = entropies(w)
-    pure = np.flatnonzero(rank == 1)
     # a state with 2r >= D takes the forms of rank D (module docstring)
     form_rank = np.where(2 * rank >= dim, dim, rank)
-    # the factor X of a pure state is its one column, and a stack of
-    # these vectors takes about D times as many cuts as one of matrices
-    psi = v[pure, :, -1] * np.sqrt(w[pure, -1:])
-    for da, index, sides in _cut_plan(dims, vstep) if pure.size else ():
-        perm = _perm(base, sides)
-        per = max(1, vstep // len(index))
-        for p0 in range(0, pure.size, per):
-            sel = pure[p0:p0 + per]
-            lam, mid = _schmidt_midpoint(psi[p0:p0 + per][:, perm], da)
-            # rho_A and rho_B of a pure state share the spectrum lam
-            s_sigma = 2.0 * entropies(lam)
-            out[np.ix_(sel, index)] = entropies(mid) - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
-    for r in sorted(set(form_rank[rank > 1].tolist())):
+    for r in sorted(set(form_rank.tolist())):
         run = np.flatnonzero(form_rank == r)
         # cuts a chunk, by what the run builds per (state, cut) pair: a D x D
         # midpoint, or four D x r arrays (X's rows, W and its intermediates)
@@ -706,18 +695,24 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         # the run's dense midpoint stack, allocated once, when first needed
         cap = min(_stack_len(dim), run.size * max(len(index) for _, index, _ in plan))
         stack = cache(lambda cap=cap: np.empty((cap, dim, dim), mats.dtype))
-        # that of a state of rank r < D/2 is its r top eigenvectors, scaled
+        # the factor X of a state of rank r < D/2 is its r top eigenvectors,
+        # scaled; a pure state's one column is its state vector psi
         x = v[run, :, -r:] * np.sqrt(w[run, None, -r:]) if r < dim else None
-        for _, index, sides in plan:
+        for da, index, sides in plan:
             per = max(1, step // len(index))
             for g0 in range(0, run.size, per):
                 sel = run[g0:g0 + per]
-                states = mats if sel.size == count else mats[sel]
+                xs = None if x is None else x[g0:g0 + per][:, _perm(base, sides)]
+                # the Schmidt form reads X alone, so rho is gathered for the others
+                states = mats if sel.size == count or r == 1 else mats[sel]
                 if r == dim:
                     s_mid, s_sigma = _dense_cuts(states, dims, sides, stack)
-                else:
-                    xs = x[g0:g0 + per][:, _perm(base, sides)]
+                elif r > 1:
                     s_mid, s_sigma = _low_rank_cuts(states, xs, dims, sides, stack)
+                else:
+                    lam, mid = _schmidt_midpoint(xs[..., 0], da)
+                    # rho_A and rho_B of a pure state share the spectrum lam
+                    s_mid, s_sigma = entropies(mid), 2.0 * entropies(lam)
                 out[np.ix_(sel, index)] = s_mid - 0.5 * s_rho[sel, None] - 0.5 * s_sigma
     return out
 

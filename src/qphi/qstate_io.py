@@ -197,10 +197,6 @@ def _unpack_state(obj) -> tuple[np.ndarray, SubsystemLayout]:
     return _decode_matrix(obj["matrix"]), layout
 
 
-def state_from_dict(obj: dict) -> DensityMatrix:
-    return validate_state(*_unpack_state(obj))
-
-
 def state_from_json(text: Union[str, bytes]) -> DensityMatrix:
     # the parsed document is freed before validation, which needs D x D
     # work arrays of its own

@@ -335,16 +335,6 @@ def _permute_raw(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> 
     return np.ascontiguousarray(t.transpose(axes)).reshape(lead + (d, d))
 
 
-def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
-    """Relabel subsystems so that output factor k is input factor ``order[k]``."""
-    n = rho.n
-    order = _ints(order, BadParameter, "order")
-    if sorted(order) != list(range(n)):
-        raise BadParameter(f"order {order} is not a permutation of range({n})")
-    out = _permute_raw(np.asarray(rho.mat), rho.dims, order)
-    return DensityMatrix(SubsystemLayout(tuple(rho.dims[i] for i in order)), out)
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out everything except ``keep``, preserving the original ordering."""
     keep_sorted = _indices(keep, rho.n, IndexOutOfRange, "keep indices")

@@ -17,7 +17,6 @@ from qphi.channels import (
     partial_trace_channel,
     random_channel,
     random_local_channel,
-    tensored,
 )
 from qphi.errors import BadParameter, IndexOutOfRange, LayoutMismatch, NotPSD, TraceNotOne
 from qphi.states import _validate_stack as validate_stack
@@ -128,6 +127,17 @@ def test_local_channel_factorizes_over_products():
         apply_channel(lc.channels[1], b),
     )
     assert np.allclose(np.asarray(joint_out.mat), np.asarray(separate.mat), atol=1e-12)
+
+
+def tensored(lc: LocalChannel) -> KrausChannel:
+    """The Kronecker oracle of :func:`apply_local`: a local channel collapsed
+    into one monolithic Kraus family (small n only)."""
+    ops = [np.eye(1, dtype=complex)]
+    for ch in lc.channels:
+        ops = [np.kron(a, k) for a in ops for k in ch.kraus]
+    din = int(np.prod(lc.in_dims))
+    dout = int(np.prod(lc.out_dims))
+    return KrausChannel(din, dout, tuple(ops))
 
 
 def test_tensored_equals_apply_local():

@@ -21,7 +21,6 @@ from qphi.qstate_io import (
     channel_from_json,
     channel_to_json,
     read_state,
-    state_from_dict,
     state_from_json,
     state_to_dict,
     state_to_json,
@@ -77,7 +76,7 @@ def test_malformed_documents_are_rejected():
     doc = state_to_dict(bell())
     doc["matrix"][0][0] = [7.0, 0.0]
     with pytest.raises(ValidationError):
-        state_from_dict(doc)
+        state_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -98,7 +97,7 @@ def test_malformed_dims_are_rejected(dims):
     doc = state_to_dict(bell())
     doc["dims"] = dims
     with pytest.raises(BadParameter):
-        state_from_dict(doc)
+        state_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("cell", [[0.5, 0, 7], [True, False], [10**400, 0]])
@@ -120,7 +119,7 @@ def test_malformed_non_finite_matrix_is_rejected():
     doc = state_to_dict(bell())
     doc["matrix"][0][0] = [float("nan"), 0.0]
     with pytest.raises(BadParameter):
-        state_from_dict(doc)
+        state_from_json(json.dumps(doc))
     with pytest.raises(BadParameter):
         state_from_json('{"version": 1, "dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}')
 
@@ -132,7 +131,7 @@ def test_reading_revalidates_psd():
         "matrix": [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
     }
     with pytest.raises(NotPSD):
-        state_from_dict(doc)
+        state_from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +512,7 @@ def test_witness_command_reports_gap():
     assert out["comparison"]["minus_phi"] == pytest.approx(-BELL_PHI, abs=1e-9)
     assert sorted(out["eigenvalues"]) == pytest.approx([-0.75, 0.25, 0.25, 0.25], abs=1e-9)
     # the scan's argmin state is itself a QSTATE document
-    argmin = state_from_dict(out["scan"]["argmin_state"])
+    argmin = state_from_json(json.dumps(out["scan"]["argmin_state"]))
     assert argmin.dims == (2, 2)
 
 

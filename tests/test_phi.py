@@ -1082,7 +1082,7 @@ def test_dense_midpoints_built_in_place_equal_the_out_of_place_ones(label, stack
     assert np.array_equal(got[dense], _dense_reference(mats, dims, dense))
     # one buffer for the dense run, and one for the rank-3 run's dense cuts
     assert len(buffers) == (2 if label.startswith("partial") else 1)
-    # partitions: every sigma multiplied into one (S, D, D) buffer
+    # partitions: every sigma multiplied into one buffer
     parts = enumerate_partitions(len(dims))
     buffers.clear()
     table = phi_module._partition_divergences(mats[dense], dims, parts)
@@ -1107,10 +1107,22 @@ def test_stacked_partition_divergences_match_per_state(monkeypatch):
         for rho, row in zip(group, got):
             assert np.max(np.abs(row - partition_divergences(rho, parts))) <= 1e-12, dims
         results.append(got)
+    # with the stack cap at one matrix, every midpoint stack handed to the
+    # eigensolver holds one matrix, and the values keep their bits
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
+    sizes = []
+    real = phi_module._dense_midpoint
+
+    def spy(rho, sigma):
+        sizes.append(sigma.nbytes)
+        return real(rho, sigma)
+
+    monkeypatch.setattr(phi_module, "_dense_midpoint", spy)
     for (dims, _, mats), got in zip(stacks, results):
         parts = enumerate_partitions(len(dims))
+        sizes.clear()
         assert np.array_equal(phi_module._partition_divergences(mats, dims, parts), got)
+        assert len(sizes) == len(mats) * len(parts) and max(sizes) == mats[0].nbytes, dims
 
 
 def test_marginal_sigma_star_is_built_on_first_access(monkeypatch):

@@ -45,7 +45,6 @@ from qphi.states import (
     haar_pure,
     maximally_mixed,
     partial_trace,
-    permute_subsystems,
     product_of_block_marginals,
     product_of_marginals,
     pure_state,
@@ -406,20 +405,6 @@ def test_numpy_integers_are_accepted():
     assert np.array_equal(partial_trace(rho, [np.int64(0)]).mat, partial_trace(rho, [0]).mat)
     assert np.array_equal(haar_pure((2, 2), np.int64(2)).mat, haar_pure((2, 2), 2).mat)
     assert substream(np.uint32(1), "s").random() == substream(1, "s").random()
-
-
-def test_permute_subsystems_roundtrip():
-    rho = ginibre_mixed((2, 3, 2), 12, substream(3, "perm"))
-    fwd = permute_subsystems(rho, [2, 0, 1])
-    assert fwd.dims == (2, 2, 3)
-    back = permute_subsystems(fwd, [1, 2, 0])
-    assert np.allclose(np.asarray(back.mat), np.asarray(rho.mat), atol=1e-14)
-
-
-def test_permute_subsystems_refuses_an_order_of_non_integers():
-    # (1.0, 0) sorts equal to [0, 1], so only the integer rule catches it
-    with pytest.raises(BadParameter, match="order must be integers"):
-        permute_subsystems(bell(), (1.0, 0))
 
 
 def test_assemble_on_subsets_matches_plain_kron():
