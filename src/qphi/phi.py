@@ -95,7 +95,6 @@ from .states import (
     _indices,
     _int,
     _items,
-    _kron,
     _real,
     _partial_trace_raw,
     _permute_raw,
@@ -314,7 +313,8 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
     The chains advance together: each trial is one stacked eigensolve over
     the chains still halving, while each chain keeps its own eta, halvings
     and stop, so every chain takes the steps, and gives the bits, it would
-    take alone. Chain s * len(cuts) + c is state s on cut c, and the values,
+    take alone. An accepted trial overwrites its chain's value and point in
+    place. Chain s * len(cuts) + c is state s on cut c, and the values,
     factor stacks sigma_A and sigma_B, step counts and stacks H_A and H_B
     are returned chain by chain.
     """
@@ -338,13 +338,16 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
         # sigma_A and sigma_B, sigma_A, sigma_B, the eigh of m]
         (la, pa, va), (lb, pb, vb) = _exp_factor(h[0]), _exp_factor(h[1])
         sa, sb = _spectral(va, pa), _spectral(vb, pb)
-        wm, vm = np.linalg.eigh((rho + _kron(sa, sb)) / 2.0)
+        wm, vm = np.linalg.eigh((rho + _assemble_raw([sa, sb], ([0], [1]), (da, db))) / 2.0)
         s_sigma = entropies(pa) + entropies(pb)
         return entropies(wm) - 0.5 * s_rho - 0.5 * s_sigma, [*h, la, va, lb, vb, sa, sb, wm, vm]
 
     # a chain's results (value, H_A, H_B, sigma_A, sigma_B) are written into
-    # the first point's arrays when it stops, so a given start is copied
-    value, point = evaluate(rho_ab, s_rho, [np.array(h, np.result_type(h, mats)) for h in start])
+    # the first point's arrays when it stops, after any accepted step that
+    # overwrote its rows there, so a given start is copied. H_A and H_B take
+    # one dtype, which every later point keeps, so no in-place write casts
+    dtype = np.result_type(*start, mats)
+    value, point = evaluate(rho_ab, s_rho, [np.array(h, dtype) for h in start])
     out = [value, *point[:2], *point[6:8]]
     steps = np.zeros(len(value), dtype=int)
     # the chains still running, and their values, points, eta and states
@@ -356,8 +359,9 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
         log_m = _spectral(vm, np.log(np.clip(wm, _TINY, None))).reshape(-1, da, db, da, db)
         ga = 0.5 * (_spectral(va, la) - np.einsum("sjm,simkj->sik", sb, log_m))
         gb = 0.5 * (_spectral(vb, lb) - np.einsum("sim,smjil->sjl", sa, log_m))
-        # each trial's accepted chains, as (positions in live, values, points)
-        pending, taken = np.arange(live.size), []
+        before = value.copy()
+        # the positions in live of the chains still halving
+        pending = np.arange(live.size)
         for halving in range(_MAX_HALVINGS):
             # the first trial takes every live chain, with no copy
             sub = pending if halving else slice(None)
@@ -365,28 +369,23 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
             h = (point[0][sub] - step * ga[sub], point[1][sub] - step * gb[sub])
             trial, at = evaluate(rho_ab[sub], s_rho[sub], h)
             ok = trial <= value[sub]
-            if ok.all():
-                taken.append((pending, trial, at))
-            elif ok.any():
-                taken.append((pending[ok], trial[ok], [q[ok] for q in at]))
+            if not halving and ok.all():
+                value, point = trial, at
+            else:
+                accepted = pending[ok]
+                value[accepted] = trial[ok]
+                for p, q in zip(point, at):
+                    p[accepted] = q[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
             eta[pending] *= 0.5
-        else:
-            # a chain whose every halving rose keeps its point and takes no
-            # step; with a gain of 0, it stops
-            taken.append((pending, value[pending], [p[pending] for p in point]))
-            steps[live[pending]] -= 1
-        if len(taken) == 1:
-            new_value, new_point = taken[0][1:]
-        else:
-            order = np.argsort(np.concatenate([k for k, _, _ in taken]))
-            new_value = np.concatenate([v for _, v, _ in taken])[order]
-            new_point = [np.concatenate(rows)[order] for rows in zip(*(q for _, _, q in taken))]
+        # a chain whose every halving rose keeps its point and takes no step;
+        # with a gain of 0, it stops
         steps[live] += 1
+        steps[live[pending]] -= 1
+        gain = before - value
         eta *= 2.0
-        gain, value, point = value - new_value, new_value, new_point
         go = (gain >= REFINE_IMPROVEMENT_TOL) & (steps[live] < REFINE_MAX_STEPS)
         if not go.all():
             for o, p in zip(out, [value, *point[:2], *point[6:8]]):

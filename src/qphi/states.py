@@ -359,17 +359,10 @@ def _partial_trace_raw(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]
     return out.reshape(mat.shape[:-2] + (dk, dk))
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, or of two stacks of them pair by pair, without
-    np.kron's per-call overhead on small ones."""
-    shape = a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
-
-
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(
-        SubsystemLayout(a.dims + b.dims), _kron(np.asarray(a.mat), np.asarray(b.mat))
-    )
+    # the layout first, so that its size rule refuses before any product is formed
+    layout = SubsystemLayout(a.dims + b.dims)
+    return assemble_on_subsets([a.mat, b.mat], (range(a.n), range(a.n, layout.n)), layout)
 
 
 def assemble_on_subsets(

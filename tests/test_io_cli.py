@@ -1,3 +1,4 @@
+import io
 import json
 import numbers
 import os
@@ -13,6 +14,7 @@ import pytest
 import qphi.cli as cli
 import qphi.qstate_io as qstate_io
 from qphi.channels import KrausChannel, random_channel
+from qphi.dendrogram import build_dendrogram, to_dot, to_json
 from qphi.errors import BadParameter, DimensionMismatch, NotPSD, ValidationError
 from qphi.phi import phi
 from qphi.qstate_io import (
@@ -35,6 +37,7 @@ from qphi.states import (
     substream,
     validate_state,
 )
+from qphi.verify import DEFAULT_COUNTS
 from qphi.witness import build_witness
 
 BELL_PHI = 0.3803956658485781
@@ -381,6 +384,13 @@ def test_read_state_refuses_text_that_does_not_decode(tmp_path):
     path.write_bytes(NOT_UTF8)
     with open(path, encoding="utf-8") as stream, pytest.raises(BadParameter, match="^invalid JSON"):
         read_state(stream)
+
+
+def test_read_state_round_trips_a_stream():
+    rho = ginibre_mixed((2, 3), 6, substream(0, "read-stream"))
+    back = read_state(io.StringIO(state_to_json(rho)))
+    assert back.dims == rho.dims
+    assert np.array_equal(np.asarray(back.mat), np.asarray(rho.mat))
 
 
 # D = 3**8 = 6561 is above the size cap, but n = 8 is not
@@ -860,3 +870,63 @@ def test_closed_stdout_exits_141_without_an_error(args, stdin):
         proc.stderr.close()
     assert len(head) == 10
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# in-process runs of cli.main, on state files
+
+
+@pytest.fixture
+def ghz3_path(tmp_path):
+    path = tmp_path / "ghz3.json"
+    assert cli.main(["gen", "ghz", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_gen_product_without_a_cut_splits_off_subsystem_0(tmp_path, capsys):
+    args = ["gen", "product", "--dims", "2,3,2", "--seed", "4"]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr().out
+    assert cli.main([*args, "--cut", "0"]) == 0
+    assert plain == capsys.readouterr().out
+    path = tmp_path / "product.json"
+    path.write_text(plain)
+    assert cli.main(["phi", str(path)]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert abs(res["phi_nats"]) < 1e-10
+    assert [[0], [1, 2]] in res["ties"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_dendrogram_json_and_dot_outputs(fmt, ghz3_path, capsys):
+    assert cli.main(["dendrogram", ghz3_path, "--format", fmt]) == 0
+    want = build_dendrogram(ghz(3))
+    assert capsys.readouterr().out == (to_json if fmt == "json" else to_dot)(want) + "\n"
+
+
+def test_observe_ptrace_family_search_and_grid(ghz3_path, capsys):
+    args = ["observe", ghz3_path, "--family", "ptrace"]
+    assert cli.main([*args, "--budget", "30", "--restarts", "3"]) == 0
+    search = json.loads(capsys.readouterr().out)
+    assert search["family"] == "ptrace" and search["evaluations"] <= 30
+    assert cli.main([*args, "--grid", "0:9"]) == 0
+    grid = json.loads(capsys.readouterr().out)
+    assert len(grid["values"]) == 9
+    assert grid["max_value"] == max(grid["values"])
+
+
+def test_verify_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    counts = {k: ([0, 0] if k == "triangle_inequality" else 0) for k in DEFAULT_COUNTS}
+    cfg.write_text(json.dumps({"seed": 1, "counts": counts}))
+    for extra, seed in (([], 1), (["--seed", "5"], 5)):
+        assert cli.main(["verify", "--config", str(cfg), *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+def test_missing_state_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert cli.main(["phi", missing]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "absent.json" in out.err

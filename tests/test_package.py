@@ -96,6 +96,18 @@ def test_phi_command_loads_only_its_own_modules():
     assert loaded & unneeded == set()
 
 
+def test_python_dash_m_qphi_runs_the_cli():
+    def run(module, *args):
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True)
+
+    package, cli = run("qphi", "gen", "bell"), run("qphi.cli", "gen", "bell")
+    assert package.returncode == cli.returncode == 0
+    assert package.stdout == cli.stdout and package.stdout
+    oversized = run("qphi", "gen", "ghz", "30")
+    assert oversized.returncode == 4
+    assert oversized.stderr.startswith(b"budget exceeded: ")
+
+
 @pytest.mark.parametrize("submodule", SUBMODULES)
 def test_phi_stays_the_function_whichever_submodule_loads_first(submodule):
     # the import system binds each submodule it loads as an attribute of the

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import time
 
 import numpy as np
@@ -39,6 +40,7 @@ from qphi.states import (
     ginibre_mixed,
     haar_pure,
     maximally_mixed,
+    partial_trace,
     product_of_block_marginals,
     product_of_marginals,
     pure_state,
@@ -865,6 +867,51 @@ def test_probe_start_spread_equals_its_one_chain_reruns(label, monkeypatch):
     # a cap of two chains a call puts the third start in a call of its own
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", 2 * 16 * 8 * 8)
     assert phi(rho, "optimized", probe_starts=3).refinement_spread == max(devs)
+
+
+def test_refinement_without_halvings_stops_every_chain_at_its_start(monkeypatch):
+    # with no trial to make, each chain takes 0 steps and returns the value
+    # and factors of its start: the floored marginals, or the given H_A and H_B
+    dims = (2, 2, 2)
+    mats = np.stack([np.asarray(rho.mat) for rho in OPT_STATES.values() if rho.dims == dims])
+    cuts = [([0, 1], [2]), ([0, 2], [1])]
+    chains = list(itertools.product([DensityMatrix(dims, m) for m in mats], cuts))
+    monkeypatch.setattr(phi_module, "_MAX_HALVINGS", 0)
+    value, sa, sb, steps, ha, hb = phi_module._refine_products(mats, dims, cuts)
+    assert np.all(steps == 0)
+    marginal = phi_module._cut_divergences(mats, dims)[:, 1:].reshape(-1)
+    assert np.max(np.abs(value - marginal)) <= 1e-10
+    for k, (rho, (a, b)) in enumerate(chains):
+        assert np.max(np.abs(sa[k] - partial_trace(rho, a).mat)) <= 1e-10
+        assert np.max(np.abs(sb[k] - partial_trace(rho, b).mat)) <= 1e-10
+    rng, start = np.random.default_rng(1), []
+    for h in (ha, hb):
+        g = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+        start.append(g + np.swapaxes(g.conj(), -1, -2))
+    value, sa, sb, steps, ha, hb = phi_module._refine_products(mats, dims, cuts, start)
+    assert np.all(steps == 0)
+    assert np.array_equal(ha, start[0]) and np.array_equal(hb, start[1])
+    for k, (rho, (a, b)) in enumerate(chains):
+        for got, h in ((sa[k], start[0][k]), (sb[k], start[1][k])):
+            w, v = np.linalg.eigh(h)
+            p = np.exp(w - w[-1])
+            assert np.max(np.abs(got - (v * (p / p.sum())) @ v.conj().T)) <= 1e-12
+        sigma = assemble_on_subsets([sa[k], sb[k]], (a, b), rho.layout)
+        assert abs(qjsd(rho, sigma) - value[k]) <= 1e-12
+
+
+def test_refinement_runs_a_mixed_dtype_start_in_one_dtype():
+    # a real state, a complex H_A and a real H_B: the chain runs as from the
+    # same start with H_B made complex, and no write drops an imaginary part
+    dims, cuts = (2, 2, 2), [([0], [1, 2])]
+    mats = np.real(ghz(3).mat)[None].copy()
+    ha, hb = phi_module._refine_products(mats, dims, cuts)[4:]
+    g = 1j * np.random.default_rng(0).standard_normal(ha.shape)
+    ha = ha + g + np.swapaxes(g.conj(), -1, -2)
+    got = phi_module._refine_products(mats, dims, cuts, (ha, hb))
+    want = phi_module._refine_products(mats, dims, cuts, (ha, hb.astype(complex)))
+    assert got[4].dtype == got[5].dtype == complex
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("mode, starts", [("optimized", -1), ("marginal", -1), ("marginal", 1)])

@@ -124,6 +124,17 @@ def test_validate_clips_mild_negativity():
     assert abs(np.trace(np.asarray(rho.mat)).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("off", [2e-12, -2e-12, 1e-10, -9.9e-10, 9.9e-10])
+def test_validate_only_renormalizes_a_psd_matrix_with_a_trace_slightly_off(off):
+    # |tr - 1| above 1e-12 but within TRACE_TOL, no eigenvalue below -1e-12:
+    # the hermitian part is divided by its trace, and nothing else is done
+    arr = np.asarray(ginibre_mixed((2, 3), 6, substream(0, "trace-off")).mat) * (1.0 + off)
+    h = (arr.conj().T + arr) / 2.0
+    got = states._validate_stack(arr[None])[0]
+    assert np.array_equal(got, h / np.real(np.trace(h)))
+    assert abs(np.trace(got).real - 1.0) <= 1e-15
+
+
 def test_bipartition_canonical_form():
     cut = Bipartition.of([1], 2)
     assert 0 in cut.mask_a
@@ -405,6 +416,25 @@ def test_numpy_integers_are_accepted():
     assert np.array_equal(partial_trace(rho, [np.int64(0)]).mat, partial_trace(rho, [0]).mat)
     assert np.array_equal(haar_pure((2, 2), np.int64(2)).mat, haar_pure((2, 2), 2).mat)
     assert substream(np.uint32(1), "s").random() == substream(1, "s").random()
+
+
+def test_tensor_equals_np_kron():
+    a = ginibre_mixed((2, 3), 6, substream(9, "tensor-a"))
+    b = ginibre_mixed((3,), 2, substream(9, "tensor-b"))
+    for x, y in ((a, b), (b, a), (bell(), b), (b, maximally_mixed((2,)))):
+        joint = tensor(x, y)
+        assert joint.dims == x.dims + y.dims
+        assert np.array_equal(joint.mat, np.kron(x.mat, y.mat))
+
+
+def test_tensor_refuses_an_oversized_product_before_forming_it(monkeypatch):
+    # D = 3**8 = 6561 is above the size cap; the factors alone are not
+    def unreachable(*args):
+        raise AssertionError("an oversized product was formed")
+
+    monkeypatch.setattr(states, "_assemble_raw", unreachable)
+    with pytest.raises(StateTooLarge):
+        tensor(maximally_mixed((3,) * 5), maximally_mixed((3,) * 3))
 
 
 def test_assemble_on_subsets_matches_plain_kron():
