@@ -8,9 +8,10 @@ starting from the marginals, and reports the minimum over cuts of the
 refined values; no cut reports more than its marginal value, so
 phi <= phi_marginal. ``ties`` and ``per_cut`` are the marginal-mode values in
 both modes. The descent, :func:`_refine_products`, runs one chain per
-(state, cut) pair, all advancing together through stacked eigensolves;
-:func:`_refine_cuts` runs it on every cut, in groups of one A-side
-dimension, for :func:`phi` and :func:`_phis` alike.
+(state, cut) pair, all advancing together through stacked eigensolves, with
+S(rho) from one eigvalsh per state; :func:`_refine_cuts` runs it on every
+cut, on the cut kernel's plan (each cut's smaller side first, in groups of
+one smaller-side dimension), for :func:`phi` and :func:`_phis` alike.
 
 The per-cut value qjsd(rho, rho_A (x) rho_B) = S(m) - S(rho)/2 - S(sigma)/2,
 with m the midpoint (rho + sigma)/2, is computed spectrally. rho is
@@ -47,12 +48,12 @@ The value of a cut does not depend on which side comes first, so each cut
 puts its smaller side first, and cuts whose smaller sides have the same
 dimension are evaluated together, from a per-layout plan (:func:`_cut_plan`,
 cached). A cut's marginals come straight from rho, one contraction per side
-(:func:`~qphi.states._partial_trace_raw`), unless the side is thin, and each
-side's marginals take one stacked eigvalsh (2r >= D) or eigh (1 < r < D/2).
-No form reorders rho: the dense form multiplies sigma, in rho's own
-subsystem order, straight into a midpoint buffer allocated once per run of
-states (:func:`_dense_entropies`, shared with the partition scorer), and
-the others read permuted rows of X, whose one column is psi when r = 1.
+(:func:`~qphi.states._partial_trace_raw`), unless the side is thin; the
+marginals of one dimension take one stacked eigvalsh (2r >= D), and each
+side's one stacked eigh (1 < r < D/2). No form reorders rho: the dense form
+(:func:`_dense_blocks`) multiplies sigma, in rho's own subsystem order,
+straight into a midpoint buffer allocated once per run of states, and the
+others read permuted rows of X, whose one column is psi when r = 1.
 The states go in runs of one form rank (each r < D/2, pure states included,
 or D), each run's chunks sized by the arrays it builds, at most 1 MB each:
 D x D midpoints for rank D, so D = 256 goes one cut at a time, and four
@@ -62,10 +63,8 @@ chunk, the Gram form stacked over them, and a pure one 64. The kernel,
 every run through one plan loop, choosing the form per state and cut;
 :func:`phi` calls it with a stack of one.
 
-:func:`partition_divergences` scores k-block partitions the same way, also
-on stacks of states: S(rho) once, each distinct block marginal once,
-S(sigma) as the sum of the block entropies, and the midpoints by the cut
-kernel's dense body, in one buffer of at most 1 MB.
+:func:`partition_divergences` scores k-block partitions, on stacks of states
+too, by the same dense body, of which a cut is the 2-block case.
 
 The dense qjsd of :mod:`qphi.divergence` is the reference the tests hold
 every branch to.
@@ -206,29 +205,15 @@ def _partition_divergences(
     mats: np.ndarray, dims: tuple[int, ...], parts: Sequence[PartitionKBlocks]
 ) -> np.ndarray:
     """:func:`divergence_for_partition` of every state of an (S, D, D) stack
-    and every partition: an (S, partitions) array.
-
-    S(rho) is computed once per state and each distinct block marginal once,
-    by one batched partial trace over the stack; S(sigma) is the sum of the
-    block entropies, since S is additive over a product. The states and each
-    distinct block take one stacked eigensolve each, and the midpoints
-    (rho + sigma)/2 the cut kernel's dense body (:func:`_dense_entropies`),
-    in one buffer of at most ``_stack_len(D)`` matrices.
-    """
-    marg = {}
-    for p in parts:
-        for b in p.blocks:
-            if b not in marg:
-                marg[b] = _partial_trace_raw(mats, dims, sorted(b))
-    ent = {b: entropies(np.linalg.eigvalsh(m)) for b, m in marg.items()}
-    s_rho = entropies(np.linalg.eigvalsh(mats))
+    and every partition: an (S, partitions) array, S(rho) from one eigvalsh
+    of the states and the rest from the cut kernel's dense body
+    (:func:`_dense_blocks`), its midpoints in one buffer of at most
+    ``_stack_len(D)`` matrices."""
     dim = mats.shape[-1]
     buf = np.empty((min(_stack_len(dim), len(mats) * len(parts)), dim, dim), mats.dtype)
-    factors = [[marg[b] for b in p.blocks] for p in parts]
-    sides = [[sorted(b) for b in p.blocks] for p in parts]
-    s_mid = _dense_entropies(mats, factors, sides, range(len(parts)), dims, buf)
-    s_sigma = np.stack([sum(ent[b] for b in p.blocks) for p in parts], axis=1)
-    return s_mid - 0.5 * s_rho[:, None] - 0.5 * s_sigma
+    blocks = [tuple(tuple(sorted(b)) for b in p.blocks) for p in parts]
+    s_mid, s_sigma = _dense_blocks(mats, dims, blocks, buf)
+    return s_mid - 0.5 * entropies(np.linalg.eigvalsh(mats))[:, None] - 0.5 * s_sigma
 
 
 def divergence_for_partition(rho: DensityMatrix, blocks) -> float:
@@ -294,8 +279,8 @@ def _exp_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
     """Minimize qjsd(rho, sigma_A (x) sigma_B) over product states, for every
     state rho of an (S, D, D) stack on every cut of ``cuts``, each given as
-    its sorted sides (A, B), all A sides of one dimension: each (state, cut)
-    pair by its own chain.
+    its two sorted sides (A, B) in either order, all A sides of one
+    dimension: each (state, cut) pair by its own chain.
 
     Matrix exponentiated-gradient (mirror) descent (Tsuda, Raetsch & Warmuth,
     JMLR 2005). Each factor is sigma = exp(H)/tr exp(H), and H starts at the
@@ -305,8 +290,8 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
     G_A = tr_B[(1 (x) sigma_B) G] and G_B = tr_A[(sigma_A (x) 1) G] give the
     step H_A <- H_A - eta G_A, H_B <- H_B - eta G_B. eta is halved until the
     value does not rise and doubled after every accepted step. Each trial
-    costs one eigensolve of m, which gives both S(m) and log m; S(rho) is
-    computed once. A chain stops when a step gains less than
+    costs one eigensolve of m, which gives both S(m) and log m; S(rho) takes
+    one eigvalsh per state. A chain stops when a step gains less than
     REFINE_IMPROVEMENT_TOL, after REFINE_MAX_STEPS steps, or when
     ``_MAX_HALVINGS`` halvings find no step that does not rise.
 
@@ -326,7 +311,7 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
     rho_ab = chains([_permute_raw(mats, dims, a + b) for a, b in cuts])
     da = math.prod(dims[i] for i in cuts[0][0])
     db = mats.shape[-1] // da
-    s_rho = entropies(np.linalg.eigvalsh(rho_ab))
+    s_rho = np.repeat(entropies(np.linalg.eigvalsh(mats)), len(cuts))
     if start is None:
         marg = ([_partial_trace_raw(mats, dims, c[i]) for c in cuts] for i in (0, 1))
         eigs = (np.linalg.eigh(chains(m)) for m in marg)
@@ -398,12 +383,13 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
 def _refine_cuts(mats: np.ndarray, dims: tuple[int, ...]) -> list[list[np.ndarray]]:
     """:func:`_refine_products` for every state of an (S, D, D) stack on every
     canonical cut, in enumerate_bipartitions order: entry k is what a call on
-    cut k alone returns. The cuts go as :func:`_cut_plan` groups them, but
-    each in its canonical A|B order, and each call takes at most
-    ``_stack_len(D)`` chains, so D = 256 goes one chain at a time."""
+    cut k alone returns, with the cut's sides as :func:`_cut_plan` orders
+    them, smaller first. The cuts go in the plan's groups of one
+    smaller-side dimension, and each call takes at most ``_stack_len(D)``
+    chains, so D = 256 goes one chain at a time."""
     step = _stack_len(mats.shape[-1])
     parts: list[list] = [[] for _ in range(2 ** (len(dims) - 1) - 1)]
-    for _, index, sides in _cut_plan(dims, step, False):
+    for _, index, sides in _cut_plan(dims, step):
         per = max(1, step // len(index))
         for s in range(0, len(mats), per):
             got = _refine_products(mats[s:s + per], dims, sides)
@@ -563,19 +549,39 @@ def _dense_entropies(states, marg, sides, cols, dims, buf) -> np.ndarray:
     return out
 
 
+def _dense_blocks(states, dims, blocks, buf):
+    """(S(m), S(sigma)) of every state of an (S, D, D) stack against the
+    product of its block marginals, for each entry of ``blocks``, a tuple of
+    sorted block tuples (a cut's two sides, or a partition's blocks): two
+    (S, len(blocks)) arrays. Each distinct block is traced once and the
+    blocks of one dimension take one stacked eigvalsh; S(sigma) is the sum
+    of the block entropies, as S is additive over a product, and the
+    midpoints are :func:`_dense_entropies`, in the buffer ``buf``."""
+    marg = {b: _partial_trace_raw(states, dims, b) for b in dict.fromkeys(sum(blocks, ()))}
+    ent = {}
+    for d in dict.fromkeys(m.shape[-1] for m in marg.values()):
+        same = [b for b, m in marg.items() if m.shape[-1] == d]
+        s = entropies(np.linalg.eigvalsh(np.stack([marg[b] for b in same], axis=1)))
+        ent.update(zip(same, s.T))
+    factors = [[marg[b] for b in p] for p in blocks]
+    s_mid = _dense_entropies(states, factors, blocks, range(len(blocks)), dims, buf)
+    return s_mid, np.array([sum(ent[b] for b in p) for p in blocks]).T
+
+
 @lru_cache(maxsize=32)
-def _cut_plan(dims: tuple[int, ...], step: int, smaller_first: bool = True):
+def _cut_plan(dims: tuple[int, ...], step: int):
     """The canonical cuts of a layout, each with its smaller side first (side
-    A, if not ``smaller_first``), grouped by that side's dimension d in chunks
+    A when the two are equal), grouped by that side's dimension d in chunks
     of at most ``step`` cuts: (d, the cuts' positions in enumerate_bipartitions
-    order, each cut's two sorted sides, first then second). Only the sides are
-    kept, not the D-long basis permutations they give."""
+    order, each cut's two sorted sides, first then second). The cut kernel
+    and the refinement (:func:`_refine_cuts`) walk the same plan. Only the
+    sides are kept, not the D-long basis permutations they give."""
     dim = math.prod(dims)
     groups: dict[int, list] = {}
     for k, cut in enumerate(enumerate_bipartitions(len(dims))):
         a_idx, b_idx = cut.as_lists()
         da = math.prod(dims[i] for i in a_idx)
-        if smaller_first and da * da > dim:
+        if da * da > dim:
             a_idx, b_idx, da = b_idx, a_idx, dim // da
         groups.setdefault(da, []).append((k, (tuple(a_idx), tuple(b_idx))))
     plan = []
@@ -590,16 +596,6 @@ def _perm(base: np.ndarray, sides) -> np.ndarray:
     """Row perm[c, i] of the basis reordered as sides[c] (first side, then
     second) is row i of the original; ``base`` is arange(D) shaped as the layout."""
     return np.stack([base.transpose(a + b).reshape(-1) for a, b in sides])
-
-
-def _dense_cuts(states, dims, sides, stack):
-    """(S(m), S(sigma)) of every state of a stack with 2r >= D on every cut
-    of ``sides``, two (S, cuts) arrays: eigvalsh marginals, and every
-    midpoint dense (:func:`_dense_entropies`, in the buffer ``stack()``)."""
-    marg = [[_partial_trace_raw(states, dims, side) for side in cut] for cut in sides]
-    wa, wb = (np.linalg.eigvalsh(np.stack(m, axis=1)) for m in zip(*marg))
-    s_mid = _dense_entropies(states, marg, sides, range(len(sides)), dims, stack())
-    return s_mid, entropies(wa) + entropies(wb)
 
 
 def _low_rank_cuts(states, x, dims, sides, stack):
@@ -664,7 +660,7 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
     The states go in runs of one form rank, pure states (r = 1) included,
     all through one plan loop, each run's cut plan sized by the arrays it
-    builds. A chunk takes :func:`_dense_cuts` for 2r >= D, the Schmidt form
+    builds. A chunk takes :func:`_dense_blocks` for 2r >= D, the Schmidt form
     of X's one column for r = 1, and :func:`_low_rank_cuts` otherwise; only
     the first and last read rho. Each run allocates its dense midpoint stack
     once, when first needed, at most ``_STACK_BYTES``. In a run of
@@ -705,7 +701,7 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
                 # the Schmidt form reads X alone, so rho is gathered for the others
                 states = mats if sel.size == count or r == 1 else mats[sel]
                 if r == dim:
-                    s_mid, s_sigma = _dense_cuts(states, dims, sides, stack)
+                    s_mid, s_sigma = _dense_blocks(states, dims, sides, stack())
                 elif r > 1:
                     s_mid, s_sigma = _low_rank_cuts(states, xs, dims, sides, stack)
                 else:
@@ -769,8 +765,11 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
     capped = np.minimum([r[0][0] for r in refined], marginal)
     k = int(np.argmin(capped))
     cut = marg.per_cut[k][0]
-    sides = cut.as_lists()
     value, sa, sb, _, *hopt = (r[0] for r in refined[k])
+    # the refinement took the cut's smaller side first (_cut_plan)
+    sides = cut.as_lists()
+    if len(sa) != math.prod(rho.dims[i] for i in sides[0]):
+        sides = sides[::-1]
     if marginal[k] < value:
         sigma = product_of_marginals(rho, cut)
     else:
@@ -797,6 +796,7 @@ def min_over_partitions(rho: DensityMatrix):
     Returns (best_value, best_partition); used to confirm that bipartitions
     already attain the global minimum.
     """
+    _check_cuttable(rho.n)
     parts = enumerate_partitions(rho.n)
     values = partition_divergences(rho, parts)
     k = int(np.argmin(values))

@@ -102,6 +102,9 @@ def test_product_states_have_zero_phi_with_factorizing_cut():
 def test_phi_argument_validation():
     with pytest.raises(SingleSubsystem):
         phi(maximally_mixed((4,)))
+    # one subsystem has no partition, so the exhaustive minimum has no entry
+    with pytest.raises(SingleSubsystem):
+        min_over_partitions(maximally_mixed((4,)))
     with pytest.raises(BadParameter):
         phi(bell(), "fancy")
     # the zero matrix has rank 0, neither pure nor mixed, so no branch scores it
@@ -686,9 +689,18 @@ def _opt_states():
 OPT_STATES = _opt_states()
 
 
+def _plan_sides(dims, cut: Bipartition):
+    """The cut's two sides as the cut plan orders them, smaller first: the
+    order in which the refinement takes them."""
+    k = enumerate_bipartitions(len(dims)).index(cut)
+    plan = phi_module._cut_plan(tuple(dims), 1 << 20)
+    return next(sides[index.index(k)] for _, index, sides in plan if k in index)
+
+
 def _refine_one(rho: DensityMatrix, cut: Bipartition):
-    """(value, sigma, steps) of one refinement chain: rho on the cut."""
-    sides = cut.as_lists()
+    """(value, sigma, steps) of one refinement chain: rho on the cut, its
+    sides in the plan's order."""
+    sides = _plan_sides(rho.dims, cut)
     mats = np.asarray(rho.mat)[None]
     value, sa, sb, steps, _, _ = phi_module._refine_products(mats, rho.dims, [sides])
     return float(value[0]), assemble_on_subsets([sa[0], sb[0]], sides, rho.layout), int(steps[0])
@@ -797,19 +809,20 @@ def test_stacked_refinement_rows_equal_their_one_state_calls():
     for rho, value in zip(group, got):
         assert value == phi(DensityMatrix(dims, rho.mat), "optimized").phi
     assert np.all(got <= phi_module._phis(mats, dims, "marginal"))
-    # on (2,2,2,2) the driver runs the cuts of one A-side dimension in one
-    # call, and every (state, cut) chain of it gives its one-chain call's
-    # value, sigma_A, sigma_B, step count, H_A and H_B
+    # on (2,2,2,2) _refine_cuts runs the cuts of one smaller-side dimension in
+    # one call, and every (state, cut) chain of it gives the value, sigma_A,
+    # sigma_B, step count, H_A and H_B of its one-chain call on the cut's
+    # sides in the plan's order
     dims = (2, 2, 2, 2)
     mats = np.stack([np.asarray(rho.mat) for rho in OPT_STATES.values() if rho.dims == dims])
     refined = phi_module._refine_cuts(mats, dims)
     for k, cut in enumerate(enumerate_bipartitions(len(dims))):
         for i in range(len(mats)):
-            one = phi_module._refine_products(mats[i:i + 1], dims, [cut.as_lists()])
+            one = phi_module._refine_products(mats[i:i + 1], dims, [_plan_sides(dims, cut)])
             assert all(np.array_equal(got[i:i + 1], want) for got, want in zip(refined[k], one))
     # a group of three cuts whose chains on one state stop at three step counts
     steps = np.stack([r[3] for r in refined], axis=1)
-    plan = phi_module._cut_plan(dims, divergence_module._stack_len(16), False)
+    plan = phi_module._cut_plan(dims, divergence_module._stack_len(16))
     assert any(
         len(index) >= 3 and len(set(steps[i, list(index)].tolist())) == len(index)
         for _, index, _ in plan
@@ -818,19 +831,29 @@ def test_stacked_refinement_rows_equal_their_one_state_calls():
 
 
 def test_optimized_mode_refines_each_group_of_cuts_in_one_call(monkeypatch):
-    refine, calls = phi_module._refine_products, []
+    refine, calls, solved = phi_module._refine_products, [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def record(mats, dims, cuts, start=None):
         calls.append((len(mats), [int(np.prod([dims[i] for i in a])) for a, _ in cuts]))
-        return refine(mats, dims, cuts, start)
+        solved.clear()
+        got = refine(mats, dims, cuts, start)
+        # S(rho) from one eigvalsh of the states, whatever the number of cuts
+        assert [a.shape for a in solved] == [mats.shape]
+        return got
+
+    def eig_spy(a):
+        solved.append(a)
+        return eigvalsh(a)
 
     monkeypatch.setattr(phi_module, "_refine_products", record)
-    # full-rank 2^5: 15 cuts, one call per A-side dimension 2, 4, 8 and 16
+    monkeypatch.setattr(np.linalg, "eigvalsh", eig_spy)
+    # full-rank 2^5: 15 cuts, one call per smaller-side dimension 2 and 4
     phi(ginibre_mixed((2,) * 5, 32, substream(0, "call-shape-2^5")), "optimized")
-    assert sorted(calls) == [(1, [2]), (1, [4] * 4), (1, [8] * 6), (1, [16] * 4)]
-    # a cap of one chain a call, and of two, which splits the three-cut
-    # groups into two calls and the one-cut group's states into two: no call
-    # takes more chains than the cap, and the values stay bit-equal
+    assert sorted(calls) == [(1, [2] * 5), (1, [4] * 10)]
+    # a cap of one chain a call, and of two, which splits the four-cut group
+    # into two pairs of cuts and the three-cut group into a pair and one cut:
+    # no call takes more chains than the cap, and the values stay bit-equal
     dims = (2, 2, 2, 2)
     mats = np.stack([np.asarray(rho.mat) for rho in OPT_STATES.values() if rho.dims == dims])
     want = phi_module._phis(mats, dims, "optimized")
@@ -840,16 +863,21 @@ def test_optimized_mode_refines_each_group_of_cuts_in_one_call(monkeypatch):
         assert np.array_equal(phi_module._phis(mats, dims, "optimized"), want)
         assert divergence_module._stack_len(16) == chains
         assert max(s * len(d) for s, d in calls) == chains
-        # 7 cuts x 3 states; or 2 calls for the one-cut group and, for each
-        # three-cut group, 3 for its first two cuts and 2 for its last
-        assert len(calls) == (21 if chains == 1 else 2 + 2 * (3 + 2))
+        # 7 cuts x 3 states; or 3 calls for each pair of cuts and 2 for the
+        # last cut, whose states go two a call
+        assert len(calls) == (21 if chains == 1 else 3 * 3 + 2)
 
 
-@pytest.mark.parametrize("label", ["full-222", "rank2-222"])
+@pytest.mark.parametrize("label", ["full-222", "rank2-222", "full-232"])
 def test_probe_start_spread_equals_its_one_chain_reruns(label, monkeypatch):
     rho = OPT_STATES[label]
     res = phi(rho, "optimized")
-    sides = res.optimal_cut.as_lists()
+    sides = _plan_sides(rho.dims, res.optimal_cut)
+    # rank2-222's optimal cut {0,2}|{1} and full-232's {0,1}|{2} have their
+    # smaller side second in canonical order; the refinement takes it first,
+    # so sigma_star and the probe starts are built on the re-oriented sides
+    assert (sides[0] != tuple(res.optimal_cut.as_lists()[0])) == (label != "full-222")
+    assert abs(qjsd(rho, res.sigma_star) - res.phi) <= 1e-12
     mats = np.asarray(rho.mat)[None]
     hopt = phi_module._refine_products(mats, rho.dims, [sides])[4:]
     # each start perturbs H_A, then H_B, by a hermitian draw: the real part,
@@ -865,7 +893,7 @@ def test_probe_start_spread_equals_its_one_chain_reruns(label, monkeypatch):
         devs.append(np.max(np.abs(sigma.mat - res.sigma_star.mat)))
     assert phi(rho, "optimized", probe_starts=3).refinement_spread == max(devs)
     # a cap of two chains a call puts the third start in a call of its own
-    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 2 * 16 * 8 * 8)
+    monkeypatch.setattr(divergence_module, "_STACK_BYTES", 2 * 16 * rho.dim * rho.dim)
     assert phi(rho, "optimized", probe_starts=3).refinement_spread == max(devs)
 
 
@@ -1143,6 +1171,49 @@ def test_dense_midpoints_built_in_place_equal_the_out_of_place_ones(label, stack
         s_mid = entropies(np.linalg.eigvalsh((states + sigma) / 2.0))
         want = s_mid - 0.5 * s_rho - 0.5 * sum(entropies(np.linalg.eigvalsh(m)) for m in marg)
         assert np.array_equal(col, want), blocks
+
+
+def test_dense_body_traces_each_block_once_and_solves_each_dimension_once(monkeypatch):
+    # per dense chunk, closed by its midpoints' call: its block lists, the
+    # blocks it traced and the dimensions of its eigvalsh calls
+    chunks, traced, solved = [], [], []
+    trace, eigvalsh, mids = phi_module._partial_trace_raw, np.linalg.eigvalsh, phi_module._dense_entropies
+
+    def trace_spy(m, dims, keep):
+        traced.append(tuple(keep))
+        return trace(m, dims, keep)
+
+    def eig_spy(a):
+        solved.append(a.shape[-1])
+        return eigvalsh(a)
+
+    def mid_spy(states, marg, sides, cols, dims, buf):
+        chunks.append((list(sides), traced[:], solved[:]))
+        traced.clear()
+        solved.clear()
+        return mids(states, marg, sides, cols, dims, buf)
+
+    monkeypatch.setattr(phi_module, "_partial_trace_raw", trace_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eig_spy)
+    monkeypatch.setattr(phi_module, "_dense_entropies", mid_spy)
+    # full-rank (2,)^6: chunks of the 6, 15 and 10 cuts whose smaller sides
+    # have d = 2, 4 and 8; the d = 8 cuts' two sides share one eigvalsh
+    rho = ginibre_mixed((2,) * 6, 64, substream(0, "dense-body-2^6"))
+    phi_module._cut_divergences(np.asarray(rho.mat)[None], rho.dims)
+    assert [len(sides) for sides, _, _ in chunks] == [6, 15, 10]
+    for sides, blocks, _ in chunks:
+        assert sorted(blocks) == sorted(side for cut in sides for side in cut)
+    assert [sorted(d for d in dims if d < 64) for _, _, dims in chunks] == [[2, 32], [4, 16], [8]]
+    # the 14 partitions of (2,)^4 trace each of their 14 distinct blocks once
+    # and solve them in one eigvalsh per block dimension 2, 4 and 8
+    chunks.clear()
+    rho = ginibre_mixed((2,) * 4, 16, substream(0, "dense-body-2^4"))
+    parts = enumerate_partitions(4)
+    phi_module._partition_divergences(np.asarray(rho.mat)[None], rho.dims, parts)
+    ((_, blocks, dims),) = chunks
+    assert len(parts) == 14
+    assert sorted(blocks) == sorted({tuple(sorted(b)) for p in parts for b in p.blocks})
+    assert len(blocks) == 14 and sorted(d for d in dims if d < 16) == [2, 4, 8]
 
 
 def test_stacked_partition_divergences_match_per_state(monkeypatch):
