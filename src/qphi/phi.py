@@ -14,11 +14,23 @@ cut, on the cut kernel's plan (each cut's smaller side first, in groups of
 one smaller-side dimension), for :func:`phi` and :func:`_phis` alike.
 
 The per-cut value qjsd(rho, rho_A (x) rho_B) = S(m) - S(rho)/2 - S(sigma)/2,
-with m the midpoint (rho + sigma)/2, is computed spectrally. rho is
-eigendecomposed once per call, which gives S(rho) for every cut and a factor
-X with X X^dag = rho (eigenvalues under the eigensolver's noise floor
-D*eps*lambda_max dropped). S(sigma) = S(rho_A) + S(rho_B) comes from the two
-marginal spectra, and S(m) from a form chosen by the rank r of rho:
+with m the midpoint (rho + sigma)/2, is computed spectrally. rho's spectrum
+gives S(rho) for every cut and its rank r (eigenvalues under the
+eigensolver's noise floor D*eps*lambda_max dropped); where 2r < D, the forms
+read a factor X with X X^dag = rho. :func:`_factors` takes them by one of
+three routes, each state once per call, stacked over the states:
+
+- D >= 64 and 1/tr rho^2 <= D/8 (tr rho^2 costs O(D^2), and r >= 1/tr rho^2):
+  a seeded randomized range finder (:func:`_sketch`) gives X and its
+  spectrum from at most D/8 columns, and is refused past them or when
+  max|rho - X X^dag| > D*eps*lambda_max. Its S(rho) leaves out the
+  noise-floor eigenvalues.
+- every other state, and every refused one: one eigvalsh, all that a state
+  with 2r >= D reads;
+- then one eigh of the states whose spectrum shows 2r < D.
+
+S(sigma) = S(rho_A) + S(rho_B) comes from the two marginal spectra, and S(m)
+from a form chosen by r:
 
 - r = 1 (pure rho): the Schmidt closed form (Nielsen & Chuang 2.5). One SVD
   of the state vector, reshaped to d_A x d_B, gives the r = min(d_A, d_B)
@@ -114,6 +126,10 @@ _TINY = float(np.finfo(float).tiny)
 # trapezoidal nodes of the resolvent branch, in u = ln t (see _resolvent_midpoint)
 _NODE_STEP = 0.5
 _NODE_SPAN = 37.0
+# the range finder (_sketch): the seed of its test matrices, and the bound on
+# its factors' residual max|rho - X X^dag|, in units of D * lambda_max
+_SKETCH_SEED = 0
+_SKETCH_TOL = _EPS
 
 
 @dataclass(frozen=True)
@@ -557,15 +573,32 @@ def _dense_blocks(states, dims, blocks, buf):
     blocks of one dimension take one stacked eigvalsh; S(sigma) is the sum
     of the block entropies, as S is additive over a product, and the
     midpoints are :func:`_dense_entropies`, in the buffer ``buf``."""
-    marg = {b: _partial_trace_raw(states, dims, b) for b in dict.fromkeys(sum(blocks, ()))}
-    ent = {}
-    for d in dict.fromkeys(m.shape[-1] for m in marg.values()):
-        same = [b for b, m in marg.items() if m.shape[-1] == d]
-        s = entropies(np.linalg.eigvalsh(np.stack([marg[b] for b in same], axis=1)))
-        ent.update(zip(same, s.T))
+    groups, index = _block_groups(dims, tuple(blocks))
+    marg = {b: _partial_trace_raw(states, dims, b) for g in groups for b in g}
+    ent = [entropies(np.linalg.eigvalsh(np.stack([marg[b] for b in g], axis=1))) for g in groups]
+    # the block entropies, then a 0 that pads the shorter block lists
+    ent = np.concatenate(ent + [np.zeros((len(states), 1))], axis=1)
+    s_sigma = ent[:, index[:, 0]]
+    for col in index.T[1:]:
+        s_sigma += ent[:, col]
     factors = [[marg[b] for b in p] for p in blocks]
-    s_mid = _dense_entropies(states, factors, blocks, range(len(blocks)), dims, buf)
-    return s_mid, np.array([sum(ent[b] for b in p) for p in blocks]).T
+    return _dense_entropies(states, factors, blocks, range(len(blocks)), dims, buf), s_sigma
+
+
+@lru_cache(maxsize=64)
+def _block_groups(dims: tuple[int, ...], blocks: tuple):
+    """How :func:`_dense_blocks` groups a tuple of block lists: the distinct
+    blocks by dimension, and each list's positions in those groups, in
+    order, as a (lists, longest list) array, -1 past a list's end."""
+    groups: dict[int, list] = {}
+    for b in dict.fromkeys(sum(blocks, ())):
+        groups.setdefault(math.prod(dims[i] for i in b), []).append(b)
+    pos = {b: k for k, b in enumerate(b for g in groups.values() for b in g)}
+    index = np.full((len(blocks), max(map(len, blocks))), -1)
+    for row, p in zip(index, blocks):
+        row[:len(p)] = [pos[b] for b in p]
+    index.flags.writeable = False
+    return tuple(map(tuple, groups.values())), index
 
 
 @lru_cache(maxsize=32)
@@ -652,11 +685,92 @@ def _low_rank_cuts(states, x, dims, sides, stack):
     return s_mid, entropies(wa) + entropies(wb)
 
 
+def _normals(count: int, seed: int) -> np.ndarray:
+    """``count`` standard normal draws fixed by ``seed``: splitmix64 of a
+    counter (Steele, Lea & Flood, OOPSLA 2014) gives 53-bit uniforms, and the
+    Box-Muller transform makes them normal. It spares a process that would
+    import numpy.random for :func:`_sketch` alone about 17 ms."""
+    z = np.arange(2 * count, dtype=np.uint64) + np.uint64((seed << 32) + 1)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log1p(-u[:count])) * np.cos(2.0 * np.pi * u[count:])
+
+
+def _sketch(mats: np.ndarray) -> list:
+    """(kept spectrum, factor X with X X^dag = rho) of each state of an
+    (S, D, D) stack by a seeded randomized range finder (Halko, Martinsson &
+    Tropp, SIAM Rev. 53, 2011), or None where it refuses. A round takes the
+    first k columns of one Gaussian test matrix Omega, one power step
+    Q = orth(rho orth(rho Omega)) and the eigh of the k x k compression
+    Q^dag rho Q; a state whose k compressed eigenvalues are all kept
+    (:func:`_kept`, floor of size D) goes on to 2k, k = 8, 16, ... D/8. X is
+    accepted only if max|rho - X X^dag| <= D * ``_SKETCH_TOL`` * lambda_max."""
+    dim = mats.shape[-1]
+    g = _normals(2 * dim * (dim // 8), _SKETCH_SEED).reshape(2, dim, dim // 8)
+    omega = g[0] + 1j * g[1] if np.iscomplexobj(mats) else g[0]
+    out, todo, k = [None] * len(mats), np.arange(len(mats)), 8
+    while todo.size and k <= dim // 8:
+        rho = mats[todo]
+        q = np.linalg.qr(rho @ np.linalg.qr(rho @ omega[:, :k])[0])[0]
+        w, v = np.linalg.eigh(np.swapaxes(q.conj(), -1, -2) @ rho @ q)
+        kept = _kept(w, dim)
+        more = kept.all(axis=-1)
+        for i in np.flatnonzero(~more).tolist():
+            r = int(kept[i].sum())
+            x = q[i] @ (v[i, :, -r:] * np.sqrt(w[i, -r:]))
+            if np.abs(rho[i] - x @ x.conj().T).max() <= dim * _SKETCH_TOL * w[i, -1]:
+                out[todo[i]] = (w[i, -r:], x)
+        todo, k = todo[more], 2 * k
+    return out
+
+
+def _factors(mats: np.ndarray):
+    """S(rho) and the rank r of each state of an (S, D, D) stack, and the
+    factors X of the states with 2r < D (r top eigenvectors, scaled) as the
+    last r columns of one (S, D, largest such r) stack, or None if there are
+    none. States with D >= 64 and 1/tr rho^2 <= D/8 try :func:`_sketch`; the
+    others, and those it refuses, take one stacked eigvalsh, and of these
+    only the states with 2r < D take eigh."""
+    count, dim = mats.shape[0], mats.shape[-1]
+    s_rho, rank, found, solved = np.empty(count), np.zeros(count, dtype=int), {}, None
+    if dim >= 64:
+        tried = np.flatnonzero(dim * np.sum(np.abs(mats) ** 2, axis=(1, 2)) >= 8.0)
+        for i, f in zip(tried.tolist(), _sketch(mats[tried]) if tried.size else ()):
+            if f is not None:
+                s_rho[i], rank[i], found[i] = entropies(f[0]), f[0].size, f[1]
+    rest = np.flatnonzero(rank == 0)
+    if rest.size:
+        w = np.linalg.eigvalsh(mats if rest.size == count else mats[rest])
+        s_rho[rest], rank[rest] = entropies(w), _rank(w)
+        if not rank[rest].all():
+            raise NumericalBreakdown("a state has no eigenvalue above the noise floor")
+        # only a state with 2r < D reads its eigenvectors
+        thin = rest[2 * rank[rest] < dim]
+        if thin.size:
+            w, v = np.linalg.eigh(mats[thin])
+            s_rho[thin], rank[thin] = entropies(w), _rank(w)
+            solved = thin, w, v
+    low = 2 * rank < dim
+    if not low.any():
+        return s_rho, rank, None
+    top = int(rank[low].max())
+    x = np.zeros((count, dim, top), mats.dtype)
+    if solved is not None:
+        # the columns past a state's rank are never read
+        thin, w, v = solved
+        x[thin] = v[..., -top:] * np.sqrt(np.maximum(w[:, None, -top:], 0.0))
+    for i, f in found.items():
+        x[i, :, top - f.shape[-1]:] = f
+    return s_rho, rank, x
+
+
 def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """qjsd(rho, product_of_marginals(rho, cut)) for every state of an
     (S, D, D) stack and every canonical cut, in enumerate_bipartitions order:
-    an (S, cuts) array, from one eigendecomposition of each state (the forms
-    and the cut plan are in the module docstring).
+    an (S, cuts) array, from :func:`_factors` of the states (the forms and
+    the cut plan are in the module docstring).
 
     The states go in runs of one form rank, pure states (r = 1) included,
     all through one plan loop, each run's cut plan sized by the arrays it
@@ -674,11 +788,7 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     count, dim = mats.shape[0], mats.shape[-1]
     base = np.arange(dim).reshape(dims)
     out = np.empty((count, 2 ** (len(dims) - 1) - 1))
-    w, v = np.linalg.eigh(mats)
-    rank = _rank(w)
-    if not rank.all():
-        raise NumericalBreakdown("a state has no eigenvalue above the noise floor")
-    s_rho = entropies(w)
+    s_rho, rank, factor = _factors(mats)
     # a state with 2r >= D takes the forms of rank D (module docstring)
     form_rank = np.where(2 * rank >= dim, dim, rank)
     for r in sorted(set(form_rank.tolist())):
@@ -690,9 +800,8 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         # the run's dense midpoint stack, allocated once, when first needed
         cap = min(_stack_len(dim), run.size * max(len(index) for _, index, _ in plan))
         stack = cache(lambda cap=cap: np.empty((cap, dim, dim), mats.dtype))
-        # the factor X of a state of rank r < D/2 is its r top eigenvectors,
-        # scaled; a pure state's one column is its state vector psi
-        x = v[run, :, -r:] * np.sqrt(w[run, None, -r:]) if r < dim else None
+        # a pure state's one column of X is its state vector psi
+        x = factor[run, :, -r:] if r < dim else None
         for da, index, sides in plan:
             per = max(1, step // len(index))
             for g0 in range(0, run.size, per):
@@ -785,7 +894,8 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
         x = np.split(draws, np.cumsum([sa.size, sa.size, sb.size]), axis=1)
         z = [(x[2 * i] + 1j * x[2 * i + 1]).reshape(-1, *h.shape) for i, h in enumerate(hopt)]
         start = [h + 0.025 * (g + np.swapaxes(g.conj(), -1, -2)) for h, g in zip(hopt, z)]
-        found = _refine_products(np.repeat(mats, len(draws), 0), rho.dims, [sides], start)[1:3]
+        # chain c is start c on the one state, whose S(rho) takes one eigvalsh
+        found = _refine_products(mats, rho.dims, [sides] * len(draws), start)[1:3]
         spread = max(spread, float(np.abs(_assemble_raw(found, sides, rho.dims) - sigma.mat).max()))
     return replace(res, refinement_spread=spread)
 

@@ -614,9 +614,10 @@ def test_thin_sides_match_dense_qjsd_and_are_never_formed(label, monkeypatch):
     sides = {int(np.prod([rho.dims[i] for i in side])) for c in enumerate_bipartitions(rho.n)
              for side in c.as_lists()}
     assert any(thin(d) for d in sides)
-    # no thin side is traced or eigensolved; the state itself is, at size D
+    # no thin side is traced or eigensolved; nor is the state itself, at size
+    # D, unless its rank is past the range finder's D/8 columns
     assert traced and not any(thin(d) for d in traced)
-    assert solved.count(dim) == 1 and not any(thin(d) for d in solved if d < dim)
+    assert solved.count(dim) == (r >= dim // 8) and not any(thin(d) for d in solved if d < dim)
     # each thin side's spectrum comes from the Gram matrices of size r d_A
     assert {r * (dim // d) for d in sides if thin(d)} <= set(solved)
 
@@ -667,6 +668,104 @@ def test_full_rank_and_small_states_never_take_the_resolvent_branch(monkeypatch)
 
     monkeypatch.setattr(phi_module, "_resolvent_midpoint", unreachable)
     phi(ginibre_mixed((2,) * 7, 128, substream(0, "resolvent-full")))
+
+
+# ---------------------------------------------------------------------------
+# the factor of rho: range finder, eigvalsh, eigh
+
+
+def _route_states():
+    out = {}
+    for tag, dims in (("2^6", (2,) * 6), ("2^7", (2,) * 7), ("2^8", (2,) * 8), ("332222", (3, 3, 2, 2, 2, 2))):
+        for rank in (1, 2, 3, 4, 8, 40):
+            out[f"rank{rank}-{tag}"] = ginibre_mixed(dims, rank, substream(rank, f"route-{tag}"))
+        out[f"haar-{tag}"] = haar_pure(dims, substream(0, f"route-{tag}"))
+    # full rank, but 1/tr rho^2 is about 1.2: the range finder tries them
+    # and refuses, and they take the dense form
+    flat = np.eye(256) / 256
+    out["noisy-ghz8"] = DensityMatrix((2,) * 8, 0.9 * np.asarray(ghz(8).mat) + 0.1 * flat)
+    out["noisy-w8"] = DensityMatrix((2,) * 8, 0.9 * np.asarray(w_state(8).mat) + 0.1 * flat)
+    return out
+
+
+ROUTE_STATES = _route_states()
+
+
+def _sampled_dense(rho: DensityMatrix):
+    """The cut positions the factor tests check, every cut at D <= 72 and
+    eight at larger D, and their dense qjsd values."""
+    cuts = enumerate_bipartitions(rho.n)
+    picked = list(range(0, len(cuts), -(-len(cuts) // 8)))
+    if rho.dim <= 72:
+        return picked, [_dense_per_cut(rho)[k] for k in picked]
+    return picked, [qjsd(rho, product_of_marginals(rho, cuts[k])) for k in picked]
+
+
+def _eigh_sizes(monkeypatch):
+    """Spy on np.linalg.eigh: the list of the sizes it is called at."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        sizes.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("label", sorted(ROUTE_STATES))
+def test_each_factor_route_matches_dense_qjsd_and_solves_rho_only_where_read(label, monkeypatch):
+    rho = ROUTE_STATES[label]
+    mat, dim = np.asarray(rho.mat), rho.dim
+    w = np.linalg.eigvalsh(mat)
+    rank = int(phi_module._rank(w))
+    # the range finder doubles 8 columns up to D/8, so it reaches rank < k_max
+    k_max = 8 * 2 ** int(np.log2(dim // 64))
+    found = phi_module._sketch(mat[None])[0]
+    accepted = found is not None
+    assert accepted == (rank < k_max and np.sum(w * w) * dim >= 8.0), label
+    if accepted:
+        assert found[0].size == rank and np.max(np.abs(found[0] - w[-rank:])) <= 1e-15
+    sizes = _eigh_sizes(monkeypatch)
+    got = phi_module._cut_divergences(mat[None], rho.dims)[0]
+    monkeypatch.undo()
+    # rho is eigensolved at size D only for its eigenvectors, 2r < D, and
+    # only where the range finder did not give them
+    assert sizes.count(dim) == (0 if accepted or 2 * rank >= dim else 1), label
+    picked, dense = _sampled_dense(rho)
+    assert np.max(np.abs(got[picked] - dense)) <= 1e-12, label
+
+
+# states the range finder accepts, one per kind of form they reach
+SKETCHED = ["rank8-2^7", "haar-2^7", "rank3-332222", "rank4-2^8"]
+
+
+@pytest.mark.parametrize("label", SKETCHED)
+def test_a_refused_range_finder_gives_the_eigh_route_bit_for_bit(label, monkeypatch):
+    rho = ROUTE_STATES[label]
+    mat = np.asarray(rho.mat)[None]
+    sketched = phi_module._cut_divergences(mat, rho.dims)
+    # with the range finder gone, the state takes eigvalsh, then eigh
+    monkeypatch.setattr(phi_module, "_sketch", lambda mats: [None] * len(mats))
+    want = phi_module._cut_divergences(mat, rho.dims)
+    monkeypatch.undo()
+    monkeypatch.setattr(phi_module, "_SKETCH_TOL", 0.0)
+    sizes = _eigh_sizes(monkeypatch)
+    got = phi_module._cut_divergences(mat, rho.dims)
+    assert sizes.count(rho.dim) == 1
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - sketched)) <= 1e-12
+
+
+@pytest.mark.parametrize("label", SKETCHED)
+def test_range_finder_values_are_deterministic_and_free_of_its_seed(label, monkeypatch):
+    rho = ROUTE_STATES[label]
+    mat = np.asarray(rho.mat)[None]
+    got = phi_module._cut_divergences(mat, rho.dims)
+    assert phi_module._cut_divergences(mat, rho.dims).tobytes() == got.tobytes()
+    monkeypatch.setattr(phi_module, "_SKETCH_SEED", 1)
+    assert phi_module._sketch(mat)[0] is not None
+    assert np.max(np.abs(phi_module._cut_divergences(mat, rho.dims) - got)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -897,6 +996,33 @@ def test_probe_start_spread_equals_its_one_chain_reruns(label, monkeypatch):
     assert phi(rho, "optimized", probe_starts=3).refinement_spread == max(devs)
 
 
+def test_probe_starts_solve_the_state_once(monkeypatch):
+    # the probe call runs its three chains on the one state, not on three
+    # copies of it, so S(rho) takes one eigvalsh of size D
+    rho = OPT_STATES["full-222"]
+    refine, eigvalsh, probes = phi_module._refine_products, np.linalg.eigvalsh, []
+
+    def record(mats, dims, cuts, start=None):
+        if start is not None:
+            probes.append((mats.shape, len(cuts), []))
+        got = refine(mats, dims, cuts, start)
+        if start is not None:
+            probes.append(None)
+        return got
+
+    def eig_spy(a):
+        if probes and probes[-1] is not None:
+            probes[-1][2].append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(phi_module, "_refine_products", record)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eig_spy)
+    phi(rho, "optimized", probe_starts=3)
+    ((shape, chains, solved), _) = probes
+    assert shape == (1, rho.dim, rho.dim) and chains == 3
+    assert [s for s in solved if s[-1] == rho.dim] == [(1, rho.dim, rho.dim)]
+
+
 def test_refinement_without_halvings_stops_every_chain_at_its_start(monkeypatch):
     # with no trial to make, each chain takes 0 steps and returns the value
     # and factors of its start: the floored marginals, or the given H_A and H_B
@@ -1104,8 +1230,9 @@ def test_real_states_take_every_form_in_real_arithmetic(monkeypatch):
 def _dense_reference(mats: np.ndarray, dims, states) -> np.ndarray:
     """The per-cut values of the given states of a stack, each midpoint
     formed out of place as (rho + sigma) / 2.0, sigma multiplied in the
-    kernel's factor order; the spectra as the kernel takes them."""
-    s_rho = entropies(np.linalg.eigh(mats)[0])
+    kernel's factor order; the spectra as the kernel takes them, S(rho)
+    from eigvalsh."""
+    s_rho = entropies(np.linalg.eigvalsh(mats))
     out = np.empty((len(states), 2 ** (len(dims) - 1) - 1))
     for _, index, sides in phi_module._cut_plan(tuple(dims), 1 << 20):
         for k, cut in zip(index, sides):
