@@ -7,14 +7,15 @@ whose Gram spectrum is reported (not asserted) by :func:`negative_type_check`.
 Every entropy in the package is :func:`entropies` of a spectrum, or of a
 stack of spectra. Small spectra are computed in stacks: ``np.linalg.eigvalsh``
 on an (m, D, D) array runs m eigensolves in one call, with the same spectra as
-m separate calls. Every divergence between given states comes from one kernel,
-:func:`_ensemble_entropies`: it takes m paired stacks of states and eigensolves
-each run of samples' states, then their pairwise midpoints, as one stack.
-:func:`qjsd` is its m = 2 case on one pair, :func:`qjsd_gram` its case of one
-ensemble. A stack holds at most ``_STACK_BYTES`` (1 MB) of matrices, so D=256
-goes one matrix at a time, and the code that builds a stack sizes it: a
-kernel that builds more matrices than it is given splits its input into runs,
-so a caller passes stacks of any length.
+m separate calls. One batching kernel, :func:`_stacked_entropies`, takes the
+entropies of the dense midpoints of the divergences here and of phi's
+marginal-mode cuts and partitions: it sizes and owns one buffer of at most
+``_STACK_BYTES`` (1 MB) of matrices, so D=256 goes one matrix at a time, and
+walks the states in runs, while the caller's filler writes each stack. Every
+divergence between given states is :func:`_ensemble_entropies`, its filler
+of m paired stacks of states and their pairwise midpoints: :func:`qjsd` is
+its m = 2 case on one pair, :func:`qjsd_gram` its case of one ensemble. A
+caller passes stacks of any length.
 """
 from __future__ import annotations
 
@@ -72,40 +73,46 @@ def qjsd(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(_pair_divergences(np.asarray(rho.mat)[None], np.asarray(sigma.mat)[None])[0])
 
 
+def _stacked_entropies(count: int, items: Sequence, fill, dim: int, dtype) -> np.ndarray:
+    """S of every (state, item) pair of ``count`` states and ``items``, a
+    (count, len(items)) array. One buffer of at most ``_STACK_BYTES`` takes
+    runs of whole states with all their items, or one state at a time in
+    stacks of as many items as fit when one state's items alone are more:
+    ``fill(chunk, part, rows)`` writes the D x D matrices of the items
+    ``part`` for the states ``rows`` (a slice) into ``chunk``, a
+    (len(part), states, D, D) view of it, and each chunk is one eigvalsh."""
+    per = _stack_len(dim)
+    step = max(1, per // len(items))  # states per run
+    fits = min(per // step, len(items))  # a run's items per eigensolve
+    buf = np.empty((fits * min(step, count), dim, dim), dtype)
+    out = np.empty((count, len(items)))
+    for lo in range(0, count, step):
+        rows = slice(lo, min(count, lo + step))
+        for c in range(0, len(items), fits):
+            part = items[c:c + fits]
+            chunk = buf[:len(part) * (rows.stop - lo)].reshape(len(part), -1, dim, dim)
+            fill(chunk, part, rows)
+            out[rows, c:c + len(part)] = entropies(np.linalg.eigvalsh(chunk)).T
+    return out
+
+
 def _ensemble_entropies(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """S of every state of m paired (T, D, D) stacks, as a (T, m) array, and
     S((a_i + a_j)/2) of every pair i < j of a sample, as a (T, m(m-1)/2)
-    array in ``np.triu_indices`` order. Each run of samples is one stacked
-    eigensolve of its states, stack by stack, then its midpoints, pair by
-    pair, at most ``_STACK_BYTES`` of matrices. When one sample's matrices
-    alone are more, each sample is a run, eigensolved in stacks of as many
-    of its matrices as fit, its midpoints built as they are reached.
-
-    The stacks are written into one buffer, allocated once: a midpoint is
-    a_i + a_j added into it and halved in place, the bits of
-    (a_i + a_j) / 2.0."""
+    array in ``np.triu_indices`` order: :func:`_stacked_entropies` of the
+    samples' states, then their midpoints, each a_i + a_j added into the
+    buffer and halved in place, the bits of (a_i + a_j) / 2.0. A state is
+    its own midpoint, as doubling and halving are exact."""
     m, count, dim = len(stacks), len(stacks[0]), stacks[0].shape[-1]
-    items = [(i, None) for i in range(m)] + list(itertools.combinations(range(m), 2))
-    per = _stack_len(dim)
-    step = max(1, per // len(items))
-    fits = min(per // step, len(items))  # a run's stacks per eigensolve
-    buf = np.empty((fits * min(step, count), dim, dim), np.result_type(*stacks))
-    ent = []
-    for lo in range(0, count, step):
-        size = min(step, count - lo)
-        run = []
-        for c in range(0, len(items), fits):
-            chunk = buf[:len(items[c:c + fits]) * size].reshape(-1, size, dim, dim)
-            for dst, (i, j) in zip(chunk, items[c:c + fits]):
-                if j is None:
-                    dst[...] = stacks[i][lo:lo + size]
-                else:
-                    np.add(stacks[i][lo:lo + size], stacks[j][lo:lo + size], out=dst)
-                    dst /= 2.0
-            run.append(entropies(np.linalg.eigvalsh(chunk)).reshape(-1))
-        ent.append(np.concatenate(run).reshape(len(items), -1))
-    ent = np.concatenate(ent, axis=1)
-    return ent[:m].T, ent[m:].T
+    items = [(i, i) for i in range(m)] + list(itertools.combinations(range(m), 2))
+
+    def fill(chunk, part, rows):
+        for dst, (i, j) in zip(chunk, part):
+            np.add(stacks[i][rows], stacks[j][rows], out=dst)
+        chunk /= 2.0
+
+    ent = _stacked_entropies(count, items, fill, dim, np.result_type(*stacks))
+    return ent[:, :m], ent[:, m:]
 
 
 def _pair_divergences(a: np.ndarray, b: np.ndarray) -> np.ndarray:

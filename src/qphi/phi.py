@@ -53,7 +53,7 @@ from a form chosen by r:
     H(t) = W^dag A (A + t)^-2 W, from the integral form of the matrix
     logarithm (Higham, Functions of Matrices, SIAM 2008) and the Woodbury
     identity: r x r matrices only (:func:`_resolvent_midpoint`).
-- otherwise: one dense eigensolve of m (:func:`_dense_midpoint`), the only
+- otherwise: one dense eigensolve of m (:func:`_dense_entropies`), the only
   form when 2r >= D, as rank rho_A * rank rho_B >= r on every cut.
 
 The value of a cut does not depend on which side comes first, so each cut
@@ -64,8 +64,8 @@ cached). A cut's marginals come straight from rho, one contraction per side
 marginals of one dimension take one stacked eigvalsh (2r >= D), and each
 side's one stacked eigh (1 < r < D/2). No form reorders rho: the dense form
 (:func:`_dense_blocks`) multiplies sigma, in rho's own subsystem order,
-straight into a midpoint buffer allocated once per run of states, and the
-others read permuted rows of X, whose one column is psi when r = 1.
+straight into the batching kernel's midpoint buffer, and the others read
+permuted rows of X, whose one column is psi when r = 1.
 The states go in runs of one form rank (each r < D/2, pure states included,
 or D), each run's chunks sized by the arrays it builds, at most 1 MB each:
 D x D midpoints for rank D, so D = 256 goes one cut at a time, and four
@@ -85,12 +85,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import _pair_divergences, _stack_len, entropies
+from .divergence import _pair_divergences, _stack_len, _stacked_entropies, entropies
 from .errors import (
     BadParameter,
     InvalidPartition,
@@ -223,12 +223,9 @@ def _partition_divergences(
     """:func:`divergence_for_partition` of every state of an (S, D, D) stack
     and every partition: an (S, partitions) array, S(rho) from one eigvalsh
     of the states and the rest from the cut kernel's dense body
-    (:func:`_dense_blocks`), its midpoints in one buffer of at most
-    ``_stack_len(D)`` matrices."""
-    dim = mats.shape[-1]
-    buf = np.empty((min(_stack_len(dim), len(mats) * len(parts)), dim, dim), mats.dtype)
+    (:func:`_dense_blocks`)."""
     blocks = [tuple(tuple(sorted(b)) for b in p.blocks) for p in parts]
-    s_mid, s_sigma = _dense_blocks(mats, dims, blocks, buf)
+    s_mid, s_sigma = _dense_blocks(mats, dims, blocks)
     return s_mid - 0.5 * entropies(np.linalg.eigvalsh(mats))[:, None] - 0.5 * s_sigma
 
 
@@ -533,46 +530,31 @@ def _resolvent_midpoint(w: np.ndarray, a: np.ndarray) -> float:
     return head - _NODE_STEP * integral
 
 
-def _dense_midpoint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Spectra of a stack of midpoints (rho + sigma)/2, both in the layout's
-    subsystem order, by one stacked eigensolve; rho may broadcast. The sum is
-    formed in sigma, which must be a buffer read by no one else (the
-    kernels' reused stacks); addition commutes and halving is exact, so the
-    bits are those of (rho + sigma) / 2.0."""
-    sigma += rho
-    sigma /= 2.0
-    return np.linalg.eigvalsh(sigma)
-
-
-def _dense_entropies(states, marg, sides, cols, dims, buf) -> np.ndarray:
+def _dense_entropies(states, marg, sides, cols, dims) -> np.ndarray:
     """S((rho + sigma)/2) of every state of an (S, D, D) stack on the cuts
     ``cols`` (positions in ``sides``; a partition's sides are its blocks), an
-    (S, len(cols)) array. Each sigma is multiplied from the cut's marginal
-    stacks ``marg[c]`` straight into the buffer ``buf``, and each filling of
-    it, as many (state, cut) pairs as it holds, is one :func:`_dense_midpoint`
-    call with rho broadcast."""
-    count, dim = len(states), states.shape[-1]
-    cuts, size = max(1, len(buf) // count), min(count, len(buf))  # per solve
-    out = np.empty((count, len(cols)))
-    for c0 in range(0, len(cols), cuts):
-        part = cols[c0:c0 + cuts]
-        for s0 in range(0, count, size):
-            rows = slice(s0, min(count, s0 + size))
-            sigma = buf[:len(part) * (rows.stop - s0)].reshape(len(part), -1, dim, dim)
-            for j, c in enumerate(part):
-                _assemble_raw([m[rows] for m in marg[c]], sides[c], dims, out=sigma[j])
-            out[rows, c0:c0 + len(part)] = entropies(_dense_midpoint(states[rows], sigma)).T
-    return out
+    (S, len(cols)) array, by :func:`~qphi.divergence._stacked_entropies`: its
+    filler multiplies sigma from the cut's marginal stacks ``marg[c]``
+    straight into the kernel's buffer, adds rho and halves in place, the bits
+    of (rho + sigma) / 2.0, as addition commutes and halving is exact."""
+
+    def fill(chunk, part, rows):
+        for dst, c in zip(chunk, part):
+            _assemble_raw([m[rows] for m in marg[c]], sides[c], dims, out=dst)
+        chunk += states[rows]
+        chunk /= 2.0
+
+    return _stacked_entropies(len(states), cols, fill, states.shape[-1], states.dtype)
 
 
-def _dense_blocks(states, dims, blocks, buf):
+def _dense_blocks(states, dims, blocks):
     """(S(m), S(sigma)) of every state of an (S, D, D) stack against the
     product of its block marginals, for each entry of ``blocks``, a tuple of
     sorted block tuples (a cut's two sides, or a partition's blocks): two
     (S, len(blocks)) arrays. Each distinct block is traced once and the
     blocks of one dimension take one stacked eigvalsh; S(sigma) is the sum
     of the block entropies, as S is additive over a product, and the
-    midpoints are :func:`_dense_entropies`, in the buffer ``buf``."""
+    midpoints are :func:`_dense_entropies`."""
     groups, index = _block_groups(dims, tuple(blocks))
     marg = {b: _partial_trace_raw(states, dims, b) for g in groups for b in g}
     ent = [entropies(np.linalg.eigvalsh(np.stack([marg[b] for b in g], axis=1))) for g in groups]
@@ -582,7 +564,7 @@ def _dense_blocks(states, dims, blocks, buf):
     for col in index.T[1:]:
         s_sigma += ent[:, col]
     factors = [[marg[b] for b in p] for p in blocks]
-    return _dense_entropies(states, factors, blocks, range(len(blocks)), dims, buf), s_sigma
+    return _dense_entropies(states, factors, blocks, range(len(blocks)), dims), s_sigma
 
 
 @lru_cache(maxsize=64)
@@ -631,7 +613,7 @@ def _perm(base: np.ndarray, sides) -> np.ndarray:
     return np.stack([base.transpose(a + b).reshape(-1) for a, b in sides])
 
 
-def _low_rank_cuts(states, x, dims, sides, stack):
+def _low_rank_cuts(states, x, dims, sides):
     """(S(m), S(sigma)) of every state of a stack of rank 1 < r < D/2 on every
     cut of ``sides``, all with one dimension d_A of the first side, two
     (S, cuts) arrays, given X's rows permuted into each cut's (A, B) order,
@@ -640,7 +622,7 @@ def _low_rank_cuts(states, x, dims, sides, stack):
     instead (module docstring), and the Gram and resolvent pairs one
     stacked sigma-basis form each, the Gram pairs' then eigensolved in
     stacks and the resolvent pairs' integrated one pair at a time; the other
-    pairs' cuts are solved densely, in the buffer ``stack()``."""
+    pairs' cuts are solved densely (:func:`_dense_entropies`)."""
     count, cuts, dim, r = x.shape
     da = math.prod(dims[i] for i in sides[0][0])
     db = dim // da
@@ -680,7 +662,7 @@ def _low_rank_cuts(states, x, dims, sides, stack):
         # is not copied; a thin side's marginal is Y Y^dag
         for c in dense.tolist() if ub is None else ():
             marg[c].append(y[:, c] @ np.swapaxes(y[:, c].conj(), -1, -2))
-        got = _dense_entropies(states, marg, sides, dense, dims, stack())
+        got = _dense_entropies(states, marg, sides, dense, dims)
         s_mid[:, dense] = np.where(slow[:, dense], got, s_mid[:, dense])
     return s_mid, entropies(wa) + entropies(wb)
 
@@ -706,13 +688,15 @@ def _sketch(mats: np.ndarray) -> list:
     Q = orth(rho orth(rho Omega)) and the eigh of the k x k compression
     Q^dag rho Q; a state whose k compressed eigenvalues are all kept
     (:func:`_kept`, floor of size D) goes on to 2k, k = 8, 16, ... D/8. X is
-    accepted only if max|rho - X X^dag| <= D * ``_SKETCH_TOL`` * lambda_max."""
+    accepted only if max|rho - X X^dag| <= D * ``_SKETCH_TOL`` * lambda_max,
+    taken a block of rows at a time, so no temporary is D x D."""
     dim = mats.shape[-1]
     g = _normals(2 * dim * (dim // 8), _SKETCH_SEED).reshape(2, dim, dim // 8)
     omega = g[0] + 1j * g[1] if np.iscomplexobj(mats) else g[0]
     out, todo, k = [None] * len(mats), np.arange(len(mats)), 8
+    block = _stack_len(1, dim)  # rows of one 1 MB block of the residual
     while todo.size and k <= dim // 8:
-        rho = mats[todo]
+        rho = mats if todo.size == len(mats) else mats[todo]
         q = np.linalg.qr(rho @ np.linalg.qr(rho @ omega[:, :k])[0])[0]
         w, v = np.linalg.eigh(np.swapaxes(q.conj(), -1, -2) @ rho @ q)
         kept = _kept(w, dim)
@@ -720,7 +704,9 @@ def _sketch(mats: np.ndarray) -> list:
         for i in np.flatnonzero(~more).tolist():
             r = int(kept[i].sum())
             x = q[i] @ (v[i, :, -r:] * np.sqrt(w[i, -r:]))
-            if np.abs(rho[i] - x @ x.conj().T).max() <= dim * _SKETCH_TOL * w[i, -1]:
+            tol = dim * _SKETCH_TOL * w[i, -1]
+            if all(np.abs(rho[i, j:j + block] - x[j:j + block] @ x.conj().T).max() <= tol
+                   for j in range(0, dim, block)):
                 out[todo[i]] = (w[i, -r:], x)
         todo, k = todo[more], 2 * k
     return out
@@ -736,8 +722,9 @@ def _factors(mats: np.ndarray):
     count, dim = mats.shape[0], mats.shape[-1]
     s_rho, rank, found, solved = np.empty(count), np.zeros(count, dtype=int), {}, None
     if dim >= 64:
-        tried = np.flatnonzero(dim * np.sum(np.abs(mats) ** 2, axis=(1, 2)) >= 8.0)
-        for i, f in zip(tried.tolist(), _sketch(mats[tried]) if tried.size else ()):
+        tried = np.flatnonzero([dim * np.vdot(m, m).real >= 8.0 for m in mats])
+        sketched = _sketch(mats if tried.size == count else mats[tried]) if tried.size else ()
+        for i, f in zip(tried.tolist(), sketched):
             if f is not None:
                 s_rho[i], rank[i], found[i] = entropies(f[0]), f[0].size, f[1]
     rest = np.flatnonzero(rank == 0)
@@ -776,8 +763,8 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     all through one plan loop, each run's cut plan sized by the arrays it
     builds. A chunk takes :func:`_dense_blocks` for 2r >= D, the Schmidt form
     of X's one column for r = 1, and :func:`_low_rank_cuts` otherwise; only
-    the first and last read rho. Each run allocates its dense midpoint stack
-    once, when first needed, at most ``_STACK_BYTES``. In a run of
+    the first and last read rho, and every dense midpoint stack is sized by
+    :func:`~qphi.divergence._stacked_entropies`. In a run of
     1 < r < D/2, a side B with r d_A < d_B is thin: its spectrum and X's
     coordinates in its eigenbasis come from the (r d_A)^2 Gram matrix of X's
     rows. Callers pass at most ``_stack_len(D)`` states, and no stack built
@@ -796,13 +783,9 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         # cuts a chunk, by what the run builds per (state, cut) pair: a D x D
         # midpoint, or four D x r arrays (X's rows, W and its intermediates)
         step = _stack_len(dim, dim if r == dim else 4 * r)
-        plan = _cut_plan(dims, step)
-        # the run's dense midpoint stack, allocated once, when first needed
-        cap = min(_stack_len(dim), run.size * max(len(index) for _, index, _ in plan))
-        stack = cache(lambda cap=cap: np.empty((cap, dim, dim), mats.dtype))
         # a pure state's one column of X is its state vector psi
         x = factor[run, :, -r:] if r < dim else None
-        for da, index, sides in plan:
+        for da, index, sides in _cut_plan(dims, step):
             per = max(1, step // len(index))
             for g0 in range(0, run.size, per):
                 sel = run[g0:g0 + per]
@@ -810,9 +793,9 @@ def _cut_divergences(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
                 # the Schmidt form reads X alone, so rho is gathered for the others
                 states = mats if sel.size == count or r == 1 else mats[sel]
                 if r == dim:
-                    s_mid, s_sigma = _dense_blocks(states, dims, sides, stack())
+                    s_mid, s_sigma = _dense_blocks(states, dims, sides)
                 elif r > 1:
-                    s_mid, s_sigma = _low_rank_cuts(states, xs, dims, sides, stack)
+                    s_mid, s_sigma = _low_rank_cuts(states, xs, dims, sides)
                 else:
                     lam, mid = _schmidt_midpoint(xs[..., 0], da)
                     # rho_A and rho_B of a pure state share the spectrum lam

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import numbers
@@ -44,13 +45,22 @@ BELL_PHI = 0.3803956658485781
 
 
 def run_cli(args, stdin_text=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qphi.cli", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-    )
-    return proc
+    """``python -m qphi.cli *args`` run in this process by :func:`cli.main`,
+    stdin the UTF-8 bytes of ``stdin_text``: its returncode, stdout and
+    stderr, the exit code of an argparse error included."""
+    stdin = io.TextIOWrapper(io.BytesIO((stdin_text or "").encode()), encoding="utf-8")
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        sys.stdin = saved
+        stdin.close()
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def test_state_json_round_trip_is_bit_exact():

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,16 +478,46 @@ def test_partition_divergences_match_dense_qjsd(label, monkeypatch):
     assert partition_divergences(rho, parts) == got
 
 
-def test_each_state_takes_the_expected_branches(monkeypatch):
-    taken = set()
-    for name in ("schmidt", "gram", "resolvent", "dense"):
-        fn = getattr(phi_module, f"_{name}_midpoint")
+# the function each form of a cut's S(m) runs through
+_FORMS = {
+    "schmidt": "_schmidt_midpoint",
+    "gram": "_gram_midpoint",
+    "resolvent": "_resolvent_midpoint",
+    "dense": "_dense_entropies",
+}
 
-        def spy(*args, _fn=fn, _name=name):
+
+def _spy_forms(monkeypatch):
+    """Spy on the cut kernel's forms and on its dense midpoint stacks: the
+    set of the forms taken, and a list with, per call of the batching kernel
+    (``_stacked_entropies``) from phi, the (buffer id, bytes) of each stack
+    it eigensolves."""
+    taken, calls = set(), []
+    for name, attr in _FORMS.items():
+
+        def spy(*args, _fn=getattr(phi_module, attr), _name=name):
             taken.add(_name)
             return _fn(*args)
 
-        monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
+        monkeypatch.setattr(phi_module, attr, spy)
+    kernel = phi_module._stacked_entropies
+
+    def kernel_spy(count, items, fill, dim, dtype):
+        stacks = []
+        calls.append(stacks)
+
+        def fill_spy(chunk, part, rows):
+            stacks.append((id(chunk.base), chunk.nbytes))
+            fill(chunk, part, rows)
+
+        return kernel(count, items, fill_spy, dim, dtype)
+
+    monkeypatch.setattr(phi_module, "_stacked_entropies", kernel_spy)
+    return taken, calls
+
+
+def test_each_state_takes_the_expected_branches(monkeypatch):
+    taken, _ = _spy_forms(monkeypatch)
     for label, (rho, branches) in ORACLE_STATES.items():
         taken.clear()
         phi(rho)
@@ -766,6 +797,21 @@ def test_range_finder_values_are_deterministic_and_free_of_its_seed(label, monke
     monkeypatch.setattr(phi_module, "_SKETCH_SEED", 1)
     assert phi_module._sketch(mat)[0] is not None
     assert np.max(np.abs(phi_module._cut_divergences(mat, rho.dims) - got)) <= 1e-13
+
+
+def test_range_finder_holds_its_temporaries_under_twice_rho():
+    # rank 4 of (2,)^10, D = 1024: rho is 16 MB, and the range finder's
+    # residual check and purity gate need no D x D temporary
+    mats = np.asarray(ginibre_mixed((2,) * 10, 4, substream(0, "sketch-peak")).mat)[None]
+    tracemalloc.start()
+    try:
+        s_rho, rank, x = phi_module._factors(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank.tolist() == [4] and x.shape == (1, 1024, 4)
+    assert peak <= 2 * mats.nbytes
+    assert s_rho[0] == entropies(phi_module._sketch(mats)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -1181,22 +1227,13 @@ def test_mixed_stack_rows_equal_their_one_state_calls(stack_bytes, monkeypatch):
     if stack_bytes is not None:
         monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
     alone = [phi_module._cut_divergences(m[None], dims)[0] for m in mats]
-    taken, dense_sizes = set(), []
-    for name in ("schmidt", "gram", "resolvent", "dense"):
-        fn = getattr(phi_module, f"_{name}_midpoint")
-
-        def spy(*args, _fn=fn, _name=name):
-            taken.add(_name)
-            if _name == "dense":
-                dense_sizes.append(args[1].nbytes)
-            return _fn(*args)
-
-        monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
+    taken, calls = _spy_forms(monkeypatch)
     got = phi_module._cut_divergences(mats, dims)
     assert taken == {"schmidt", "gram", "resolvent", "dense"}
     for row, want in zip(got, alone):
         assert np.array_equal(row, want)
-    # the stack of sigmas solved in one dense call stays within the stack cap
+    # the stack of midpoints solved in one dense call stays within the stack cap
+    dense_sizes = [size for call in calls for _, size in call]
     one = mats[0].nbytes
     assert dense_sizes and max(dense_sizes) <= max(divergence_module._STACK_BYTES, one)
 
@@ -1209,15 +1246,7 @@ def test_real_states_take_every_form_in_real_arithmetic(monkeypatch):
     factors = [rng.standard_normal((128, r)) for r in (1, 3, 100, 128)]
     mats = np.stack([g @ g.T / np.sum(g * g) for g in factors])
     assert mats.dtype == np.float64
-    taken = set()
-    for name in ("schmidt", "gram", "resolvent", "dense"):
-        fn = getattr(phi_module, f"_{name}_midpoint")
-
-        def spy(*args, _fn=fn, _name=name):
-            taken.add(_name)
-            return _fn(*args)
-
-        monkeypatch.setattr(phi_module, f"_{name}_midpoint", spy)
+    taken, _ = _spy_forms(monkeypatch)
     got = phi_module._cut_divergences(mats, dims)
     assert taken == {"schmidt", "gram", "resolvent", "dense"}
     as_complex = phi_module._cut_divergences(mats.astype(complex), dims)
@@ -1272,23 +1301,16 @@ def test_dense_midpoints_built_in_place_equal_the_out_of_place_ones(label, stack
     mats = np.stack([np.asarray(rho.mat) for rho in group])
     if stack_bytes is not None:
         monkeypatch.setattr(divergence_module, "_STACK_BYTES", stack_bytes)
-    buffers = set()
-    real = phi_module._dense_midpoint
-
-    def spy(rho, sigma):
-        buffers.add(id(sigma.base))
-        return real(rho, sigma)
-
-    monkeypatch.setattr(phi_module, "_dense_midpoint", spy)
+    _, calls = _spy_forms(monkeypatch)
     got = phi_module._cut_divergences(mats, dims)
     assert np.array_equal(got[dense], _dense_reference(mats, dims, dense))
-    # one buffer for the dense run, and one for the rank-3 run's dense cuts
-    assert len(buffers) == (2 if label.startswith("partial") else 1)
+    # one buffer per call of the batching kernel
+    assert calls and all(len({b for b, _ in call}) == 1 for call in calls)
     # partitions: every sigma multiplied into one buffer
     parts = enumerate_partitions(len(dims))
-    buffers.clear()
+    calls.clear()
     table = phi_module._partition_divergences(mats[dense], dims, parts)
-    assert len(buffers) == 1
+    assert len(calls) == 1 and len({b for b, _ in calls[0]}) == 1
     states = mats[dense]
     s_rho = entropies(np.linalg.eigvalsh(states))
     for p, col in zip(parts, table.T):
@@ -1314,11 +1336,11 @@ def test_dense_body_traces_each_block_once_and_solves_each_dimension_once(monkey
         solved.append(a.shape[-1])
         return eigvalsh(a)
 
-    def mid_spy(states, marg, sides, cols, dims, buf):
+    def mid_spy(states, marg, sides, cols, dims):
         chunks.append((list(sides), traced[:], solved[:]))
         traced.clear()
         solved.clear()
-        return mids(states, marg, sides, cols, dims, buf)
+        return mids(states, marg, sides, cols, dims)
 
     monkeypatch.setattr(phi_module, "_partial_trace_raw", trace_spy)
     monkeypatch.setattr(np.linalg, "eigvalsh", eig_spy)
@@ -1355,18 +1377,12 @@ def test_stacked_partition_divergences_match_per_state(monkeypatch):
     # with the stack cap at one matrix, every midpoint stack handed to the
     # eigensolver holds one matrix, and the values keep their bits
     monkeypatch.setattr(divergence_module, "_STACK_BYTES", 1)
-    sizes = []
-    real = phi_module._dense_midpoint
-
-    def spy(rho, sigma):
-        sizes.append(sigma.nbytes)
-        return real(rho, sigma)
-
-    monkeypatch.setattr(phi_module, "_dense_midpoint", spy)
+    _, calls = _spy_forms(monkeypatch)
     for (dims, _, mats), got in zip(stacks, results):
         parts = enumerate_partitions(len(dims))
-        sizes.clear()
+        calls.clear()
         assert np.array_equal(phi_module._partition_divergences(mats, dims, parts), got)
+        sizes = [size for call in calls for _, size in call]
         assert len(sizes) == len(mats) * len(parts) and max(sizes) == mats[0].nbytes, dims
 
 
