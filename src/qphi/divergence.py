@@ -101,15 +101,18 @@ def _ensemble_entropies(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nd
     S((a_i + a_j)/2) of every pair i < j of a sample, as a (T, m(m-1)/2)
     array in ``np.triu_indices`` order: :func:`_stacked_entropies` of the
     samples' states, then their midpoints, each a_i + a_j added into the
-    buffer and halved in place, the bits of (a_i + a_j) / 2.0. A state is
-    its own midpoint, as doubling and halving are exact."""
+    buffer and halved in place by ``*= 0.5``. Halving is exact, so each
+    component has the bits of (a_i + a_j) / 2.0 but for the sign of an exact
+    zero, which numpy's complex division by 2.0 may turn to +0.0 (and takes
+    eight times as long); the midpoint's spectrum is the same. A state is its
+    own midpoint, as doubling and halving are exact."""
     m, count, dim = len(stacks), len(stacks[0]), stacks[0].shape[-1]
     items = [(i, i) for i in range(m)] + list(itertools.combinations(range(m), 2))
 
     def fill(chunk, part, rows):
         for dst, (i, j) in zip(chunk, part):
             np.add(stacks[i][rows], stacks[j][rows], out=dst)
-        chunk /= 2.0
+        chunk *= 0.5
 
     ent = _stacked_entropies(count, items, fill, dim, np.result_type(*stacks))
     return ent[:, :m], ent[:, m:]

@@ -535,14 +535,16 @@ def _dense_entropies(states, marg, sides, cols, dims) -> np.ndarray:
     ``cols`` (positions in ``sides``; a partition's sides are its blocks), an
     (S, len(cols)) array, by :func:`~qphi.divergence._stacked_entropies`: its
     filler multiplies sigma from the cut's marginal stacks ``marg[c]``
-    straight into the kernel's buffer, adds rho and halves in place, the bits
-    of (rho + sigma) / 2.0, as addition commutes and halving is exact."""
+    straight into the kernel's buffer, adds rho and halves in place by
+    ``*= 0.5``: the bits of (rho + sigma) / 2.0, as addition commutes and
+    halving is exact, but for the sign of an exact zero, which numpy's
+    complex division by 2.0 may turn to +0.0 and the spectrum does not see."""
 
     def fill(chunk, part, rows):
         for dst, c in zip(chunk, part):
             _assemble_raw([m[rows] for m in marg[c]], sides[c], dims, out=dst)
         chunk += states[rows]
-        chunk /= 2.0
+        chunk *= 0.5
 
     return _stacked_entropies(len(states), cols, fill, states.shape[-1], states.dtype)
 
@@ -670,14 +672,38 @@ def _low_rank_cuts(states, x, dims, sides):
 def _normals(count: int, seed: int) -> np.ndarray:
     """``count`` standard normal draws fixed by ``seed``: splitmix64 of a
     counter (Steele, Lea & Flood, OOPSLA 2014) gives 53-bit uniforms, and the
-    Box-Muller transform makes them normal. It spares a process that would
-    import numpy.random for :func:`_sketch` alone about 17 ms."""
-    z = np.arange(2 * count, dtype=np.uint64) + np.uint64((seed << 32) + 1)
+    Box-Muller transform makes them normal; draw i reads the uniforms of
+    counters i and count + i. It spares a process that would import
+    numpy.random for :func:`_sketch` alone about 17 ms. The draws are made in
+    blocks whose two counter ranges fill at most 1 MB, in place, so beyond
+    its output it holds under 2 MB whatever ``count`` is."""
+    out = np.empty(count)
+    step = _stack_len(1, 1)  # draws per block: a complex is two uint64 counters
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        r, c = _uniforms(lo, hi, seed), _uniforms(count + lo, count + hi, seed)
+        np.log1p(np.negative(r, out=r), out=r)
+        r *= -2.0
+        c *= 2.0 * np.pi
+        np.multiply(np.sqrt(r, out=r), np.cos(c, out=c), out=out[lo:hi])
+        del r, c  # before the next block's are drawn
+    return out
+
+
+def _uniforms(lo: int, hi: int, seed: int) -> np.ndarray:
+    """The 53-bit uniforms of :func:`_normals`' counters lo..hi-1, in place."""
+    z = np.arange(lo, hi, dtype=np.uint64)
+    z += np.uint64((seed << 32) + 1)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0 ** -53
-    return np.sqrt(-2.0 * np.log1p(-u[:count])) * np.cos(2.0 * np.pi * u[count:])
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(float)
+    u *= 2.0 ** -53
+    return u
 
 
 def _sketch(mats: np.ndarray) -> list:

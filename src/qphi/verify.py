@@ -8,18 +8,21 @@ Checks draw and score their states in stacks of at most 1 MB of matrices
 (``divergence._STACK_BYTES``), each sized by the code that builds it. One
 sampler, :func:`_samples`, takes the draws of every check but the Petz one
 (sample t draws its states, then any Kraus count and channel) and sizes its
-runs from those draws. The Petz products draw sample by sample, as what they
-draw changes shape with the cut drawn just before, and are built and scored
-in stacks, one per layout and cut; the Markov chains are drawn as one block
-and recovered as one stack. A kernel that builds more matrices than it is
-given splits its input itself, so no check works out a run length. The
-stacked kernels (:func:`qphi.phi._cut_divergences`,
-:func:`qphi.phi._partition_divergences`, :func:`qphi.phi._refine_products`,
-:func:`qphi.divergence._grams`, :func:`qphi.blanket._petz_stack`, the
-stacked channel application and validation) give the values of per-state
-scoring to round-off. Divergence, convexity, Lipschitz, Petz and blanket
-scores come from the stacked bodies behind the library's public functions.
-A statistic over no samples is null.
+runs from what it holds of them. It yields one group per layout and run: a
+channel check's Kraus families come as one stack, zero-padded to the largest
+Kraus count, so each run is scored as one stack per layout, and of each
+channel's Ginibre draw only the columns its QR reads are held. The Petz
+products draw sample by sample, as what they draw changes shape with the cut
+drawn just before, and are built and scored in stacks, one per layout and
+cut; the Markov chains are drawn as one block and recovered as one stack. A
+kernel that builds more matrices than it is given splits its input itself, so
+no check works out a run length. The stacked kernels
+(:func:`qphi.phi._cut_divergences`, :func:`qphi.phi._partition_divergences`,
+:func:`qphi.phi._refine_products`, :func:`qphi.divergence._grams`,
+:func:`qphi.blanket._petz_stack`, the stacked channel application and
+validation) give the values of per-state scoring to round-off. Divergence,
+convexity, Lipschitz, Petz and blanket scores come from the stacked bodies
+behind the library's public functions. A statistic over no samples is null.
 """
 from __future__ import annotations
 
@@ -251,24 +254,28 @@ def _samples(rng, layouts, count: int, offsets=(0,), mixed=False, kraus=None):
     """The per-sample draws of a check. Sample t lies on layout t mod
     len(layouts) and draws, in order: states t + o for o in ``offsets``
     (full-rank Ginibre throughout when ``mixed``); when ``kraus`` is
-    (kmax, local), a Kraus count in 1..kmax; then the Ginibre matrix of one
-    random channel per site (``local``) or on the whole space.
+    (kmax, local), a Kraus count kc in 1..kmax; then the Ginibre matrix of
+    one random channel per site (``local``) or on the whole space.
 
-    A run holds its states twice, as normals and as matrices, and the
-    unitaries of its channels (on d kmax per site, or on D kmax) once, as
-    normals; runs are as long as ``_STACK_BYTES`` allows, and a run without
-    Kraus draws takes all its normals in one block. Yields (layout, (k,
-    len(offsets), D, D) states, Kraus stacks) per run and group of equal
-    layout and Kraus count, in order of first sample. The Kraus stacks are
-    None without ``kraus``, else as :func:`_apply_local` (a list, one per
-    site) or :func:`_apply_kraus` (one stack) takes them."""
+    A channel on a site of dimension s is drawn on s kc x s kc, as
+    :func:`qphi.channels.random_channel` draws it, but only the s columns its
+    QR reads are kept. A run holds its states twice, as normals and as
+    matrices, and per site those kept columns and the channel's Kraus
+    operators padded to kmax, kmax s^2 complex numbers each; runs are as long
+    as ``_STACK_BYTES`` allows, and a run without Kraus draws takes all its
+    normals in one block. Yields (layout, (k, len(offsets), D, D) states,
+    Kraus stacks) per run and layout, in order of first sample. The Kraus
+    stacks are None without ``kraus``, else as :func:`_apply_local` (a list,
+    one per site) or :func:`_apply_kraus` (one stack) takes them: (k, kmax,
+    s, s), whose operators from a sample's kc on are exact zeros, so each
+    term they add to a channel's output is an exact zero."""
     kmax, local = kraus or (0, False)
     offsets = np.asarray(offsets)
     dims = np.array([math.prod(lay) for lay in layouts])
     sites = [lay if local else (math.prod(lay),) for lay in layouts]
     # complex numbers a run holds per sample
     width = max(
-        2 * offsets.size * d * d + sum((s * kmax) ** 2 for s in site)
+        2 * offsets.size * d * d + sum(2 * kmax * s * s for s in site)
         for d, site in zip(dims.tolist(), sites)
     )
     for ts in _chunks(count, _stack_len(1, width)):
@@ -282,19 +289,23 @@ def _samples(rng, layouts, count: int, offsets=(0,), mixed=False, kraus=None):
             for i, j in enumerate(li):
                 rng.standard_normal(out=flat[start[i, 0]:start[i, 0] + sizes[i].sum()])
                 kc[i] = rng.integers(1, kmax + 1)
-                z.append([rng.standard_normal((2, d * kc[i], d * kc[i])) for d in sites[j]])
+                z.append([
+                    rng.standard_normal((2, s * kc[i], s * kc[i]))[..., :s].copy()
+                    for s in sites[j]
+                ])
         else:
             flat = rng.standard_normal(int(sizes.sum()))
-        for j, k in dict.fromkeys(zip(li.tolist(), kc.tolist())):
-            g = np.flatnonzero((li == j) & (kc == k))
+        for j in dict.fromkeys(li.tolist()):
+            g = np.flatnonzero(li == j)
             dim = int(dims[j])
             states = _states_from_normals(flat, dim, pure[g].ravel(), start[g].ravel())
             ks = None
             if kmax:
-                ks = [
-                    _random_kraus(np.stack(zs), d, d, k)
-                    for d, zs in zip(sites[j], zip(*(z[i] for i in g)))
-                ]
+                ks = [np.zeros((g.size, kmax, s, s), dtype=complex) for s in sites[j]]
+                for k in dict.fromkeys(kc[g].tolist()):
+                    h = np.flatnonzero(kc[g] == k)
+                    for site, (s, pad) in enumerate(zip(sites[j], ks)):
+                        pad[h, :k] = _random_kraus(np.stack([z[i][site] for i in g[h]]), s, s, k)
                 ks = ks if local else ks[0]
             yield layouts[j], states.reshape(g.size, offsets.size, dim, dim), ks
 

@@ -814,6 +814,36 @@ def test_range_finder_holds_its_temporaries_under_twice_rho():
     assert s_rho[0] == entropies(phi_module._sketch(mats)[0][0])
 
 
+def _normals_unblocked(count: int, seed: int) -> np.ndarray:
+    """The splitmix64 and Box-Muller formula of ``_normals``, on all 2 count
+    counters at once."""
+    z = np.arange(2 * count, dtype=np.uint64) + np.uint64((seed << 32) + 1)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log1p(-u[:count])) * np.cos(2.0 * np.pi * u[count:])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_blocked_normals_equal_the_unblocked_formula(seed):
+    block = divergence_module._STACK_BYTES // 16  # draws per block
+    for count in (0, 1, 5, block - 1, block, block + 1, 2 * block + 3):
+        assert np.array_equal(phi_module._normals(count, seed), _normals_unblocked(count, seed)), count
+
+
+def test_normals_hold_at_most_2mb_beyond_their_output():
+    # the test matrix of the range finder at D = 1024: 2 MB of normals
+    count = 2 * 1024 * 128
+    tracemalloc.start()
+    try:
+        out = phi_module._normals(count, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (2 << 20)
+
+
 # ---------------------------------------------------------------------------
 # optimized mode
 
@@ -1320,6 +1350,75 @@ def test_dense_midpoints_built_in_place_equal_the_out_of_place_ones(label, stack
         s_mid = entropies(np.linalg.eigvalsh((states + sigma) / 2.0))
         want = s_mid - 0.5 * s_rho - 0.5 * sum(entropies(np.linalg.eigvalsh(m)) for m in marg)
         assert np.array_equal(col, want), blocks
+
+
+def _halving_stacks() -> dict:
+    """Stacks of states on which the halved midpoints are checked: complex
+    Ginibre states; noisy GHZ and W states (n = 3..6, p = 0.9 and 0.5), and
+    the same with a sign flipped on the last amplitude, whose midpoints have
+    exact zeros, some -0.0; and float64 states."""
+    dims = (2, 3, 2)
+    ginibre = np.stack([np.asarray(ginibre_mixed(dims, 12, substream(t, "halve")).mat) for t in range(4)])
+    out = {"ginibre": (dims, ginibre), "real-ginibre": (dims, ginibre.real.copy())}
+    for n in range(3, 7):
+        noisy = []
+        for make in (ghz, w_state):
+            psi = np.linalg.eigh(np.asarray(make(n).mat))[1][:, -1].astype(complex)
+            psi *= np.sign(psi[np.flatnonzero(psi)[0]])  # the first amplitude positive
+            for sign in (1.0, -1.0):
+                psi[np.flatnonzero(psi)[-1]] *= sign
+                for p in (0.9, 0.5):
+                    # the noise goes on the diagonal alone, so the -0.0
+                    # imaginary parts of the outer product are kept
+                    m = p * np.outer(psi, psi.conj())
+                    m[np.diag_indices(2 ** n)] += (1 - p) / 2 ** n
+                    noisy.append(m)
+        out[f"noisy-n{n}"] = ((2,) * n, np.stack(noisy))
+    out["real-noisy-n4"] = ((2,) * 4, out["noisy-n4"][1].real.copy())
+    return out
+
+
+HALVING_STACKS = _halving_stacks()
+
+
+@pytest.mark.parametrize("label", sorted(HALVING_STACKS))
+def test_midpoints_halved_in_place_have_the_spectra_of_the_divided_ones(label, monkeypatch):
+    # both fillers halve by *= 0.5; each midpoint they fill has the
+    # eigenvalues of (a + b) / 2.0 bit for bit, exact zeros and float64 too
+    dims, mats = HALVING_STACKS[label]
+    checked = []  # the midpoints compared, per item of a filled chunk
+
+    def spy_on(module, divided):
+        kernel = module._stacked_entropies
+
+        def spy(count, items, fill, dim, dtype):
+            def fill_spy(chunk, part, rows):
+                fill(chunk, part, rows)
+                for mid, item in zip(chunk, part):
+                    want = divided(item, rows)
+                    assert mid.dtype == want.dtype == mats.dtype
+                    assert np.array_equal(np.linalg.eigvalsh(mid), np.linalg.eigvalsh(want)), item
+                    checked.append(len(mid))
+
+            return kernel(count, items, fill_spy, dim, dtype)
+
+        monkeypatch.setattr(module, "_stacked_entropies", spy)
+
+    # divergences: each state paired with the stack's last-first order
+    pair = [mats, mats[::-1].copy()]
+    spy_on(divergence_module, lambda ij, rows: (pair[ij[0]][rows] + pair[ij[1]][rows]) / 2.0)
+    divergence_module._ensemble_entropies(pair)
+    assert sum(checked) == 3 * len(mats)
+    # phi: every cut's rho with sigma, the product of its marginals
+    sides = [tuple(tuple(s) for s in cut.as_lists()) for cut in enumerate_bipartitions(len(dims))]
+    marg = [[_partial_trace_raw(mats, dims, s) for s in cut] for cut in sides]
+
+    def rho_sigma(c, rows):
+        return (mats[rows] + _assemble_raw([m[rows] for m in marg[c]], sides[c], dims)) / 2.0
+
+    spy_on(phi_module, rho_sigma)
+    phi_module._dense_entropies(mats, marg, sides, list(range(len(sides))), dims)
+    assert sum(checked) == (3 + len(sides)) * len(mats)
 
 
 def test_dense_body_traces_each_block_once_and_solves_each_dimension_once(monkeypatch):

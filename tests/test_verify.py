@@ -263,12 +263,13 @@ def test_default_json_layout_is_unchanged(small_report):
 
 def _sample_width(layouts, offsets, kraus):
     """Complex numbers a run of the sampler holds per sample: its states
-    twice (normals and matrices), and once the unitaries on d kmax per site
-    (or D kmax) its channels come from."""
+    twice (normals and matrices), and per site of dimension s (or the whole
+    space) the s kc x s columns of normals its channel's QR reads, at most
+    kmax s^2, and its Kraus operators padded to kmax, kmax s^2."""
     kmax, local = kraus or (0, False)
     return max(
         2 * len(offsets) * math.prod(lay) ** 2
-        + sum((d * kmax) ** 2 for d in (lay if local else (math.prod(lay),)))
+        + sum(2 * kmax * d * d for d in (lay if local else (math.prod(lay),)))
         for lay in layouts
     )
 
@@ -280,13 +281,13 @@ def test_stacked_draws_match_per_state_generators(dims, first, monkeypatch):
     # Kraus count and channel; the per-state reference is a Haar-pure state
     # where idx % 4 == 3 (unless mixed), a Ginibre one elsewhere. Offsets
     # (0, first) over 9 samples cover every idx % 4 pattern. The cap is set
-    # for runs of 4, grouped by layout and Kraus count.
+    # for runs of 4, grouped by layout.
     layouts, count, per, offsets = (dims, (2, 2)), 9, 4, (0, first)
     for mixed, kraus in ((False, None), (True, None), (False, (4, False)), (False, (3, True))):
         width = _sample_width(layouts, offsets, kraus)
         monkeypatch.setattr(divergence_module, "_STACK_BYTES", 16 * width * per)
         rng = substream(2, "draws")
-        want, keys = [], []
+        want = []
         for t in range(count):
             lay = SubsystemLayout(layouts[t % 2])
             pure = [not mixed and (t + o) % 4 == 3 for o in offsets]
@@ -298,26 +299,28 @@ def test_stacked_draws_match_per_state_generators(dims, first, monkeypatch):
                     random_local_channel(lay, kc, rng).channels if kraus[1]
                     else [random_channel(lay.dim, lay.dim, kc, rng)]
                 )
-            want.append((lay.dims, [w.mat for w in states] + [ch.kraus for ch in channels]))
-            keys.append((t % 2, kc))
+            want.append((lay.dims, [w.mat for w in states], [ch.kraus for ch in channels], kc))
         order = []
         for lo in range(0, count, per):
             run = range(lo, min(lo + per, count))
-            first_seen = {}
-            for t in run:
-                first_seen.setdefault(keys[t], len(first_seen))
-            order += sorted(run, key=lambda t: first_seen[keys[t]])
+            order += sorted(run, key=lambda t: t % 2 != lo % 2)
         got = []
         sampler = substream(2, "draws")
         for lay_dims, states, ks in verify._samples(sampler, layouts, count, offsets, mixed, kraus):
             assert (ks is None) == (kraus is None)
             sites = [] if ks is None else ks if kraus[1] else [ks]
-            got += [(lay_dims, [*states[j], *(k[j] for k in sites)]) for j in range(len(states))]
+            got += [(lay_dims, list(states[j]), [k[j] for k in sites]) for j in range(len(states))]
         assert len(got) == count
-        for t, (lay_dims, mats) in zip(order, got):
-            assert lay_dims == want[t][0] and len(mats) == len(want[t][1])
-            for mat, w in zip(mats, want[t][1]):
+        for t, (lay_dims, mats, ops) in zip(order, got):
+            dims_t, states_t, kraus_t, kc = want[t]
+            assert lay_dims == dims_t and len(mats) == len(states_t) and len(ops) == len(kraus_t)
+            for mat, w in zip(mats, states_t):
                 assert np.max(np.abs(mat - np.asarray(w))) <= 1e-15
+            # a family of kc operators, padded with exact zeros to kmax
+            for op, w in zip(ops, kraus_t):
+                assert len(op) == kraus[0]
+                assert np.max(np.abs(op[:kc] - np.asarray(w))) <= 1e-15
+                assert not op[kc:].any()
         # the stream is left where the per-state draws leave it
         assert sampler.standard_normal() == rng.standard_normal()
 
@@ -425,17 +428,21 @@ def test_sampler_runs_cover_every_sample_and_fit_the_cap(offsets, kraus, stack_b
         assert [int(t) for run in runs for t in run] == list(range(count))
         # every run but the last is as long as the cap allows
         assert all(len(run) * width <= stack_bytes < (len(run) + 1) * width for run in runs[:-1])
-        # a run's groups come out together: its states twice, and the unitary
-        # on d kc of each sample's Kraus family per site, fit the cap
+        # a run's groups come out together, one per layout in order of first
+        # sample; its states twice, and per site the kept Kraus columns (s kc
+        # x s normals per sample) and the operators padded to kmax, fit the cap
         g = 0
         for run in runs:
-            left, used = len(run), 0
+            left, used, lays = len(run), 0, []
             while left > 0:
-                _, states, ks = groups[g]
+                lay, states, ks = groups[g]
                 g += 1
+                lays.append(lay)
                 left -= len(states)
                 used += 2 * states.nbytes
                 for k in [] if ks is None else ks if kraus[1] else [ks]:
-                    used += len(k) * 16 * (k.shape[1] * k.shape[2]) ** 2
+                    kept = int(np.any(k != 0, axis=(-2, -1)).sum())
+                    used += k.nbytes + 16 * kept * k.shape[-1] ** 2
+            assert lays == list(dict.fromkeys(DEFAULT_LAYOUTS[t % 2] for t in run))
             assert left == 0 and used <= stack_bytes
         assert g == len(groups)
