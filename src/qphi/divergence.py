@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BadParameter, LayoutMismatch, NumericalBreakdown, TooFewStates
-from .states import DensityMatrix, _array, _int, rng_from
+from .states import DensityMatrix, _array, _int, _items, rng_from
 
 LN2 = float(np.log(2.0))
 
@@ -57,7 +57,16 @@ def entropies(spectra: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: Union[DensityMatrix, np.ndarray]) -> float:
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _array(rho, (None, None), "matrix")
+    """S(rho) = -tr rho ln rho of a state, or of a raw square array of numbers
+    (:func:`~qphi.states._array`), of which only the lower triangle is read,
+    as by eigvalsh. A raw array with a non-finite entry raises
+    :class:`BadParameter`, even where that triangle would not read it."""
+    if isinstance(rho, DensityMatrix):
+        mat = rho.mat
+    else:
+        mat = _array(rho, (None, None), "matrix")
+        if not np.isfinite(mat).all():
+            raise BadParameter("matrix has non-finite entries")
     return float(entropies(np.linalg.eigvalsh(mat)))
 
 
@@ -134,6 +143,7 @@ def qjsd_gram(states: Sequence[DensityMatrix]) -> np.ndarray:
 
     The states and their m(m-1)/2 midpoints are eigensolved in stacks.
     """
+    states = _items(states, BadParameter, "states", "density matrices")
     m = len(states)
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")

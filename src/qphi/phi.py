@@ -5,13 +5,14 @@ product state across a bipartition. ``marginal`` mode scores every cut with
 the literal product of its marginals. ``optimized`` mode refines the product
 factors on every cut by matrix exponentiated-gradient descent in log space,
 starting from the marginals, and reports the minimum over cuts of the
-refined values; no cut reports more than its marginal value, so
-phi <= phi_marginal. ``ties`` and ``per_cut`` are the marginal-mode values in
-both modes. The descent, :func:`_refine_products`, runs one chain per
+refined values. The descent, :func:`_refine_products`, runs one chain per
 (state, cut) pair, all advancing together through stacked eigensolves, with
 S(rho) from one eigvalsh per state; :func:`_refine_cuts` runs it on every
 cut, on the cut kernel's plan (each cut's smaller side first, in groups of
-one smaller-side dimension), for :func:`phi` and :func:`_phis` alike.
+one smaller-side dimension), and caps each cut's value at its marginal one,
+so phi <= phi_marginal, for :func:`phi` and :func:`_phis` alike. ``ties``
+and ``per_cut`` are the marginal-mode values, and sigma_star is built on
+first access, in both modes.
 
 The per-cut value qjsd(rho, rho_A (x) rho_B) = S(m) - S(rho)/2 - S(sigma)/2,
 with m the midpoint (rho + sigma)/2, is computed spectrally. rho's spectrum
@@ -139,9 +140,8 @@ class PhiResult:
     ``phi`` is the headline value for the requested mode (in optimized mode,
     the minimum over cuts of the refined values); ``phi_marginal`` always
     carries the plain product-of-marginals minimum. ``per_cut`` and ``ties``
-    hold the marginal-mode values.
-    ``sigma_star`` is the closest product state found; in marginal mode it is
-    built on first access.
+    hold the marginal-mode values. ``sigma_star`` is the closest product
+    state found, built on first access in both modes.
     """
 
     phi: float
@@ -208,6 +208,7 @@ def as_partition(blocks, n: int) -> PartitionKBlocks:
 def partition_divergences(rho: DensityMatrix, partitions) -> list[float]:
     """:func:`divergence_for_partition` of every partition, from shared work
     (:func:`_partition_divergences` on a stack of one)."""
+    partitions = _items(partitions, InvalidPartition, "partitions", "partitions")
     parts = [as_partition(p, rho.n) for p in partitions]
     for p in parts:
         if p.n != rho.n:
@@ -393,22 +394,23 @@ def _refine_products(mats: np.ndarray, dims: tuple[int, ...], cuts, start=None):
     return out[0], out[3], out[4], steps, out[1], out[2]
 
 
-def _refine_cuts(mats: np.ndarray, dims: tuple[int, ...]) -> list[list[np.ndarray]]:
+def _refine_cuts(mats: np.ndarray, dims: tuple[int, ...], marginal: np.ndarray):
     """:func:`_refine_products` for every state of an (S, D, D) stack on every
-    canonical cut, in enumerate_bipartitions order: entry k is what a call on
-    cut k alone returns, with the cut's sides as :func:`_cut_plan` orders
-    them, smaller first. The cuts go in the plan's groups of one
-    smaller-side dimension, and each call takes at most ``_stack_len(D)``
-    chains, so D = 256 goes one chain at a time."""
+    canonical cut, smaller side first as in :func:`_cut_plan`: the (S, cuts)
+    refined values capped at ``marginal``'s, which the floored start can end
+    a round-off above, and per cut, in enumerate_bipartitions order, a record
+    (sides, the six arrays of a call on the cut alone) per chunk of states.
+    Each call takes one plan group's cuts and at most ``_stack_len(D)`` chains."""
     step = _stack_len(mats.shape[-1])
-    parts: list[list] = [[] for _ in range(2 ** (len(dims) - 1) - 1)]
+    values, chains = np.empty(marginal.shape), [[] for _ in range(marginal.shape[1])]
     for _, index, sides in _cut_plan(dims, step):
         per = max(1, step // len(index))
         for s in range(0, len(mats), per):
             got = _refine_products(mats[s:s + per], dims, sides)
+            values[s:s + per, index] = got[0].reshape(-1, len(index))
             for j, k in enumerate(index):
-                parts[k].append([a[j::len(index)] for a in got])
-    return [[np.concatenate(a) for a in zip(*p)] for p in parts]
+                chains[k].append((sides[j], *(a[j::len(index)] for a in got)))
+    return np.minimum(marginal, values), chains
 
 
 # ---------------------------------------------------------------------------
@@ -862,9 +864,10 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
 
     The state's layout has already passed the package's size rule
     (:class:`~qphi.states.SubsystemLayout`), so n is at most 12 here.
-    ``probe_starts`` (optimized mode) reruns the descent from that many
-    perturbed initializations, drawn from a fixed seed, and records the
-    spread of the resulting optima, as a uniqueness diagnostic.
+    Optimized mode reads :func:`_refine_cuts`' capped values. ``probe_starts``
+    (optimized mode) reruns the descent from that many perturbed starts,
+    drawn from a fixed seed, and records the optima's spread about
+    sigma_star (else built on first access), as a uniqueness diagnostic.
     """
     if mode not in ("marginal", "optimized"):
         raise BadParameter(f"unknown mode {mode!r}")
@@ -873,31 +876,26 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
         raise BadParameter("probe_starts needs mode 'optimized'")
     _check_cuttable(rho.n)
     mats = np.asarray(rho.mat)[None]
-    marginal = _cut_divergences(mats, rho.dims)[0]
-    marg = _marginal_result(rho, marginal)
+    marginal = _cut_divergences(mats, rho.dims)
+    marg = _marginal_result(rho, marginal[0])
     if mode == "marginal":
         return marg
-    refined = _refine_cuts(mats, rho.dims)
-    # the descent starts from the marginals floored at 1e-12, so it can end
-    # a round-off above the marginal value; the first lowest cut wins
-    capped = np.minimum([r[0][0] for r in refined], marginal)
-    k = int(np.argmin(capped))
+    capped, chains = _refine_cuts(mats, rho.dims, marginal)
+    # the first lowest cut wins; its one record holds the one state's chain
+    k = int(np.argmin(capped[0]))
     cut = marg.per_cut[k][0]
-    value, sa, sb, _, *hopt = (r[0] for r in refined[k])
-    # the refinement took the cut's smaller side first (_cut_plan)
-    sides = cut.as_lists()
-    if len(sa) != math.prod(rho.dims[i] for i in sides[0]):
-        sides = sides[::-1]
-    if marginal[k] < value:
-        sigma = product_of_marginals(rho, cut)
+    ((sides, *got),) = chains[k]
+    value, sa, sb, _, *hopt = (a[0] for a in got)
+    if marginal[0, k] < value:
+        sigma = lambda: product_of_marginals(rho, cut)
     else:
-        sigma = assemble_on_subsets([sa, sb], sides, rho.layout)
-    res = replace(marg, phi=float(capped[k]), optimal_cut=cut, mode=mode, sigma=sigma)
+        sigma = lambda: assemble_on_subsets([sa, sb], sides, rho.layout)
+    res = replace(marg, phi=float(capped[0, k]), optimal_cut=cut, mode=mode, sigma=sigma)
     if probe_starts == 0:
         return res
     # per start, the real then the imaginary part of H_A's perturbation, then
     # H_B's, from one seeded stream; at most _stack_len(D) starts a call
-    rng, step, spread = np.random.default_rng(0), _stack_len(rho.dim), 0.0
+    rng, step, spread, best = np.random.default_rng(0), _stack_len(rho.dim), 0.0, res.sigma_star.mat
     for p in range(0, probe_starts, step):
         draws = rng.standard_normal((min(step, probe_starts - p), 2 * (sa.size + sb.size)))
         x = np.split(draws, np.cumsum([sa.size, sa.size, sb.size]), axis=1)
@@ -905,7 +903,7 @@ def phi(rho: DensityMatrix, mode: str = "marginal", *, probe_starts: int = 0) ->
         start = [h + 0.025 * (g + np.swapaxes(g.conj(), -1, -2)) for h, g in zip(hopt, z)]
         # chain c is start c on the one state, whose S(rho) takes one eigvalsh
         found = _refine_products(mats, rho.dims, [sides] * len(draws), start)[1:3]
-        spread = max(spread, float(np.abs(_assemble_raw(found, sides, rho.dims) - sigma.mat).max()))
+        spread = max(spread, float(np.abs(_assemble_raw(found, sides, rho.dims) - best).max()))
     return replace(res, refinement_spread=spread)
 
 
@@ -924,19 +922,19 @@ def min_over_partitions(rho: DensityMatrix):
 
 def _phis(mats: np.ndarray, dims: tuple[int, ...], mode: str = "marginal") -> np.ndarray:
     """phi of every state of an (S, D, D) stack, as :func:`phi` gives it: the
-    marginal per-cut values of one :func:`_cut_divergences` pass, and in
-    optimized mode those of one :func:`_refine_cuts` pass, each capped at
-    its marginal one. Raises as :func:`phi` does on an unknown mode or a
-    layout of one subsystem; ``dims`` passes the size rule of
-    :class:`~qphi.states.SubsystemLayout` here, before scoring, as a custom
-    channel family's outputs may exceed it."""
+    per-cut values of one :func:`_cut_divergences` pass, in optimized mode
+    refined and capped by one :func:`_refine_cuts` pass, whose records go
+    unread. Raises as :func:`phi` does on an unknown mode or a layout of one
+    subsystem; ``dims`` passes :class:`~qphi.states.SubsystemLayout`'s size
+    rule here, before scoring, as a custom channel family's outputs may
+    exceed it."""
     if mode not in ("marginal", "optimized"):
         raise BadParameter(f"unknown mode {mode!r}")
     layout = SubsystemLayout(dims)
     _check_cuttable(layout.n)
     values = _cut_divergences(mats, layout.dims)
     if mode == "optimized":
-        values = np.minimum(values, np.stack([r[0] for r in _refine_cuts(mats, layout.dims)], 1))
+        values = _refine_cuts(mats, layout.dims, values)[0]
     return values.min(axis=1)
 
 
@@ -960,9 +958,9 @@ def convexity_check(
     each t of ``t_grid``: :func:`_convexity_violations` on a stack of one pair."""
     if rho1.dims != rho2.dims:
         raise LayoutMismatch("states must share a layout")
-    viol = _convexity_violations(rho1.mat[None], rho2.mat[None], rho1.dims, t_grid, mode)[0]
-    viol = tuple(viol.tolist())
-    return ConvexityReport(tuple(float(t) for t in t_grid), viol, max(viol))
+    t_grid = _items(t_grid, BadParameter, "t_grid", "mixing weights")
+    viol = _convexity_violations(rho1.mat[None], rho2.mat[None], rho1.dims, t_grid, mode)[0].tolist()
+    return ConvexityReport(tuple(float(t) for t in t_grid), tuple(viol), max(viol))
 
 
 def _convexity_violations(a: np.ndarray, b: np.ndarray, dims, t_grid, mode: str) -> np.ndarray:

@@ -13,6 +13,9 @@ bounds, weights, tolerances) must be finite real numbers, checked by
 :func:`_real`: bools, strings, NaN and infinities are refused. Arrays (matrices,
 vectors, Kraus operators, parameter points) must hold numbers and have the
 expected shape, checked by :func:`_array`: bools, strings and None are refused.
+Lists (local dimensions, states, partitions, blocks, mixing weights) are read
+by :func:`_items`: any iterable but a string or a dict, a generator read as
+its list; anything else raises the package's own exception, not TypeError.
 """
 from __future__ import annotations
 
@@ -163,7 +166,7 @@ class SubsystemLayout:
 def as_layout(layout) -> SubsystemLayout:
     if isinstance(layout, SubsystemLayout):
         return layout
-    return SubsystemLayout(tuple(layout))
+    return SubsystemLayout(layout)
 
 
 @dataclass(frozen=True)
@@ -413,7 +416,10 @@ def _assemble_raw(
 def product_of_block_marginals(rho: DensityMatrix, blocks: Sequence[Iterable[int]]) -> DensityMatrix:
     """The product of the marginals on the blocks, which must partition the
     subsystems (original subsystem order)."""
-    subs = [sorted(set(_ints(b, BadParameter, "block indices"))) for b in blocks]
+    subs = [
+        sorted(set(_ints(b, BadParameter, "block indices")))
+        for b in _items(blocks, BadParameter, "blocks", "index lists")
+    ]
     if not all(subs) or sorted(i for s in subs for i in s) != list(range(rho.n)):
         raise BadParameter(f"blocks {subs} do not partition range({rho.n})")
     mats = [_partial_trace_raw(np.asarray(rho.mat), rho.dims, s) for s in subs]

@@ -22,6 +22,7 @@ from qphi.errors import (
     TooFewStates,
 )
 from qphi.states import (
+    DensityMatrix,
     bell,
     ginibre_mixed,
     haar_pure,
@@ -202,7 +203,19 @@ def test_entropies_raise_on_nan_eigenvalues():
     with pytest.raises(NumericalBreakdown):
         entropies(np.array([np.nan, 0.5]))
     with pytest.raises(NumericalBreakdown):
-        von_neumann_entropy(np.full((2, 2), np.nan))
+        von_neumann_entropy(DensityMatrix((2,), np.full((2, 2), np.nan)))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [0.0, 0.0]], [[1.0, 0.0], [np.inf, 0.0]]],
+    ids=["nan-diagonal", "nan-upper", "inf-lower"],
+)
+def test_von_neumann_entropy_refuses_non_finite_raw_entries(mat):
+    # eigvalsh returns finite values for the first two, so only a check of
+    # the entries themselves refuses them
+    with pytest.raises(BadParameter, match="non-finite"):
+        von_neumann_entropy(np.array(mat))
 
 
 def test_von_neumann_entropy_takes_a_square_matrix_of_numbers():

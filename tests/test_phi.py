@@ -985,18 +985,24 @@ def test_stacked_refinement_rows_equal_their_one_state_calls():
         assert value == phi(DensityMatrix(dims, rho.mat), "optimized").phi
     assert np.all(got <= phi_module._phis(mats, dims, "marginal"))
     # on (2,2,2,2) _refine_cuts runs the cuts of one smaller-side dimension in
-    # one call, and every (state, cut) chain of it gives the value, sigma_A,
-    # sigma_B, step count, H_A and H_B of its one-chain call on the cut's
-    # sides in the plan's order
+    # one call, on the cut's sides in the plan's order, and every (state, cut)
+    # chain of it gives the value, sigma_A, sigma_B, step count, H_A and H_B
+    # of its one-chain call there; its table caps each value at the marginal
     dims = (2, 2, 2, 2)
     mats = np.stack([np.asarray(rho.mat) for rho in OPT_STATES.values() if rho.dims == dims])
-    refined = phi_module._refine_cuts(mats, dims)
+    marginal = phi_module._cut_divergences(mats, dims)
+    capped, chains = phi_module._refine_cuts(mats, dims, marginal)
+    assert capped.shape == marginal.shape
     for k, cut in enumerate(enumerate_bipartitions(len(dims))):
+        # the three states fit one call, so each cut has one record
+        ((sides, *refined),) = chains[k]
+        assert sides == _plan_sides(dims, cut)
         for i in range(len(mats)):
-            one = phi_module._refine_products(mats[i:i + 1], dims, [_plan_sides(dims, cut)])
-            assert all(np.array_equal(got[i:i + 1], want) for got, want in zip(refined[k], one))
+            one = phi_module._refine_products(mats[i:i + 1], dims, [sides])
+            assert all(np.array_equal(got[i:i + 1], want) for got, want in zip(refined, one))
+            assert capped[i, k] == np.minimum(marginal[i, k], one[0][0])
     # a group of three cuts whose chains on one state stop at three step counts
-    steps = np.stack([r[3] for r in refined], axis=1)
+    steps = np.stack([c[0][4] for c in chains], axis=1)
     plan = phi_module._cut_plan(dims, divergence_module._stack_len(16))
     assert any(
         len(index) >= 3 and len(set(steps[i, list(index)].tolist())) == len(index)
@@ -1050,7 +1056,7 @@ def test_probe_start_spread_equals_its_one_chain_reruns(label, monkeypatch):
     sides = _plan_sides(rho.dims, res.optimal_cut)
     # rank2-222's optimal cut {0,2}|{1} and full-232's {0,1}|{2} have their
     # smaller side second in canonical order; the refinement takes it first,
-    # so sigma_star and the probe starts are built on the re-oriented sides
+    # and sigma_star and the probe starts are built on the sides it ran on
     assert (sides[0] != tuple(res.optimal_cut.as_lists()[0])) == (label != "full-222")
     assert abs(qjsd(rho, res.sigma_star) - res.phi) <= 1e-12
     mats = np.asarray(rho.mat)[None]
@@ -1501,3 +1507,30 @@ def test_marginal_sigma_star_is_built_on_first_access(monkeypatch):
     assert built == [res.optimal_cut]
     assert res.sigma_star is sigma and len(built) == 1
     assert np.array_equal(np.asarray(sigma.mat), np.asarray(real(rho, res.optimal_cut).mat))
+
+
+@pytest.mark.parametrize(
+    "rho, builder",
+    [(OPT_STATES["full-222"], "assemble_on_subsets"), (ghz(3), "product_of_marginals")],
+    ids=["refined", "capped"],
+)
+def test_optimized_sigma_star_is_built_on_first_access(rho, builder, monkeypatch):
+    # sigma_star is the refined factors' product, or the marginals' where the
+    # cut's refined value ends above its marginal one, as GHZ's does by a
+    # round-off; neither is built until it is read
+    built = []
+    for name in ("assemble_on_subsets", "product_of_marginals"):
+        real = getattr(phi_module, name)
+        monkeypatch.setattr(
+            phi_module, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
+        )
+    res = phi(rho, "optimized")
+    assert built == []
+    sigma = res.sigma_star
+    assert built == [builder]
+    assert res.sigma_star is sigma and len(built) == 1
+    value, refined, _ = _refine_one(rho, res.optimal_cut)
+    capped = dict(res.per_cut)[res.optimal_cut] < value
+    assert capped == (builder == "product_of_marginals")
+    want = product_of_marginals(rho, res.optimal_cut) if capped else refined
+    assert np.array_equal(np.asarray(sigma.mat), np.asarray(want.mat))

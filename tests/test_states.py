@@ -9,7 +9,7 @@ import qphi.states as states
 from qphi.blanket import blanket_scan
 from qphi.channels import KrausChannel, dephasing, depolarizing, local_dephasing, random_channel
 from qphi.dendrogram import stability_probe
-from qphi.divergence import von_neumann_entropy
+from qphi.divergence import negative_type_check, qjsd_gram, von_neumann_entropy
 from qphi.errors import (
     BadBudget,
     BadParameter,
@@ -31,7 +31,13 @@ from qphi.observer import (
     maximize_phi,
     observer_spectrum,
 )
-from qphi.phi import PartitionKBlocks, convexity_check, enumerate_partitions, merge_blocks
+from qphi.phi import (
+    PartitionKBlocks,
+    convexity_check,
+    enumerate_partitions,
+    merge_blocks,
+    partition_divergences,
+)
 from qphi.states import (
     DEFAULT_N_CAP,
     Bipartition,
@@ -350,6 +356,42 @@ def test_real_parameters_accept_integers_and_numpy_reals():
     assert [k.tobytes() for k in dephasing(1, np.float32(0.0)).kraus] == [
         k.tobytes() for k in dephasing(1.0, 0.0).kraus
     ]
+
+
+_PAIR = (bell(), maximally_mixed((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, exc",
+    [
+        (lambda: qjsd_gram(5), BadParameter),
+        (lambda: qjsd_gram(None), BadParameter),
+        (lambda: negative_type_check(5, 1, 0), BadParameter),
+        (lambda: convexity_check(*_PAIR, t_grid=None), BadParameter),
+        (lambda: convexity_check(*_PAIR, t_grid=5), BadParameter),
+        (lambda: partition_divergences(ghz(3), 5), InvalidPartition),
+        (lambda: partition_divergences(ghz(3), None), InvalidPartition),
+        (lambda: product_of_block_marginals(ghz(3), 5), BadParameter),
+        (lambda: haar_pure(5, 0), DimensionMismatch),
+        (lambda: enumerate_bipartitions(None), DimensionMismatch),
+        # a generator is read as its list
+        (lambda: qjsd_gram(iter(_PAIR)).tolist() == qjsd_gram(_PAIR).tolist(), None),
+        (
+            lambda: convexity_check(*_PAIR, t_grid=(t for t in (0.0, 0.5)))
+            == convexity_check(*_PAIR, t_grid=[0.0, 0.5]),
+            None,
+        ),
+    ],
+    ids=["gram-int", "gram-none", "negative-type-int", "t-grid-none", "t-grid-int",
+         "partitions-int", "partitions-none", "blocks-int", "layout-int", "cuts-none",
+         "gram-iterator", "t-grid-generator"],
+)
+def test_lists_are_read_by_one_rule(call, exc):
+    if exc is None:
+        assert call()
+    else:
+        with pytest.raises(exc, match="must be a list of"):
+            call()
 
 
 _ARRAY_SITES = {
